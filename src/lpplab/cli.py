@@ -68,10 +68,10 @@ def _poisson_sheet(seed, n, halfwidth, points, rate):
     return env, sheet
 
 
-def _lattice_sheet(seed, n, halfwidth, points, law_param):
+def _lattice_sheet(seed, law, n, halfwidth, points, law_param):
     a = int(halfwidth * n ** (2.0 / 3.0)) + 2
     t0 = a if a % 2 == 0 else a + 1
-    env = bz.environment_for(seed, "geometric", t0, n, -a, a, law_param)
+    env = bz.environment_for(seed, law, t0, n, -a, a, law_param)
     xs, ys = _lattice_grids(n, halfwidth, points, t0)
     sheet = gaplab.gap_sheet(env, xs, ys, ScalingFrame(float(n)), (t0, t0 + n))
     return env, sheet
@@ -117,7 +117,7 @@ def run_gap(cfg, out: Path):
             env, sheet = _poisson_sheet(seed, cfg["n"], cfg["halfwidth"],
                                         cfg["grid_points"], cfg["rate"])
         else:
-            env, sheet = _lattice_sheet(seed, cfg["n"], cfg["halfwidth"],
+            env, sheet = _lattice_sheet(seed, cfg["model"], cfg["n"], cfg["halfwidth"],
                                         cfg["grid_points"], cfg["law_param"])
         zeros = gaplab.zero_set(sheet)
         return env.descriptor(), sheet, zeros
@@ -215,7 +215,7 @@ def run_dim(cfg, out: Path):
             env, sheet = _poisson_sheet(seed, cfg["n"], cfg["halfwidth"],
                                         cfg["grid_points"], cfg["rate"])
         else:
-            env, sheet = _lattice_sheet(seed, cfg["n"], cfg["halfwidth"],
+            env, sheet = _lattice_sheet(seed, cfg["model"], cfg["n"], cfg["halfwidth"],
                                         cfg["grid_points"], cfg["law_param"])
         zeros = gaplab.zero_set(sheet)
         if len(zeros) < 4:
@@ -309,20 +309,23 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
-    if args.config is not None:
-        cfg = cfgmod.parse_config(args.config.read_text())
+    try:
+        text = (args.config.read_text() if args.config is not None
+                else json.dumps({"command": args.command}))
+    except OSError as err:
+        print(f"config error: cannot read {args.config}: {err.strerror}", file=sys.stderr)
+        return 2
+    try:
+        cfg = cfgmod.parse_config(text)
         if cfg.command != args.command:
             print(f"config command {cfg.command!r} != CLI command {args.command!r}",
                   file=sys.stderr)
             return 2
-    else:
-        cfg = cfgmod.parse_config(json.dumps({"command": args.command}))
-    for key, value in (("seed", args.seed), ("threads", args.threads)):
-        if value is not None:
-            cfg.values[key] = value
-    if args.out is not None:
-        cfg.values["out"] = str(args.out)
-    try:
+        for key, value in (("seed", args.seed), ("threads", args.threads)):
+            if value is not None:
+                cfg.values[key] = value
+        if args.out is not None:
+            cfg.values["out"] = str(args.out)
         out, ok = run_experiment(cfg)
     except cfgmod.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

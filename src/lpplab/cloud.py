@@ -20,6 +20,7 @@ from bisect import bisect_right
 
 import numpy as np
 
+from .errors import InvariantError
 from .model import DomainError, PoissonCloud, causal_leq, _xy
 
 
@@ -226,7 +227,8 @@ def extremal_chain(cloud: PoissonCloud, start, end, side: str) -> list:
                 best_key = key
                 best_m = m
         if best_m < 0:
-            raise AssertionError("chain extraction lost the optimum")
+            raise InvariantError("chain extraction lost the optimum", cloud,
+                                 start=start, end=end, side=side)
         chosen.append(best_m)
         cx, ct = xs[best_m], ts[best_m]
         cur = best_m

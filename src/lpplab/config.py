@@ -14,13 +14,17 @@ from dataclasses import dataclass, field
 from typing import Any, Dict
 
 from .errors import ParameterError
+from .model import _LAWS
 
 
 class ConfigError(ParameterError):
     pass
 
 
-# key -> (type, default); None default means required
+# environments a config may name: the Poisson cloud and the sampled lattice laws
+MODELS = ("poisson",) + tuple(law for law in _LAWS if law != "explicit")
+
+# key -> (type, default) or (type, default, allowed values); None default means required
 _COMMON = {
     "command": (str, None),
     "seed": (int, 0),
@@ -31,14 +35,14 @@ _COMMON = {
 
 _SCHEMAS: Dict[str, Dict[str, tuple]] = {
     "sample": {
-        "model": (str, "poisson"),
+        "model": (str, "poisson", MODELS),
         "rate": (float, 2.0),
         "law_param": (float, 0.5),
         "n": (int, 32),
         "halfwidth": (float, 2.0),
     },
     "gap": {
-        "model": (str, "poisson"),
+        "model": (str, "poisson", MODELS),
         "law_param": (float, 0.5),
         "rate": (float, 2.0),
         "n": (int, 32),
@@ -62,7 +66,7 @@ _SCHEMAS: Dict[str, Dict[str, tuple]] = {
         "directions": (int, 4),
     },
     "dim": {
-        "model": (str, "poisson"),
+        "model": (str, "poisson", MODELS),
         "law_param": (float, 0.5),
         "rate": (float, 2.0),
         "n": (int, 32),
@@ -95,7 +99,8 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document.
 
     Raises ConfigError naming the offending key on unknown keys, type
-    mismatches, or a missing command.
+    mismatches (a JSON boolean is not a number), values outside a key's
+    allowed set, or a missing command.
     """
     try:
         raw = json.loads(text)
@@ -115,13 +120,15 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if key not in schema:
             raise ConfigError(f"unknown key: {key} (command {command})")
-        want, _ = schema[key]
-        if want is float and isinstance(value, int):
+        want, _, *allowed = schema[key]
+        if want is float and type(value) is int:
             value = float(value)
-        if not isinstance(value, want):
+        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
             raise ConfigError(f"key {key}: expected {want.__name__}, got {type(value).__name__}")
+        if allowed and value not in allowed[0]:
+            raise ConfigError(f"key {key}: {value!r} is not one of {allowed[0]}")
         values[key] = value
-    for key, (want, default) in schema.items():
+    for key, (want, default, *_) in schema.items():
         if key == "command":
             continue
         if key not in values:

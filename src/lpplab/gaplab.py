@@ -379,8 +379,7 @@ def min_formula_residuals_batch(model: LatticeField, x: int, ys: Sequence[int],
             if _lattice.is_reachable(v):
                 L2[k] = v + 2.0 * model.weights[i, j]
     G = 2.0 * L - L2
-    sweep = _lattice._PairSweep(model)
-    S2 = sweep.step(S1, t1, forward=True)
+    S2 = _lattice.pair_step(model, S1, t1)
     pos = {w: k for k, w in enumerate(full)}
     out = {}
     for ky, y in enumerate(ys):

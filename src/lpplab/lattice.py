@@ -14,68 +14,113 @@ monotone paths cannot exchange sides without sharing a cell).  A doubled
 endpoint means the two paths share exactly that cell and its weight is
 counted once per path.
 
-All kernels use the sentinel NEG for unreachable states.  Weights are
-held in float64; integer-law values stay exact (they are far below 2^53).
+The sweep
+---------
+Every table comes from one antidiagonal step, ``_relax``: a state at
+chart time t is the best of its predecessors at t - 1 (each path stayed
+on its index or came from the one below) plus each path's cell weight,
+added path by path.  Single-path tables index antidiagonals by row i,
+pair states by columns (j1, j2).
+
+Live window: a sweep from corner (i0, j0) reaches only cells with
+i >= i0 and j >= j0, so the live indices at time t form a window
+[lo(t), hi(t)] whose ends never decrease.  A step updates that window
+only, in place, in buffers padded with a NEG border at index 0.  The
+pair step clears the diagonal j1 == j2: while every state on or below
+it is dead, only the diagonal can be fed from a live state, so the
+lower triangle stays dead.  The pair sweep swaps two buffers; lo is
+constant until the grid's bottom edge cuts in and then rises by one per
+step, so a step reads only rows the step before wrote or rows never
+written.  Rows left behind go stale and are cleared once, at the end.
+
+Mirrors come from reflection: backward tables and backward pair sweeps
+are forward sweeps of the field reflected by (i, j) -> (rows-1-i,
+cols-1-j).  Reflection swaps a pair's paths, so the mirrored sweep adds
+the reflected right path's weight first; either way the left path's
+weight is added before the right path's, as in a literal backward
+recurrence, and values are bit-identical to it.
+
+Only values above _VALID (see is_reachable) are meaningful.  Dead
+states hold NEG plus rounding noise from the weights added to them.
+Reachable values are bit-exact functions of the weights, whatever the
+window, which the geodesic walks rely on.  Weights are float64;
+integer-law values stay exact (they are far below 2^53).
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .model import DomainError, LatticeField
+from .errors import InvariantError
+from .model import DomainError, LatticeField, reflect_cell
 
 NEG = -1.0e18
 _VALID = NEG / 2.0
+_SHIFTS = (slice(1, None), slice(None, -1))  # index stayed, index moved up
+_BORDER = ((1, 0), (1, 0))  # np.pad widths: one border row and column in front
 
 
 def is_reachable(value: float) -> bool:
     return value > _VALID
 
 
-def _diag_span(rows: int, cols: int, t: int) -> tuple:
-    return max(0, t - rows + 1), min(cols - 1, t)
+def _relax(out: np.ndarray, prev: np.ndarray, weights) -> None:
+    """out = max(predecessors in prev) + weights: one step, one axis per path.
+
+    ``prev`` is out's window at t - 1 widened by one index at the low end
+    of every axis; ``weights`` lists (axis, w) in the order of addition.
+    """
+    views = [prev[s] for s in itertools.product(_SHIFTS, repeat=out.ndim)]
+    np.maximum(views[0], views[1], out=out)
+    for v in views[2:]:
+        np.maximum(out, v, out=out)
+    for axis, w in weights:
+        out += w.reshape((-1,) + (1,) * (out.ndim - 1 - axis))
+
+
+def _path_table(w: np.ndarray, corner, seeds=None) -> np.ndarray:
+    """Padded best-path table, swept from corner to the grid's far end.
+
+    Without seeds the corner cell starts with its own weight.  With seeds
+    (NEG where unseeded) every cell takes max(seed, swept value); the
+    corner must then lie weakly above-left of every seeded cell.
+    """
+    rows, cols = w.shape
+    table = np.full((rows + 1, cols + 1), NEG)
+    flat, wflat = table.reshape(-1), np.pad(w, _BORDER).reshape(-1)
+    i0, j0 = corner
+    if seeds is None:
+        table[i0 + 1, j0 + 1] = w[i0, j0]
+    else:
+        sflat = np.pad(seeds, _BORDER, constant_values=NEG).reshape(-1)
+    for t in range(i0 + j0 + (seeds is None), rows + cols - 1):
+        lo, hi = max(i0, t - cols + 1), min(rows - 1, t - j0)
+        # padded cell (i, t - i) sits at flat index base + i * cols
+        base = cols + t + 2
+        live = slice(base + lo * cols, base + hi * cols + 1, cols)
+        out = flat[live]
+        _relax(out, flat[base - 1 + (lo - 1) * cols:base + hi * cols:cols],
+               ((0, wflat[live]),))
+        if seeds is not None:
+            np.maximum(out, sflat[live], out=out)
+    return table
 
 
 def forward_values(field: LatticeField, start) -> np.ndarray:
-    """F[c] = best path value start -> c, both endpoint weights included.
-
-    Swept by antidiagonals so the recurrence F = w + max(up, left) is
-    evaluated literally; values are bit-exact functions of the weights,
-    which the geodesic walks rely on.
-    """
-    w = field.weights
-    rows, cols = w.shape
-    ia, ja = start
+    """F[c] = best path value start -> c, both endpoint weights included."""
     if not field.in_grid(start):
-        raise DomainError(f"start cell {start} outside {rows}x{cols} grid")
-    F = np.full((rows, cols), NEG)
-    F[ia, ja] = w[ia, ja]
-    vec = np.full(cols, NEG)
-    vec[ja] = w[ia, ja]
-    shifted = np.empty(cols)
-    for t in range(ia + ja + 1, rows + cols - 1):
-        shifted[0] = NEG
-        shifted[1:] = vec[:-1]
-        np.maximum(vec, shifted, out=vec)
-        jlo, jhi = _diag_span(rows, cols, t)
-        jj = np.arange(jlo, jhi + 1)
-        new = np.full(cols, NEG)
-        new[jlo:jhi + 1] = vec[jlo:jhi + 1] + w[t - jj, jj]
-        np.clip(new, NEG, None, out=new)
-        F[t - jj, jj] = new[jlo:jhi + 1]
-        vec = new
-    return F
+        raise DomainError(f"start cell {start} outside {field.rows}x{field.cols} grid")
+    return _path_table(field.weights, start)[1:, 1:]
 
 
 def backward_values(field: LatticeField, end) -> np.ndarray:
     """B[c] = best path value c -> end, both endpoint weights included."""
     if not field.in_grid(end):
         raise DomainError(f"end cell {end} outside grid")
-    w = field.weights[::-1, ::-1]
-    rev = LatticeField(w, "explicit")
-    i, j = end
-    Fr = forward_values(rev, (field.rows - 1 - i, field.cols - 1 - j))
-    return Fr[::-1, ::-1].copy()
+    corner = reflect_cell(field, end)
+    return _path_table(field.weights[::-1, ::-1], corner)[:0:-1, :0:-1]
 
 
 def seeded_forward(field: LatticeField, seeds: np.ndarray) -> np.ndarray:
@@ -85,24 +130,11 @@ def seeded_forward(field: LatticeField, seeds: np.ndarray) -> np.ndarray:
     the weight of c), or NEG.  Returns A with
     A[c] = max(seeds[c], max(A[up], A[left]) + w[c]), evaluated literally.
     """
-    w = field.weights
-    rows, cols = w.shape
-    A = np.full((rows, cols), NEG)
-    vec = np.full(cols, NEG)
-    shifted = np.empty(cols)
-    for t in range(0, rows + cols - 1):
-        shifted[0] = NEG
-        shifted[1:] = vec[:-1]
-        np.maximum(vec, shifted, out=vec)
-        jlo, jhi = _diag_span(rows, cols, t)
-        jj = np.arange(jlo, jhi + 1)
-        new = np.full(cols, NEG)
-        new[jlo:jhi + 1] = vec[jlo:jhi + 1] + w[t - jj, jj]
-        np.clip(new, NEG, None, out=new)
-        np.maximum(new[jlo:jhi + 1], seeds[t - jj, jj], out=new[jlo:jhi + 1])
-        A[t - jj, jj] = new[jlo:jhi + 1]
-        vec = new
-    return A
+    seeded = np.argwhere(seeds > _VALID)
+    if not len(seeded):
+        return np.full(field.weights.shape, NEG)
+    corner = tuple(int(k) for k in seeded.min(axis=0))
+    return _path_table(field.weights, corner, seeds)[1:, 1:]
 
 
 def passage_value(field: LatticeField, start, end) -> float:
@@ -126,45 +158,79 @@ def profile(field: LatticeField, start, chart_time: int) -> dict:
     return out
 
 
-class _PairSweep:
-    """Shared scaffolding for the two-path antidiagonal sweeps."""
+def _antidiagonals(w: np.ndarray) -> np.ndarray:
+    """out[t, j + 1] = w[t - j, j]: antidiagonals as padded rows, 0 off-grid."""
+    rows, cols = w.shape
+    out = np.zeros((rows + cols - 1, cols + 1))
+    i, j = np.indices(w.shape)
+    out[i + j, j + 1] = w
+    return out
 
-    def __init__(self, field: LatticeField):
-        self.field = field
-        self.w = field.weights
-        self.rows, self.cols = self.w.shape
-        cols = self.cols
-        jj = np.arange(cols)
-        self.strict = jj[:, None] < jj[None, :]
 
-    def wrow(self, t: int) -> np.ndarray:
-        """Weights of the cells on antidiagonal t, indexed by column."""
-        out = np.full(self.cols, NEG)
-        jlo = max(0, t - self.rows + 1)
-        jhi = min(self.cols - 1, t)
-        if jlo <= jhi:
-            j = np.arange(jlo, jhi + 1)
-            out[jlo:jhi + 1] = self.w[t - j, j]
-        return out
+def _pair_step(cur, nxt, w_t, lo, hi, order) -> None:
+    """Advance padded pair states cur (t - 1) -> nxt (t) on [lo, hi]^2."""
+    out = nxt[lo:hi + 1, lo:hi + 1]
+    _relax(out, cur[lo - 1:hi + 1, lo - 1:hi + 1],
+           [(axis, w_t[lo:hi + 1]) for axis in order])
+    np.fill_diagonal(out, NEG)
 
-    def step(self, S: np.ndarray, t_new: int, forward: bool) -> np.ndarray:
-        """Advance the state matrix one chart time."""
-        cols = self.cols
-        P = np.full((cols + 1, cols + 1), NEG)
-        if forward:
-            P[1:, 1:] = S
-            M = np.maximum(np.maximum(P[1:, 1:], P[:-1, 1:]),
-                           np.maximum(P[1:, :-1], P[:-1, :-1]))
-        else:
-            P[:cols, :cols] = S
-            M = np.maximum(np.maximum(P[:cols, :cols], P[1:, :cols]),
-                           np.maximum(P[:cols, 1:], P[1:, 1:]))
-        wr = self.wrow(t_new)
-        M += wr[:, None]
-        M += wr[None, :]
-        M[~self.strict] = NEG
-        np.clip(M, NEG, None, out=M)
-        return M
+
+def _pair_sweep(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
+    """Two-path sweep on weights w from an ordered start pair to t_stop.
+
+    Returns the trail [(t, padded states)], holding every step with
+    record and only the last one without; [] if no pair is feasible.
+    ``order`` is the axis order in which the paths' weights are added.
+    """
+    rows, cols = w.shape
+    (i1, j1), (i2, j2) = start_pair
+    t = i1 + j1
+    cur = np.full((cols + 1, cols + 1), NEG)
+    if (i1, j1) == (i2, j2):
+        if i1 + 1 >= rows or j1 + 1 >= cols:
+            return []
+        t += 1
+        cur[j1 + 1, j1 + 2] = 2.0 * w[i1, j1] + w[i1 + 1, j1] + w[i1, j1 + 1]
+    else:
+        cur[j1 + 1, j2 + 1] = w[i1, j1] + w[i2, j2]
+    if t_stop < t:
+        return []
+    diags = _antidiagonals(w)
+    trail = [(t, cur)]
+    spare = np.full_like(cur, NEG)
+    lo = 0
+    for t in range(t + 1, t_stop + 1):
+        # live columns (padded): j >= j1 and inside the grid, i >= min(i1, i2)
+        lo, hi = max(j1, t - rows + 1) + 1, min(cols - 1, t - min(i1, i2)) + 1
+        if lo > hi:
+            return []
+        nxt = np.full_like(cur, NEG) if record else spare
+        _pair_step(cur, nxt, diags[t], lo, hi, order)
+        if not record:
+            trail.clear()
+        trail.append((t, nxt))
+        cur, spare = nxt, cur
+    cur[:lo] = NEG  # rows that left the window may hold stale states
+    if not is_reachable(float(cur.max())):
+        return []
+    return trail
+
+
+def _check_pair(field: LatticeField, pair, role: str) -> None:
+    c1, c2 = pair
+    for c in pair:
+        if not field.in_grid(c):
+            raise DomainError(f"{role} cell {c} outside grid")
+    if c1[0] + c1[1] != c2[0] + c2[1]:
+        raise DomainError(f"{role} pair must share a chart time")
+    if c1 != c2 and not c1[1] < c2[1]:
+        raise DomainError(f"{role} pair must be ordered left to right")
+
+
+def _pair_result(trail, t_stop: int, record: bool):
+    if record:
+        return [S for _, S in trail], [t for t, _ in trail]
+    return (trail[-1][1], t_stop) if trail else (None, t_stop)
 
 
 def pair_forward(field: LatticeField, start_pair, t_stop: int,
@@ -177,75 +243,36 @@ def pair_forward(field: LatticeField, start_pair, t_stop: int,
     antidiagonal t = t_stop, or (None, t) if no pair is feasible.  With
     record=True returns (list_of_states, times) for backtracking.
     """
-    sweep = _PairSweep(field)
-    a1, a2 = start_pair
-    t0 = a1[0] + a1[1]
-    if a2[0] + a2[1] != t0:
-        raise DomainError("start pair must share a chart time")
-    S = np.full((field.cols, field.cols), NEG)
-    if a1 == a2:
-        i, j = a1
-        t_init = t0 + 1
-        down, right = (i + 1, j), (i, j + 1)
-        if field.in_grid(down) and field.in_grid(right):
-            S[j, j + 1] = 2.0 * field.weights[i, j] + field.weights[down] + field.weights[right]
-    else:
-        j1, j2 = a1[1], a2[1]
-        if not (j1 < j2):
-            raise DomainError("start pair must be ordered left to right")
-        t_init = t0
-        S[j1, j2] = field.weights[a1] + field.weights[a2]
-    if t_stop < t_init:
-        return (None, t_stop) if not record else ([], [])
-    trail = [S] if record else None
-    times = [t_init] if record else None
-    for t in range(t_init + 1, t_stop + 1):
-        S = sweep.step(S, t, forward=True)
-        if record:
-            trail.append(S)
-            times.append(t)
-    if not is_reachable(float(S.max())):
-        return (None, t_stop) if not record else ([], [])
-    if record:
-        return trail, times
-    return S, t_stop
+    _check_pair(field, start_pair, "start")
+    trail = _pair_sweep(field.weights, start_pair, t_stop, record, (0, 1))
+    return _pair_result([(t, S[1:, 1:]) for t, S in trail], t_stop, record)
 
 
 def pair_backward(field: LatticeField, end_pair, t_stop: int,
                   record: bool = False):
-    """Mirror sweep from an end pair down to chart time t_stop."""
-    sweep = _PairSweep(field)
-    b1, b2 = end_pair
-    t1 = b1[0] + b1[1]
-    if b2[0] + b2[1] != t1:
-        raise DomainError("end pair must share a chart time")
-    S = np.full((field.cols, field.cols), NEG)
-    if b1 == b2:
-        i, j = b1
-        t_init = t1 - 1
-        up, left = (i - 1, j), (i, j - 1)
-        if field.in_grid(up) and field.in_grid(left):
-            S[j - 1, j] = 2.0 * field.weights[i, j] + field.weights[up] + field.weights[left]
-    else:
-        j1, j2 = b1[1], b2[1]
-        if not (j1 < j2):
-            raise DomainError("end pair must be ordered left to right")
-        t_init = t1
-        S[j1, j2] = field.weights[b1] + field.weights[b2]
-    if t_stop > t_init:
-        return (None, t_stop) if not record else ([], [])
-    trail = [S] if record else None
-    times = [t_init] if record else None
-    for t in range(t_init - 1, t_stop - 1, -1):
-        S = sweep.step(S, t, forward=False)
-        if record:
-            trail.append(S)
-            times.append(t)
-    if not is_reachable(float(S.max())):
-        return (None, t_stop) if not record else ([], [])
-    if record:
-        return trail, times
-    return S, t_stop
+    """Mirror of pair_forward: sweep from an end pair down to chart time t_stop.
+
+    The forward sweep of the reflected field, from the reflected end pair
+    (whose paths trade sides); states and times are reflected back.
+    """
+    _check_pair(field, end_pair, "end")
+    t_max = field.rows + field.cols - 2
+    flipped = [reflect_cell(field, c) for c in end_pair[::-1]]
+    trail = _pair_sweep(field.weights[::-1, ::-1], flipped, t_max - t_stop,
+                        record, (1, 0))
+    return _pair_result([(t_max - t, S[:0:-1, :0:-1].T) for t, S in trail],
+                        t_stop, record)
+
+
+def pair_step(field: LatticeField, states: np.ndarray, t: int) -> np.ndarray:
+    """Advance full pair states from chart time t - 1 to t by one step."""
+    rows, cols = field.weights.shape
+    cur = np.pad(states, _BORDER, constant_values=NEG)
+    nxt = np.full_like(cur, NEG)
+    lo, hi = max(0, t - rows + 1), min(cols - 1, t)
+    if lo <= hi:
+        _pair_step(cur, nxt, _antidiagonals(field.weights)[t], lo + 1, hi + 1, (0, 1))
+    return nxt[1:, 1:]
 
 
 def disjoint2_value(field: LatticeField, start_pair, end_pair):
@@ -254,25 +281,14 @@ def disjoint2_value(field: LatticeField, start_pair, end_pair):
     Paths may share only doubled endpoints; each path includes both of
     its endpoint weights, so a doubled endpoint weight is counted twice.
     """
-    a1, a2 = start_pair
     b1, b2 = end_pair
-    for c in (a1, a2, b1, b2):
+    for c in (*start_pair, *end_pair):
         if not field.in_grid(c):
             raise DomainError(f"cell {c} outside grid")
-    t_end = b1[0] + b1[1]
     if b1 == b2:
-        i, j = b1
-        up, left = (i - 1, j), (i, j - 1)
-        if not (field.in_grid(up) and field.in_grid(left)):
-            return None
-        S, _ = pair_forward(field, (a1, a2), t_end - 1)
-        if S is None:
-            return None
-        v = S[j - 1, j]
-        if not is_reachable(v):
-            return None
-        return float(v + 2.0 * field.weights[i, j])
-    S, _ = pair_forward(field, (a1, a2), t_end)
+        v = doubled_row_values(field, start_pair, [b1])[0]
+        return None if np.isnan(v) else float(v)
+    S, _ = pair_forward(field, start_pair, b1[0] + b1[1])
     if S is None:
         return None
     v = S[b1[1], b2[1]]
@@ -301,24 +317,6 @@ def doubled_row_values(field: LatticeField, start_pair, end_cells):
     return out
 
 
-def doubled_col_values(field: LatticeField, end_pair, start_cells):
-    """disjoint2 values from many doubled start cells to one end pair."""
-    ts = {c[0] + c[1] for c in start_cells}
-    if len(ts) > 1:
-        raise DomainError("start cells must share a chart time")
-    t0 = ts.pop()
-    S, _ = pair_backward(field, end_pair, t0 + 1)
-    out = np.full(len(start_cells), np.nan)
-    if S is None:
-        return out
-    for k, (i, j) in enumerate(start_cells):
-        if i + 1 < field.rows and j + 1 < field.cols:
-            v = S[j, j + 1]
-            if is_reachable(v):
-                out[k] = v + 2.0 * field.weights[i, j]
-    return out
-
-
 def geodesic_cells(field: LatticeField, start, end, side: str) -> list:
     """Extremal geodesic as a cell list.
 
@@ -340,12 +338,12 @@ def geodesic_cells_from_B(field: LatticeField, B: np.ndarray, start, end,
     while c != end:
         i, j = c
         # B was computed as max(children) + w, so test in the same order
-        right = (i, j + 1)
-        down = (i + 1, j)
+        right, down = (i, j + 1), (i + 1, j)
         right_ok = field.in_grid(right) and B[right] + w[i, j] == B[i, j]
         down_ok = field.in_grid(down) and B[down] + w[i, j] == B[i, j]
         if not (right_ok or down_ok):
-            raise AssertionError("geodesic walk lost the optimum")
+            raise InvariantError("geodesic walk lost the optimum", field,
+                                 start=start, end=end, side=side, at=c)
         if side == "right":
             c = right if right_ok else down
         else:
@@ -392,22 +390,21 @@ def optimizer_pair(field: LatticeField, start_pair, end_pair, side: str):
                                  record=True)
     if not trail:
         return None
-    states = dict(zip(times, trail))
-    t_first = min(times)
+    states = dict(zip(times, trail))  # swept down to exactly t0 (+1 if doubled)
     t_last = max(times)
     if a1 == a2:
         i, j = a1
         down, right = (i + 1, j), (i, j + 1)
         if not (field.in_grid(down) and field.in_grid(right)):
             return None
-        if t_first > t0 + 1 or not is_reachable(states[t0 + 1][j, j + 1]):
+        if not is_reachable(states[t0 + 1][j, j + 1]):
             return None
         value = float(states[t0 + 1][j, j + 1] + 2.0 * w[i, j])
         cells1, cells2 = [a1, down], [a2, right]
         j1, j2, t = j, j + 1, t0 + 1
     else:
         j1, j2 = a1[1], a2[1]
-        if t_first > t0 or not is_reachable(states[t0][j1, j2]):
+        if not is_reachable(states[t0][j1, j2]):
             return None
         value = float(states[t0][j1, j2])
         cells1, cells2 = [a1], [a2]
@@ -418,7 +415,6 @@ def optimizer_pair(field: LatticeField, start_pair, end_pair, side: str):
         S_now = states[t]
         S_next = states[t + 1]
         rest = S_now[j1, j2] - w[t - j1, j1] - w[t - j2, j2]
-        moved = False
         for d1, d2 in order:
             n1, n2 = j1 + d1, j2 + d2
             if n1 < n2 and n1 < field.cols and n2 < field.cols \
@@ -426,10 +422,11 @@ def optimizer_pair(field: LatticeField, start_pair, end_pair, side: str):
                 j1, j2, t = n1, n2, t + 1
                 cells1.append((t - j1, j1))
                 cells2.append((t - j2, j2))
-                moved = True
                 break
-        if not moved:
-            raise AssertionError("pair backtracking lost the optimum")
+        else:
+            raise InvariantError("pair backtracking lost the optimum", field,
+                                 start_pair=start_pair, end_pair=end_pair,
+                                 side=side, at_time=t)
     if b1 == b2:
         cells1.append(b1)
         cells2.append(b2)

@@ -9,13 +9,13 @@ large-scale run.  Size caps keep enumeration in the millisecond range.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
 from . import engine
+from .errors import serialize_instance
 from .model import LatticeField, PoissonCloud, _xy
 
 MAX_LATTICE = 5
@@ -252,11 +252,6 @@ def weak_pair_value(model, start_pair, end_pair):
         v = float(len(set(c1) | set(c2)))
         best = v if best is None else max(best, v)
     return best
-
-
-def serialize_instance(model, detail: dict) -> str:
-    """Self-contained JSON replay of a failing instance."""
-    return json.dumps({"model": model.descriptor(), **detail}, sort_keys=True, default=str)
 
 
 def verify_engine(instances, funcs=None) -> dict:

@@ -149,6 +149,49 @@ def test_cli_config_command_mismatch(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"command": "gap", "n": 8, "bogus": 1}, "bogus"),
+    ({"command": "gap", "n": "eight"}, "n"),
+    ({"command": "gap", "n": True}, "n"),
+    ({"command": "gap", "halfwidth": False}, "halfwidth"),
+    ({"command": "gap", "model": "bogus"}, "model"),
+    ({"command": "dim", "model": "explicit"}, "model"),
+])
+def test_cli_config_error_exits_2_with_one_line(tmp_path, capsys, doc, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    rc = cli.main([doc["command"], "--config", str(cfg), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert key in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_parse_rejects_bool_for_numbers():
+    for doc in ('{"command": "gap", "n": true}', '{"command": "gap", "rate": false}'):
+        with pytest.raises(ConfigError):
+            parse_config(doc)
+
+
+def test_cli_missing_config_file_exits_2(tmp_path, capsys):
+    rc = cli.main(["gap", "--config", str(tmp_path / "none.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("law", ["geometric", "exponential", "bernoulli"])
+def test_lattice_gap_honours_the_law(tmp_path, law):
+    doc = {"command": "gap", "model": law, "n": 12, "grid_points": 6, "seed": 2}
+    out, ok = run(tmp_path, doc, law)
+    assert ok
+    doc = manifest.read_manifest(out)
+    assert [env["law"] for env in doc["environments"]] == [law]
+    header = json.loads((out / "sheet_0.json").read_text())
+    assert header["model"]["law"] == law
+    assert header["integer_valued"] == (law != "exponential")
+
+
 def test_svg_determinism_and_shapes():
     m = np.array([[1.0, 2.0], [3.0, np.nan]])
     a = svg.heatmap(m)

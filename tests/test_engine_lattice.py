@@ -298,3 +298,47 @@ def test_leftmost_matches_lexicographic_minimum_on_8x8():
         assert tuple(c[1] for c in left.nodes) == lex
         assert tuple(c[1] for c in left.nodes) == tuple(opt_cols.min(axis=0))
         assert tuple(c[1] for c in right.nodes) == tuple(opt_cols.max(axis=0))
+
+
+def test_corrupted_backward_table_raises_replayable_invariant_error():
+    import json
+    from lpplab import lattice
+    from lpplab.errors import InvariantError
+    from lpplab.model import model_from_descriptor
+    f = random_field(4, 6, 6)
+    start, end = (0, 0), (5, 5)
+    B = backward_values(f, end)
+    B[0, 1] -= 1.0
+    B[1, 0] -= 1.0
+    with pytest.raises(AssertionError) as err:  # what verify runs still catch
+        lattice.geodesic_cells_from_B(f, B, start, end, "left")
+    assert isinstance(err.value, InvariantError)
+    assert "lost the optimum" in str(err.value)
+    replay = json.loads(err.value.replay)
+    assert replay["start"] == [0, 0] and replay["end"] == [5, 5]
+    assert replay["side"] == "left"
+    again = model_from_descriptor(replay["model"])
+    np.testing.assert_array_equal(again.weights, f.weights)
+    # the replayed instance with an honest table walks fine
+    assert lattice.geodesic_cells(again, start, end, "left")[-1] == end
+
+
+def test_corrupted_pair_trail_raises_replayable_invariant_error(monkeypatch):
+    import json
+    from lpplab import lattice
+    from lpplab.errors import InvariantError
+    f = random_field(5, 5, 5)
+    honest = lattice.pair_backward
+
+    def corrupted(*args, **kwargs):
+        trail, times = honest(*args, **kwargs)
+        trail[1] = trail[1] - 1.0  # every state one time after the start is off by one
+        return trail, times
+
+    monkeypatch.setattr(lattice, "pair_backward", corrupted)
+    with pytest.raises(InvariantError) as err:
+        lattice.optimizer_pair(f, ((0, 0), (0, 0)), ((4, 4), (4, 4)), "right")
+    replay = json.loads(err.value.replay)
+    assert replay["start_pair"] == [[0, 0], [0, 0]]
+    assert replay["end_pair"] == [[4, 4], [4, 4]]
+    assert replay["model"]["seed"] == 5

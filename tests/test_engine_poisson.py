@@ -208,3 +208,20 @@ def test_overlap_node_disjoint_chains_empty():
     b = geodesic(cl, (0.0, 0.0), (0.0, 1.0), "right")
     ov = overlap(a, b)
     assert all(u == v for u, v in ov.intervals)  # endpoints only
+
+
+def test_corrupted_chain_tables_raise_replayable_invariant_error(monkeypatch):
+    import json
+    from lpplab import cloud
+    from lpplab.errors import InvariantError
+    honest = cloud.chain_tables
+
+    def corrupted(*args):
+        idx, F, B, total = honest(*args)
+        return idx, F, B + 5, total  # no point lies on an optimal chain any more
+
+    monkeypatch.setattr(cloud, "chain_tables", corrupted)
+    with pytest.raises(InvariantError) as err:
+        cloud.extremal_chain(HAND, (0.0, 0.0), (0.0, 1.0), "left")
+    replay = json.loads(err.value.replay)
+    assert replay["side"] == "left" and replay["model"]["model"] == "poisson"

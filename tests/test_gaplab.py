@@ -283,8 +283,22 @@ def test_decreasing_decomposition_smoke():
     assert rep["violations"] <= rep["comparisons"] or rep["comparisons"] == 0
 
 
+def doubled_col_values(field, end_pair, start_cells):
+    """disjoint2 values from doubled start cells at one chart time to one
+    end pair, all from a single backward pair sweep."""
+    from lpplab.lattice import is_reachable, pair_backward
+    t0 = start_cells[0][0] + start_cells[0][1]
+    S, _ = pair_backward(field, end_pair, t0 + 1)
+    out = np.full(len(start_cells), np.nan)
+    for k, (i, j) in enumerate(start_cells):
+        if S is not None and i + 1 < field.rows and j + 1 < field.cols \
+                and is_reachable(S[j, j + 1]):
+            out[k] = S[j, j + 1] + 2.0 * field.weights[i, j]
+    return out
+
+
 def test_sheet_columns_match_independent_backward_pass():
-    from lpplab.lattice import doubled_col_values, forward_values
+    from lpplab.lattice import forward_values
     f, sheet = lattice_sheet(seed=12)
     t0, t1 = sheet.times
     j = len(sheet.y_grid) // 2

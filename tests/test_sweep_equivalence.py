@@ -1,0 +1,317 @@
+"""Equivalence gate: the banded sweep against the dense sweeps it replaced.
+
+The reference kernels below are the earlier dense implementations, kept
+here verbatim as the specification.  Dead states are only meaningful as
+"at most _VALID", so both sides map those entries to NEG before
+comparing; every reachable entry must be bit-identical.
+"""
+
+import numpy as np
+import pytest
+
+from lpplab import gaplab, lattice
+from lpplab.lattice import NEG, _VALID
+from lpplab.model import LatticeField, make_lattice_field
+
+
+# ---------------------------------------------------------------- reference
+
+def _diag_span(rows, cols, t):
+    return max(0, t - rows + 1), min(cols - 1, t)
+
+
+def ref_forward_values(field, start):
+    w = field.weights
+    rows, cols = w.shape
+    ia, ja = start
+    F = np.full((rows, cols), NEG)
+    F[ia, ja] = w[ia, ja]
+    vec = np.full(cols, NEG)
+    vec[ja] = w[ia, ja]
+    shifted = np.empty(cols)
+    for t in range(ia + ja + 1, rows + cols - 1):
+        shifted[0] = NEG
+        shifted[1:] = vec[:-1]
+        np.maximum(vec, shifted, out=vec)
+        jlo, jhi = _diag_span(rows, cols, t)
+        jj = np.arange(jlo, jhi + 1)
+        new = np.full(cols, NEG)
+        new[jlo:jhi + 1] = vec[jlo:jhi + 1] + w[t - jj, jj]
+        np.clip(new, NEG, None, out=new)
+        F[t - jj, jj] = new[jlo:jhi + 1]
+        vec = new
+    return F
+
+
+def ref_backward_values(field, end):
+    rev = LatticeField(field.weights[::-1, ::-1], "explicit")
+    i, j = end
+    Fr = ref_forward_values(rev, (field.rows - 1 - i, field.cols - 1 - j))
+    return Fr[::-1, ::-1].copy()
+
+
+def ref_seeded_forward(field, seeds):
+    w = field.weights
+    rows, cols = w.shape
+    A = np.full((rows, cols), NEG)
+    vec = np.full(cols, NEG)
+    shifted = np.empty(cols)
+    for t in range(0, rows + cols - 1):
+        shifted[0] = NEG
+        shifted[1:] = vec[:-1]
+        np.maximum(vec, shifted, out=vec)
+        jlo, jhi = _diag_span(rows, cols, t)
+        jj = np.arange(jlo, jhi + 1)
+        new = np.full(cols, NEG)
+        new[jlo:jhi + 1] = vec[jlo:jhi + 1] + w[t - jj, jj]
+        np.clip(new, NEG, None, out=new)
+        np.maximum(new[jlo:jhi + 1], seeds[t - jj, jj], out=new[jlo:jhi + 1])
+        A[t - jj, jj] = new[jlo:jhi + 1]
+        vec = new
+    return A
+
+
+class RefPairSweep:
+    def __init__(self, field):
+        self.w = field.weights
+        self.rows, self.cols = self.w.shape
+        jj = np.arange(self.cols)
+        self.strict = jj[:, None] < jj[None, :]
+
+    def wrow(self, t):
+        out = np.full(self.cols, NEG)
+        jlo = max(0, t - self.rows + 1)
+        jhi = min(self.cols - 1, t)
+        if jlo <= jhi:
+            j = np.arange(jlo, jhi + 1)
+            out[jlo:jhi + 1] = self.w[t - j, j]
+        return out
+
+    def step(self, S, t_new, forward):
+        cols = self.cols
+        P = np.full((cols + 1, cols + 1), NEG)
+        if forward:
+            P[1:, 1:] = S
+            M = np.maximum(np.maximum(P[1:, 1:], P[:-1, 1:]),
+                           np.maximum(P[1:, :-1], P[:-1, :-1]))
+        else:
+            P[:cols, :cols] = S
+            M = np.maximum(np.maximum(P[:cols, :cols], P[1:, :cols]),
+                           np.maximum(P[:cols, 1:], P[1:, 1:]))
+        wr = self.wrow(t_new)
+        M += wr[:, None]
+        M += wr[None, :]
+        M[~self.strict] = NEG
+        np.clip(M, NEG, None, out=M)
+        return M
+
+
+def ref_pair_forward(field, start_pair, t_stop, record=False):
+    sweep = RefPairSweep(field)
+    a1, a2 = start_pair
+    t0 = a1[0] + a1[1]
+    S = np.full((field.cols, field.cols), NEG)
+    if a1 == a2:
+        i, j = a1
+        t_init = t0 + 1
+        down, right = (i + 1, j), (i, j + 1)
+        if field.in_grid(down) and field.in_grid(right):
+            S[j, j + 1] = 2.0 * field.weights[i, j] + field.weights[down] + field.weights[right]
+    else:
+        t_init = t0
+        S[a1[1], a2[1]] = field.weights[a1] + field.weights[a2]
+    if t_stop < t_init:
+        return (None, t_stop) if not record else ([], [])
+    trail, times = [S], [t_init]
+    for t in range(t_init + 1, t_stop + 1):
+        S = sweep.step(S, t, forward=True)
+        trail.append(S)
+        times.append(t)
+    if not lattice.is_reachable(float(S.max())):
+        return (None, t_stop) if not record else ([], [])
+    return (trail, times) if record else (S, t_stop)
+
+
+def ref_pair_backward(field, end_pair, t_stop, record=False):
+    sweep = RefPairSweep(field)
+    b1, b2 = end_pair
+    t1 = b1[0] + b1[1]
+    S = np.full((field.cols, field.cols), NEG)
+    if b1 == b2:
+        i, j = b1
+        t_init = t1 - 1
+        up, left = (i - 1, j), (i, j - 1)
+        if field.in_grid(up) and field.in_grid(left):
+            S[j - 1, j] = 2.0 * field.weights[i, j] + field.weights[up] + field.weights[left]
+    else:
+        t_init = t1
+        S[b1[1], b2[1]] = field.weights[b1] + field.weights[b2]
+    if t_stop > t_init:
+        return (None, t_stop) if not record else ([], [])
+    trail, times = [S], [t_init]
+    for t in range(t_init - 1, t_stop - 1, -1):
+        S = sweep.step(S, t, forward=False)
+        trail.append(S)
+        times.append(t)
+    if not lattice.is_reachable(float(S.max())):
+        return (None, t_stop) if not record else ([], [])
+    return (trail, times) if record else (S, t_stop)
+
+
+# ---------------------------------------------------------------- helpers
+
+def canon(a):
+    """Reachable entries as they are, every dead entry as exactly NEG."""
+    a = np.array(a, dtype=np.float64)
+    a[a <= _VALID] = NEG
+    return a
+
+
+def assert_same(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(canon(got), canon(want))
+    # bit-identical, not merely equal: compare the raw float64 patterns
+    assert canon(got).tobytes() == canon(want).tobytes()
+
+
+def fields():
+    rng = np.random.default_rng(7)
+    yield make_lattice_field(3, 9, 9, "geometric", 0.5)
+    yield make_lattice_field(4, 7, 12, "exponential")
+    yield make_lattice_field(5, 13, 6, "exponential")
+    yield make_lattice_field(6, 8, 10, "bernoulli", 0.3)
+    yield make_lattice_field(0, 6, 7, "explicit",
+                             weights=rng.uniform(0.0, 100.0, (6, 7)))
+    # weights large enough that dead states drift visibly off NEG
+    yield make_lattice_field(0, 5, 9, "explicit",
+                             weights=rng.uniform(0.0, 1e6, (5, 9)))
+    yield make_lattice_field(1, 1, 6, "exponential")
+    yield make_lattice_field(2, 6, 1, "exponential")
+    yield make_lattice_field(3, 2, 2, "geometric", 0.5)
+
+
+FIELDS = list(fields())
+IDS = [f"{f.law}-{f.rows}x{f.cols}-{k}" for k, f in enumerate(FIELDS)]
+
+
+def cells(f):
+    return [(i, j) for i in range(f.rows) for j in range(f.cols)]
+
+
+def start_pairs(f):
+    """Doubled pairs at every cell, and distinct ordered pairs (edges included)."""
+    out = [(c, c) for c in cells(f)]
+    for t in range(f.rows + f.cols - 1):
+        diag = [(t - j, j) for j in range(f.cols) if 0 <= t - j < f.rows]
+        for k1 in range(len(diag)):
+            for k2 in range(k1 + 1, len(diag)):
+                if (k2 - k1) % 2 or k1 == 0 or k2 == len(diag) - 1:
+                    out.append((diag[k1], diag[k2]))
+    return out
+
+
+# ---------------------------------------------------------------- tests
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_single_tables_match_dense_reference(f):
+    for c in cells(f):
+        assert_same(lattice.forward_values(f, c), ref_forward_values(f, c))
+        assert_same(lattice.backward_values(f, c), ref_backward_values(f, c))
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_seeded_forward_matches_dense_reference(f):
+    rng = np.random.default_rng(f.rows * 31 + f.cols)
+    F = lattice.forward_values(f, (0, 0))
+    for trial in range(6):
+        seeds = np.full(f.weights.shape, NEG)
+        mask = rng.random(f.weights.shape) < (0.1 + 0.15 * trial)
+        seeds[mask] = F[mask] + rng.integers(-3, 4, size=mask.sum())
+        assert_same(lattice.seeded_forward(f, seeds), ref_seeded_forward(f, seeds))
+    empty = np.full(f.weights.shape, NEG)
+    assert_same(lattice.seeded_forward(f, empty), ref_seeded_forward(f, empty))
+
+
+def _check_pair_results(got, want, record):
+    if record:
+        (g_trail, g_times), (w_trail, w_times) = got, want
+        assert g_times == w_times
+        assert len(g_trail) == len(w_trail)
+        for g, w in zip(g_trail, w_trail):
+            assert_same(g, w)
+    else:
+        (g, gt), (w, wt) = got, want
+        assert gt == wt
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert_same(g, w)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_pair_forward_matches_dense_reference(f):
+    t_max = f.rows + f.cols - 2
+    for pair in start_pairs(f):
+        t0 = pair[0][0] + pair[0][1]
+        for t_stop in sorted({t0 - 1, t0, t0 + 1, t0 + 3, t_max - 1, t_max, t_max + 1}):
+            _check_pair_results(lattice.pair_forward(f, pair, t_stop),
+                                ref_pair_forward(f, pair, t_stop), False)
+        _check_pair_results(lattice.pair_forward(f, pair, t_max, record=True),
+                            ref_pair_forward(f, pair, t_max, record=True), True)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_pair_backward_matches_dense_reference(f):
+    for pair in start_pairs(f):
+        t1 = pair[0][0] + pair[0][1]
+        for t_stop in sorted({-1, 0, 1, t1 - 3, t1 - 1, t1, t1 + 1}):
+            _check_pair_results(lattice.pair_backward(f, pair, t_stop),
+                                ref_pair_backward(f, pair, t_stop), False)
+        _check_pair_results(lattice.pair_backward(f, pair, 0, record=True),
+                            ref_pair_backward(f, pair, 0, record=True), True)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_pair_step_matches_dense_reference(f):
+    step = RefPairSweep(f)
+    for c in cells(f):
+        for t_stop in range(c[0] + c[1] + 1, f.rows + f.cols - 2):
+            S, _ = lattice.pair_forward(f, (c, c), t_stop)
+            if S is None:
+                continue
+            assert_same(lattice.pair_step(f, S, t_stop + 1),
+                        step.step(S, t_stop + 1, forward=True))
+
+
+def test_acceptance_size_sweeps_match_dense_reference():
+    """One gap-sheet row and one mirrored sweep on a field of benchmark shape."""
+    f = make_lattice_field(11, 60, 64, "exponential")
+    a = f.cell_at(0, 30)
+    assert_same(lattice.forward_values(f, a), ref_forward_values(f, a))
+    S, _ = lattice.pair_forward(f, (a, a), 100)
+    R, _ = ref_pair_forward(f, (a, a), 100)
+    assert_same(S, R)
+    b1, b2 = f.cell_at(-4, 100), f.cell_at(6, 100)
+    S, _ = lattice.pair_backward(f, (b1, b2), 31)
+    R, _ = ref_pair_backward(f, (b1, b2), 31)
+    assert_same(S, R)
+
+
+def test_min_formula_batch_unchanged_by_pair_step():
+    f = make_lattice_field(3, 40, 40, "exponential")
+    t0, t1 = 20, 44
+    ys = list(range(-10, 11, 2))
+    got = gaplab.min_formula_residuals_batch(f, 0, ys, (t0, t1))
+    a = f.cell_at(0, t0)
+    F = ref_forward_values(f, a)
+    S1, _ = ref_pair_forward(f, (a, a), t1 - 1)
+    S2 = RefPairSweep(f).step(S1, t1, forward=True)
+    cells_ = [f.cell_at(w, t1) for w in ys]
+    L = np.array([F[c] for c in cells_])
+    L2 = np.array([S1[j - 1, j] + 2.0 * f.weights[i, j] for i, j in cells_])
+    G = 2.0 * L - L2
+    assert got
+    for (y, z), v in got.items():
+        ky, kz = ys.index(y), ys.index(z)
+        jy, jz = cells_[ky][1], cells_[kz][1]
+        want = float(S2[jy, jz] - (L[ky] + L[kz] - np.min(G[ky:kz + 1])))
+        assert v == want
