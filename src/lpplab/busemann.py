@@ -22,24 +22,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import cloud as _cloud
 from . import engine
 from . import gaplab
 from . import lattice as _lattice
+from .classify import crossing_tag
 from .errors import DomainError, ParameterError
-from .model import LatticeField, ScalingFrame, make_lattice_field
-
-
-def environment_for(seed: int, law: str, t0: int, horizon: int,
-                    x_lo: int, x_hi: int, law_param: Optional[float] = None) -> LatticeField:
-    """A lattice field large enough for all anchors in [x_lo, x_hi] at
-    chart times up to t0 + horizon, including every path between them."""
-    t_max = t0 + horizon
-    span = t_max  # paths can swing half the time span beyond their anchors
-    lo = x_lo - span // 2 - 2
-    hi = x_hi + span // 2 + 2
-    rows = (t_max - lo) // 2 + 2
-    cols = (t_max + hi) // 2 + 2
-    return make_lattice_field(seed, rows, cols, law, law_param)
+from .model import LatticeField, ScalingFrame, reflect
 
 
 def _parity_round(x: float, t: int) -> int:
@@ -98,6 +87,14 @@ def coalescence_time(a: engine.Chain, b: engine.Chain):
 def _col_sequence(model: LatticeField, B: np.ndarray, start_cell, end_cell, side: str):
     cells = _lattice.geodesic_cells_from_B(model, B, start_cell, end_cell, side)
     return np.array([j for _, j in cells], dtype=np.int64)
+
+
+def _walk_to(model: LatticeField, origin, c: int, t1: int, side: str):
+    """Backward table to the cell at chart (c, t1) and the column walk of
+    the ``side`` geodesic from origin to it."""
+    end = model.cell_at(c, t1)
+    B = _lattice.backward_values(model, end)
+    return B, _col_sequence(model, B, origin, end, side)
 
 
 def _merge_time(cols_a: np.ndarray, cols_b: np.ndarray, t0: int):
@@ -186,20 +183,14 @@ def cloud_busemann_values(cloud, theta: float, x_grid, horizon: float,
     Computed in one reflected patience sweep; no certificates (the point
     model here serves shape statistics rather than certified identities).
     """
-    from .model import reflect
     if not -1.0 < theta < 1.0:
         raise ParameterError(f"direction {theta} outside the causal cone")
     xs = np.asarray(x_grid, dtype=np.float64)
     target = (x_ref + theta * horizon, t0 + horizon)
     mirrored = reflect(cloud)
     sources = np.concatenate([xs, [x_ref]])
-    L, _ = _cloud_row(mirrored, (-target[0], -target[1]), -sources, -t0)
+    L, _ = _cloud.row_pass(mirrored, (-target[0], -target[1]), -sources, -t0)
     return (L[:-1] - L[-1]).astype(np.float64)
-
-
-def _cloud_row(cloud, start, target_xs, target_t):
-    from . import cloud as _cloud_mod
-    return _cloud_mod.row_pass(cloud, start, target_xs, target_t)
 
 
 @dataclass
@@ -217,16 +208,6 @@ class ExceptionalDirection:
     @property
     def separations(self) -> float:
         return self.jump
-
-
-def _mid_position(model: LatticeField, origin_cell, target_cell, mid_index: int,
-                  side: str) -> int:
-    B = _lattice.backward_values(model, target_cell)
-    if not _lattice.is_reachable(B[origin_cell]):
-        raise DomainError("scan origin cannot reach a target")
-    cols = _col_sequence(model, B, origin_cell, target_cell, side)
-    i, j = origin_cell
-    return int(2 * cols[mid_index] - (i + j + mid_index))
 
 
 def exceptional_scan(model: LatticeField, theta_window: Tuple[float, float],
@@ -256,9 +237,12 @@ def exceptional_scan(model: LatticeField, theta_window: Tuple[float, float],
     cut = threshold * float(horizon) ** (2.0 / 3.0)
     cache: Dict[int, int] = {}
 
+    def mid_x(cols: np.ndarray) -> int:
+        return int(2 * cols[mid_index] - (origin[0] + origin[1] + mid_index))
+
     def pos(c: int) -> int:
         if c not in cache:
-            cache[c] = _mid_position(model, origin, model.cell_at(c, t1), mid_index, "right")
+            cache[c] = mid_x(_walk_to(model, origin, c, t1, "right")[1])
         return cache[c]
 
     brackets = []
@@ -282,12 +266,6 @@ def exceptional_scan(model: LatticeField, theta_window: Tuple[float, float],
                 stack.append((u, m))
             if abs(pos(v) - pos(m)) > cut:
                 stack.append((m, v))
-    def left_mid(c: int) -> Tuple[int, np.ndarray]:
-        B = _lattice.backward_values(model, model.cell_at(c, t1))
-        cols = _col_sequence(model, B, origin, model.cell_at(c, t1), "left")
-        i, j = origin
-        return int(2 * cols[mid_index] - (i + j + mid_index)), cols
-
     out = []
     last_above = None
     for u, v in sorted(set(found)):
@@ -301,19 +279,15 @@ def exceptional_scan(model: LatticeField, theta_window: Tuple[float, float],
         for _ in range(16):
             if c > c_hi:
                 break
-            m, cols = left_mid(c)
-            if m > half:
+            cols = _walk_to(model, origin, c, t1, "left")[1]
+            if mid_x(cols) > half:
                 wr = cols
                 break
             c += 2
         if wr is None:
             continue
-        Bu = _lattice.backward_values(model, model.cell_at(u, t1))
-        wl = _col_sequence(model, Bu, origin, model.cell_at(u, t1), "right")
-        i, j = origin
-        xl = 2 * wl[mid_index] - (i + j + mid_index)
-        xr = 2 * wr[mid_index] - (i + j + mid_index)
-        jump = float(xr - xl)
+        wl = _walk_to(model, origin, u, t1, "right")[1]
+        jump = float(mid_x(wr) - mid_x(wl))
         if jump <= cut:
             continue
         out.append(ExceptionalDirection(
@@ -359,7 +333,6 @@ def _local_witnesses(model: LatticeField, direction: ExceptionalDirection,
     tracked, which leaves the far horizon undefined (and the profile
     uncertified).
     """
-    t1n = t0 + direction.horizon
     t1 = t0 + horizon
     center = _parity_round(direction.theta * horizon, t1)
     if span is None:
@@ -375,9 +348,7 @@ def _local_witnesses(model: LatticeField, direction: ExceptionalDirection,
     jr = int(direction.witness_right_cols[mid_index])
 
     def passes(c: int, side: str, j_want: int) -> bool:
-        B = _lattice.backward_values(model, model.cell_at(c, t1))
-        cols = _col_sequence(model, B, origin, model.cell_at(c, t1), side)
-        return int(cols[mid_index]) == j_want
+        return int(_walk_to(model, origin, c, t1, side)[1][mid_index]) == j_want
 
     c_below = None
     for c in range(hi, lo - 1, -2):
@@ -429,10 +400,8 @@ def busemann_gap(model: LatticeField, direction: ExceptionalDirection,
                                   np.zeros(xs.size, dtype=bool), witness_cols, frame)
     t1f = t0 + h_far
     origin = model.cell_at(0, t0)
-    B_far_l = _lattice.backward_values(model, model.cell_at(cu, t1f))
-    B_far_r = _lattice.backward_values(model, model.cell_at(cv, t1f))
-    W_L = _col_sequence(model, B_far_l, origin, model.cell_at(cu, t1f), "right")
-    W_R = _col_sequence(model, B_far_r, origin, model.cell_at(cv, t1f), "left")
+    B_far_l, W_L = _walk_to(model, origin, cu, t1f, "right")
+    B_far_r, W_R = _walk_to(model, origin, cv, t1f, "left")
 
     def anchor(cols: np.ndarray, h: int) -> Tuple[int, int]:
         j = int(cols[h])
@@ -509,10 +478,7 @@ def classify_semi_infinite(model: LatticeField, direction: ExceptionalDirection,
         zeros = xs[np.isfinite(vals) & (vals == 0)]
         left = zeros[(zeros < x) & (x - zeros <= radius * unit)]
         right = zeros[(zeros > x) & (zeros - x <= radius * unit)]
-        iso_left = left.size == 0
-        iso_right = right.size == 0
-        gap_tag = {(False, False): "IV-inf", (True, False): "Va-inf",
-                   (False, True): "Vb-inf", (True, True): "other"}[(iso_left, iso_right)]
+        gap_tag = crossing_tag(left.size == 0, right.size == 0, "-inf")
     geo_tag = _semi_inf_geometric(model, direction, x, profile)
     return SemiInfiniteTags(gap_tag, geo_tag)
 
@@ -545,8 +511,7 @@ def _semi_inf_geometric(model, direction, x, profile):
     # totals differ per witness, so test each direction on its own table
     lr = _bridge_between(model, cl_cells, cr_cells, F, BR, F[pr])
     rl = _bridge_between(model, cr_cells, cl_cells, F, BL, F[pl])
-    return {(False, False): "IV-inf", (True, False): "Va-inf",
-            (False, True): "Vb-inf", (True, True): "other"}[(lr, rl)]
+    return crossing_tag(lr, rl, "-inf")
 
 
 def _bridge_between(model, from_cells, to_cells, F, B_to, total):
@@ -619,10 +584,8 @@ def stationary_horizon_tests(model: LatticeField, thetas: Sequence[float],
         mask = prof.certified & np.isfinite(vs)
         report["certified_fraction"][th] = float(np.mean(mask))
         if int(mask.sum()) >= 3:
-            slope = np.polyfit(xs[mask].astype(float), vs[mask], 1)[0]
-            inc = np.diff(vs[mask])
-            report["drift"][th] = float(slope)
-            report["increment_variance"][th] = float(np.var(inc))
+            report["drift"][th] = gaplab.linear_fit(xs[mask], vs[mask])[0]
+            report["increment_variance"][th] = float(np.var(np.diff(vs[mask])))
     violations = 0
     comparisons = 0
     ordered = sorted(thetas)
@@ -655,6 +618,30 @@ def stationary_horizon_tests(model: LatticeField, thetas: Sequence[float],
     return report
 
 
+def excursions(xs: np.ndarray, vs: np.ndarray, step: float,
+               min_len: int) -> List[np.ndarray]:
+    """Runs of nonzero values between zeros of a profile.
+
+    A run also ends where consecutive grid points are not ``step`` apart.
+    Runs of ``min_len`` values or fewer are dropped.
+    """
+    runs = []
+    current = []
+    prev_x = None
+    for x, v in zip(xs, vs):
+        broken = (prev_x is not None and x - prev_x != step)
+        if v == 0 or broken:
+            if len(current) > min_len:
+                runs.append(np.array(current))
+            current = [] if v == 0 else [v]
+        else:
+            current.append(v)
+        prev_x = x
+    if len(current) > min_len:
+        runs.append(np.array(current))
+    return runs
+
+
 def reflected_walk_diag(profile: BusemannGapProfile,
                         scales: Optional[Sequence[float]] = None,
                         lags: Optional[Sequence[int]] = None,
@@ -683,20 +670,7 @@ def reflected_walk_diag(profile: BusemannGapProfile,
         out["warning"] = "zero set too small for a dimension estimate"
     lags = list(range(1, 9)) if lags is None else list(lags)
     step = float(np.min(np.diff(xs))) if xs.size > 1 else 1.0
-    runs = []
-    current = []
-    prev_x = None
-    for x, v in zip(xs, vs):
-        broken = (prev_x is not None and x - prev_x != step)
-        if v == 0 or broken:
-            if len(current) > max(lags) + 1:
-                runs.append(np.array(current))
-            current = [] if v == 0 else [v]
-        else:
-            current.append(v)
-        prev_x = x
-    if len(current) > max(lags) + 1:
-        runs.append(np.array(current))
+    runs = excursions(xs, vs, step, max(lags) + 1)
     sx, sy = [], []
     for lag in lags:
         incs = np.concatenate([r[lag:] - r[:-lag] for r in runs if r.size > lag]) \
@@ -705,12 +679,8 @@ def reflected_walk_diag(profile: BusemannGapProfile,
             sx.append(float(lag))
             sy.append(float(np.var(incs / profile.frame.value_unit)))
     if len(sx) >= 3 and any(v > 0 for v in sy):
-        slope, intercept = np.polyfit(sx, sy, 1)
-        pred = slope * np.asarray(sx) + intercept
-        arr = np.asarray(sy)
-        ss = float(np.sum((arr - arr.mean()) ** 2))
-        out["increment_r2"] = 1.0 - float(np.sum((arr - pred) ** 2)) / ss if ss > 0 else 1.0
-        out["increment_slope"] = float(slope)
+        slope, _, out["increment_r2"] = gaplab.linear_fit(sx, sy)
+        out["increment_slope"] = slope
     else:
         out["increment_r2"] = None
     return out

@@ -37,6 +37,14 @@ from .model import LatticeField, Model, ScalingFrame
 TAGS = ("I", "IIa", "IIb", "III", "IV", "Va", "Vb", "other")
 
 
+def crossing_tag(a: bool, b: bool, suffix: str = "") -> str:
+    """Crossing type of a zero gap from two flags (the crossing bridges, or
+    the one-sided isolations of the zero): (False, False) -> IV, (True,
+    False) -> Va, (False, True) -> Vb, each + suffix; both -> other."""
+    tag = {(False, False): "IV", (True, False): "Va", (False, True): "Vb"}.get((a, b))
+    return "other" if tag is None else tag + suffix
+
+
 @dataclass
 class GeometricClassification:
     tag: str
@@ -80,14 +88,22 @@ def _classify_cloud(model, start, end, threshold, frame, margin, merge_gap):
     grid = np.linspace(t0, t1, 257)
     sep = np.array([right.position(t) - left.position(t) for t in grid])
     zero = bool(np.all(sep[1:-1] > 0)) and left.value > 0
+    return _classify_separation(
+        sep, zero, left, right, lambda p, q: _cloud_bridge(model, start, end, p, q),
+        threshold, frame, margin, merge_gap)
+
+
+def _classify_separation(sep, zero, left, right, bridge,
+                         threshold, frame, margin, merge_gap) -> GeometricClassification:
+    """Zero gap: crossing bridges ``bridge(from, to)`` decide IV / Va / Vb;
+    otherwise the shape of the separation decides I-III."""
     if zero:
-        lr = _cloud_bridge(model, start, end, left, right)
-        rl = _cloud_bridge(model, start, end, right, left)
-        tag = {(False, False): "IV", (True, False): "Va",
-               (False, True): "Vb", (True, True): "other"}[(lr, rl)]
-        return GeometricClassification(tag, True, sep, (lr, rl), [])
-    tag, comps = _shape_from_separation(sep, threshold, frame, margin, merge_gap)
-    return GeometricClassification(tag, False, sep, (False, False), comps)
+        lr, rl = bridge(left, right), bridge(right, left)
+        tag, comps = crossing_tag(lr, rl), []
+    else:
+        lr = rl = False
+        tag, comps = _shape_from_separation(sep, threshold, frame, margin, merge_gap)
+    return GeometricClassification(tag, zero, sep, (lr, rl), comps)
 
 
 def _cloud_bridge(model, start, end, chain_from, chain_to) -> bool:
@@ -193,15 +209,12 @@ def classify_gap(sheet: gaplab.GapSheet, i: int, j: int,
         else:
             row_min = _window_minimum(row, j, window)
             col_min = _window_minimum(col, i, window)
-        tag = {(False, False): "I", (True, False): "IIa",
-               (False, True): "IIb", (True, True): "III"}[(row_min, col_min)]
+        tag = ("I", "IIa", "IIb", "III")[bool(row_min) + 2 * bool(col_min)]
         return GapClassification(tag, float(g), row_min, col_min)
     z = zeros if zeros is not None else gaplab.zero_set(sheet)
     iso_mp = gaplab.quadrant_isolated(z, (i, j), "-+", radii)["isolated"]
     iso_pm = gaplab.quadrant_isolated(z, (i, j), "+-", radii)["isolated"]
-    tag = {(False, False): "IV", (True, False): "Va",
-           (False, True): "Vb", (True, True): "other"}[(iso_mp, iso_pm)]
-    return GapClassification(tag, 0.0, isolated=(iso_mp, iso_pm))
+    return GapClassification(crossing_tag(iso_mp, iso_pm), 0.0, isolated=(iso_mp, iso_pm))
 
 
 @dataclass
@@ -213,6 +226,14 @@ class AgreementMatrix:
     double_bridges: int = 0
     meta: dict = dataclass_field(default_factory=dict)
     records: List[Tuple] = dataclass_field(default_factory=list)
+
+    def merge(self, other: "AgreementMatrix") -> None:
+        """Add another matrix's tallies and records; ``meta`` stays as it is."""
+        self.counts += other.counts
+        self.samples += other.samples
+        self.zero_split_disagreements += other.zero_split_disagreements
+        self.double_bridges += other.double_bridges
+        self.records.extend(other.records)
 
     def record(self, geo_tag: str, gap_tag: str, geo_zero: bool, gap_zero: bool) -> None:
         self.counts[TAGS.index(geo_tag), TAGS.index(gap_tag)] += 1
@@ -295,14 +316,9 @@ def _classify_lattice_cached(model, a, b, F, B, threshold, frame, margin, merge_
     cr = _lattice.geodesic_cells_from_B(model, B, a, b, "right")
     sep = 2.0 * (np.array([j for _, j in cr]) - np.array([j for _, j in cl]))
     zero = bool(np.all(sep[1:-1] > 0)) if sep.size > 2 else False
-    if zero:
-        lr = _lattice.bridge_exists(model, cl, cr, F, B, total)
-        rl = _lattice.bridge_exists(model, cr, cl, F, B, total)
-        tag = {(False, False): "IV", (True, False): "Va",
-               (False, True): "Vb", (True, True): "other"}[(lr, rl)]
-        return GeometricClassification(tag, True, sep, (lr, rl), [])
-    tag, comps = _shape_from_separation(sep, threshold, frame, margin, merge_gap)
-    return GeometricClassification(tag, False, sep, (False, False), comps)
+    return _classify_separation(
+        sep, zero, cl, cr, lambda p, q: _lattice.bridge_exists(model, p, q, F, B, total),
+        threshold, frame, margin, merge_gap)
 
 
 @dataclass

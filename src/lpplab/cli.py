@@ -2,9 +2,12 @@
 
 Subcommands: sample | gap | classify | busemann | dim | verify.
 Each run writes CSV artifacts, optional SVG renders, and a manifest that
-digests every file.  Replicates fan out over a thread pool; results are
-written in replicate order, so the artifact tree is byte-identical for
-any thread count.
+digests every file.  ``sample``, ``gap`` and ``dim`` take ``replicates``
+and ``threads``: replicates fan out over a thread pool and are written
+in replicate order, so the artifact tree is byte-identical for any
+thread count.  The other commands run one experiment and reject both
+keys.  A config error, or a parameter or domain error raised by the run,
+exits with status 2 and one line on stderr.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from . import busemann as bz
 from . import classify as cls
 from . import config as cfgmod
 from . import gaplab, manifest, oracle, svg
-from .model import (Region, ScalingFrame, cloud_from_points,
-                    make_lattice_field, make_poisson_cloud)
+from .errors import DomainError, ParameterError
+from .model import (Region, ScalingFrame, anchor_layout, environment_for,
+                    make_poisson_cloud)
 
 
 def _fanout(threads: int, n: int, fn):
@@ -46,12 +50,6 @@ def _halfspan(n: float, halfwidth: float) -> float:
     return min(halfwidth * n ** (2.0 / 3.0), 0.45 * n)
 
 
-def _grids(n: float, halfwidth: float, points: int):
-    a = _halfspan(n, halfwidth)
-    xs = np.linspace(-a, a, points)
-    return xs, xs.copy()
-
-
 def _lattice_grids(n: int, halfwidth: float, points: int, t0: int):
     a = int(_halfspan(n, halfwidth))
     t1 = t0 + n
@@ -61,20 +59,20 @@ def _lattice_grids(n: int, halfwidth: float, points: int, t0: int):
     return xs[::stride], ys[::stride]
 
 
-def _poisson_sheet(seed, n, halfwidth, points, rate):
-    env = _poisson_env(seed, n, halfwidth, rate)
-    xs, ys = _grids(n, halfwidth, points)
-    sheet = gaplab.gap_sheet(env, xs, ys, ScalingFrame(float(n)), (0.0, float(n)))
-    return env, sheet
-
-
-def _lattice_sheet(seed, law, n, halfwidth, points, law_param):
-    a = int(halfwidth * n ** (2.0 / 3.0)) + 2
-    t0 = a if a % 2 == 0 else a + 1
-    env = bz.environment_for(seed, law, t0, n, -a, a, law_param)
-    xs, ys = _lattice_grids(n, halfwidth, points, t0)
-    sheet = gaplab.gap_sheet(env, xs, ys, ScalingFrame(float(n)), (t0, t0 + n))
-    return env, sheet
+def _sheet(cfg, seed: int):
+    """The configured environment for one seed and its gap sheet."""
+    n, halfwidth, points = cfg["n"], cfg["halfwidth"], cfg["grid_points"]
+    if cfg["model"] == "poisson":
+        env = _poisson_env(seed, n, halfwidth, cfg["rate"])
+        a = _halfspan(n, halfwidth)
+        xs = np.linspace(-a, a, points)
+        ys, times = xs.copy(), (0.0, float(n))
+    else:
+        a, t0 = anchor_layout(n, halfwidth)
+        env = environment_for(seed, cfg["model"], t0, n, -a, a, cfg["law_param"])
+        xs, ys = _lattice_grids(n, halfwidth, points, t0)
+        times = (t0, t0 + n)
+    return env, gaplab.gap_sheet(env, xs, ys, ScalingFrame(float(n)), times)
 
 
 def _write(path: Path, text: str) -> None:
@@ -91,8 +89,8 @@ def run_sample(cfg, out: Path):
             env = _poisson_env(seed, cfg["n"], cfg["halfwidth"], cfg["rate"])
             stats = {"points": len(env)}
         else:
-            env = bz.environment_for(seed, cfg["model"], 0, cfg["n"],
-                                     -cfg["n"] // 2, cfg["n"] // 2, cfg["law_param"])
+            env = environment_for(seed, cfg["model"], 0, cfg["n"],
+                                  -cfg["n"] // 2, cfg["n"] // 2, cfg["law_param"])
             stats = {"cells": env.rows * env.cols,
                      "mean_weight": float(env.weights.mean())}
         return env.descriptor(), stats
@@ -112,15 +110,8 @@ def run_gap(cfg, out: Path):
     zero_counts = []
 
     def one(k):
-        seed = cfg["seed"] + k
-        if cfg["model"] == "poisson":
-            env, sheet = _poisson_sheet(seed, cfg["n"], cfg["halfwidth"],
-                                        cfg["grid_points"], cfg["rate"])
-        else:
-            env, sheet = _lattice_sheet(seed, cfg["model"], cfg["n"], cfg["halfwidth"],
-                                        cfg["grid_points"], cfg["law_param"])
-        zeros = gaplab.zero_set(sheet)
-        return env.descriptor(), sheet, zeros
+        env, sheet = _sheet(cfg, cfg["seed"] + k)
+        return env.descriptor(), sheet, gaplab.zero_set(sheet)
 
     for k, (desc, sheet, zeros) in enumerate(
             _fanout(cfg["threads"], cfg["replicates"], one)):
@@ -148,24 +139,15 @@ def run_classify(cfg, out: Path):
     rates = {}
     for n in cfg["n_list"]:
         frame = ScalingFrame(float(n))
-        mats = []
-        for s in range(cfg["seeds_per_n"]):
-            seed = cfg["seed"] + s
-            a = int(cfg["halfwidth"] * n ** (2.0 / 3.0)) + 2
-            t0 = a if a % 2 == 0 else a + 1
-            env = bz.environment_for(seed, "geometric", t0, n, -a, a, cfg["law_param"])
-            envs.append(env.descriptor())
-            xs, ys = _lattice_grids(n, cfg["halfwidth"], 10 ** 9, t0)
-            mat = cls.agreement_matrix(env, xs, ys, (t0, t0 + n), frame,
-                                       threshold=cfg["threshold"])
-            mats.append(mat)
+        a, t0 = anchor_layout(n, cfg["halfwidth"])
+        xs, ys = _lattice_grids(n, cfg["halfwidth"], 10 ** 9, t0)
         total = cls.AgreementMatrix()
-        for m in mats:
-            total.counts += m.counts
-            total.samples += m.samples
-            total.zero_split_disagreements += m.zero_split_disagreements
-            total.double_bridges += m.double_bridges
-            total.records.extend(m.records)
+        for s in range(cfg["seeds_per_n"]):
+            env = environment_for(cfg["seed"] + s, "geometric", t0, n, -a, a,
+                                  cfg["law_param"])
+            envs.append(env.descriptor())
+            total.merge(cls.agreement_matrix(env, xs, ys, (t0, t0 + n), frame,
+                                             threshold=cfg["threshold"]))
         _write(out / f"matrix_n{n}.csv", total.to_csv())
         _write(out / f"records_n{n}.csv", total.records_csv())
         _write(out / f"matrix_n{n}.json", json.dumps(total.to_jsonable(), sort_keys=True))
@@ -179,12 +161,10 @@ def run_classify(cfg, out: Path):
 
 def run_busemann(cfg, out: Path):
     n = cfg["n"]
-    a = int(2.0 * n ** (2.0 / 3.0)) + 2
-    t0 = a if a % 2 == 0 else a + 1
-    env = bz.environment_for(cfg["seed"], "geometric", t0, 2 * n,
-                             -int(max(1.0, abs(cfg["theta_lo"]), abs(cfg["theta_hi"])) * 2 * n) - a,
-                             int(max(1.0, abs(cfg["theta_lo"]), abs(cfg["theta_hi"])) * 2 * n) + a,
-                             cfg["law_param"])
+    a, t0 = anchor_layout(n, 2.0)
+    reach = int(max(1.0, abs(cfg["theta_lo"]), abs(cfg["theta_hi"])) * 2 * n) + a
+    env = environment_for(cfg["seed"], "geometric", t0, 2 * n, -reach, reach,
+                          cfg["law_param"])
     horizons = (n, 2 * n)
     dirs = bz.exceptional_scan(env, (cfg["theta_lo"], cfg["theta_hi"]), n,
                                t0=t0, threshold=cfg["threshold"])
@@ -210,13 +190,7 @@ def run_dim(cfg, out: Path):
     estimates = []
 
     def one(k):
-        seed = cfg["seed"] + k
-        if cfg["model"] == "poisson":
-            env, sheet = _poisson_sheet(seed, cfg["n"], cfg["halfwidth"],
-                                        cfg["grid_points"], cfg["rate"])
-        else:
-            env, sheet = _lattice_sheet(seed, cfg["model"], cfg["n"], cfg["halfwidth"],
-                                        cfg["grid_points"], cfg["law_param"])
+        env, sheet = _sheet(cfg, cfg["seed"] + k)
         zeros = gaplab.zero_set(sheet)
         if len(zeros) < 4:
             return env.descriptor(), len(zeros), None
@@ -239,23 +213,8 @@ def run_dim(cfg, out: Path):
     return summary, envs, True
 
 
-def _verify_batch(seed: int, n_lattice: int, n_cloud: int):
-    batch = []
-    for k in range(n_lattice):
-        rows = 2 + (seed + k) % 3
-        cols = 2 + ((seed + k) // 3) % 3
-        f = make_lattice_field(seed + k, rows, cols, "geometric", 0.5)
-        batch.append((f, (0, 0), (rows - 1, cols - 1)))
-    for k in range(n_cloud):
-        rng = np.random.default_rng(seed + 10_000 + k)
-        npts = 4 + k % 7
-        pts = list(zip(rng.uniform(-1, 1, npts), rng.uniform(0.05, 0.95, npts)))
-        batch.append((cloud_from_points(pts), (0.0, 0.0), (0.0, 1.0)))
-    return batch
-
-
 def run_verify(cfg, out: Path):
-    batch = _verify_batch(cfg["seed"], cfg["lattice_instances"], cfg["cloud_instances"])
+    batch = oracle.tiny_batch(cfg["seed"], cfg["lattice_instances"], cfg["cloud_instances"])
     try:
         report = oracle.verify_engine(batch)
         ok = True
@@ -288,9 +247,9 @@ _CSV_SCHEMA = {
 def run_experiment(cfg: cfgmod.ExperimentConfig, out_dir=None) -> tuple:
     """Dispatch a validated config; returns (out_path, ok)."""
     out = Path(out_dir if out_dir is not None else cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     summaries, envs, ok = _RUNNERS[cfg.command](cfg, out)
+    out.mkdir(parents=True, exist_ok=True)  # a run may write no artifact
     manifest.write_manifest(out, json.loads(cfg.to_json()), summaries, envs,
                             wall_clock_s=time.time() - started,
                             schema={"csv_columns": _CSV_SCHEMA,
@@ -315,19 +274,19 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"config error: cannot read {args.config}: {err.strerror}", file=sys.stderr)
         return 2
+    flags = {"seed": args.seed, "threads": args.threads,
+             "out": None if args.out is None else str(args.out)}
     try:
         cfg = cfgmod.parse_config(text)
         if cfg.command != args.command:
             print(f"config command {cfg.command!r} != CLI command {args.command!r}",
                   file=sys.stderr)
             return 2
-        for key, value in (("seed", args.seed), ("threads", args.threads)):
-            if value is not None:
-                cfg.values[key] = value
-        if args.out is not None:
-            cfg.values["out"] = str(args.out)
+        overrides = {key: value for key, value in flags.items() if value is not None}
+        if overrides:  # flags are config keys, checked by the same schema
+            cfg = cfgmod.parse_config(json.dumps({**json.loads(cfg.to_json()), **overrides}))
         out, ok = run_experiment(cfg)
-    except cfgmod.ConfigError as err:
+    except (ParameterError, DomainError) as err:  # ConfigError is a ParameterError
         print(f"config error: {err}", file=sys.stderr)
         return 2
     print(f"artifacts written to {out}")

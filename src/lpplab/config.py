@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, NamedTuple, Optional
 
 from .errors import ParameterError
 from .model import _LAWS
@@ -24,59 +24,55 @@ class ConfigError(ParameterError):
 # environments a config may name: the Poisson cloud and the sampled lattice laws
 MODELS = ("poisson",) + tuple(law for law in _LAWS if law != "explicit")
 
-# key -> (type, default) or (type, default, allowed values); None default means required
-_COMMON = {
-    "command": (str, None),
-    "seed": (int, 0),
-    "replicates": (int, 1),
-    "threads": (int, 1),
-    "out": (str, "out"),
+
+class Key(NamedTuple):
+    """One config key: its type, default (None means required), allowed
+    values, smallest allowed number, and the Key of each list entry."""
+
+    type: type
+    default: Any
+    choices: tuple = ()
+    minimum: Optional[int] = None
+    item: Optional["Key"] = None
+
+
+_COMMON = {"command": Key(str, None), "seed": Key(int, 0), "out": Key(str, "out")}
+# the commands that sample replicate environments of one of MODELS; only
+# they fan out, so only they take replicates and threads
+_REPLICATED = {
+    "replicates": Key(int, 1, minimum=1),
+    "threads": Key(int, 1, minimum=1),
+    "model": Key(str, "poisson", MODELS),
+    "rate": Key(float, 2.0),
+    "law_param": Key(float, 0.5),
+    "n": Key(int, 32, minimum=2),  # n = 1 leaves a lattice sheet with no sink anchor
+    "halfwidth": Key(float, 2.0),
 }
 
-_SCHEMAS: Dict[str, Dict[str, tuple]] = {
-    "sample": {
-        "model": (str, "poisson", MODELS),
-        "rate": (float, 2.0),
-        "law_param": (float, 0.5),
-        "n": (int, 32),
-        "halfwidth": (float, 2.0),
-    },
-    "gap": {
-        "model": (str, "poisson", MODELS),
-        "law_param": (float, 0.5),
-        "rate": (float, 2.0),
-        "n": (int, 32),
-        "grid_points": (int, 32),
-        "halfwidth": (float, 2.0),
-    },
+_SCHEMAS: Dict[str, Dict[str, Key]] = {
+    "sample": _REPLICATED,
+    "gap": {**_REPLICATED, "grid_points": Key(int, 32, minimum=1)},
     "classify": {
-        "law_param": (float, 0.5),
-        "n_list": (list, [16, 32]),
-        "halfwidth": (float, 2.0),
-        "threshold": (float, 1.0),
-        "seeds_per_n": (int, 1),
+        "law_param": Key(float, 0.5),
+        "n_list": Key(list, [16, 32], item=Key(int, None, minimum=2)),
+        "halfwidth": Key(float, 2.0),
+        "threshold": Key(float, 1.0),
+        "seeds_per_n": Key(int, 1, minimum=1),
     },
     "busemann": {
-        "law_param": (float, 0.5),
-        "n": (int, 64),
-        "theta_lo": (float, -0.5),
-        "theta_hi": (float, 0.5),
-        "threshold": (float, 1.0),
-        "grid_points": (int, 32),
-        "directions": (int, 4),
+        "law_param": Key(float, 0.5),
+        "n": Key(int, 64, minimum=2),
+        "theta_lo": Key(float, -0.5),
+        "theta_hi": Key(float, 0.5),
+        "threshold": Key(float, 1.0),
+        "grid_points": Key(int, 32, minimum=1),
+        "directions": Key(int, 4, minimum=0),
     },
-    "dim": {
-        "model": (str, "poisson", MODELS),
-        "law_param": (float, 0.5),
-        "rate": (float, 2.0),
-        "n": (int, 32),
-        "grid_points": (int, 64),
-        "halfwidth": (float, 2.0),
-        "scales": (int, 5),
-    },
+    "dim": {**_REPLICATED, "grid_points": Key(int, 64, minimum=1),
+            "scales": Key(int, 5, minimum=2)},
     "verify": {
-        "lattice_instances": (int, 200),
-        "cloud_instances": (int, 200),
+        "lattice_instances": Key(int, 200, minimum=0),
+        "cloud_instances": Key(int, 200, minimum=0),
     },
 }
 
@@ -100,7 +96,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     Raises ConfigError naming the offending key on unknown keys, type
     mismatches (a JSON boolean is not a number), values outside a key's
-    allowed set, or a missing command.
+    allowed set or below its minimum, list entries of the wrong type, or
+    a missing command.
     """
     try:
         raw = json.loads(text)
@@ -120,22 +117,27 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if key not in schema:
             raise ConfigError(f"unknown key: {key} (command {command})")
-        want, _, *allowed = schema[key]
-        if want is float and type(value) is int:
-            value = float(value)
-        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
-            raise ConfigError(f"key {key}: expected {want.__name__}, got {type(value).__name__}")
-        if allowed and value not in allowed[0]:
-            raise ConfigError(f"key {key}: {value!r} is not one of {allowed[0]}")
-        values[key] = value
-    for key, (want, default, *_) in schema.items():
-        if key == "command":
-            continue
-        if key not in values:
-            if default is None:
+        values[key] = _checked(key, value, schema[key])
+    for key, spec in schema.items():
+        if key != "command" and key not in values:
+            if spec.default is None:
                 raise ConfigError(f"missing required key: {key}")
-            values[key] = default
+            values[key] = spec.default
     return ExperimentConfig(command, values)
+
+
+def _checked(key: str, value, spec: Key):
+    if spec.type is float and type(value) is int:
+        value = float(value)
+    if not isinstance(value, spec.type) or (isinstance(value, bool) and spec.type is not bool):
+        raise ConfigError(f"key {key}: expected {spec.type.__name__}, got {type(value).__name__}")
+    if spec.choices and value not in spec.choices:
+        raise ConfigError(f"key {key}: {value!r} is not one of {spec.choices}")
+    if spec.minimum is not None and value < spec.minimum:
+        raise ConfigError(f"key {key}: {value} is below the minimum {spec.minimum}")
+    if spec.item is not None:
+        value = [_checked(f"{key}[{k}]", v, spec.item) for k, v in enumerate(value)]
+    return value
 
 
 def round_trip(cfg: ExperimentConfig) -> ExperimentConfig:

@@ -277,16 +277,7 @@ def _lattice_network(model: LatticeField, start, end) -> GeodesicNetwork:
     branch = {c for c in succ
               if c not in (start, end) and (len(succ[c]) >= 2 or pred[c] >= 2)}
     vertices = [start] + sorted(branch, key=lambda c: (c[0] + c[1], c[1])) + [end]
-    vindex = {c: k for k, c in enumerate(vertices)}
-    edges = []
-    for v in vertices:
-        for s in succ.get(v, []):
-            seg = [v, s]
-            cur = s
-            while cur not in vindex:
-                cur = succ[cur][0]
-                seg.append(cur)
-            edges.append((vindex[v], vindex[cur], seg))
+    edges = _compress(vertices, succ)
     left = geodesic(model, start, end, "left")
     right = geodesic(model, start, end, "right")
     # cell degree is structurally capped at 2 on the lattice
@@ -325,22 +316,25 @@ def _cloud_network(model: PoissonCloud, start, end) -> GeodesicNetwork:
     vertex_nodes = (["src"]
                     + sorted(branch, key=lambda m: (pts[m][1], pts[m][0]))
                     + ["snk"])
-    vindex = {node: k for k, node in enumerate(vertex_nodes)}
     vertices = [coord[node] for node in vertex_nodes]
-    edges = []
-    for v in vertex_nodes:
-        if v == "snk":
-            continue
-        for s in succ[v]:
-            seg = [v, s]
-            cur = s
-            while cur not in vindex:
-                cur = succ[cur][0]
-                seg.append(cur)
-            edges.append((vindex[v], vindex[cur], [coord[q] for q in seg]))
+    edges = [(a, b, [coord[q] for q in seg]) for a, b, seg in _compress(vertex_nodes, succ)]
     violations = sum(1 for node in succ if len(succ[node]) >= 3)
     violations += sum(1 for node in pred if len(pred[node]) >= 3)
     return GeodesicNetwork(source, sink, vertices, edges, left, right, violations)
+
+
+def _compress(vertices: list, succ: dict) -> list:
+    """Edges (from index, to index, node segment) of the successor graph,
+    following each out-edge of a vertex through non-vertex nodes."""
+    vindex = {v: k for k, v in enumerate(vertices)}
+    edges = []
+    for v in vertices:
+        for s in succ.get(v, []):
+            seg = [v, s]
+            while seg[-1] not in vindex:
+                seg.append(succ[seg[-1]][0])
+            edges.append((vindex[v], vindex[seg[-1]], seg))
+    return edges
 
 
 def _leq(p, q) -> bool:

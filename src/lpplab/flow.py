@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvariantError
 from .model import PoissonCloud, causal_leq, _xy
 
 
@@ -181,7 +182,9 @@ def _uncross(cloud, starts, ends, chains):
         tail2 = [m for m in c2 if cloud.ts[m] > t_cross]
         c1 = head1 + tail2
         c2 = head2 + tail1
-    return c1, c2
+    raise InvariantError("uncrossing did not order the pair", cloud,
+                         starts=starts, ends=ends,
+                         chains=[[int(m) for m in c] for c in chains])
 
 
 def _interp(cloud, s, e, chain):

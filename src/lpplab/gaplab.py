@@ -265,30 +265,40 @@ class BoxDimension:
     warning: Optional[str] = None
 
 
-def box_dimension(points, scales: Sequence[float]) -> BoxDimension:
-    """Least squares slope of log(occupied boxes) against log(1/scale)."""
+def linear_fit(x, y) -> Tuple[float, float, float]:
+    """Least squares line through (x, y): (slope, intercept, R^2), R^2 = 1 for constant y."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(intercept), r2
+
+
+def box_counts(points, scales: Sequence[float]) -> List[int]:
+    """Occupied boxes of side eps, for each eps in scales.  Points are rows;
+    a single row of more than two numbers is read as 1-d points."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] == 1 and pts.shape[1] > 2:
         pts = pts.T
-    if pts.size == 0:
+    return [int(np.unique(np.floor(pts / eps), axis=0).shape[0]) for eps in scales]
+
+
+def box_dimension(points, scales: Sequence[float]) -> BoxDimension:
+    """Least squares slope of log(occupied boxes) against log(1/scale)."""
+    if np.size(points) == 0:
         raise ParameterError("box_dimension needs a nonempty point set")
     if len(scales) < 2:
         raise ParameterError("box_dimension needs at least 2 scales")
-    counts = []
-    for eps in scales:
-        boxes = np.unique(np.floor(pts / eps), axis=0)
-        counts.append(int(boxes.shape[0]))
-    logs = np.log(1.0 / np.asarray(scales, dtype=np.float64))
-    logn = np.log(np.asarray(counts, dtype=np.float64))
+    counts = box_counts(points, scales)
     if all(c == 1 for c in counts):
         return BoxDimension(0.0, 1.0, list(scales), counts,
                             warning="all points share one box at every scale")
-    slope, intercept = np.polyfit(logs, logn, 1)
-    pred = slope * logs + intercept
-    ss_res = float(np.sum((logn - pred) ** 2))
-    ss_tot = float(np.sum((logn - logn.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return BoxDimension(float(slope), float(r2), list(scales), counts)
+    slope, _, r2 = linear_fit(np.log(1.0 / np.asarray(scales, dtype=np.float64)),
+                              np.log(np.asarray(counts, dtype=np.float64)))
+    return BoxDimension(slope, r2, list(scales), counts)
 
 
 @dataclass
@@ -425,12 +435,7 @@ def brownianity(slice_values: Sequence[float], spacing: float,
         ys.append(float(np.var(inc)))
     if all(y == 0.0 for y in ys):
         return RegressionReport(0.0, 0.0, 1.0, xs, ys, degenerate=True)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * np.asarray(xs) + intercept
-    arr = np.asarray(ys)
-    ss_tot = float(np.sum((arr - arr.mean()) ** 2))
-    r2 = 1.0 - float(np.sum((arr - pred) ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return RegressionReport(float(slope), float(intercept), float(r2), xs, ys)
+    return RegressionReport(*linear_fit(xs, ys), xs, ys)
 
 
 def bowtie_stat(z: ZeroSet, eps_list: Sequence[float]) -> dict:

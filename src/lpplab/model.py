@@ -292,6 +292,26 @@ def make_lattice_field(seed: int, rows: int, cols: int, law: str,
                         law, seed=seed, law_param=p)
 
 
+def environment_for(seed: int, law: str, t0: int, horizon: int,
+                    x_lo: int, x_hi: int, law_param: Optional[float] = None) -> LatticeField:
+    """A lattice field large enough for all anchors in [x_lo, x_hi] at
+    chart times up to t0 + horizon, including every path between them."""
+    t_max = t0 + horizon
+    span = t_max  # paths can swing half the time span beyond their anchors
+    lo = x_lo - span // 2 - 2
+    hi = x_hi + span // 2 + 2
+    rows = (t_max - lo) // 2 + 2
+    cols = (t_max + hi) // 2 + 2
+    return make_lattice_field(seed, rows, cols, law, law_param)
+
+
+def anchor_layout(n: int, halfwidth: float) -> tuple:
+    """Anchor half-span a = floor(halfwidth * n^(2/3)) + 2 and start time
+    t0, which is a rounded up to even."""
+    a = int(halfwidth * n ** (2.0 / 3.0)) + 2
+    return a, a + a % 2
+
+
 def model_from_descriptor(d: dict):
     """Rebuild an environment from its JSON descriptor."""
     if d["model"] == "poisson":

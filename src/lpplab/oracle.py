@@ -16,7 +16,8 @@ import numpy as np
 
 from . import engine
 from .errors import serialize_instance
-from .model import LatticeField, PoissonCloud, _xy
+from .model import (LatticeField, PoissonCloud, _xy, cloud_from_points,
+                    make_lattice_field)
 
 MAX_LATTICE = 5
 MAX_CLOUD = 12
@@ -252,6 +253,24 @@ def weak_pair_value(model, start_pair, end_pair):
         v = float(len(set(c1) | set(c2)))
         best = v if best is None else max(best, v)
     return best
+
+
+def tiny_batch(seed: int, n_lattice: int, n_cloud: int) -> list:
+    """(model, start, end) instances within the enumeration caps: corner to
+    corner on 2-4 x 2-4 geometric fields, and 4-10 uniform points between
+    (0, 0) and (0, 1); instance k is a pure function of (seed, k)."""
+    batch = []
+    for k in range(n_lattice):
+        rows = 2 + (seed + k) % 3
+        cols = 2 + ((seed + k) // 3) % 3
+        f = make_lattice_field(seed + k, rows, cols, "geometric", 0.5)
+        batch.append((f, (0, 0), (rows - 1, cols - 1)))
+    for k in range(n_cloud):
+        rng = np.random.default_rng(seed + 10_000 + k)
+        npts = 4 + k % 7
+        pts = list(zip(rng.uniform(-1, 1, npts), rng.uniform(0.05, 0.95, npts)))
+        batch.append((cloud_from_points(pts), (0.0, 0.0), (0.0, 1.0)))
+    return batch
 
 
 def verify_engine(instances, funcs=None) -> dict:

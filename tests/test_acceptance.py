@@ -13,14 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpplab import (Region, ScalingFrame, cloud_from_points, disjoint2_value,
-                    geodesic, greene_values, make_lattice_field,
-                    make_poisson_cloud, network, optimizer2, passage_value)
+from lpplab import (Region, ScalingFrame, disjoint2_value, geodesic,
+                    greene_values, make_lattice_field, make_poisson_cloud,
+                    network, optimizer2, passage_value)
 from lpplab import busemann as bz
 from lpplab import classify as cls
 from lpplab import cli, gaplab, oracle
 from lpplab.cloud import row_pass
 from lpplab.config import parse_config
+from lpplab.model import anchor_layout, environment_for
 
 
 def report(num, ok, detail):
@@ -29,21 +30,6 @@ def report(num, ok, detail):
 
 
 # ---------------------------------------------------------------- 1
-def oracle_batch():
-    batch = []
-    for seed in range(200):
-        rows = 2 + seed % 3
-        cols = 2 + (seed // 3) % 3
-        batch.append((make_lattice_field(seed, rows, cols, "geometric", 0.5),
-                      (0, 0), (rows - 1, cols - 1)))
-    for seed in range(200):
-        rng = np.random.default_rng(seed + 10_000)
-        npts = 4 + seed % 7
-        pts = list(zip(rng.uniform(-1, 1, npts), rng.uniform(0.05, 0.95, npts)))
-        batch.append((cloud_from_points(pts), (0.0, 0.0), (0.0, 1.0)))
-    return batch
-
-
 def lattice_network_vertices_oracle(model, start, end):
     res = oracle.enumerate_paths(model, start, end)
     best = [p for p, v in zip(res.paths, res.values) if v == res.optimum]
@@ -62,7 +48,7 @@ def lattice_network_vertices_oracle(model, start, end):
 
 def test_criterion_1_oracle_equivalence():
     started = time.time()
-    batch = oracle_batch()
+    batch = oracle.tiny_batch(0, 200, 200)
     rep = oracle.verify_engine(batch)
     assert rep["checked"] == 400
     checked_extra = 0
@@ -116,19 +102,13 @@ def test_criterion_2_poisson_centering():
 def agreement_for(n, seeds, threshold=1.0):
     frame = ScalingFrame(float(n))
     total = cls.AgreementMatrix(meta={"n": n})
+    a, t0 = anchor_layout(n, 2.0)
+    xs = [x for x in range(-a, a + 1) if (x + t0) % 2 == 0]
+    ys = [y for y in range(-a, a + 1) if (y + t0 + n) % 2 == 0]
     for s in seeds:
-        a = int(2.0 * n ** (2.0 / 3.0)) + 2
-        t0 = a if a % 2 == 0 else a + 1
-        env = bz.environment_for(s, "geometric", t0, n, -a, a, 0.5)
-        xs = [x for x in range(-a, a + 1) if (x + t0) % 2 == 0]
-        ys = [y for y in range(-a, a + 1) if (y + t0 + n) % 2 == 0]
-        mat = cls.agreement_matrix(env, xs, ys, (t0, t0 + n), frame,
-                                   threshold=threshold)
-        total.counts += mat.counts
-        total.samples += mat.samples
-        total.zero_split_disagreements += mat.zero_split_disagreements
-        total.double_bridges += mat.double_bridges
-        total.records.extend(mat.records)
+        env = environment_for(s, "geometric", t0, n, -a, a, 0.5)
+        total.merge(cls.agreement_matrix(env, xs, ys, (t0, t0 + n), frame,
+                                         threshold=threshold))
     return total
 
 
@@ -226,7 +206,7 @@ def test_criterion_7_busemann_certificates_and_quadrangle():
     profiles = {}
     gap_cert = 0
     for seed in range(4):
-        env = bz.environment_for(seed, "geometric", t0, 2 * n, -t0, t0, 0.5)
+        env = environment_for(seed, "geometric", t0, 2 * n, -t0, t0, 0.5)
         for th in thetas:
             prof = bz.busemann_profile(env, th, grid, horizons, t0=t0)
             profiles[(seed, th)] = prof
@@ -289,7 +269,7 @@ def test_criterion_8_reflected_walk_diagnostics():
     nonneg = True
     seed = 0
     while n_dirs < 10 and seed < 20:
-        env = bz.environment_for(seed, "geometric", T0, 2 * H, -128, 128, 0.5)
+        env = environment_for(seed, "geometric", T0, 2 * H, -128, 128, 0.5)
         dirs = bz.exceptional_scan(env, (-0.35, 0.35), H, t0=T0, threshold=1.0)
         for d in dirs:
             if n_dirs >= 10:
@@ -306,35 +286,17 @@ def test_criterion_8_reflected_walk_diagnostics():
             zx = xs[v == 0] / unit
             zero_total += zx.size
             if zx.size:
-                for si, eps in enumerate(scales):
-                    counts[si] += np.unique(np.floor(zx / eps)).size
-            runs, cur, prev = [], [], None
-            for x, val in zip(xs, v):
-                if val == 0 or (prev is not None and x - prev != 2):
-                    if len(cur) > 9:
-                        runs.append(np.array(cur))
-                    cur = [] if val == 0 else [val]
-                else:
-                    cur.append(val)
-                prev = x
-            if len(cur) > 9:
-                runs.append(np.array(cur))
+                counts += gaplab.box_counts(zx[:, None], scales)
+            runs = bz.excursions(xs, v, 2, 9)
             for lag in inc_pool:
                 for r in runs:
                     if r.size > lag:
                         inc_pool[lag].extend((r[lag:] - r[:-lag]) / frame.value_unit)
         seed += 1
-    logs = np.log(1.0 / np.array(scales))
-    logn = np.log(counts)
-    slope, intercept = np.polyfit(logs, logn, 1)
-    pred = slope * logs + intercept
-    r2_dim = 1 - np.sum((logn - pred) ** 2) / np.sum((logn - logn.mean()) ** 2)
+    slope, _, r2_dim = gaplab.linear_fit(np.log(1.0 / np.array(scales)), np.log(counts))
     sx = [lag for lag, incs in inc_pool.items() if len(incs) > 30]
     sy = [float(np.var(np.array(inc_pool[lag]))) for lag in sx]
-    A = np.polyfit(sx, sy, 1)
-    arr = np.array(sy)
-    pred = A[0] * np.array(sx) + A[1]
-    r2_inc = 1 - np.sum((arr - pred) ** 2) / np.sum((arr - arr.mean()) ** 2)
+    _, _, r2_inc = gaplab.linear_fit(sx, sy)
     elapsed = time.time() - started
     ok = (n_dirs == 10 and nonneg and 0.35 <= slope <= 0.65
           and r2_inc >= 0.9)
@@ -353,9 +315,8 @@ def test_criterion_9_min_formula_trend():
         unit = float(n) ** (1.0 / 3.0)
         resids = []
         for seed in range(8):
-            a = int(1.5 * n ** (2.0 / 3.0)) + 2
-            t0 = a if a % 2 == 0 else a + 1
-            env = bz.environment_for(seed, "geometric", t0, n, -a, a, 0.5)
+            a, t0 = anchor_layout(n, 1.5)
+            env = environment_for(seed, "geometric", t0, n, -a, a, 0.5)
             t1 = t0 + n
             ys = [y for y in range(-a, a + 1) if (y + t1) % 2 == 0]
             sample = ys[::max(1, len(ys) // 12)]

@@ -5,10 +5,11 @@ from lpplab import ScalingFrame, geodesic, make_lattice_field
 from lpplab import busemann as bz
 from lpplab import gaplab
 from lpplab.errors import DomainError, ParameterError
+from lpplab.model import environment_for
 
 
 def tiny_env(seed=0, t0=8, horizon=32):
-    return bz.environment_for(seed, "geometric", t0, 2 * horizon, -8, 8, 0.5)
+    return environment_for(seed, "geometric", t0, 2 * horizon, -8, 8, 0.5)
 
 
 T0 = 8
@@ -78,7 +79,7 @@ def test_coalescence_only_terminal_returns_none():
 
 
 def test_exceptional_scan_contract_sorted_and_witnessed():
-    f = bz.environment_for(7, "geometric", T0, 2 * H, -4, 4, 0.5)
+    f = environment_for(7, "geometric", T0, 2 * H, -4, 4, 0.5)
     dirs = bz.exceptional_scan(f, (-0.6, 0.6), H, t0=T0, threshold=0.5)
     thetas = [d.theta for d in dirs]
     assert thetas == sorted(thetas)
@@ -101,7 +102,7 @@ def test_exceptional_scan_constant_map_empty():
 
 
 def bigger_env(seed):
-    return bz.environment_for(seed, "geometric", T0, 2 * H, -12, 12, 0.5)
+    return environment_for(seed, "geometric", T0, 2 * H, -12, 12, 0.5)
 
 
 def find_direction(seed, threshold=0.25):
@@ -347,7 +348,7 @@ def test_cloud_busemann_reference_is_zero():
 
 
 def test_exceptional_scan_stable_under_grid_doubling():
-    f = bz.environment_for(7, "geometric", T0, 2 * H, -4, 4, 0.5)
+    f = environment_for(7, "geometric", T0, 2 * H, -4, 4, 0.5)
     coarse = bz.exceptional_scan(f, (-0.6, 0.6), H, t0=T0, threshold=0.5, coarse=8)
     fine = bz.exceptional_scan(f, (-0.6, 0.6), H, t0=T0, threshold=0.5, coarse=4)
     assert [(d.column_below, d.column_above) for d in coarse] == \

@@ -156,6 +156,13 @@ def test_cli_config_command_mismatch(tmp_path):
     ({"command": "gap", "halfwidth": False}, "halfwidth"),
     ({"command": "gap", "model": "bogus"}, "model"),
     ({"command": "dim", "model": "explicit"}, "model"),
+    ({"command": "gap", "n": -4}, "n"),
+    ({"command": "gap", "grid_points": 0}, "grid_points"),
+    ({"command": "classify", "n_list": ["a"]}, "n_list"),
+    ({"command": "classify", "threads": 2}, "threads"),
+    ({"command": "busemann", "replicates": 2}, "replicates"),
+    ({"command": "verify", "threads": 2}, "threads"),
+    ({"command": "busemann", "theta_lo": -1.5}, "-1.5"),
 ])
 def test_cli_config_error_exits_2_with_one_line(tmp_path, capsys, doc, key):
     cfg = tmp_path / "c.json"
@@ -166,6 +173,49 @@ def test_cli_config_error_exits_2_with_one_line(tmp_path, capsys, doc, key):
     assert err.count("\n") == 1 and err.startswith("config error:")
     assert key in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "busemann", "verify"])
+def test_threads_flag_exits_2_where_nothing_fans_out(tmp_path, capsys, command):
+    rc = cli.main([command, "--threads", "2", "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "threads" in err
+    assert not (tmp_path / "x").exists()
+
+
+# tiny runs that together reach every branch reading a key: sample, gap
+# and dim once per environment family
+_TINY_RUNS = [
+    {"command": "sample", "n": 8, "model": "poisson"},
+    {"command": "sample", "n": 8, "model": "geometric"},
+    {"command": "gap", "n": 12, "grid_points": 6, "model": "poisson"},
+    {"command": "gap", "n": 12, "grid_points": 6, "model": "geometric"},
+    {"command": "dim", "n": 16, "grid_points": 24, "seed": 5, "model": "poisson"},
+    {"command": "dim", "n": 16, "grid_points": 24, "seed": 5, "model": "geometric"},
+    {"command": "classify", "n_list": [12]},
+    {"command": "busemann", "n": 24, "grid_points": 8, "directions": 2,
+     "threshold": 0.4, "seed": 6},
+    {"command": "verify", "lattice_instances": 2, "cloud_instances": 2},
+]
+
+
+@pytest.mark.parametrize("command", sorted({doc["command"] for doc in _TINY_RUNS}))
+def test_every_accepted_key_is_read(tmp_path, monkeypatch, command):
+    read = set()
+    getitem = ExperimentConfig.__getitem__
+
+    def spy(self, key):
+        read.add(key)
+        return getitem(self, key)
+
+    monkeypatch.setattr(ExperimentConfig, "__getitem__", spy)
+    accepted = set()
+    for k, doc in enumerate(d for d in _TINY_RUNS if d["command"] == command):
+        cfg = parse_config(json.dumps({**doc, "out": str(tmp_path / str(k))}))
+        accepted |= set(cfg.values)
+        cli.run_experiment(cfg)
+    assert read == accepted
 
 
 def test_parse_rejects_bool_for_numbers():

@@ -225,3 +225,17 @@ def test_corrupted_chain_tables_raise_replayable_invariant_error(monkeypatch):
         cloud.extremal_chain(HAND, (0.0, 0.0), (0.0, 1.0), "left")
     replay = json.loads(err.value.replay)
     assert replay["side"] == "left" and replay["model"]["model"] == "poisson"
+
+
+def test_uncross_at_its_iteration_cap_raises_replayable_invariant_error(monkeypatch):
+    import json
+    from lpplab import flow
+    from lpplab.errors import InvariantError
+    # a crossing that never goes away: every pass finds one at t = 0.5
+    monkeypatch.setattr(flow, "_first_violation", lambda f1, f2: 0.5)
+    ends = ((0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(InvariantError) as err:
+        flow._uncross(HAND, ((0.0, 0.0), (0.0, 0.0)), ends, ([0, 1], [2]))
+    replay = json.loads(err.value.replay)
+    assert replay["model"]["model"] == "poisson"
+    assert replay["chains"] == [[0, 1], [2]] and replay["ends"] == [[0.0, 1.0], [0.0, 1.0]]
