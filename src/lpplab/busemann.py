@@ -30,6 +30,10 @@ from .classify import crossing_tag
 from .errors import DomainError, ParameterError
 from .model import LatticeField, ScalingFrame, reflect
 
+ORIGIN_X = 0  # chart x of the Busemann reference source and of every scan origin
+MIN_CERTIFIED = 64  # certified points a reflected-walk diagnostic needs
+WALK_LAGS = range(1, 9)  # increment lags of the reflected-walk regression
+
 
 def _parity_round(x: float, t: int) -> int:
     k = int(np.floor(x))
@@ -134,8 +138,8 @@ class BusemannProfile:
 
 def busemann_profile(model: LatticeField, theta: float, x_grid: Sequence[int],
                      horizons: Tuple[int, int], side: str = "right",
-                     t0: int = 0, x_ref: int = 0) -> BusemannProfile:
-    """Busemann values B(x) = L(x -> target) - L(x_ref -> target) at two
+                     t0: int = 0) -> BusemannProfile:
+    """Busemann values B(x) = L(x -> target) - L(ORIGIN_X -> target) at two
     horizons, with per-x coalescence certificates."""
     xs = np.asarray(sorted(int(v) for v in x_grid), dtype=np.int64)
     nv = np.full((2, xs.size), np.nan)
@@ -144,7 +148,7 @@ def busemann_profile(model: LatticeField, theta: float, x_grid: Sequence[int],
     for hi, h in enumerate(horizons):
         tgt = direction_target(model, theta, h, t0)
         B = _lattice.backward_values(model, tgt.cell)
-        ref_cell = model.cell_at(x_ref, t0)
+        ref_cell = model.cell_at(ORIGIN_X, t0)
         if not _lattice.is_reachable(B[ref_cell]):
             raise DomainError("reference source cannot reach the target")
         ref_cols = _col_sequence(model, B, ref_cell, tgt.cell, side)
@@ -163,10 +167,9 @@ def busemann_profile(model: LatticeField, theta: float, x_grid: Sequence[int],
 
 
 def busemann(model: LatticeField, theta: float, x: int,
-             horizons: Tuple[int, int], side: str = "right",
-             t0: int = 0, x_ref: int = 0):
-    """Single-point Busemann value; see busemann_profile."""
-    prof = busemann_profile(model, theta, [x], horizons, side, t0, x_ref)
+             horizons: Tuple[int, int], t0: int = 0):
+    """Single-point Busemann value (rightmost geodesics); see busemann_profile."""
+    prof = busemann_profile(model, theta, [x], horizons, "right", t0)
     return {
         "values": {int(h): float(prof.values[i, 0]) for i, h in enumerate(horizons)},
         "coalescence_times": {int(h): (None if np.isnan(prof.coal_times[i, 0])
@@ -176,9 +179,8 @@ def busemann(model: LatticeField, theta: float, x: int,
     }
 
 
-def cloud_busemann_values(cloud, theta: float, x_grid, horizon: float,
-                          t0: float = 0.0, x_ref: float = 0.0) -> np.ndarray:
-    """Point-model Busemann values B(x) = d(x -> target) - d(ref -> target).
+def cloud_busemann_values(cloud, theta: float, x_grid, horizon: float) -> np.ndarray:
+    """Point-model Busemann values B(x) = d((x, 0) -> target) - d((ORIGIN_X, 0) -> target).
 
     Computed in one reflected patience sweep; no certificates (the point
     model here serves shape statistics rather than certified identities).
@@ -186,10 +188,10 @@ def cloud_busemann_values(cloud, theta: float, x_grid, horizon: float,
     if not -1.0 < theta < 1.0:
         raise ParameterError(f"direction {theta} outside the causal cone")
     xs = np.asarray(x_grid, dtype=np.float64)
-    target = (x_ref + theta * horizon, t0 + horizon)
+    target = (ORIGIN_X + theta * horizon, horizon)
     mirrored = reflect(cloud)
-    sources = np.concatenate([xs, [x_ref]])
-    L, _ = _cloud.row_pass(mirrored, (-target[0], -target[1]), -sources, -t0)
+    sources = np.concatenate([xs, [ORIGIN_X]])
+    L, _ = _cloud.row_pass(mirrored, (-target[0], -target[1]), -sources, 0.0)
     return (L[:-1] - L[-1]).astype(np.float64)
 
 
@@ -205,19 +207,14 @@ class ExceptionalDirection:
     witness_left_cols: np.ndarray
     witness_right_cols: np.ndarray
 
-    @property
-    def separations(self) -> float:
-        return self.jump
-
 
 def exceptional_scan(model: LatticeField, theta_window: Tuple[float, float],
-                     horizon: int, t0: int = 0, mid_time: Optional[int] = None,
-                     threshold: float = 1.0, coarse: int = 8,
-                     origin_x: int = 0) -> List[ExceptionalDirection]:
+                     horizon: int, t0: int = 0, threshold: float = 1.0,
+                     coarse: int = 8) -> List[ExceptionalDirection]:
     """Detect directions with two macroscopically separated geodesics.
 
-    Scans the map (target column) -> (rightmost geodesic position at
-    mid_time); brackets whose endpoints differ by more than
+    Scans the map (target column) -> (mid-horizon position of the rightmost
+    geodesic from ORIGIN_X); brackets whose endpoints differ by more than
     threshold * horizon^(2/3) are refined by binary search down to
     adjacent target columns.  Witnesses are the rightmost geodesic to the
     below-column and the leftmost geodesic to the above-column.
@@ -226,9 +223,9 @@ def exceptional_scan(model: LatticeField, theta_window: Tuple[float, float],
     if not (-1.0 < lo < hi < 1.0):
         raise ParameterError(f"window {theta_window} must sit inside the cone")
     t1 = t0 + horizon
-    mid = t0 + horizon // 2 if mid_time is None else int(mid_time)
+    mid = t0 + horizon // 2
     mid_index = mid - t0
-    origin = model.cell_at(origin_x, t0)
+    origin = model.cell_at(ORIGIN_X, t0)
     g_lo, g_hi = _chart_x_range(model, t1)
     c_lo = max(_parity_round(lo * horizon, t1), _parity_round(g_lo, t1))
     c_hi = min(_parity_round(hi * horizon, t1), g_hi if (g_hi + t1) % 2 == 0 else g_hi - 1)
@@ -340,7 +337,7 @@ def _local_witnesses(model: LatticeField, direction: ExceptionalDirection,
     g_lo, g_hi = _chart_x_range(model, t1)
     lo = max(center - span, _parity_round(g_lo, t1))
     hi = min(center + span, g_hi if (g_hi + t1) % 2 == 0 else g_hi - 1)
-    origin = model.cell_at(0, t0)
+    origin = model.cell_at(ORIGIN_X, t0)
     # track each family at the scan's mid time, where the two bundles are
     # macroscopically separated and anchor bending is irrelevant
     mid_index = direction.mid_time - t0
@@ -399,7 +396,8 @@ def busemann_gap(model: LatticeField, direction: ExceptionalDirection,
         return BusemannGapProfile(direction.theta, tuple(horizons), t0, xs, vals,
                                   np.zeros(xs.size, dtype=bool), witness_cols, frame)
     t1f = t0 + h_far
-    origin = model.cell_at(0, t0)
+    origin = model.cell_at(ORIGIN_X, t0)
+    starts = [model.cell_at(int(x), t0) for x in xs]
     B_far_l, W_L = _walk_to(model, origin, cu, t1f, "right")
     B_far_r, W_R = _walk_to(model, origin, cv, t1f, "left")
 
@@ -420,18 +418,12 @@ def busemann_gap(model: LatticeField, direction: ExceptionalDirection,
         BL = B_far_l if h == h_far else _lattice.backward_values(model, pl)
         BR = B_far_r if h == h_far else _lattice.backward_values(model, pr)
         S, _ = _lattice.pair_backward(model, (pl, pr), t0 + 1)
-        for k, x in enumerate(xs):
-            a = model.cell_at(int(x), t0)
-            if not (_lattice.is_reachable(BL[a]) and _lattice.is_reachable(BR[a])):
+        pairs = _lattice.doubled_values(model, S, t0 + 1, starts)
+        for k, a in enumerate(starts):
+            if not (_lattice.is_reachable(BL[a]) and _lattice.is_reachable(BR[a])) \
+                    or np.isnan(pairs[k]):
                 continue
-            i, j = a
-            if i + 1 >= model.rows or j + 1 >= model.cols or S is None:
-                continue
-            pair = S[j, j + 1]
-            if not _lattice.is_reachable(pair):
-                continue
-            pair = pair + 2.0 * model.weights[a]
-            vals[hi_idx, k] = BL[a] + BR[a] - pair
+            vals[hi_idx, k] = BL[a] + BR[a] - pairs[k]
             if h == h_far:
                 cl = _col_sequence(model, BL, a, pl, "right")
                 cr = _col_sequence(model, BR, a, pr, "left")
@@ -521,16 +513,16 @@ def _bridge_between(model, from_cells, to_cells, F, B_to, total):
 
 
 def two_path_busemann(model: LatticeField, theta1: float, theta2: float,
-                      x: int, horizon: int, t0: int = 0, x_ref: int = 0):
+                      x: int, horizon: int, t0: int = 0):
     """Pair value to two direction targets minus the single-path
-    references: pair(x^2 -> (p1, p2)) - L(ref -> p1) - L(ref -> p2)."""
+    references from ORIGIN_X: pair(x^2 -> (p1, p2)) - L(ref -> p1) - L(ref -> p2)."""
     if not theta1 < theta2:
         raise ParameterError("need theta1 < theta2")
     t1 = t0 + horizon
     p1 = direction_target(model, theta1, horizon, t0).cell
     p2 = direction_target(model, theta2, horizon, t0).cell
     a = model.cell_at(int(x), t0)
-    ref = model.cell_at(x_ref, t0)
+    ref = model.cell_at(ORIGIN_X, t0)
     pair = _lattice.disjoint2_value(model, (a, a), (p1, p2))
     if pair is None:
         return None
@@ -643,16 +635,14 @@ def excursions(xs: np.ndarray, vs: np.ndarray, step: float,
 
 
 def reflected_walk_diag(profile: BusemannGapProfile,
-                        scales: Optional[Sequence[float]] = None,
-                        lags: Optional[Sequence[int]] = None,
-                        min_points: int = 64) -> dict:
+                        scales: Optional[Sequence[float]] = None) -> dict:
     """Reflected-walk diagnostics of a certified gap profile: zero-set
     box dimension, increment variance regression away from zeros, and
     the sign check."""
     xs, vs = profile.certified_series()
     out: dict = {"certified_points": int(xs.size)}
-    if xs.size < min_points:
-        out["warning"] = f"only {xs.size} certified points (< {min_points})"
+    if xs.size < MIN_CERTIFIED:
+        out["warning"] = f"only {xs.size} certified points (< {MIN_CERTIFIED})"
         return out
     out["nonnegative"] = bool(np.all(vs >= 0))
     unit = profile.frame.space_unit
@@ -668,11 +658,10 @@ def reflected_walk_diag(profile: BusemannGapProfile,
     else:
         out["zero_dimension"] = None
         out["warning"] = "zero set too small for a dimension estimate"
-    lags = list(range(1, 9)) if lags is None else list(lags)
     step = float(np.min(np.diff(xs))) if xs.size > 1 else 1.0
-    runs = excursions(xs, vs, step, max(lags) + 1)
+    runs = excursions(xs, vs, step, max(WALK_LAGS) + 1)
     sx, sy = [], []
-    for lag in lags:
+    for lag in WALK_LAGS:
         incs = np.concatenate([r[lag:] - r[:-lag] for r in runs if r.size > lag]) \
             if runs else np.array([])
         if incs.size >= 8:

@@ -35,6 +35,10 @@ from .errors import DomainError, ParameterError
 from .model import LatticeField, Model, ScalingFrame
 
 TAGS = ("I", "IIa", "IIb", "III", "IV", "Va", "Vb", "other")
+# fractions of the time span: a separated stretch within MARGIN of an end
+# touches it, and stretches at most MERGE_GAP apart are one stretch
+MARGIN = 0.15
+MERGE_GAP = 0.10
 
 
 def crossing_tag(a: bool, b: bool, suffix: str = "") -> str:
@@ -52,36 +56,32 @@ class GeometricClassification:
     separation: np.ndarray      # rightmost minus leftmost position per time
     bridges: Tuple[bool, bool]  # (left-to-right, right-to-left)
     components: List[Tuple[int, int]]
-    degree_violations: int = 0
 
 
 def classify_geometric(model: Model, start, end,
                        threshold: float = 1.0,
-                       frame: Optional[ScalingFrame] = None,
-                       margin: float = 0.15,
-                       merge_gap: float = 0.10) -> GeometricClassification:
+                       frame: Optional[ScalingFrame] = None) -> GeometricClassification:
     """Classify the network shape of an endpoint pair.
 
     threshold is in rescaled spatial units of ``frame`` (unscaled when no
-    frame is given).  margin and merge_gap are fractions of the time span
-    used to decide whether a separated stretch touches an endpoint and to
-    merge stretches split by microscopic coincidences.
+    frame is given).  MARGIN and MERGE_GAP decide whether a separated
+    stretch touches an endpoint and merge stretches split by microscopic
+    coincidences.
     """
     if isinstance(model, LatticeField):
-        return _classify_lattice(model, start, end, threshold, frame, margin, merge_gap)
-    return _classify_cloud(model, start, end, threshold, frame, margin, merge_gap)
+        return _classify_lattice(model, start, end, threshold, frame)
+    return _classify_cloud(model, start, end, threshold, frame)
 
 
-def _classify_lattice(model, start, end, threshold, frame, margin, merge_gap):
+def _classify_lattice(model, start, end, threshold, frame):
     F = _lattice.forward_values(model, start)
     B = _lattice.backward_values(model, end)
     if not _lattice.is_reachable(F[end]):
         raise DomainError(f"endpoints {start}->{end} not connected")
-    return _classify_lattice_cached(model, start, end, F, B,
-                                    threshold, frame, margin, merge_gap)
+    return _classify_lattice_cached(model, start, end, F, B, threshold, frame)
 
 
-def _classify_cloud(model, start, end, threshold, frame, margin, merge_gap):
+def _classify_cloud(model, start, end, threshold, frame):
     left = engine.geodesic(model, start, end, "left")
     right = engine.geodesic(model, start, end, "right")
     t0, t1 = float(start[1]), float(end[1])
@@ -90,11 +90,11 @@ def _classify_cloud(model, start, end, threshold, frame, margin, merge_gap):
     zero = bool(np.all(sep[1:-1] > 0)) and left.value > 0
     return _classify_separation(
         sep, zero, left, right, lambda p, q: _cloud_bridge(model, start, end, p, q),
-        threshold, frame, margin, merge_gap)
+        threshold, frame)
 
 
 def _classify_separation(sep, zero, left, right, bridge,
-                         threshold, frame, margin, merge_gap) -> GeometricClassification:
+                         threshold, frame) -> GeometricClassification:
     """Zero gap: crossing bridges ``bridge(from, to)`` decide IV / Va / Vb;
     otherwise the shape of the separation decides I-III."""
     if zero:
@@ -102,7 +102,7 @@ def _classify_separation(sep, zero, left, right, bridge,
         tag, comps = crossing_tag(lr, rl), []
     else:
         lr = rl = False
-        tag, comps = _shape_from_separation(sep, threshold, frame, margin, merge_gap)
+        tag, comps = _shape_from_separation(sep, threshold, frame)
     return GeometricClassification(tag, zero, sep, (lr, rl), comps)
 
 
@@ -122,7 +122,7 @@ def _cloud_bridge(model, start, end, chain_from, chain_to) -> bool:
     return False
 
 
-def _shape_from_separation(sep, threshold, frame, margin, merge_gap):
+def _shape_from_separation(sep, threshold, frame):
     n = sep.size
     unit = frame.space_unit if frame is not None else 1.0
     cut = threshold * unit
@@ -140,7 +140,7 @@ def _shape_from_separation(sep, threshold, frame, margin, merge_gap):
         else:
             k += 1
     merged = []
-    gap_tol = max(1, int(merge_gap * n))
+    gap_tol = max(1, int(MERGE_GAP * n))
     for c in comps:
         if merged and c[0] - merged[-1][1] <= gap_tol:
             merged[-1] = (merged[-1][0], c[1])
@@ -149,7 +149,7 @@ def _shape_from_separation(sep, threshold, frame, margin, merge_gap):
     merged = [tuple(c) for c in merged]
     if not merged:
         return "I", merged
-    m = max(1, int(margin * n))
+    m = max(1, int(MARGIN * n))
     touches_start = merged[0][0] <= m
     touches_end = merged[-1][1] >= n - 1 - m
     if len(merged) == 1:
@@ -250,8 +250,9 @@ class AgreementMatrix:
     def zero_split_agreement(self) -> float:
         return 1.0 - self.zero_split_disagreements / self.samples if self.samples else 1.0
 
-    def subpopulation_agreement(self, tags=("I", "IIa", "IIb", "III")) -> Tuple[float, int]:
-        idx = [TAGS.index(t) for t in tags]
+    def subpopulation_agreement(self) -> Tuple[float, int]:
+        """Agreement rate and sample count among geometric I, IIa, IIb, III."""
+        idx = [TAGS.index(t) for t in ("I", "IIa", "IIb", "III")]
         total = int(self.counts[idx, :].sum())
         agree = int(sum(self.counts[k, k] for k in idx))
         return (agree / total if total else float("nan")), total
@@ -271,8 +272,7 @@ class AgreementMatrix:
 
 def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
                      y_grid: Sequence[int], times: Tuple[int, int],
-                     frame: ScalingFrame, threshold: float = 1.0,
-                     radii: Optional[Sequence[float]] = None) -> AgreementMatrix:
+                     frame: ScalingFrame, threshold: float = 1.0) -> AgreementMatrix:
     """Run both classifiers over an anchor grid and tally agreement.
 
     One sheet build amortizes every gap classification; geometric
@@ -297,9 +297,8 @@ def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
                 continue
             if i not in fwd:
                 fwd[i] = _lattice.forward_values(model, a)
-            geo = _classify_lattice_cached(model, a, b, fwd[i], B,
-                                           threshold, frame, 0.15, 0.10)
-            gap = classify_gap(sheet, i, j, radii, zeros, window=window)
+            geo = _classify_lattice_cached(model, a, b, fwd[i], B, threshold, frame)
+            gap = classify_gap(sheet, i, j, zeros=zeros, window=window)
             if gap.tag == "other" and gap.gap is None:
                 continue  # boundary or undefined: no dictionary verdict
             gap_zero = gap.gap == 0.0
@@ -310,7 +309,7 @@ def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
     return out
 
 
-def _classify_lattice_cached(model, a, b, F, B, threshold, frame, margin, merge_gap):
+def _classify_lattice_cached(model, a, b, F, B, threshold, frame):
     total = F[b]
     cl = _lattice.geodesic_cells_from_B(model, B, a, b, "left")
     cr = _lattice.geodesic_cells_from_B(model, B, a, b, "right")
@@ -318,7 +317,7 @@ def _classify_lattice_cached(model, a, b, F, B, threshold, frame, margin, merge_
     zero = bool(np.all(sep[1:-1] > 0)) if sep.size > 2 else False
     return _classify_separation(
         sep, zero, cl, cr, lambda p, q: _lattice.bridge_exists(model, p, q, F, B, total),
-        threshold, frame, margin, merge_gap)
+        threshold, frame)
 
 
 @dataclass
@@ -343,9 +342,10 @@ def right_min_identity(model: LatticeField, x: int, y: int, eps: int,
     bz = model.cell_at(int(y + eps), int(t1))
     if eps == 0:
         return RightMinIdentity(True, 0.0)
-    pair_yz = _lattice.disjoint2_value(model, (a, a), (by, bz))
-    pair_yy = _lattice.disjoint2_value(model, (a, a), (by, by))
-    if pair_yz is None or pair_yy is None:
+    S, _ = _lattice.pair_forward(model, (a, a), int(t1) - 1)
+    pair_yy = _lattice.doubled_values(model, S, int(t1) - 1, [by])[0]
+    pair_yz = _lattice.NEG if S is None else _lattice.pair_step(model, S, int(t1))[by[1], bz[1]]
+    if np.isnan(pair_yy) or not _lattice.is_reachable(pair_yz):
         raise DomainError("disjoint pair infeasible for the identity")
     F = _lattice.forward_values(model, a)
     residual = float((pair_yz - pair_yy) - (F[bz] - F[by]))

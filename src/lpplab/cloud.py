@@ -113,15 +113,19 @@ def row_pass(cloud: PoissonCloud, start, target_xs, target_t: float):
     order = np.lexsort((v[idx], u[idx]))
     pu = u[idx][order]
     pv = v[idx][order]
+    # complex numbers order as (u, v): a target is read after the points before
+    # it, so none on its anchor; those at u = U, v > V cannot change a count <= V
+    stops = np.searchsorted(pu + 1j * pv, Us + 1j * Vs).tolist()
 
-    read_order = np.argsort(Us, kind="stable")
+    read_order = np.lexsort((Vs, Us))
     L = np.zeros(ys.size, dtype=np.int64)
     L2 = np.zeros(ys.size, dtype=np.int64)
     row1: list = []
     row2: list = []
     pos = 0
     for k in read_order:
-        while pos < pu.size and pu[pos] <= Us[k]:
+        stop = stops[k]
+        while pos < stop:
             item = pv[pos]
             spot = bisect_right(row1, item)
             if spot == len(row1):

@@ -34,6 +34,17 @@ def gap_value(model: Model, start, end):
     return two_l - l2
 
 
+def _lattice_row(model: LatticeField, a, cells):
+    """(L, L2, S) from source a to the cells of one chart time t1: passage
+    values, doubled-anchor pair values (NaN where infeasible) and the pair
+    states at t1 - 1 (None if no pair is feasible).  One forward table
+    and one pair sweep serve the row."""
+    t = cells[0][0] + cells[0][1] - 1
+    F = _lattice.forward_values(model, a)
+    S, _ = _lattice.pair_forward(model, (a, a), t)
+    return np.array([F[c] for c in cells]), _lattice.doubled_values(model, S, t, cells), S
+
+
 @dataclass
 class GapSheet:
     x_grid: np.ndarray        # source anchor positions (chart x / real x)
@@ -49,10 +60,6 @@ class GapSheet:
 
     def col(self, j: int) -> np.ndarray:
         return self.values[:, j]
-
-    def rescaled_grids(self) -> Tuple[np.ndarray, np.ndarray]:
-        s = self.frame.space_unit
-        return self.x_grid / s, self.y_grid / s
 
     def to_csv(self) -> str:
         lines = ["x,y,G"]
@@ -88,16 +95,10 @@ def gap_sheet(model: Model, x_grid: Sequence, y_grid: Sequence,
     ys = np.asarray(y_grid, dtype=np.float64)
     values = np.full((xs.size, ys.size), np.nan)
     if isinstance(model, LatticeField):
-        end_cells = [model.cell_at(int(y), int(t1)) for y in ys]
-        for i, x in enumerate(xs):
-            a = model.cell_at(int(x), int(t0))
-            F = _lattice.forward_values(model, a)
-            L = np.array([F[c] for c in end_cells])
-            L2 = _lattice.doubled_row_values(model, (a, a), end_cells)
-            row = 2.0 * L - L2
-            row[~np.isfinite(L2)] = np.nan
-            row[L <= _lattice._VALID] = np.nan
-            values[i] = row
+        cells = [model.cell_at(int(y), int(t1)) for y in ys]
+        for i, x in enumerate(xs if cells else ()):  # no sinks, no sweep
+            L, L2, _ = _lattice_row(model, model.cell_at(int(x), int(t0)), cells)
+            values[i] = 2.0 * L - L2
     elif isinstance(model, PoissonCloud):
         dt = t1 - t0
         for i, x in enumerate(xs):
@@ -187,9 +188,9 @@ def one_sided_minimum(slice_values: Sequence[float], index: int, side: str) -> b
     raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def minimum_at(minima: List[PlateauMinimum], index: int,
-               kinds=("strict",)) -> bool:
-    return any(m.contains(index) and m.kind in kinds for m in minima)
+def minimum_at(minima: List[PlateauMinimum], index: int) -> bool:
+    """Does index lie in a strict plateau minimum?"""
+    return any(m.contains(index) and m.kind == "strict" for m in minima)
 
 
 @dataclass
@@ -279,10 +280,10 @@ def linear_fit(x, y) -> Tuple[float, float, float]:
 
 def box_counts(points, scales: Sequence[float]) -> List[int]:
     """Occupied boxes of side eps, for each eps in scales.  Points are rows;
-    a single row of more than two numbers is read as 1-d points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[0] == 1 and pts.shape[1] > 2:
-        pts = pts.T
+    a 1-d array holds 1-d points."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
     return [int(np.unique(np.floor(pts / eps), axis=0).shape[0]) for eps in scales]
 
 
@@ -324,45 +325,41 @@ def min_formula_residual(model: Model, x, y, z,
     if y > z:
         raise ParameterError("need y <= z")
     if isinstance(model, LatticeField):
-        a = model.cell_at(int(x), int(t0))
-        ws = list(range(int(y), int(z) + 1, 2))
-        cells = [model.cell_at(w, int(t1)) for w in ws]
-        F = _lattice.forward_values(model, a)
-        L = np.array([F[c] for c in cells])
-        L2 = _lattice.doubled_row_values(model, (a, a), cells)
+        grid, cells, L, L2, S2 = _lattice_min_formula(model, x, (int(y), int(z)), times)
         if not np.all(np.isfinite(L2)):
             return None
-        grow = 2.0 * L - L2
-        kmin = int(np.argmin(grow))
-        if y == z:
-            pair = L2[0]
-        else:
-            pair = _lattice.disjoint2_value(model, (a, a), (cells[0], cells[-1]))
-            if pair is None:
-                return None
-        resid = float(pair - (L[0] + L[-1] - grow[kmin]))
-        return MinFormulaResult(resid, float(pair), float(L[0]), float(L[-1]),
-                                float(grow[kmin]), float(ws[kmin]))
-    # cloud model: exhaustive pair via flow at small scale
-    from . import flow as _flow
-    start = (float(x), float(t0))
-    ey, ez = (float(y), float(t1)), (float(z), float(t1))
-    grid = np.linspace(float(y), float(z), 33)
-    L_row, L2_row = _cloud.row_pass(model, start, grid, float(t1))
-    grow = 2.0 * L_row - L2_row
-    kmin = int(np.argmin(grow))
-    if y == z:
-        pair = int(L2_row[0])
-    else:
-        res = _flow.disjoint_pair(model, (start, start), (ey, ez))
-        if res is None:
+        pair = L2[0] if y == z else S2[cells[0][1], cells[-1][1]]
+        if not _lattice.is_reachable(pair):
             return None
-        pair = res[0]
-    l_y = int(L_row[0])
-    l_z = int(L_row[-1])
-    resid = float(pair - (l_y + l_z - grow[kmin]))
-    return MinFormulaResult(resid, float(pair), float(l_y), float(l_z),
+    else:  # cloud model: exhaustive pair via flow at small scale
+        from . import flow as _flow
+        start = (float(x), float(t0))
+        ey, ez = (float(y), float(t1)), (float(z), float(t1))
+        grid = np.linspace(float(y), float(z), 33)
+        L, L2 = _cloud.row_pass(model, start, grid, float(t1))
+        pair = L2[0]
+        if y != z:
+            res = _flow.disjoint_pair(model, (start, start), (ey, ez))
+            if res is None:
+                return None
+            pair = res[0]
+    grow = 2.0 * L - L2
+    kmin = int(np.argmin(grow))
+    resid = float(pair - (L[0] + L[-1] - grow[kmin]))
+    return MinFormulaResult(resid, float(pair), float(L[0]), float(L[-1]),
                             float(grow[kmin]), float(grid[kmin]))
+
+
+def _lattice_min_formula(model: LatticeField, x, ys: Sequence[int],
+                         times: Tuple[float, float]):
+    """(ws, cells, L, L2, S2) on the parity grid ws from ys[0] to ys[-1] at
+    t1: the gap row from source x, and the pair states at t1 (None if no
+    pair is feasible) one pair_step past the row's sweep."""
+    t0, t1 = int(times[0]), int(times[1])
+    ws = list(range(ys[0], ys[-1] + 1, 2))
+    cells = [model.cell_at(w, t1) for w in ws]
+    L, L2, S = _lattice_row(model, model.cell_at(int(x), t0), cells)
+    return ws, cells, L, L2, None if S is None else _lattice.pair_step(model, S, t1)
 
 
 def min_formula_residuals_batch(model: LatticeField, x: int, ys: Sequence[int],
@@ -372,24 +369,11 @@ def min_formula_residuals_batch(model: LatticeField, x: int, ys: Sequence[int],
     ys are chart positions on the end line; the minimum of G runs over
     the full parity grid between each pair.  Returns {(y, z): residual}.
     """
-    t0, t1 = int(times[0]), int(times[1])
-    a = model.cell_at(int(x), t0)
     ys = sorted(int(y) for y in ys)
-    full = list(range(ys[0], ys[-1] + 1, 2))
-    cells = [model.cell_at(w, t1) for w in full]
-    F = _lattice.forward_values(model, a)
-    L = np.array([F[c] for c in cells])
-    S1, _ = _lattice.pair_forward(model, (a, a), t1 - 1)
-    if S1 is None:
+    full, cells, L, L2, S2 = _lattice_min_formula(model, x, ys, times)
+    if S2 is None:
         return {}
-    L2 = np.full(len(cells), np.nan)
-    for k, (i, j) in enumerate(cells):
-        if i - 1 >= 0 and j - 1 >= 0:
-            v = S1[j - 1, j]
-            if _lattice.is_reachable(v):
-                L2[k] = v + 2.0 * model.weights[i, j]
     G = 2.0 * L - L2
-    S2 = _lattice.pair_step(model, S1, t1)
     pos = {w: k for k, w in enumerate(full)}
     out = {}
     for ky, y in enumerate(ys):

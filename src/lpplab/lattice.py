@@ -40,6 +40,12 @@ the reflected right path's weight first; either way the left path's
 weight is added before the right path's, as in a literal backward
 recurrence, and values are bit-identical to it.
 
+Read-outs: a doubled anchor c is read from the pair state next to it,
+with the two paths on c's neighbours, plus c's weight once per path
+(``doubled_values``).  The time of the states picks the neighbours: one
+step before c (forward states, a doubled end) above and left of c, one
+step after c (backward states, a doubled start) below and right of c.
+
 Only values above _VALID (see is_reachable) are meaningful.  Dead
 states hold NEG plus rounding noise from the weights added to them.
 Reachable values are bit-exact functions of the weights, whatever the
@@ -285,35 +291,37 @@ def disjoint2_value(field: LatticeField, start_pair, end_pair):
     for c in (*start_pair, *end_pair):
         if not field.in_grid(c):
             raise DomainError(f"cell {c} outside grid")
+    t = b1[0] + b1[1] - (b1 == b2)
+    S, _ = pair_forward(field, start_pair, t)
     if b1 == b2:
-        v = doubled_row_values(field, start_pair, [b1])[0]
+        v = doubled_values(field, S, t, [b1])[0]
         return None if np.isnan(v) else float(v)
-    S, _ = pair_forward(field, start_pair, b1[0] + b1[1])
-    if S is None:
-        return None
-    v = S[b1[1], b2[1]]
+    v = NEG if S is None else S[b1[1], b2[1]]
     return float(v) if is_reachable(v) else None
 
 
-def doubled_row_values(field: LatticeField, start_pair, end_cells):
-    """disjoint2 values from one start pair to many doubled end cells.
+def doubled_values(field: LatticeField, states, t: int, cells) -> np.ndarray:
+    """Pair values with both paths sharing each cell, read from pair states.
 
-    All end cells must share a chart time.  One forward sweep serves the
-    whole row.  Returns a float array with NaN at infeasible entries.
+    ``states`` are full pair states at chart time t, next to the cells'
+    common time t_c: t = t_c - 1 (forward states, a doubled end) reads
+    S[j - 1, j], t = t_c + 1 (backward states, a doubled start) reads
+    S[j, j + 1]; each value is that state + 2 * w[c].  NaN where a
+    neighbour of c is off the grid, the state is dead or states is None.
     """
-    ts = {c[0] + c[1] for c in end_cells}
-    if len(ts) > 1:
-        raise DomainError("end cells must share a chart time")
-    t_end = ts.pop()
-    S, _ = pair_forward(field, start_pair, t_end - 1)
-    out = np.full(len(end_cells), np.nan)
-    if S is None:
-        return out
-    for k, (i, j) in enumerate(end_cells):
-        if j - 1 >= 0 and i - 1 >= 0:
-            v = S[j - 1, j]
-            if is_reachable(v):
-                out[k] = v + 2.0 * field.weights[i, j]
+    if len({i + j for i, j in cells}) > 1:
+        raise DomainError("doubled cells must share a chart time")
+    rows, cols = field.weights.shape
+    out = np.full(len(cells), np.nan)
+    for k, (i, j) in enumerate(cells):
+        d = t - (i + j)
+        if d not in (-1, 1):
+            raise DomainError(f"pair states at time {t} are not next to cell {(i, j)}")
+        if states is None or not (0 <= i + d < rows and 0 <= j + d < cols):
+            continue
+        v = states[j + min(d, 0), j + max(d, 0)]
+        if is_reachable(v):
+            out[k] = v + 2.0 * field.weights[i, j]
     return out
 
 
@@ -394,13 +402,10 @@ def optimizer_pair(field: LatticeField, start_pair, end_pair, side: str):
     t_last = max(times)
     if a1 == a2:
         i, j = a1
-        down, right = (i + 1, j), (i, j + 1)
-        if not (field.in_grid(down) and field.in_grid(right)):
+        value = float(doubled_values(field, states[t0 + 1], t0 + 1, [a1])[0])
+        if np.isnan(value):
             return None
-        if not is_reachable(states[t0 + 1][j, j + 1]):
-            return None
-        value = float(states[t0 + 1][j, j + 1] + 2.0 * w[i, j])
-        cells1, cells2 = [a1, down], [a2, right]
+        cells1, cells2 = [a1, (i + 1, j)], [a2, (i, j + 1)]
         j1, j2, t = j, j + 1, t0 + 1
     else:
         j1, j2 = a1[1], a2[1]

@@ -121,7 +121,8 @@ class PoissonCloud:
 
     Points are exposed as parallel arrays ``xs``/``ts``; equality of
     environments is array equality.  The descriptor (seed, rate, region)
-    regenerates the cloud exactly.
+    regenerates the cloud exactly; a cloud without a seed carries its
+    points instead.
     """
 
     def __init__(self, xs: np.ndarray, ts: np.ndarray, region: Region,
@@ -149,13 +150,16 @@ class PoissonCloud:
         return [SpaceTimePoint(float(x), float(t)) for x, t in zip(self.xs, self.ts)]
 
     def descriptor(self) -> dict:
-        return {
+        d = {
             "model": "poisson",
             "seed": self.seed,
             "rate": self.rate,
             "region": [self.region.x_lo, self.region.x_hi,
                        self.region.t_lo, self.region.t_hi],
         }
+        if self.seed is None:
+            d["points"] = np.column_stack([self.xs, self.ts]).tolist()
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.descriptor(), sort_keys=True)
@@ -316,6 +320,9 @@ def model_from_descriptor(d: dict):
     """Rebuild an environment from its JSON descriptor."""
     if d["model"] == "poisson":
         region = Region(*d["region"])
+        if "points" in d:
+            xs, ts = np.reshape(np.asarray(d["points"], dtype=np.float64), (-1, 2)).T
+            return PoissonCloud(xs, ts, region)
         return make_poisson_cloud(d["seed"], d["rate"], region)
     if d["model"] == "lattice":
         return make_lattice_field(d.get("seed", 0), d["rows"], d["cols"], d["law"],

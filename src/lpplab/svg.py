@@ -7,6 +7,9 @@ import numpy as np
 from .errors import ParameterError
 
 _HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
+CELL = 4.0      # heatmap cell side
+RADIUS = 2.0    # overlay circle radius
+SIZE = 512.0    # overlay side
 
 
 def _doc(width: float, height: float, body: list) -> str:
@@ -15,7 +18,7 @@ def _doc(width: float, height: float, body: list) -> str:
             + "\n".join(body) + "\n</svg>\n")
 
 
-def heatmap(matrix, cell: float = 4.0) -> str:
+def heatmap(matrix) -> str:
     """Grayscale heatmap of a matrix; NaN renders as light red."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.size == 0:
@@ -33,12 +36,12 @@ def heatmap(matrix, cell: float = 4.0) -> str:
                 fill = f"rgb({level},{level},{level})"
             else:
                 fill = "rgb(255,200,200)"
-            body.append(f'<rect x="{j * cell:.2f}" y="{i * cell:.2f}" '
-                        f'width="{cell:.2f}" height="{cell:.2f}" fill="{fill}"/>')
-    return _doc(m.shape[1] * cell, m.shape[0] * cell, body)
+            body.append(f'<rect x="{j * CELL:.2f}" y="{i * CELL:.2f}" '
+                        f'width="{CELL:.2f}" height="{CELL:.2f}" fill="{fill}"/>')
+    return _doc(m.shape[1] * CELL, m.shape[0] * CELL, body)
 
 
-def overlay(points, extent, radius: float = 2.0, size: float = 512.0) -> str:
+def overlay(points, extent) -> str:
     """Scatter overlay of a planar point set on a fixed extent.
 
     extent is (x_lo, x_hi, y_lo, y_hi); one circle per point.
@@ -47,11 +50,11 @@ def overlay(points, extent, radius: float = 2.0, size: float = 512.0) -> str:
     if pts.size == 0:
         raise ParameterError("empty point set")
     x_lo, x_hi, y_lo, y_hi = extent
-    sx = size / (x_hi - x_lo) if x_hi > x_lo else 1.0
-    sy = size / (y_hi - y_lo) if y_hi > y_lo else 1.0
+    sx = SIZE / (x_hi - x_lo) if x_hi > x_lo else 1.0
+    sy = SIZE / (y_hi - y_lo) if y_hi > y_lo else 1.0
     body = []
     for x, y in pts:
         cx = (x - x_lo) * sx
         cy = (y_hi - y) * sy
-        body.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" fill="black"/>')
-    return _doc(size, size, body)
+        body.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{RADIUS:.2f}" fill="black"/>')
+    return _doc(SIZE, SIZE, body)

@@ -116,6 +116,29 @@ def test_row_pass_matches_pointwise():
                                      ((y, 8.0), (y, 8.0)))
 
 
+def test_cloud_point_on_the_end_anchor_is_dropped_by_the_row_pass():
+    from lpplab import ScalingFrame
+    from lpplab.gaplab import gap_sheet, gap_value
+    cl = cloud_from_points([(0.0, 1.0), (0.1, 0.5), (0.0, 0.5)])
+    start, end = (0.0, 0.0), (0.0, 1.0)
+    L, L2 = row_pass(cl, start, [0.0], 1.0)
+    sheet = gap_sheet(cl, [0.0], [0.0], ScalingFrame(1.0), (0.0, 1.0))
+    assert (L[0], L2[0]) == (1, 2)
+    assert passage_value(cl, start, end) == L[0]
+    assert greene_values(cl, start, end, 2) == [L[0], L2[0]]
+    assert gap_value(cl, start, end) == sheet.values[0, 0] == 2 * L[0] - L2[0]
+
+
+def test_explicit_cloud_descriptor_round_trips():
+    from lpplab.model import model_from_descriptor, reflect
+    for cl in (HAND, reflect(HAND), cloud_from_points([])):
+        back = model_from_descriptor(cl.descriptor())
+        assert np.array_equal(back.xs, cl.xs) and np.array_equal(back.ts, cl.ts)
+        assert back.descriptor() == cl.descriptor()
+    seeded = make_poisson_cloud(5, 2.0, Region(-1, 1, 0, 2))
+    assert "points" not in seeded.descriptor()
+
+
 def test_optimizer2_extracts_valid_optimal_pair():
     for seed in range(60):
         cl = random_cloud(seed, 8)
@@ -239,3 +262,6 @@ def test_uncross_at_its_iteration_cap_raises_replayable_invariant_error(monkeypa
     replay = json.loads(err.value.replay)
     assert replay["model"]["model"] == "poisson"
     assert replay["chains"] == [[0, 1], [2]] and replay["ends"] == [[0.0, 1.0], [0.0, 1.0]]
+    from lpplab.model import model_from_descriptor
+    rebuilt = model_from_descriptor(replay["model"])
+    assert np.array_equal(rebuilt.xs, HAND.xs) and np.array_equal(rebuilt.ts, HAND.ts)

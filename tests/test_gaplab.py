@@ -216,6 +216,30 @@ def test_box_dimension_degenerate_warning():
     assert est.warning is not None
 
 
+def test_box_counts_read_1d_input_as_1d_points():
+    assert gaplab.box_counts(np.array([0.5, 3.5]), [1.0, 0.5]) == [2, 2]
+
+
+def test_lattice_sheet_with_no_sinks_has_empty_rows():
+    f = make_lattice_field(3, 40, 40, "geometric", 0.5)
+    sheet = gaplab.gap_sheet(f, [-2, 0, 2], [], FRAME, (8, 24))
+    assert sheet.values.shape == (3, 0)
+
+
+def test_each_pair_question_costs_one_sweep(monkeypatch):
+    from lpplab import classify, lattice
+    calls = []
+    sweep = lattice._pair_sweep
+    monkeypatch.setattr(lattice, "_pair_sweep",
+                        lambda *args: calls.append(1) or sweep(*args))
+    f = make_lattice_field(4, 30, 30, "geometric", 0.5)
+    assert gaplab.min_formula_residual(f, 0, -4, 4, times=(4, 20)) is not None
+    assert len(calls) == 1
+    calls.clear()
+    classify.right_min_identity(f, 0, 0, 2, times=(4, 20))
+    assert len(calls) == 1
+
+
 def test_min_formula_collapses_when_y_equals_z():
     f = make_lattice_field(4, 30, 30, "geometric", 0.5)
     res = gaplab.min_formula_residual(f, 0, 0, 0, times=(4, 20))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lpplab import gaplab, lattice
+from lpplab.errors import DomainError
 from lpplab.lattice import NEG, _VALID
 from lpplab.model import LatticeField, make_lattice_field
 
@@ -280,6 +281,53 @@ def test_pair_step_matches_dense_reference(f):
                 continue
             assert_same(lattice.pair_step(f, S, t_stop + 1),
                         step.step(S, t_stop + 1, forward=True))
+
+
+def _diag_cells(f, t):
+    return [(t - j, j) for j in range(f.cols) if 0 <= t - j < f.rows]
+
+
+def _want_doubled(f, R, t_c, d):
+    """Dense read-out: both paths on c's neighbours at t_c + d, plus 2 w[c]."""
+    want = []
+    for i, j in _diag_cells(f, t_c):
+        j1 = min(j, j + d)
+        ok = R is not None and f.in_grid((i + d, j)) and f.in_grid((i, j + d)) \
+            and R[j1, j1 + 1] > _VALID
+        want.append(R[j1, j1 + 1] + 2.0 * f.weights[i, j] if ok else np.nan)
+    return np.array(want)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_doubled_values_match_dense_reference(f):
+    t_max = f.rows + f.cols - 2
+    for pair in start_pairs(f):
+        t0 = pair[0][0] + pair[0][1]
+        for t in sorted({t0, t0 + 1, t0 + 2, t_max - 1}):
+            if t + 1 <= t_max:  # forward states, doubled end at t + 1
+                S, _ = lattice.pair_forward(f, pair, t)
+                R, _ = ref_pair_forward(f, pair, t)
+                got = lattice.doubled_values(f, S, t, _diag_cells(f, t + 1))
+                assert got.tobytes() == _want_doubled(f, R, t + 1, -1).tobytes()
+        for t in sorted({t0, t0 - 1, t0 - 2, 1}):
+            if t - 1 >= 0:  # backward states, doubled start at t - 1
+                S, _ = lattice.pair_backward(f, pair, t)
+                R, _ = ref_pair_backward(f, pair, t)
+                got = lattice.doubled_values(f, S, t, _diag_cells(f, t - 1))
+                assert got.tobytes() == _want_doubled(f, R, t - 1, 1).tobytes()
+
+
+def test_doubled_values_need_adjacent_states():
+    f = FIELDS[0]
+    c = (4, 4)
+    S, _ = lattice.pair_forward(f, ((0, 0), (0, 0)), 7)
+    for t in (6, 8, 10):
+        with pytest.raises(DomainError):
+            lattice.doubled_values(f, S, t, [c])
+    with pytest.raises(DomainError):
+        lattice.doubled_values(f, S, 7, [c, (4, 3)])
+    assert np.isnan(lattice.doubled_values(f, None, 7, _diag_cells(f, 8))).all()
+    assert np.isnan(lattice.doubled_values(f, None, 9, _diag_cells(f, 8))).all()
 
 
 def test_acceptance_size_sweeps_match_dense_reference():
