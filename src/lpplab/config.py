@@ -27,13 +27,21 @@ MODELS = ("poisson",) + tuple(law for law in _LAWS if law != "explicit")
 
 class Key(NamedTuple):
     """One config key: its type, default (None means required), allowed
-    values, smallest allowed number, and the Key of each list entry."""
+    values, smallest allowed number, the number it must exceed, and the
+    Key of each list entry."""
 
     type: type
     default: Any
     choices: tuple = ()
-    minimum: Optional[int] = None
+    minimum: Optional[float] = None
+    above: Optional[float] = None
     item: Optional["Key"] = None
+
+
+# anchors span halfwidth * n^(2/3) on each side: 0 stacks them, < 0 mirrors them
+_HALFWIDTH = Key(float, 2.0, above=0.0)
+# separations of at most threshold * n^(2/3) count as coincidence; 0 is the literal reading
+_THRESHOLD = Key(float, 1.0, minimum=0.0)
 
 
 _COMMON = {"command": Key(str, None), "seed": Key(int, 0), "out": Key(str, "out")}
@@ -46,7 +54,7 @@ _REPLICATED = {
     "rate": Key(float, 2.0),
     "law_param": Key(float, 0.5),
     "n": Key(int, 32, minimum=2),  # n = 1 leaves a lattice sheet with no sink anchor
-    "halfwidth": Key(float, 2.0),
+    "halfwidth": _HALFWIDTH,
 }
 
 _SCHEMAS: Dict[str, Dict[str, Key]] = {
@@ -55,8 +63,8 @@ _SCHEMAS: Dict[str, Dict[str, Key]] = {
     "classify": {
         "law_param": Key(float, 0.5),
         "n_list": Key(list, [16, 32], item=Key(int, None, minimum=2)),
-        "halfwidth": Key(float, 2.0),
-        "threshold": Key(float, 1.0),
+        "halfwidth": _HALFWIDTH,
+        "threshold": _THRESHOLD,
         "seeds_per_n": Key(int, 1, minimum=1),
     },
     "busemann": {
@@ -64,7 +72,7 @@ _SCHEMAS: Dict[str, Dict[str, Key]] = {
         "n": Key(int, 64, minimum=2),
         "theta_lo": Key(float, -0.5),
         "theta_hi": Key(float, 0.5),
-        "threshold": Key(float, 1.0),
+        "threshold": _THRESHOLD,
         "grid_points": Key(int, 32, minimum=1),
         "directions": Key(int, 4, minimum=0),
     },
@@ -96,8 +104,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     Raises ConfigError naming the offending key on unknown keys, type
     mismatches (a JSON boolean is not a number), values outside a key's
-    allowed set or below its minimum, list entries of the wrong type, or
-    a missing command.
+    allowed set, below its minimum or not above its bound, list entries
+    of the wrong type, or a missing command.
     """
     try:
         raw = json.loads(text)
@@ -135,6 +143,8 @@ def _checked(key: str, value, spec: Key):
         raise ConfigError(f"key {key}: {value!r} is not one of {spec.choices}")
     if spec.minimum is not None and value < spec.minimum:
         raise ConfigError(f"key {key}: {value} is below the minimum {spec.minimum}")
+    if spec.above is not None and not value > spec.above:
+        raise ConfigError(f"key {key}: {value} must be above {spec.above}")
     if spec.item is not None:
         value = [_checked(f"{key}[{k}]", v, spec.item) for k, v in enumerate(value)]
     return value

@@ -1,3 +1,4 @@
+import copyreg
 import json
 
 
@@ -24,3 +25,8 @@ class InvariantError(AssertionError):
     def __init__(self, message: str, model, **detail):
         self.replay = serialize_instance(model, detail)
         super().__init__(f"{message}: {self.replay}")
+
+    def __reduce__(self):
+        # rebuild without __init__, which needs the model: the message is
+        # in args and the replay in __dict__
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__

@@ -367,9 +367,12 @@ def min_formula_residuals_batch(model: LatticeField, x: int, ys: Sequence[int],
     """Residuals for every endpoint pair from one source, in one sweep.
 
     ys are chart positions on the end line; the minimum of G runs over
-    the full parity grid between each pair.  Returns {(y, z): residual}.
+    the full parity grid between each pair.  Returns {(y, z): residual},
+    empty for fewer than two ys (no pair).
     """
     ys = sorted(int(y) for y in ys)
+    if len(ys) < 2:
+        return {}
     full, cells, L, L2, S2 = _lattice_min_formula(model, x, ys, times)
     if S2 is None:
         return {}

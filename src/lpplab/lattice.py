@@ -46,6 +46,18 @@ with the two paths on c's neighbours, plus c's weight once per path
 step before c (forward states, a doubled end) above and left of c, one
 step after c (backward states, a doubled start) below and right of c.
 
+Walks: an extremal geodesic from a to b is walked on B = backward
+values to b (``geodesic_cells_from_B``).  A move from c to its right or
+lower neighbour c' is allowed iff B[c'] + w[c] == B[c], in B's own
+operand order, so the test is the recurrence that built B, bit for
+bit.  Both tests are evaluated in one numpy pass over the rectangle
+from a to b, turned into one Python list of flat steps (the preferred
+allowed move, or 0), and the walk steps through it with plain ints.
+The rectangle suffices: every entry of B right of or below b is dead,
+so no move out of the rectangle is ever allowed, and the walk takes the
+moves a walk over the whole grid would take, failing (InvariantError)
+at the same cell when B is inconsistent inside it.
+
 Only values above _VALID (see is_reachable) are meaningful.  Dead
 states hold NEG plus rounding noise from the weights added to them.
 Reachable values are bit-exact functions of the weights, whatever the
@@ -338,25 +350,38 @@ def geodesic_cells(field: LatticeField, start, end, side: str) -> list:
 
 def geodesic_cells_from_B(field: LatticeField, B: np.ndarray, start, end,
                           side: str) -> list:
+    """geodesic_cells on B = backward_values(field, end); see Walks above."""
+    if not field.in_grid(start):
+        raise DomainError(f"start cell {start} outside {field.rows}x{field.cols} grid")
     if not is_reachable(B[start]):
         raise DomainError(f"end {end} not reachable from start {start}")
-    w = field.weights
-    cells = [start]
-    c = start
-    while c != end:
-        i, j = c
-        # B was computed as max(children) + w, so test in the same order
-        right, down = (i, j + 1), (i + 1, j)
-        right_ok = field.in_grid(right) and B[right] + w[i, j] == B[i, j]
-        down_ok = field.in_grid(down) and B[down] + w[i, j] == B[i, j]
-        if not (right_ok or down_ok):
+    (i, j), (i1, j1) = start, end
+    Bs = B[i:i1 + 1, j:j1 + 1]
+    ws = field.weights[i:i1 + 1, j:j1 + 1]
+    # B was computed as max(children) + w, so test in the same order
+    right = np.zeros(Bs.shape, dtype=bool)
+    down = np.zeros(Bs.shape, dtype=bool)
+    right[:, :-1] = Bs[:, 1:] + ws[:, :-1] == Bs[:, :-1]
+    down[:-1] = Bs[1:] + ws[:-1] == Bs[:-1]
+    # flat index step of the preferred allowed move: 1 right, width down, 0 none
+    width = Bs.shape[1]
+    if side == "right":
+        step = np.where(right, 1, np.where(down, width, 0))
+    else:
+        step = np.where(down, width, np.where(right, 1, 0))
+    step = step.ravel().tolist()
+    k, last, cells = 0, Bs.size - 1, [start]
+    while k != last:
+        d = step[k]
+        if not d:
             raise InvariantError("geodesic walk lost the optimum", field,
-                                 start=start, end=end, side=side, at=c)
-        if side == "right":
-            c = right if right_ok else down
+                                 start=start, end=end, side=side, at=(i, j))
+        if d == width:  # a one-column rectangle has no right move
+            i += 1
         else:
-            c = down if down_ok else right
-        cells.append(c)
+            j += 1
+        k += d
+        cells.append((i, j))
     return cells
 
 

@@ -121,9 +121,12 @@ class PoissonCloud:
 
     Points are exposed as parallel arrays ``xs``/``ts``; equality of
     environments is array equality.  The descriptor (seed, rate, region)
-    regenerates the cloud exactly; a cloud without a seed carries its
-    points instead.
+    regenerates the cloud exactly, with ``"reflected": true`` when it is
+    the image of a seeded cloud under ``reflect``; a cloud without a seed
+    carries its points instead.
     """
+
+    reflected = False  # set by reflect()
 
     def __init__(self, xs: np.ndarray, ts: np.ndarray, region: Region,
                  seed: Optional[int] = None, rate: Optional[float] = None):
@@ -159,6 +162,8 @@ class PoissonCloud:
         }
         if self.seed is None:
             d["points"] = np.column_stack([self.xs, self.ts]).tolist()
+        elif self.reflected:
+            d["reflected"] = True
         return d
 
     def to_json(self) -> str:
@@ -201,8 +206,13 @@ class LatticeField:
 
     Chart coordinates: cell (i, j), 0-indexed, sits at chart time
     t = i + j and chart position x = j - i.  ``cell_at`` and ``chart_of``
-    convert between the two pictures.
+    convert between the two pictures.  The descriptor regenerates a
+    sampled field from its seed, with ``"reflected": true`` when it is
+    the image of one under ``reflect``; an explicit field carries its
+    weights.
     """
+
+    reflected = False  # set by reflect()
 
     def __init__(self, weights: np.ndarray, law: str, seed: Optional[int] = None,
                  law_param: Optional[float] = None):
@@ -259,6 +269,8 @@ class LatticeField:
         }
         if self.law == "explicit":
             d["weights"] = self.weights.tolist()
+        elif self.reflected:
+            d["reflected"] = True
         return d
 
     def to_json(self) -> str:
@@ -323,11 +335,14 @@ def model_from_descriptor(d: dict):
         if "points" in d:
             xs, ts = np.reshape(np.asarray(d["points"], dtype=np.float64), (-1, 2)).T
             return PoissonCloud(xs, ts, region)
+        if d.get("reflected"):
+            return reflect(make_poisson_cloud(d["seed"], d["rate"], _reflect_region(region)))
         return make_poisson_cloud(d["seed"], d["rate"], region)
     if d["model"] == "lattice":
-        return make_lattice_field(d.get("seed", 0), d["rows"], d["cols"], d["law"],
-                                  law_param=d.get("law_param"),
-                                  weights=d.get("weights"))
+        field = make_lattice_field(d.get("seed", 0), d["rows"], d["cols"], d["law"],
+                                   law_param=d.get("law_param"),
+                                   weights=d.get("weights"))
+        return reflect(field) if d.get("reflected") else field
     raise ParameterError(f"unknown model kind {d.get('model')!r}")
 
 
@@ -356,17 +371,23 @@ def reflect(model: Model) -> Model:
 
     An involution.  Passage values transform exactly: the value between
     p and q in the original equals the value between -q and -p in the
-    reflection.
+    reflection.  The image keeps the seed and law, and records that it
+    is reflected, so its descriptor rebuilds the image.
     """
     if isinstance(model, PoissonCloud):
-        region = Region(-model.region.x_hi, -model.region.x_lo,
-                        -model.region.t_hi, -model.region.t_lo)
-        return PoissonCloud(-model.xs, -model.ts, region,
-                            seed=model.seed, rate=model.rate)
-    if isinstance(model, LatticeField):
-        return LatticeField(model.weights[::-1, ::-1].copy(), model.law,
-                            seed=model.seed, law_param=model.law_param)
-    raise ParameterError(f"cannot reflect {type(model).__name__}")
+        out = PoissonCloud(-model.xs, -model.ts, _reflect_region(model.region),
+                           seed=model.seed, rate=model.rate)
+    elif isinstance(model, LatticeField):
+        out = LatticeField(model.weights[::-1, ::-1].copy(), model.law,
+                           seed=model.seed, law_param=model.law_param)
+    else:
+        raise ParameterError(f"cannot reflect {type(model).__name__}")
+    out.reflected = not model.reflected
+    return out
+
+
+def _reflect_region(region: Region) -> Region:
+    return Region(-region.x_hi, -region.x_lo, -region.t_hi, -region.t_lo)
 
 
 def reflect_cell(model: LatticeField, cell) -> tuple:

@@ -163,6 +163,13 @@ def test_cli_config_command_mismatch(tmp_path):
     ({"command": "busemann", "replicates": 2}, "replicates"),
     ({"command": "verify", "threads": 2}, "threads"),
     ({"command": "busemann", "theta_lo": -1.5}, "-1.5"),
+    ({"command": "gap", "halfwidth": -1.0}, "halfwidth"),
+    ({"command": "gap", "halfwidth": 0.0}, "halfwidth"),
+    ({"command": "sample", "halfwidth": 0}, "halfwidth"),
+    ({"command": "dim", "halfwidth": -0.5}, "halfwidth"),
+    ({"command": "classify", "halfwidth": 0.0}, "halfwidth"),
+    ({"command": "classify", "threshold": -1.0}, "threshold"),
+    ({"command": "busemann", "threshold": -0.25}, "threshold"),
 ])
 def test_cli_config_error_exits_2_with_one_line(tmp_path, capsys, doc, key):
     cfg = tmp_path / "c.json"
@@ -222,6 +229,14 @@ def test_parse_rejects_bool_for_numbers():
     for doc in ('{"command": "gap", "n": true}', '{"command": "gap", "rate": false}'):
         with pytest.raises(ConfigError):
             parse_config(doc)
+
+
+def test_parse_keeps_threshold_zero_and_small_halfwidths():
+    cfg = parse_config('{"command": "classify", "threshold": 0, "halfwidth": 0.01}')
+    assert cfg["threshold"] == 0.0 and cfg["halfwidth"] == 0.01
+    assert parse_config('{"command": "busemann", "threshold": 0.0}')["threshold"] == 0.0
+    assert parse_config('{"command": "gap"}')["halfwidth"] == 2.0
+    assert parse_config('{"command": "classify"}')["threshold"] == 1.0
 
 
 def test_cli_missing_config_file_exits_2(tmp_path, capsys):

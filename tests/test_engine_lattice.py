@@ -323,6 +323,32 @@ def test_corrupted_backward_table_raises_replayable_invariant_error():
     assert lattice.geodesic_cells(again, start, end, "left")[-1] == end
 
 
+def test_walk_from_a_start_off_the_grid_raises_domain_error():
+    from lpplab import lattice
+    f = random_field(1, 4, 4)
+    for start in ((-1, 0), (0, -1), (-4, -4), (4, 0), (0, 4)):
+        with pytest.raises(DomainError):
+            lattice.geodesic_cells(f, start, (3, 3), "left")
+
+
+def test_invariant_error_survives_pickle_and_deepcopy():
+    import copy
+    import pickle
+    from lpplab import lattice
+    from lpplab.errors import InvariantError
+    f = random_field(4, 6, 6)
+    B = backward_values(f, (5, 5))
+    B[0, 1] -= 1.0
+    B[1, 0] -= 1.0
+    with pytest.raises(InvariantError) as err:
+        lattice.geodesic_cells_from_B(f, B, (0, 0), (5, 5), "left")
+    for again in (pickle.loads(pickle.dumps(err.value)), copy.deepcopy(err.value)):
+        assert type(again) is InvariantError and isinstance(again, AssertionError)
+        assert str(again) == str(err.value)
+        assert again.args == err.value.args
+        assert again.replay == err.value.replay
+
+
 def test_corrupted_pair_trail_raises_replayable_invariant_error(monkeypatch):
     import json
     from lpplab import lattice

@@ -240,6 +240,13 @@ def test_each_pair_question_costs_one_sweep(monkeypatch):
     assert len(calls) == 1
 
 
+def test_min_formula_batch_without_a_pair_is_empty():
+    f = make_lattice_field(3, 30, 30, "geometric", 0.5)
+    assert gaplab.min_formula_residuals_batch(f, 0, [], (10, 30)) == {}
+    assert gaplab.min_formula_residuals_batch(f, 0, [2], (10, 30)) == {}
+    assert gaplab.min_formula_residuals_batch(f, 0, [-2, 2], (10, 30))
+
+
 def test_min_formula_collapses_when_y_equals_z():
     f = make_lattice_field(4, 30, 30, "geometric", 0.5)
     res = gaplab.min_formula_residual(f, 0, 0, 0, times=(4, 20))

@@ -150,6 +150,40 @@ def test_reflect_lattice_involution():
     assert np.array_equal(reflect(reflect(f)).weights, f.weights)
 
 
+@pytest.mark.parametrize("env", [
+    make_poisson_cloud(5, 2.0, Region(-1, 1, 0, 2)),
+    make_lattice_field(3, 4, 5, "geometric", 0.5),
+    make_lattice_field(4, 3, 6, "exponential"),
+], ids=["cloud", "geometric", "exponential"])
+def test_reflected_descriptor_rebuilds_the_reflection(env):
+    def rebuilt(e):
+        return model_from_descriptor(json.loads(e.to_json()))
+
+    def noise(e):
+        return (e.xs, e.ts) if hasattr(e, "xs") else (e.weights,)
+
+    r = reflect(env)
+    assert r.descriptor()["reflected"] is True
+    again = rebuilt(r)
+    assert again.to_json() == r.to_json()
+    for a, b in zip(noise(again), noise(r)):
+        assert np.array_equal(a, b)
+    # a second reflection clears the record: the original descriptor, byte for byte
+    rr = reflect(r)
+    assert rr.to_json() == env.to_json() and "reflected" not in env.descriptor()
+    for a, b in zip(noise(rebuilt(rr)), noise(env)):
+        assert np.array_equal(a, b)
+
+
+def test_reflected_explicit_environments_carry_their_noise():
+    cl = reflect(cloud_from_points([(0.5, 0.25), (-0.1, 0.75)]))
+    f = reflect(make_lattice_field(0, 2, 3, "explicit", weights=[[1, 2, 3], [4, 5, 6]]))
+    for r in (cl, f):
+        assert "reflected" not in r.descriptor()
+        assert model_from_descriptor(json.loads(r.to_json())).to_json() == r.to_json()
+    assert f.descriptor()["weights"] == [[6, 5, 4], [3, 2, 1]]
+
+
 def test_reflect_passage_metamorphic_cloud():
     rng = np.random.default_rng(0)
     for trial in range(100):

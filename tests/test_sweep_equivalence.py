@@ -1,6 +1,7 @@
-"""Equivalence gate: the banded sweep against the dense sweeps it replaced.
+"""Equivalence gate: the banded sweep against the dense sweeps it replaced,
+and the rectangle walk against the per-cell walk it replaced.
 
-The reference kernels below are the earlier dense implementations, kept
+The reference kernels below are the earlier implementations, kept
 here verbatim as the specification.  Dead states are only meaningful as
 "at most _VALID", so both sides map those entries to NEG before
 comparing; every reachable entry must be bit-identical.
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from lpplab import gaplab, lattice
-from lpplab.errors import DomainError
+from lpplab.errors import DomainError, InvariantError
 from lpplab.lattice import NEG, _VALID
 from lpplab.model import LatticeField, make_lattice_field
 
@@ -157,6 +158,29 @@ def ref_pair_backward(field, end_pair, t_stop, record=False):
     if not lattice.is_reachable(float(S.max())):
         return (None, t_stop) if not record else ([], [])
     return (trail, times) if record else (S, t_stop)
+
+
+def ref_geodesic_cells_from_B(field, B, start, end, side):
+    if not lattice.is_reachable(B[start]):
+        raise DomainError(f"end {end} not reachable from start {start}")
+    w = field.weights
+    cells = [start]
+    c = start
+    while c != end:
+        i, j = c
+        # B was computed as max(children) + w, so test in the same order
+        right, down = (i, j + 1), (i + 1, j)
+        right_ok = field.in_grid(right) and B[right] + w[i, j] == B[i, j]
+        down_ok = field.in_grid(down) and B[down] + w[i, j] == B[i, j]
+        if not (right_ok or down_ok):
+            raise InvariantError("geodesic walk lost the optimum", field,
+                                 start=start, end=end, side=side, at=c)
+        if side == "right":
+            c = right if right_ok else down
+        else:
+            c = down if down_ok else right
+        cells.append(c)
+    return cells
 
 
 # ---------------------------------------------------------------- helpers
@@ -363,3 +387,43 @@ def test_min_formula_batch_unchanged_by_pair_step():
         jy, jz = cells_[ky][1], cells_[kz][1]
         want = float(S2[jy, jz] - (L[ky] + L[kz] - np.min(G[ky:kz + 1])))
         assert v == want
+
+
+def _walk_outcome(walk, f, B, start, end, side):
+    """The cell list, or the kind of error with the InvariantError replay."""
+    try:
+        return walk(f, B, start, end, side)
+    except InvariantError as err:
+        return ("InvariantError", err.replay)
+    except DomainError:
+        return ("DomainError",)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_walks_match_per_cell_reference(f):
+    walks = 0
+    for end in cells(f):
+        B = lattice.backward_values(f, end)
+        for start in cells(f):
+            for side in ("left", "right"):
+                got = _walk_outcome(lattice.geodesic_cells_from_B, f, B, start, end, side)
+                assert got == _walk_outcome(ref_geodesic_cells_from_B, f, B, start, end, side)
+                walks += got[0] != "DomainError"
+    # every start above-left of every end is reachable
+    assert walks == 2 * sum((i + 1) * (j + 1) for i, j in cells(f))
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_walks_on_corrupted_tables_fail_at_the_same_cell(f):
+    start, end = (0, 0), (f.rows - 1, f.cols - 1)
+    honest = lattice.backward_values(f, end)
+    failures = 0
+    for side in ("left", "right"):
+        for c in ref_geodesic_cells_from_B(f, honest, start, end, side):
+            for delta in (-1.0, 1.0):
+                B = honest.copy()
+                B[c] += delta
+                got = _walk_outcome(lattice.geodesic_cells_from_B, f, B, start, end, side)
+                assert got == _walk_outcome(ref_geodesic_cells_from_B, f, B, start, end, side)
+                failures += got[0] == "InvariantError"
+    assert failures > 0
