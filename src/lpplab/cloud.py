@@ -10,6 +10,16 @@ disjoint chains inside the rectangle [0, U] x [0, V].  One insertion
 sweep therefore serves a whole family of nested targets, which is how
 gap-sheet rows are amortized.
 
+Kernel: one routine, ``_pile_counts``, inserts v-values in (u, v) order
+into k pile rows and reads the counts of tops <= a bound at given stops.
+Every chain value is such a read-out: ``passage_value`` and
+``greene_partial_sums`` read once at the end of the diamond,
+``row_pass`` reads two rows at each target, whose stop is the number of
+points before it in (u, v) order, and ``chain_tables`` reads one row
+before each point, so F is the count plus one.  B comes from the same
+call on the reflected diamond (reversed order, negated v), as the
+lattice gets its backward tables.
+
 Anchors carry no weight: a cloud point coinciding with an anchor is
 dropped from the chain problem.
 """
@@ -17,6 +27,8 @@ dropped from the chain problem.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
+from math import inf
 
 import numpy as np
 
@@ -31,44 +43,66 @@ def rel_uv(cloud: PoissonCloud, origin) -> tuple:
     return u, v
 
 
+def _sorted_cone(cloud: PoissonCloud, start, U, V):
+    """Cloud points in the rectangle [0, U] x [0, V] relative to the start,
+    start anchor excluded, as (idx, u, v) in (u, v) order."""
+    u, v = rel_uv(cloud, start)
+    keep = (u >= 0) & (v >= 0) & (u <= U) & (v <= V)
+    keep &= ~((u == 0) & (v == 0))
+    idx = np.nonzero(keep)[0]
+    idx = idx[np.lexsort((v[idx], u[idx]))]
+    return idx, u[idx], v[idx]
+
+
+def _before(pu, pv, U, V):
+    """How many sorted points precede each target (U, V) in (u, v) order.
+
+    Complex numbers order as (u, v), so a target's own anchor is never
+    counted; points at u = U, v > V cannot change a count <= V.
+    """
+    return np.searchsorted(pu + 1j * pv, U + 1j * V)
+
+
+def _pile_counts(vs, k: int, stops, bounds) -> np.ndarray:
+    """The patience kernel: one k-row insertion over the floats ``vs``.
+
+    ``stops`` is nondecreasing.  Row m of the result holds, for each pile
+    row, how many of its tops are <= bounds[m] once the first stops[m]
+    values are inserted.  A value bumped out of row k is dropped.
+    """
+    rows = [[] for _ in range(k)]
+    out = []
+    pos = 0
+    for stop, bound in zip(stops, bounds):
+        for item in vs[pos:stop]:
+            for row in rows:
+                spot = bisect_right(row, item)
+                if spot == len(row):
+                    row.append(item)
+                    break
+                item, row[spot] = row[spot], item
+        pos = stop
+        out.append([bisect_right(row, bound) for row in rows])
+    return np.array(out, dtype=np.int64).reshape(len(out), k)
+
+
 def diamond_order(cloud: PoissonCloud, start, end):
-    """Indices of cloud points strictly usable between two anchors,
-    sorted by (u, v) relative to the start."""
+    """Indices and v of the cloud points strictly usable between two
+    anchors, sorted by (u, v) relative to the start."""
     sx, st = _xy(start)
     ex, et = _xy(end)
     if not causal_leq(start, end):
         raise DomainError(f"end {end} not causally reachable from start {start}")
-    u, v = rel_uv(cloud, start)
     U = (et - st) + (ex - sx)
     V = (et - st) - (ex - sx)
-    keep = (u >= 0) & (v >= 0) & (u <= U) & (v <= V)
-    keep &= ~((u == 0) & (v == 0))
-    keep &= ~((u == U) & (v == V))
-    idx = np.nonzero(keep)[0]
-    order = np.lexsort((v[idx], u[idx]))
-    return idx[order], u, v
-
-
-def patience_rows(vs, k: int) -> list:
-    """First k pile rows (sorted top lists) for nondecreasing chains."""
-    rows = [[] for _ in range(k)]
-    for v in vs:
-        item = v
-        for row in rows:
-            pos = bisect_right(row, item)
-            if pos == len(row):
-                row.append(item)
-                item = None
-                break
-            item, row[pos] = row[pos], item
-        # an item bumped out of the last row is discarded
-    return rows
+    idx, pu, pv = _sorted_cone(cloud, start, U, V)
+    n = _before(pu, pv, U, V)
+    return idx[:n], pv[:n]
 
 
 def passage_value(cloud: PoissonCloud, start, end) -> int:
-    idx, u, v = diamond_order(cloud, start, end)
-    rows = patience_rows(v[idx], 1)
-    return len(rows[0])
+    idx, pv = diamond_order(cloud, start, end)
+    return int(_pile_counts(pv.tolist(), 1, [idx.size], [inf])[0, 0])
 
 
 def greene_partial_sums(cloud: PoissonCloud, start, end, k: int) -> list:
@@ -79,14 +113,10 @@ def greene_partial_sums(cloud: PoissonCloud, start, end, k: int) -> list:
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    idx, u, v = diamond_order(cloud, start, end)
-    kk = min(k, max(1, idx.size))
-    rows = patience_rows(v[idx], kk)
-    sums, acc = [], 0
-    for r in range(k):
-        acc += len(rows[r]) if r < kk else 0
-        sums.append(acc)
-    return sums
+    idx, pv = diamond_order(cloud, start, end)
+    kk = min(k, idx.size)
+    counts = _pile_counts(pv.tolist(), kk, [idx.size], [inf])[0].tolist()
+    return list(accumulate(counts + [0] * (k - kk)))
 
 
 def row_pass(cloud: PoissonCloud, start, target_xs, target_t: float):
@@ -99,75 +129,26 @@ def row_pass(cloud: PoissonCloud, start, target_xs, target_t: float):
     """
     sx, st = _xy(start)
     ys = np.asarray(target_xs, dtype=np.float64)
+    if not (np.isfinite([sx, st, target_t]).all() and np.isfinite(ys).all()):
+        raise DomainError("source, target positions and target time must be finite")
     dt = target_t - st
     if dt <= 0:
         raise DomainError("targets must lie strictly after the source")
-    Us = dt + (ys - sx)
-    Vs = dt - (ys - sx)
     if np.any(np.abs(ys - sx) > dt):
         raise DomainError("some target lies outside the causal cone of the source")
-    u, v = rel_uv(cloud, start)
-    keep = (u >= 0) & (v >= 0) & (u <= Us.max()) & (v <= Vs.max())
-    keep &= ~((u == 0) & (v == 0))
-    idx = np.nonzero(keep)[0]
-    order = np.lexsort((v[idx], u[idx]))
-    pu = u[idx][order]
-    pv = v[idx][order]
-    # complex numbers order as (u, v): a target is read after the points before
-    # it, so none on its anchor; those at u = U, v > V cannot change a count <= V
-    stops = np.searchsorted(pu + 1j * pv, Us + 1j * Vs).tolist()
-
-    read_order = np.lexsort((Vs, Us))
+    Us = dt + (ys - sx)
+    Vs = dt - (ys - sx)
     L = np.zeros(ys.size, dtype=np.int64)
     L2 = np.zeros(ys.size, dtype=np.int64)
-    row1: list = []
-    row2: list = []
-    pos = 0
-    for k in read_order:
-        stop = stops[k]
-        while pos < stop:
-            item = pv[pos]
-            spot = bisect_right(row1, item)
-            if spot == len(row1):
-                row1.append(item)
-            else:
-                item, row1[spot] = row1[spot], item
-                spot2 = bisect_right(row2, item)
-                if spot2 == len(row2):
-                    row2.append(item)
-                else:
-                    row2[spot2] = item
-            pos += 1
-        c1 = bisect_right(row1, Vs[k])
-        c2 = bisect_right(row2, Vs[k])
-        L[k] = c1
-        L2[k] = c1 + c2
+    if ys.size == 0:
+        return L, L2
+    idx, pu, pv = _sorted_cone(cloud, start, Us.max(), Vs.max())
+    read = np.lexsort((Vs, Us))
+    counts = _pile_counts(pv.tolist(), 2, _before(pu, pv, Us[read], Vs[read]).tolist(),
+                          Vs[read].tolist())
+    L[read] = counts[:, 0]
+    L2[read] = counts[:, 0] + counts[:, 1]
     return L, L2
-
-
-class _FenwickMax:
-    """Prefix-maximum Fenwick tree over integer ranks."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = np.zeros(n + 1, dtype=np.int64)
-
-    def update(self, i: int, value: int) -> None:
-        i += 1
-        while i <= self.n:
-            if self.tree[i] < value:
-                self.tree[i] = value
-            i += i & (-i)
-
-    def query(self, i: int) -> int:
-        """Max over ranks 0..i inclusive."""
-        i += 1
-        best = 0
-        while i > 0:
-            if self.tree[i] > best:
-                best = self.tree[i]
-            i -= i & (-i)
-        return best
 
 
 def chain_tables(cloud: PoissonCloud, start, end):
@@ -177,24 +158,14 @@ def chain_tables(cloud: PoissonCloud, start, end):
     F[m]/B[m] are the longest chain lengths ending/starting at idx[m]
     (inclusive); total is the passage value.
     """
-    idx, u, v = diamond_order(cloud, start, end)
+    idx, pv = diamond_order(cloud, start, end)
     n = idx.size
-    F = np.zeros(n, dtype=np.int64)
-    B = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return idx, F, B, 0
-    vv = v[idx]
-    ranks = np.argsort(np.argsort(vv, kind="stable"), kind="stable")
-    fw = _FenwickMax(n)
-    for m in range(n):
-        F[m] = fw.query(int(ranks[m])) + 1
-        fw.update(int(ranks[m]), int(F[m]))
-    bw = _FenwickMax(n)
-    for m in range(n - 1, -1, -1):
-        r = n - 1 - int(ranks[m])
-        B[m] = bw.query(r) + 1
-        bw.update(r, int(B[m]))
-    return idx, F, B, int(F.max())
+    vs = pv.tolist()
+    F = _pile_counts(vs, 1, range(n), vs)[:, 0] + 1
+    # chains starting at a point are chains ending there in the reflection
+    neg = [-x for x in reversed(vs)]
+    B = _pile_counts(neg, 1, range(n), neg)[::-1, 0] + 1
+    return idx, F, B, int(F.max()) if n else 0
 
 
 def extremal_chain(cloud: PoissonCloud, start, end, side: str) -> list:
@@ -225,7 +196,7 @@ def extremal_chain(cloud: PoissonCloud, start, end, side: str) -> list:
             dx = xs[m] - cx
             if dt <= 0 or abs(dx) > dt:
                 continue
-            slope = dx / dt if dt > 0 else 0.0
+            slope = dx / dt
             key = (slope, ts[m]) if side == "left" else (-slope, ts[m])
             if best_key is None or key < best_key:
                 best_key = key

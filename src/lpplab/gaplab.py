@@ -103,8 +103,6 @@ def gap_sheet(model: Model, x_grid: Sequence, y_grid: Sequence,
         dt = t1 - t0
         for i, x in enumerate(xs):
             in_cone = np.abs(ys - x) <= dt
-            if not np.any(in_cone):
-                continue
             L, L2 = _cloud.row_pass(model, (float(x), t0), ys[in_cone], t1)
             row = np.full(ys.size, np.nan)
             row[in_cone] = 2.0 * L - L2

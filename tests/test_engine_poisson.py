@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from lpplab import (DomainError, cloud_from_points, disjoint2_value, geodesic,
                     optimizer2, overlap, passage_profile, passage_value,
                     Region)
 from lpplab import oracle
-from lpplab.cloud import patience_rows, row_pass
+from lpplab.cloud import _pile_counts, row_pass
 from lpplab.flow import disjoint_pair
 
 
@@ -43,17 +45,18 @@ def test_passage_matches_enumeration():
         assert passage_value(cl, (0.0, 0.0), (0.0, 1.0)) == res.optimum
 
 
+def longest_nondecreasing(vals):
+    best = []
+    for k, v in enumerate(vals):
+        best.append(1 + max([b for b, w in zip(best, vals[:k]) if w <= v], default=0))
+    return max(best, default=0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(0, 40), min_size=0, max_size=25))
 def test_patience_rows_match_brute_lis(vals):
-    rows = patience_rows(vals, 1)
-    best = 0
-    for mask in range(1 << min(len(vals), 15)):
-        sel = [vals[k] for k in range(min(len(vals), 15)) if mask >> k & 1]
-        if all(a <= b for a, b in zip(sel, sel[1:])):
-            best = max(best, len(sel))
-    if len(vals) <= 15:
-        assert len(rows[0]) == best
+    counts = _pile_counts(vals, 1, [len(vals)], [math.inf])
+    assert counts[0, 0] == longest_nondecreasing(vals)
 
 
 def test_greene_word_312():
@@ -127,6 +130,29 @@ def test_cloud_point_on_the_end_anchor_is_dropped_by_the_row_pass():
     assert passage_value(cl, start, end) == L[0]
     assert greene_values(cl, start, end, 2) == [L[0], L2[0]]
     assert gap_value(cl, start, end) == sheet.values[0, 0] == 2 * L[0] - L2[0]
+
+
+def test_row_pass_without_targets_returns_empty_arrays():
+    L, L2 = row_pass(HAND, (0.0, 0.0), [], 1.0)
+    assert L.dtype == L2.dtype == np.int64 and L.shape == L2.shape == (0,)
+    prof = passage_profile(HAND, (0.0, 0.0), 1.0, [])
+    assert prof.dtype == np.int64 and prof.shape == (0,)
+
+
+@pytest.mark.parametrize("start, ys, t", [
+    ((0.0, 0.0), [math.nan], 1.0),
+    ((0.0, 0.0), [0.0, math.inf], 1.0),
+    ((math.nan, 0.0), [0.0], 1.0),
+    ((0.0, math.nan), [0.0], 1.0),
+    ((0.0, 0.0), [0.0], math.nan),
+    ((0.0, 0.0), [0.0], math.inf),
+], ids=["nan-target", "inf-target", "nan-source-x", "nan-source-t",
+        "nan-time", "inf-time"])
+def test_row_pass_rejects_non_finite_input(start, ys, t):
+    with pytest.raises(DomainError):
+        row_pass(HAND, start, ys, t)
+    with pytest.raises(DomainError):
+        passage_profile(HAND, start, t, ys)
 
 
 def test_explicit_cloud_descriptor_round_trips():

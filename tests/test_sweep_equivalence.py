@@ -1,5 +1,6 @@
 """Equivalence gate: the banded sweep against the dense sweeps it replaced,
-and the rectangle walk against the per-cell walk it replaced.
+the rectangle walk against the per-cell walk it replaced, and the one
+patience kernel of the cloud against the three chain kernels it replaced.
 
 The reference kernels below are the earlier implementations, kept
 here verbatim as the specification.  Dead states are only meaningful as
@@ -7,13 +8,17 @@ here verbatim as the specification.  Dead states are only meaningful as
 comparing; every reachable entry must be bit-identical.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
+from lpplab import cloud as cloud_mod
 from lpplab import gaplab, lattice
 from lpplab.errors import DomainError, InvariantError
 from lpplab.lattice import NEG, _VALID
-from lpplab.model import LatticeField, make_lattice_field
+from lpplab.model import (LatticeField, Region, _xy, causal_leq, cloud_from_points,
+                          make_lattice_field, make_poisson_cloud)
 
 
 # ---------------------------------------------------------------- reference
@@ -427,3 +432,211 @@ def test_walks_on_corrupted_tables_fail_at_the_same_cell(f):
                 assert got == _walk_outcome(ref_geodesic_cells_from_B, f, B, start, end, side)
                 failures += got[0] == "InvariantError"
     assert failures > 0
+
+
+# ------------------------------------------------- patience kernel references
+# The three chain kernels the cloud had before one insertion routine served
+# them all: k pile rows, the inline two-row loop of the row pass, and the
+# Fenwick prefix-maximum tables.
+
+def ref_diamond_order(cloud, start, end):
+    sx, st = _xy(start)
+    ex, et = _xy(end)
+    if not causal_leq(start, end):
+        raise DomainError(f"end {end} not causally reachable from start {start}")
+    u, v = cloud_mod.rel_uv(cloud, start)
+    U = (et - st) + (ex - sx)
+    V = (et - st) - (ex - sx)
+    keep = (u >= 0) & (v >= 0) & (u <= U) & (v <= V)
+    keep &= ~((u == 0) & (v == 0))
+    keep &= ~((u == U) & (v == V))
+    idx = np.nonzero(keep)[0]
+    order = np.lexsort((v[idx], u[idx]))
+    return idx[order], u, v
+
+
+def ref_patience_rows(vs, k):
+    rows = [[] for _ in range(k)]
+    for v in vs:
+        item = v
+        for row in rows:
+            pos = bisect_right(row, item)
+            if pos == len(row):
+                row.append(item)
+                item = None
+                break
+            item, row[pos] = row[pos], item
+        # an item bumped out of the last row is discarded
+    return rows
+
+
+def ref_greene_partial_sums(cloud, start, end, k):
+    idx, u, v = ref_diamond_order(cloud, start, end)
+    kk = min(k, max(1, idx.size))
+    rows = ref_patience_rows(v[idx], kk)
+    sums, acc = [], 0
+    for r in range(k):
+        acc += len(rows[r]) if r < kk else 0
+        sums.append(acc)
+    return sums
+
+
+def ref_row_pass(cloud, start, target_xs, target_t):
+    sx, st = _xy(start)
+    ys = np.asarray(target_xs, dtype=np.float64)
+    dt = target_t - st
+    if dt <= 0:
+        raise DomainError("targets must lie strictly after the source")
+    Us = dt + (ys - sx)
+    Vs = dt - (ys - sx)
+    if np.any(np.abs(ys - sx) > dt):
+        raise DomainError("some target lies outside the causal cone of the source")
+    u, v = cloud_mod.rel_uv(cloud, start)
+    keep = (u >= 0) & (v >= 0) & (u <= Us.max()) & (v <= Vs.max())
+    keep &= ~((u == 0) & (v == 0))
+    idx = np.nonzero(keep)[0]
+    order = np.lexsort((v[idx], u[idx]))
+    pu = u[idx][order]
+    pv = v[idx][order]
+    stops = np.searchsorted(pu + 1j * pv, Us + 1j * Vs).tolist()
+
+    read_order = np.lexsort((Vs, Us))
+    L = np.zeros(ys.size, dtype=np.int64)
+    L2 = np.zeros(ys.size, dtype=np.int64)
+    row1 = []
+    row2 = []
+    pos = 0
+    for k in read_order:
+        stop = stops[k]
+        while pos < stop:
+            item = pv[pos]
+            spot = bisect_right(row1, item)
+            if spot == len(row1):
+                row1.append(item)
+            else:
+                item, row1[spot] = row1[spot], item
+                spot2 = bisect_right(row2, item)
+                if spot2 == len(row2):
+                    row2.append(item)
+                else:
+                    row2[spot2] = item
+            pos += 1
+        c1 = bisect_right(row1, Vs[k])
+        c2 = bisect_right(row2, Vs[k])
+        L[k] = c1
+        L2[k] = c1 + c2
+    return L, L2
+
+
+class RefFenwickMax:
+    def __init__(self, n):
+        self.n = n
+        self.tree = np.zeros(n + 1, dtype=np.int64)
+
+    def update(self, i, value):
+        i += 1
+        while i <= self.n:
+            if self.tree[i] < value:
+                self.tree[i] = value
+            i += i & (-i)
+
+    def query(self, i):
+        i += 1
+        best = 0
+        while i > 0:
+            if self.tree[i] > best:
+                best = self.tree[i]
+            i -= i & (-i)
+        return best
+
+
+def ref_chain_tables(cloud, start, end):
+    idx, u, v = ref_diamond_order(cloud, start, end)
+    n = idx.size
+    F = np.zeros(n, dtype=np.int64)
+    B = np.zeros(n, dtype=np.int64)
+    if n == 0:
+        return idx, F, B, 0
+    vv = v[idx]
+    ranks = np.argsort(np.argsort(vv, kind="stable"), kind="stable")
+    fw = RefFenwickMax(n)
+    for m in range(n):
+        F[m] = fw.query(int(ranks[m])) + 1
+        fw.update(int(ranks[m]), int(F[m]))
+    bw = RefFenwickMax(n)
+    for m in range(n - 1, -1, -1):
+        r = n - 1 - int(ranks[m])
+        B[m] = bw.query(r) + 1
+        bw.update(r, int(B[m]))
+    return idx, F, B, int(F.max())
+
+
+def integer_clouds(count, seed):
+    """Small clouds on an integer grid: ties in u and v everywhere,
+    duplicated points, points on both anchors, and the empty cloud."""
+    rng = np.random.default_rng(seed)
+    yield cloud_from_points([]), (0.0, 0.0), (0.0, 2.0)
+    for _ in range(count):
+        T = int(rng.integers(1, 7))
+        sx = float(rng.integers(-2, 3))
+        ex = sx + float(rng.integers(-T, T + 1))
+        n = int(rng.integers(0, 28))
+        pts = list(zip(rng.integers(-6, 7, n).astype(float),
+                       rng.integers(0, T + 1, n).astype(float)))
+        pts += pts[:int(rng.integers(0, n + 1))]
+        pts += [(sx, 0.0)] * int(rng.integers(0, 3))
+        pts += [(ex, float(T))] * int(rng.integers(0, 3))
+        yield cloud_from_points(pts), (sx, 0.0), (ex, float(T))
+
+
+CLOUD_CASES = list(integer_clouds(300, 0))
+
+
+def test_pile_kernel_passage_and_greene_match_patience_rows():
+    for cl, start, end in CLOUD_CASES:
+        n = ref_diamond_order(cl, start, end)[0].size
+        want = ref_greene_partial_sums(cl, start, end, n + 3)
+        assert cloud_mod.passage_value(cl, start, end) == want[0]
+        for k in (1, 2, 3, n + 3):
+            got = cloud_mod.greene_partial_sums(cl, start, end, k)
+            assert got == want[:k]
+            assert all(type(s) is int for s in got)
+
+
+def test_pile_kernel_row_pass_matches_two_row_loop():
+    rng = np.random.default_rng(1)
+    for cl, start, end in CLOUD_CASES:
+        sx, T = start[0], end[1]
+        cone = np.arange(sx - T, sx + T + 1)
+        between = cone[:-1] + 0.5
+        for ys in (cone, rng.choice(cone, 12), np.full(9, rng.choice(cone)),
+                   np.concatenate([between, between[::-1]])):
+            for g, w in zip(cloud_mod.row_pass(cl, start, ys, T),
+                            ref_row_pass(cl, start, ys, T)):
+                assert g.dtype == np.int64 and np.array_equal(g, w)
+
+
+def test_pile_kernel_chain_tables_match_fenwick_tables():
+    for cl, start, end in CLOUD_CASES:
+        got = cloud_mod.chain_tables(cl, start, end)
+        want = ref_chain_tables(cl, start, end)
+        for g, w in zip(got[:3], want[:3]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert got[3] == want[3] and type(got[3]) is int
+
+
+def test_pile_kernel_matches_references_on_a_poisson_cloud():
+    n = 64
+    half = 2.0 * n ** (2.0 / 3.0)
+    pad = n / 2 + 1
+    cl = make_poisson_cloud(0, 2.0, Region(-(half + pad), half + pad, 0, n))
+    ys = np.linspace(-half, half, 257)
+    for g, w in zip(cloud_mod.row_pass(cl, (0.0, 0.0), ys, float(n)),
+                    ref_row_pass(cl, (0.0, 0.0), ys, float(n))):
+        assert np.array_equal(g, w)
+    start, end = (0.0, 0.0), (0.0, float(n))
+    for g, w in zip(cloud_mod.chain_tables(cl, start, end),
+                    ref_chain_tables(cl, start, end)):
+        assert np.array_equal(g, w)
+    assert (cloud_mod.greene_partial_sums(cl, start, end, 4)
+            == ref_greene_partial_sums(cl, start, end, 4))
