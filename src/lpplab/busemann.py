@@ -13,6 +13,11 @@ Directions with two macroscopically separated geodesics are detected as
 jumps of the map (target column) -> (mid-horizon geodesic position); the
 two geodesics bracketing a jump are the witnesses and play the role of
 the leftmost/rightmost semi-infinite geodesics in that direction.
+
+Coalescence: ``lattice._merge_index`` is the one read-out of where two
+walks agree.  Certificates take it through ``_join_time``, the one
+walk-and-merge: walk a source to a sink on a backward table, and return
+the chart time from which that walk agrees with a reference walk.
 """
 
 from __future__ import annotations
@@ -42,11 +47,10 @@ def _parity_round(x: float, t: int) -> int:
     return k
 
 
-def _chart_x_range(model: LatticeField, t: int) -> Tuple[int, int]:
-    """Valid chart positions on antidiagonal t of the grid."""
-    lo = max(-t, t - 2 * (model.rows - 1))
-    hi = min(t, 2 * (model.cols - 1) - t)
-    return lo, hi
+def _grid_columns(model: LatticeField, t: int, lo: int, hi: int) -> Tuple[int, int]:
+    """[lo, hi] clipped to the chart positions of antidiagonal t of the grid,
+    whose two ends have the parity of t."""
+    return max(lo, -t, t - 2 * (model.rows - 1)), min(hi, t, 2 * (model.cols - 1) - t)
 
 
 @dataclass
@@ -79,13 +83,11 @@ def coalescence_time(a: engine.Chain, b: engine.Chain):
         raise DomainError("coalescence needs a common terminal point")
     if pa == pb:
         return pa[0][1]
-    k = 0
-    while k < min(len(pa), len(pb)) and pa[-1 - k] == pb[-1 - k]:
-        k += 1
-    merge = pa[-k][1]
-    if k == 1:
+    n = min(len(pa), len(pb))
+    k = _lattice._merge_index(pa[-n:], pb[-n:])
+    if k == n - 1:
         return None  # shares only the terminal node
-    return merge
+    return pa[len(pa) - n + k][1]
 
 
 def _col_sequence(model: LatticeField, B: np.ndarray, start_cell, end_cell, side: str):
@@ -101,13 +103,12 @@ def _walk_to(model: LatticeField, origin, c: int, t1: int, side: str):
     return B, _col_sequence(model, B, origin, end, side)
 
 
-def _merge_time(cols_a: np.ndarray, cols_b: np.ndarray, t0: int):
-    """First chart time from which two same-span column walks agree."""
-    n = cols_a.size
-    k = n - 1
-    while k >= 0 and cols_a[k] == cols_b[k]:
-        k -= 1
-    return t0 + k + 1
+def _join_time(model: LatticeField, B: np.ndarray, start, end, side: str,
+               ref_cols: np.ndarray) -> int:
+    """Chart time from which the ``side`` geodesic start -> end on B agrees
+    with ref_cols, a column walk of the same span."""
+    cols = _col_sequence(model, B, start, end, side)
+    return start[0] + start[1] + _lattice._merge_index(cols, ref_cols)
 
 
 @dataclass
@@ -157,8 +158,7 @@ def busemann_profile(model: LatticeField, theta: float, x_grid: Sequence[int],
             if not _lattice.is_reachable(B[a]):
                 continue
             nv[hi, k] = B[a] - B[ref_cell]
-            cols = _col_sequence(model, B, a, tgt.cell, side)
-            merge = _merge_time(cols, ref_cols, t0)
+            merge = _join_time(model, B, a, tgt.cell, side, ref_cols)
             if merge < t0 + h:
                 co[hi, k] = True
                 ct[hi, k] = merge
@@ -226,21 +226,23 @@ def exceptional_scan(model: LatticeField, theta_window: Tuple[float, float],
     mid = t0 + horizon // 2
     mid_index = mid - t0
     origin = model.cell_at(ORIGIN_X, t0)
-    g_lo, g_hi = _chart_x_range(model, t1)
-    c_lo = max(_parity_round(lo * horizon, t1), _parity_round(g_lo, t1))
-    c_hi = min(_parity_round(hi * horizon, t1), g_hi if (g_hi + t1) % 2 == 0 else g_hi - 1)
+    c_lo, c_hi = _grid_columns(model, t1, _parity_round(lo * horizon, t1),
+                               _parity_round(hi * horizon, t1))
     if c_lo >= c_hi:
         raise DomainError("scan window falls outside the grid")
     cut = threshold * float(horizon) ** (2.0 / 3.0)
-    cache: Dict[int, int] = {}
+    walks: Dict[int, np.ndarray] = {}
 
     def mid_x(cols: np.ndarray) -> int:
         return int(2 * cols[mid_index] - (origin[0] + origin[1] + mid_index))
 
+    def right_walk(c: int) -> np.ndarray:
+        if c not in walks:
+            walks[c] = _walk_to(model, origin, c, t1, "right")[1]
+        return walks[c]
+
     def pos(c: int) -> int:
-        if c not in cache:
-            cache[c] = mid_x(_walk_to(model, origin, c, t1, "right")[1])
-        return cache[c]
+        return mid_x(right_walk(c))
 
     brackets = []
     cs = list(range(c_lo, c_hi + 1, 2 * coarse))
@@ -283,7 +285,7 @@ def exceptional_scan(model: LatticeField, theta_window: Tuple[float, float],
             c += 2
         if wr is None:
             continue
-        wl = _walk_to(model, origin, u, t1, "right")[1]
+        wl = right_walk(u)
         jump = float(mid_x(wr) - mid_x(wl))
         if jump <= cut:
             continue
@@ -334,9 +336,7 @@ def _local_witnesses(model: LatticeField, direction: ExceptionalDirection,
     center = _parity_round(direction.theta * horizon, t1)
     if span is None:
         span = 2 * max(2, int(float(horizon) ** (2.0 / 3.0)))
-    g_lo, g_hi = _chart_x_range(model, t1)
-    lo = max(center - span, _parity_round(g_lo, t1))
-    hi = min(center + span, g_hi if (g_hi + t1) % 2 == 0 else g_hi - 1)
+    lo, hi = _grid_columns(model, t1, center - span, center + span)
     origin = model.cell_at(ORIGIN_X, t0)
     # track each family at the scan's mid time, where the two bundles are
     # macroscopically separated and anchor bending is irrelevant
@@ -425,11 +425,8 @@ def busemann_gap(model: LatticeField, direction: ExceptionalDirection,
                 continue
             vals[hi_idx, k] = BL[a] + BR[a] - pairs[k]
             if h == h_far:
-                cl = _col_sequence(model, BL, a, pl, "right")
-                cr = _col_sequence(model, BR, a, pr, "left")
-                ml = _merge_time(cl, W_L, t0)
-                mr = _merge_time(cr, W_R, t0)
-                coal[hi_idx, k] = ml < t0 + h_near and mr < t0 + h_near
+                coal[hi_idx, k] = max(_join_time(model, BL, a, pl, "right", W_L),
+                                      _join_time(model, BR, a, pr, "left", W_R)) < t0 + h_near
     far_slot = order.index(h_far)
     certified = coal[far_slot] & (vals[0] == vals[1]) & np.isfinite(vals[0]) \
         & np.isfinite(vals[1])
@@ -489,11 +486,8 @@ def _semi_inf_geometric(model, direction, x, profile):
         return "other"
     cl_cells = _lattice.geodesic_cells_from_B(model, BL, a, pl, "left")
     cr_cells = _lattice.geodesic_cells_from_B(model, BR, a, pr, "right")
-    split = 0
-    for m, (ca, cb) in enumerate(zip(cl_cells, cr_cells)):
-        if ca != cb:
-            break
-        split = m
+    # both chains span t0..t1: the last index of their common stem
+    split = len(cl_cells) - 1 - _lattice._merge_index(cl_cells[::-1], cr_cells[::-1])
     if split > 0:
         split_cell = cl_cells[split]
         bubble = gaplab.gap_value(model, a, split_cell)
@@ -501,15 +495,9 @@ def _semi_inf_geometric(model, direction, x, profile):
     F = _lattice.forward_values(model, a)
     # bridges between the two witness chains decide the crossing types;
     # totals differ per witness, so test each direction on its own table
-    lr = _bridge_between(model, cl_cells, cr_cells, F, BR, F[pr])
-    rl = _bridge_between(model, cr_cells, cl_cells, F, BL, F[pl])
+    lr = _lattice.bridge_exists(model, cl_cells, cr_cells, F, BR, F[pr])
+    rl = _lattice.bridge_exists(model, cr_cells, cl_cells, F, BL, F[pl])
     return crossing_tag(lr, rl, "-inf")
-
-
-def _bridge_between(model, from_cells, to_cells, F, B_to, total):
-    if not _lattice.is_reachable(total):
-        return False
-    return _lattice.bridge_exists(model, from_cells, to_cells, F, B_to, total)
 
 
 def two_path_busemann(model: LatticeField, theta1: float, theta2: float,
@@ -518,7 +506,6 @@ def two_path_busemann(model: LatticeField, theta1: float, theta2: float,
     references from ORIGIN_X: pair(x^2 -> (p1, p2)) - L(ref -> p1) - L(ref -> p2)."""
     if not theta1 < theta2:
         raise ParameterError("need theta1 < theta2")
-    t1 = t0 + horizon
     p1 = direction_target(model, theta1, horizon, t0).cell
     p2 = direction_target(model, theta2, horizon, t0).cell
     a = model.cell_at(int(x), t0)

@@ -87,7 +87,9 @@ def _classify_cloud(model, start, end, threshold, frame):
     t0, t1 = float(start[1]), float(end[1])
     grid = np.linspace(t0, t1, 257)
     sep = np.array([right.position(t) - left.position(t) for t in grid])
-    zero = bool(np.all(sep[1:-1] > 0)) and left.value > 0
+    # the gap vanishes exactly when the extremal chains share no cloud point;
+    # the sampled separation serves only the I-III shape reading
+    zero = not set(left.nodes) & set(right.nodes)
     return _classify_separation(
         sep, zero, left, right, lambda p, q: _cloud_bridge(model, start, end, p, q),
         threshold, frame)
@@ -337,18 +339,17 @@ def right_min_identity(model: LatticeField, x: int, y: int, eps: int,
     if eps < 0 or eps % 2 != 0:
         raise ParameterError("eps must be a nonnegative even chart offset")
     t0, t1 = times
-    a = model.cell_at(int(x), int(t0))
+    model.cell_at(int(x), int(t0))  # every anchor must lie on the grid, also at eps == 0
     by = model.cell_at(int(y), int(t1))
     bz = model.cell_at(int(y + eps), int(t1))
     if eps == 0:
         return RightMinIdentity(True, 0.0)
-    S, _ = _lattice.pair_forward(model, (a, a), int(t1) - 1)
-    pair_yy = _lattice.doubled_values(model, S, int(t1) - 1, [by])[0]
-    pair_yz = _lattice.NEG if S is None else _lattice.pair_step(model, S, int(t1))[by[1], bz[1]]
-    if np.isnan(pair_yy) or not _lattice.is_reachable(pair_yz):
+    # L and L2 run from y to y + eps; S2 holds the pair values at t1
+    _, _, L, L2, S2 = gaplab._lattice_min_formula(model, x, (int(y), int(y + eps)), times)
+    pair_yz = _lattice.NEG if S2 is None else S2[by[1], bz[1]]
+    if np.isnan(L2[0]) or not _lattice.is_reachable(pair_yz):
         raise DomainError("disjoint pair infeasible for the identity")
-    F = _lattice.forward_values(model, a)
-    residual = float((pair_yz - pair_yy) - (F[bz] - F[by]))
+    residual = float((pair_yz - L2[0]) - (L[-1] - L[0]))
     return RightMinIdentity(residual == 0.0, residual)
 
 
@@ -371,13 +372,8 @@ def one_sided_diag(model: LatticeField, x: int, y: int,
     if pair is None:
         raise DomainError("no disjoint pair at these anchors")
     geo = engine.geodesic(model, a, b, "right")
-    cols_geo = [j for _, j in geo.nodes]
-    cols_opt = [j for _, j in pair.right.nodes]
-    span = len(cols_geo)
-    k = span
-    while k > 0 and cols_geo[k - 1] == cols_opt[k - 1]:
-        k -= 1
-    # k is the first index from which the two columns agree onwards
+    span = len(geo.nodes)  # both chains hold one cell per chart time
+    k = _lattice._merge_index(geo.nodes, pair.right.nodes)
     coincides = k < span - 1
     from_time = t0 + k if coincides else None
     return OneSidedReport(coincides, from_time, span - k, t1 - t0)

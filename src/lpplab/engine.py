@@ -143,14 +143,17 @@ def geodesic(model: Model, start, end, side: str = "left") -> Chain:
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
     if isinstance(model, LatticeField):
-        cells = _lattice.geodesic_cells(model, start, end, side)
-        value = float(sum(model.weights[c] for c in cells))
-        if model.integer_valued:
-            value = int(round(value))
-        return Chain("lattice", start, end, cells, value)
+        return _lattice_chain(model, start, end, _lattice.geodesic_cells(model, start, end, side))
     idx = _cloud.extremal_chain(model, start, end, side)
     nodes = [(float(model.xs[m]), float(model.ts[m])) for m in idx]
     return Chain("poisson", tuple(_xy(start)), tuple(_xy(end)), nodes, len(nodes))
+
+
+def _lattice_chain(model: LatticeField, start, end, cells) -> Chain:
+    """A lattice chain through cells, valued as an int on integer fields."""
+    value = float(sum(model.weights[c] for c in cells))
+    return Chain("lattice", start, end, cells,
+                 int(round(value)) if model.integer_valued else value)
 
 
 def disjoint2_value(model: Model, start_pair, end_pair):
@@ -195,11 +198,8 @@ def optimizer2(model: Model, start_pair, end_pair, side: str = "right"):
         cells1, cells2, value = res
         if model.integer_valued:
             value = int(round(value))
-        v1 = sum(model.weights[c] for c in cells1)
-        v2 = sum(model.weights[c] for c in cells2)
-        left = Chain("lattice", cells1[0], cells1[-1], cells1, v1)
-        right = Chain("lattice", cells2[0], cells2[-1], cells2, v2)
-        return DisjointPair(left, right, value)
+        return DisjointPair(_lattice_chain(model, cells1[0], cells1[-1], cells1),
+                            _lattice_chain(model, cells2[0], cells2[-1], cells2), value)
     res = _flow.disjoint_pair(model, start_pair, end_pair)
     if res is None:
         return None

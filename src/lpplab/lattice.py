@@ -385,6 +385,15 @@ def geodesic_cells_from_B(field: LatticeField, B: np.ndarray, start, end,
     return cells
 
 
+def _merge_index(a, b) -> int:
+    """Smallest k with a[k:] == b[k:], for two sequences of one length:
+    the index from which two walks agree (len(a) when their ends differ)."""
+    k = len(a)
+    while k > 0 and a[k - 1] == b[k - 1]:
+        k -= 1
+    return k
+
+
 def bridge_exists(field: LatticeField, from_cells, to_cells,
                   F: np.ndarray, B: np.ndarray, total: float) -> bool:
     """Is there an optimal connector from one geodesic to another?
@@ -442,13 +451,13 @@ def optimizer_pair(field: LatticeField, start_pair, end_pair, side: str):
     order = ([(1, 1), (0, 1), (1, 0), (0, 0)] if side == "right"
              else [(0, 0), (1, 0), (0, 1), (1, 1)])
     while t < t_last:
-        S_now = states[t]
         S_next = states[t + 1]
-        rest = S_now[j1, j2] - w[t - j1, j1] - w[t - j2, j2]
+        here, w1, w2 = states[t][j1, j2], w[t - j1, j1], w[t - j2, j2]
         for d1, d2 in order:
             n1, n2 = j1 + d1, j2 + d2
+            # the sweep added the left path's weight first: test in its order
             if n1 < n2 and n1 < field.cols and n2 < field.cols \
-                    and is_reachable(S_next[n1, n2]) and S_next[n1, n2] == rest:
+                    and is_reachable(S_next[n1, n2]) and S_next[n1, n2] + w1 + w2 == here:
                 j1, j2, t = n1, n2, t + 1
                 cells1.append((t - j1, j1))
                 cells2.append((t - j2, j2))

@@ -119,11 +119,12 @@ def _xy(p) -> tuple:
 class PoissonCloud:
     """A realized Poisson point set, sorted by (t, x).
 
-    Points are exposed as parallel arrays ``xs``/``ts``; equality of
-    environments is array equality.  The descriptor (seed, rate, region)
-    regenerates the cloud exactly, with ``"reflected": true`` when it is
-    the image of a seeded cloud under ``reflect``; a cloud without a seed
-    carries its points instead.
+    Points are distinct, as a Poisson cloud's are almost surely, and are
+    exposed as parallel arrays ``xs``/``ts``; equality of environments is
+    array equality.  The descriptor (seed, rate, region) regenerates the
+    cloud exactly, with ``"reflected": true`` when it is the image of a
+    seeded cloud under ``reflect``; a cloud without a seed carries its
+    points instead.
     """
 
     reflected = False  # set by reflect()
@@ -144,6 +145,10 @@ class PoissonCloud:
                   & (self.ts >= region.t_lo) & (self.ts <= region.t_hi))
         if not bool(np.all(inside)):
             raise ParameterError("cloud points must lie inside the region")
+        same = (self.xs[1:] == self.xs[:-1]) & (self.ts[1:] == self.ts[:-1])
+        if bool(np.any(same)):  # sorted, so a repeat sits next to its copy
+            k = int(np.argmax(same))
+            raise ParameterError(f"repeated cloud point ({self.xs[k]}, {self.ts[k]})")
 
     def __len__(self) -> int:
         return int(self.xs.size)

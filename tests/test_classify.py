@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lpplab import ScalingFrame, make_lattice_field
+from lpplab import (Region, ScalingFrame, cloud_from_points, make_lattice_field,
+                    make_poisson_cloud)
 from lpplab import classify, gaplab, oracle
 from lpplab.model import reflect
 
@@ -91,6 +92,27 @@ def test_zero_split_exact_against_gap_value():
             assert res.gap_is_zero == (g == 0)
         if res.tag in ("IV", "Va", "Vb"):
             assert g == 0
+
+
+def test_cloud_zero_split_exact_against_gap_value():
+    # zero class iff G == 0 on clouds too: shared points are found, not sampled
+    pairs = [((-1.0, 0.0), (1.0, 8.0)), ((0.0, 0.0), (0.0, 8.0)), ((1.0, 0.0), (-1.0, 8.0))]
+    zeros = 0
+    for seed in range(1000, 1200):
+        cl = make_poisson_cloud(seed, 1.0, Region(-5, 5, 0, 8))
+        for start, end in pairs:
+            g = gaplab.gap_value(cl, start, end)
+            assert classify.classify_geometric(cl, start, end).gap_is_zero == (g == 0)
+            zeros += g == 0
+    assert 0 < zeros < len(pairs) * 200
+    # a shared point between two times of the separation grid
+    cl = make_poisson_cloud(25, 2.0, Region(-6, 6, 0, 12))
+    assert gaplab.gap_value(cl, (0.0, 0.0), (0.0, 12.0)) == 1
+    assert not classify.classify_geometric(cl, (0.0, 0.0), (0.0, 12.0)).gap_is_zero
+    # the empty diamond: two empty chains are disjoint, G = 0
+    empty = cloud_from_points([])
+    assert gaplab.gap_value(empty, (0.0, 0.0), (0.0, 1.0)) == 0
+    assert classify.classify_geometric(empty, (0.0, 0.0), (0.0, 1.0)).gap_is_zero
 
 
 def synthetic_sheet(values, frame_n=16.0):

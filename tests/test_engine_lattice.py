@@ -133,6 +133,22 @@ def test_optimizer2_value_always_matches_disjoint2():
             assert pair is None
         else:
             assert pair.value == v == pair.left.value + pair.right.value
+            # chain values are ints on integer fields, as engine.geodesic gives
+            assert all(type(u) is int for u in (pair.value, pair.left.value, pair.right.value))
+
+
+def test_optimizer2_backtracks_continuous_weights():
+    # the backtrack tests each move in the sweep's own operand order, so
+    # rounding of float weights cannot lose the optimum
+    for seed in range(20):
+        f = make_lattice_field(seed, 6, 6, "exponential")
+        for pairs in ((((0, 0), (0, 0)), ((5, 5), (5, 5))), (((1, 0), (0, 1)), ((5, 4), (4, 5)))):
+            for side in ("left", "right"):
+                pair = optimizer2(f, *pairs, side=side)
+                assert pair.value == pytest.approx(disjoint2_value(f, *pairs), rel=1e-12)
+                assert pair.left.value + pair.right.value == pytest.approx(pair.value, rel=1e-12)
+                assert type(pair.left.value) is float
+                assert not set(pair.left.nodes[1:-1]) & set(pair.right.nodes[1:-1])
 
 
 def test_optimizer2_extremal_vs_oracle_pairs():

@@ -31,6 +31,15 @@ def test_poisson_cloud_sorted_and_inside():
     assert cl.xs.min() >= 0 and cl.xs.max() <= 1
 
 
+def test_cloud_rejects_repeated_points():
+    with pytest.raises(ParameterError, match=r"repeated cloud point \(0.0, 0.5\)"):
+        cloud_from_points([(0.0, 0.5), (0.0, 0.5)])
+    with pytest.raises(ParameterError, match=r"repeated cloud point \(0.3, 0.5\)"):
+        cloud_from_points([(0.3, 0.5), (0.0, 0.2), (0.3, 0.5)])
+    # a shared x or a shared t alone is no repeat
+    assert len(cloud_from_points([(0.0, 0.5), (0.0, 0.7), (0.2, 0.5)])) == 3
+
+
 def test_zero_area_region_gives_empty_cloud():
     cl = make_poisson_cloud(seed=3, rate=2.0, region=Region(0, 0, 0, 1))
     assert len(cl) == 0

@@ -1,6 +1,7 @@
 """Equivalence gate: the banded sweep against the dense sweeps it replaced,
-the rectangle walk against the per-cell walk it replaced, and the one
-patience kernel of the cloud against the three chain kernels it replaced.
+the rectangle walk against the per-cell walk it replaced, the one
+patience kernel of the cloud against the three chain kernels it replaced,
+and the one merge read-out against the four loops it replaced.
 
 The reference kernels below are the earlier implementations, kept
 here verbatim as the specification.  Dead states are only meaningful as
@@ -13,8 +14,8 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from lpplab import busemann, engine, gaplab, lattice
 from lpplab import cloud as cloud_mod
-from lpplab import gaplab, lattice
 from lpplab.errors import DomainError, InvariantError
 from lpplab.lattice import NEG, _VALID
 from lpplab.model import (LatticeField, Region, _xy, causal_leq, cloud_from_points,
@@ -572,8 +573,9 @@ def ref_chain_tables(cloud, start, end):
 
 
 def integer_clouds(count, seed):
-    """Small clouds on an integer grid: ties in u and v everywhere,
-    duplicated points, points on both anchors, and the empty cloud."""
+    """Small clouds on an integer grid: ties in u and v everywhere, points
+    on both anchors, and the empty cloud.  A cloud's points are distinct,
+    so repeats are dropped."""
     rng = np.random.default_rng(seed)
     yield cloud_from_points([]), (0.0, 0.0), (0.0, 2.0)
     for _ in range(count):
@@ -583,10 +585,9 @@ def integer_clouds(count, seed):
         n = int(rng.integers(0, 28))
         pts = list(zip(rng.integers(-6, 7, n).astype(float),
                        rng.integers(0, T + 1, n).astype(float)))
-        pts += pts[:int(rng.integers(0, n + 1))]
-        pts += [(sx, 0.0)] * int(rng.integers(0, 3))
-        pts += [(ex, float(T))] * int(rng.integers(0, 3))
-        yield cloud_from_points(pts), (sx, 0.0), (ex, float(T))
+        pts += [(sx, 0.0)] * int(rng.integers(0, 2))
+        pts += [(ex, float(T))] * int(rng.integers(0, 2))
+        yield cloud_from_points(list(dict.fromkeys(pts))), (sx, 0.0), (ex, float(T))
 
 
 CLOUD_CASES = list(integer_clouds(300, 0))
@@ -640,3 +641,134 @@ def test_pile_kernel_matches_references_on_a_poisson_cloud():
         assert np.array_equal(g, w)
     assert (cloud_mod.greene_partial_sums(cl, start, end, 4)
             == ref_greene_partial_sums(cl, start, end, 4))
+
+
+# ------------------------------------------------- merge read-out references
+# The four loops that each found where two lattice walks agree before one
+# read-out, lattice._merge_index, served them all.
+
+def ref_merge_time(cols_a, cols_b, t0):
+    """busemann._merge_time: first chart time of two same-span walks' agreement."""
+    n = cols_a.size
+    k = n - 1
+    while k >= 0 and cols_a[k] == cols_b[k]:
+        k -= 1
+    return t0 + k + 1
+
+
+def ref_coalescence_time(a, b):
+    """busemann.coalescence_time with its suffix scan."""
+    pa = a.spacetime_nodes()
+    pb = b.spacetime_nodes()
+    if pa[-1] != pb[-1]:
+        raise DomainError("coalescence needs a common terminal point")
+    if pa == pb:
+        return pa[0][1]
+    k = 0
+    while k < min(len(pa), len(pb)) and pa[-1 - k] == pb[-1 - k]:
+        k += 1
+    merge = pa[-k][1]
+    if k == 1:
+        return None  # shares only the terminal node
+    return merge
+
+
+def ref_one_sided_scan(cols_geo, cols_opt):
+    """classify.one_sided_diag: the first index from which the columns agree."""
+    span = len(cols_geo)
+    k = span
+    while k > 0 and cols_geo[k - 1] == cols_opt[k - 1]:
+        k -= 1
+    return k
+
+
+def ref_stem_split(cl_cells, cr_cells):
+    """busemann._semi_inf_geometric: the last index of the common stem."""
+    split = 0
+    for m, (ca, cb) in enumerate(zip(cl_cells, cr_cells)):
+        if ca != cb:
+            break
+        split = m
+    return split
+
+
+@pytest.fixture(scope="module", params=FIELDS, ids=IDS)
+def field_walks(request):
+    """A field and {(start, end, side): cells} for every reachable start, end and side."""
+    f, walks = request.param, {}
+    for end in cells(f):
+        B = lattice.backward_values(f, end)
+        for start in cells(f):
+            if start[0] <= end[0] and start[1] <= end[1]:
+                for side in ("left", "right"):
+                    walks[start, end, side] = lattice.geodesic_cells_from_B(f, B, start, end, side)
+    return f, walks
+
+
+def _groups(walks, key):
+    out = {}
+    for k, c in walks.items():
+        out.setdefault(key(k), []).append((k, c))
+    return out.values()
+
+
+def test_merge_index_matches_suffix_scans(field_walks):
+    """Walks to one end from starts of one chart time: every pair, itself included."""
+    f, walks = field_walks
+    seen = set()
+    for group in _groups(walks, lambda k: (k[0][0] + k[0][1], k[1])):
+        end = group[0][0][1]
+        B = lattice.backward_values(f, end)
+        ref = np.array([j for _, j in group[0][1]], dtype=np.int64)
+        for m, ((start, _, side), ca) in enumerate(group):
+            t0 = start[0] + start[1]
+            cols_a = np.array([j for _, j in ca], dtype=np.int64)
+            for _, cb in group[m:]:
+                cols_b = np.array([j for _, j in cb], dtype=np.int64)
+                k = lattice._merge_index(cols_a, cols_b)
+                assert k == lattice._merge_index(cols_b, cols_a) == lattice._merge_index(ca, cb)
+                assert t0 + k == ref_merge_time(cols_a, cols_b, t0)
+                assert k == ref_one_sided_scan(list(cols_a), list(cols_b))
+                seen.add("identical" if k == 0 else "terminal" if k == len(ca) - 1 else "merged")
+            # the walk-and-merge read-out walks again and agrees with the scan
+            assert busemann._join_time(f, B, start, end, side, ref) \
+                == ref_merge_time(cols_a, ref, t0)
+    if min(f.rows, f.cols) > 1:  # a one-line grid has a single walk per pair of cells
+        assert {"identical", "terminal"} <= seen
+
+
+def test_merge_index_matches_stem_scan(field_walks):
+    """Walks from one start to ends of one chart time: every pair, itself included."""
+    f, walks = field_walks
+    for group in _groups(walks, lambda k: (k[0], k[1][0] + k[1][1])):
+        for m, (_, ca) in enumerate(group):
+            for _, cb in group[m:]:
+                split = len(ca) - 1 - lattice._merge_index(ca[::-1], cb[::-1])
+                assert split == ref_stem_split(ca, cb)
+                # forwards, walks to two ends agree from no index: the length
+                assert lattice._merge_index(ca, cb) == ref_one_sided_scan(ca, cb)
+
+
+def test_coalescence_time_matches_suffix_scan(field_walks):
+    """Chains to one end from starts of any chart time, so of any two lengths."""
+    f, walks = field_walks
+    rng = np.random.default_rng(f.rows * 17 + f.cols)
+    kinds = set()
+    for group in _groups(walks, lambda k: k[1]):
+        chains = [engine.Chain("lattice", s, e, c, 0) for (s, e, _), c in group]
+        picks = [(a, a) for a in chains] + [
+            (chains[p], chains[q]) for p, q in rng.integers(0, len(chains), (4 * len(chains), 2))]
+        for a, b in picks:
+            got = busemann.coalescence_time(a, b)
+            assert got == ref_coalescence_time(a, b)
+            kinds.add((len(a.nodes) == len(b.nodes), a.nodes == b.nodes, got is None))
+    if min(f.rows, f.cols) > 1:
+        assert {(True, True, False), (True, False, True), (False, False, False)} <= kinds
+
+
+def test_coalescence_time_matches_suffix_scan_on_clouds():
+    for cl, start, end in CLOUD_CASES:
+        left = engine.geodesic(cl, start, end, "left")
+        right = engine.geodesic(cl, start, end, "right")
+        for a, b in ((left, right), (right, left), (left, left)):
+            assert busemann.coalescence_time(a, b) == ref_coalescence_time(a, b)
