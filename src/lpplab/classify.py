@@ -32,7 +32,7 @@ from . import engine
 from . import gaplab
 from . import lattice as _lattice
 from .errors import DomainError, ParameterError
-from .model import LatticeField, Model, ScalingFrame
+from .model import LatticeField, Model, ScalingFrame, causal_leq
 
 TAGS = ("I", "IIa", "IIb", "III", "IV", "Va", "Vb", "other")
 # fractions of the time span: a separated stretch within MARGIN of an end
@@ -86,7 +86,7 @@ def _classify_cloud(model, start, end, threshold, frame):
     right = engine.geodesic(model, start, end, "right")
     t0, t1 = float(start[1]), float(end[1])
     grid = np.linspace(t0, t1, 257)
-    sep = np.array([right.position(t) - left.position(t) for t in grid])
+    sep = right.position(grid) - left.position(grid)
     # the gap vanishes exactly when the extremal chains share no cloud point;
     # the sampled separation serves only the I-III shape reading
     zero = not set(left.nodes) & set(right.nodes)
@@ -114,7 +114,7 @@ def _cloud_bridge(model, start, end, chain_from, chain_to) -> bool:
     set_to = set(map(tuple, chain_to.nodes))
     for p in set_from - set_to:
         for q in set_to - set_from:
-            if q[1] > p[1] and abs(q[0] - p[0]) <= q[1] - p[1]:
+            if causal_leq(p, q) and p != q:
                 a = engine.passage_value(model, start, p)
                 mid = engine.passage_value(model, p, q)
                 b = engine.passage_value(model, q, end)
@@ -130,20 +130,9 @@ def _shape_from_separation(sep, threshold, frame):
     cut = threshold * unit
     apart = sep > cut
     apart[0] = apart[-1] = False
-    comps = []
-    k = 1
-    while k < n - 1:
-        if apart[k]:
-            k2 = k
-            while k2 + 1 < n - 1 and apart[k2 + 1]:
-                k2 += 1
-            comps.append((k, k2))
-            k = k2 + 1
-        else:
-            k += 1
     merged = []
     gap_tol = max(1, int(MERGE_GAP * n))
-    for c in comps:
+    for c in engine._runs(apart):
         if merged and c[0] - merged[-1][1] <= gap_tol:
             merged[-1] = (merged[-1][0], c[1])
         else:

@@ -8,6 +8,18 @@ The operations dispatch on the environment type:
 Values are exact: integers for integer-weight models (chain counts on
 clouds, integer lattice laws), plain float sums for exponential weights.
 Infeasible disjoint-pair problems return None rather than a value.
+
+Tracks.  A chain's graph is the piecewise-linear curve through its
+space-time nodes, read once as a ``(ts, xs)`` track (``Chain._track``).
+``Chain.position`` interpolates that track at one time or at an array of
+times.  Two chains are compared on one probe grid (``_probe_grid``): the
+knots of both tracks inside their common span and the midpoints between
+them.  Both graphs are linear between consecutive knots, so the two
+positions at these times decide where the chains coincide (``overlap``)
+and where one runs right of the other (``_first_crossing``, with which
+``_uncross`` orders the flow's pair for ``optimizer2``).  No other
+module compares chains in space; the oracle keeps its own comparison as
+the reference.
 """
 
 from __future__ import annotations
@@ -20,8 +32,13 @@ import numpy as np
 from . import cloud as _cloud
 from . import flow as _flow
 from . import lattice as _lattice
+from .errors import InvariantError
 from .model import (DomainError, LatticeField, Model, PoissonCloud,
                     causal_leq, _xy)
+
+# the one slack of a float position comparison: a chain of a cloud pair
+# runs right of the other only by more than this
+_CROSS_SLACK = 1e-9
 
 
 @dataclass
@@ -48,14 +65,20 @@ class Chain:
         ex, et = _xy(self.end)
         return [(sx, st)] + [(float(x), float(t)) for x, t in self.nodes] + [(ex, et)]
 
-    def position(self, t: float) -> float:
-        """Interpolated spatial position at time t."""
-        pts = self.spacetime_nodes()
-        ts = np.array([p[1] for p in pts], dtype=np.float64)
-        xs = np.array([p[0] for p in pts], dtype=np.float64)
-        if not ts[0] <= t <= ts[-1]:
+    def _track(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The graph as float arrays (ts, xs), anchor endpoints included."""
+        xs, ts = np.array(self.spacetime_nodes(), dtype=np.float64).T
+        return ts, xs
+
+    def position(self, t):
+        """Interpolated spatial position at time t, a float; an array of
+        times gives an array of positions."""
+        ts, xs = self._track()
+        tt = np.asarray(t, dtype=np.float64)
+        if not (np.all(ts[0] <= tt) and np.all(tt <= ts[-1])):
             raise DomainError(f"time {t} outside chain span [{ts[0]}, {ts[-1]}]")
-        return float(np.interp(t, ts, xs))
+        x = np.interp(tt, ts, xs)
+        return float(x) if x.ndim == 0 else x
 
     def to_jsonable(self) -> dict:
         return {
@@ -144,7 +167,11 @@ def geodesic(model: Model, start, end, side: str = "left") -> Chain:
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
     if isinstance(model, LatticeField):
         return _lattice_chain(model, start, end, _lattice.geodesic_cells(model, start, end, side))
-    idx = _cloud.extremal_chain(model, start, end, side)
+    return _cloud_chain(model, start, end, _cloud.extremal_chain(model, start, end, side))
+
+
+def _cloud_chain(model: PoissonCloud, start, end, idx) -> Chain:
+    """A cloud chain through the points idx, valued by its point count."""
     nodes = [(float(model.xs[m]), float(model.ts[m])) for m in idx]
     return Chain("poisson", tuple(_xy(start)), tuple(_xy(end)), nodes, len(nodes))
 
@@ -175,8 +202,8 @@ def disjoint2_value(model: Model, start_pair, end_pair):
     if tuple(_xy(s1)) == tuple(_xy(s2)) and tuple(_xy(e1)) == tuple(_xy(e2)):
         sums = _cloud.greene_partial_sums(model, s1, e1, 2)
         return int(sums[1])
-    res = _flow.disjoint_pair(model, (s1, s2), (e1, e2))
-    return None if res is None else int(res[0])
+    res = _flow.disjoint_pair(model, start_pair, end_pair)
+    return None if res is None else res[0]
 
 
 def greene_values(model: Model, start, end, k: int) -> list:
@@ -188,7 +215,15 @@ def greene_values(model: Model, start, end, k: int) -> list:
 
 
 def optimizer2(model: Model, start_pair, end_pair, side: str = "right"):
-    """Extract an extremal optimal disjoint pair, or None if infeasible."""
+    """Extract an optimal disjoint pair, ordered left to right, or None if
+    infeasible.
+
+    On a lattice ``side`` picks the leftmost or rightmost optimal pair.
+    On a cloud it selects nothing: both sides return the flow's optimal
+    pair, uncrossed, which need not be extremal.
+    """
+    if side not in ("left", "right"):
+        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
     _check_pair_order(model, start_pair)
     _check_pair_order(model, end_pair)
     if isinstance(model, LatticeField):
@@ -204,12 +239,60 @@ def optimizer2(model: Model, start_pair, end_pair, side: str = "right"):
     if res is None:
         return None
     value, c1, c2 = res
-    s1, s2 = start_pair
-    e1, e2 = end_pair
-    mk = lambda s, e, ch: Chain("poisson", tuple(_xy(s)), tuple(_xy(e)),
-                                [(float(model.xs[m]), float(model.ts[m])) for m in ch],
-                                len(ch))
-    return DisjointPair(mk(s1, e1, c1), mk(s2, e2, c2), value)
+    c1, c2 = _uncross(model, start_pair, end_pair, (c1, c2))
+    return DisjointPair(_cloud_chain(model, start_pair[0], end_pair[0], c1),
+                        _cloud_chain(model, start_pair[1], end_pair[1], c2), value)
+
+
+def _uncross(cloud: PoissonCloud, starts, ends, chains):
+    """Swap crossing tails until the pair is ordered left to right.
+
+    chains are two lists of cloud point indices, the first read from the
+    first start to the first end anchor, the second from the second
+    start to the second end.  Swapping the tails after a crossing keeps
+    the points of both chains, so the total value is unchanged.
+    """
+    s1, s2 = starts
+    e1, e2 = ends
+    c1, c2 = [list(c) for c in chains]
+    for _ in range(2 * (len(c1) + len(c2)) + 4):
+        t_cross = _first_crossing(_cloud_chain(cloud, s1, e1, c1),
+                                  _cloud_chain(cloud, s2, e2, c2))
+        if t_cross is None:
+            return c1, c2
+        head1 = [m for m in c1 if cloud.ts[m] <= t_cross]
+        tail1 = [m for m in c1 if cloud.ts[m] > t_cross]
+        head2 = [m for m in c2 if cloud.ts[m] <= t_cross]
+        tail2 = [m for m in c2 if cloud.ts[m] > t_cross]
+        c1 = head1 + tail2
+        c2 = head2 + tail1
+    raise InvariantError("uncrossing did not order the pair", cloud,
+                         starts=starts, ends=ends,
+                         chains=[[int(m) for m in c] for c in chains])
+
+
+def _first_crossing(a: Chain, b: Chain):
+    """The probe time just before a first runs right of b (the first probe
+    time if a starts right of b), or None if a never does."""
+    grid = _probe_grid(a, b)
+    right_of = a.position(grid) > b.position(grid) + _CROSS_SLACK
+    if not right_of.any():
+        return None
+    k = int(np.argmax(right_of))
+    return float(grid[max(k - 1, 0)])
+
+
+def _probe_grid(a: Chain, b: Chain) -> np.ndarray:
+    """The knots of two tracks inside their common span, in time order,
+    with the midpoint of each consecutive pair between them."""
+    ta, tb = a._track()[0], b._track()[0]
+    lo, hi = max(ta[0], tb[0]), min(ta[-1], tb[-1])
+    knots = np.union1d(ta, tb)
+    knots = knots[(knots >= lo) & (knots <= hi)]
+    grid = np.empty(max(2 * knots.size - 1, 0))
+    grid[0::2] = knots
+    grid[1::2] = 0.5 * (knots[:-1] + knots[1:])
+    return grid
 
 
 def on_optimal(model: Model, start, end, p) -> bool:
@@ -305,7 +388,8 @@ def _cloud_network(model: PoissonCloud, start, end) -> GeodesicNetwork:
             succ[m].append("snk")
     for a in pts:
         for b in pts:
-            if F[b] == F[a] + 1 and B[b] == B[a] - 1 and _leq(pts[a], pts[b]):
+            if (F[b] == F[a] + 1 and B[b] == B[a] - 1
+                    and causal_leq(pts[a], pts[b]) and pts[a] != pts[b]):
                 succ[a].append(b)
     pred = {node: [] for node in succ}
     for a, outs in succ.items():
@@ -337,44 +421,17 @@ def _compress(vertices: list, succ: dict) -> list:
     return edges
 
 
-def _leq(p, q) -> bool:
-    dt = q[1] - p[1]
-    return dt > 0 and abs(q[0] - p[0]) <= dt
-
-
 def overlap(a: Chain, b: Chain) -> OverlapInterval:
     """Closure of the set of times where the two chains coincide."""
-    pa = a.spacetime_nodes()
-    pb = b.spacetime_nodes()
-    ta = np.array([p[1] for p in pa])
-    xa = np.array([p[0] for p in pa])
-    tb = np.array([p[1] for p in pb])
-    xb = np.array([p[0] for p in pb])
-    lo = max(ta[0], tb[0])
-    hi = min(ta[-1], tb[-1])
-    if lo > hi:
-        return OverlapInterval([])
-    ts = sorted({float(lo), float(hi)}
-                | {float(t) for t in ta if lo <= t <= hi}
-                | {float(t) for t in tb if lo <= t <= hi})
-    grid = []
-    for u, v in zip(ts[:-1], ts[1:]):
-        grid.extend((u, 0.5 * (u + v)))
-    grid.append(ts[-1])
-    eq = [abs(float(np.interp(t, ta, xa)) - float(np.interp(t, tb, xb))) == 0.0
-          for t in grid]
-    intervals = []
-    k = 0
-    while k < len(grid):
-        if eq[k]:
-            k2 = k
-            while k2 + 1 < len(grid) and eq[k2 + 1]:
-                k2 += 1
-            intervals.append((grid[k], grid[k2]))
-            k = k2 + 1
-        else:
-            k += 1
-    return OverlapInterval(intervals)
+    grid = _probe_grid(a, b)
+    eq = a.position(grid) == b.position(grid)
+    return OverlapInterval([(float(grid[i]), float(grid[k])) for i, k in _runs(eq)])
+
+
+def _runs(mask) -> List[Tuple[int, int]]:
+    """(first, last) indices of each maximal run of True in mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return [(int(i), int(k) - 1) for i, k in zip(edges[0::2], edges[1::2])]
 
 
 def _check_pair_order(model, pair) -> None:

@@ -330,17 +330,15 @@ def min_formula_residual(model: Model, x, y, z,
         if not _lattice.is_reachable(pair):
             return None
     else:  # cloud model: exhaustive pair via flow at small scale
-        from . import flow as _flow
         start = (float(x), float(t0))
         ey, ez = (float(y), float(t1)), (float(z), float(t1))
         grid = np.linspace(float(y), float(z), 33)
         L, L2 = _cloud.row_pass(model, start, grid, float(t1))
         pair = L2[0]
         if y != z:
-            res = _flow.disjoint_pair(model, (start, start), (ey, ez))
-            if res is None:
+            pair = engine.disjoint2_value(model, (start, start), (ey, ez))
+            if pair is None:
                 return None
-            pair = res[0]
     grow = 2.0 * L - L2
     kmin = int(np.argmin(grow))
     resid = float(pair - (L[0] + L[-1] - grow[kmin]))

@@ -124,6 +124,18 @@ def test_optimizer2_hand_example():
     assert pair.left.value == 8 and pair.right.value == 7
 
 
+def test_optimizer2_rejects_an_unknown_side():
+    # geodesic's check: an unknown side is an error, not the left pair
+    from lpplab import cloud_from_points
+    cl = cloud_from_points([(0.0, 0.5)])
+    for model, starts, ends in ((STEP, ((0, 0), (0, 0)), ((1, 1), (1, 1))),
+                                (cl, ((0.0, 0.0), (0.0, 0.0)), ((0.0, 1.0), (0.0, 1.0)))):
+        for side in ("middle", "Left", None):
+            with pytest.raises(DomainError, match="side must be"):
+                optimizer2(model, starts, ends, side=side)
+        assert optimizer2(model, starts, ends, side="left") is not None
+
+
 def test_optimizer2_value_always_matches_disjoint2():
     for seed in range(60):
         f = random_field(seed, 4, 4)

@@ -278,16 +278,30 @@ def test_corrupted_chain_tables_raise_replayable_invariant_error(monkeypatch):
 
 def test_uncross_at_its_iteration_cap_raises_replayable_invariant_error(monkeypatch):
     import json
-    from lpplab import flow
+    from lpplab import engine
     from lpplab.errors import InvariantError
     # a crossing that never goes away: every pass finds one at t = 0.5
-    monkeypatch.setattr(flow, "_first_violation", lambda f1, f2: 0.5)
+    monkeypatch.setattr(engine, "_first_crossing", lambda a, b: 0.5)
     ends = ((0.0, 1.0), (0.0, 1.0))
     with pytest.raises(InvariantError) as err:
-        flow._uncross(HAND, ((0.0, 0.0), (0.0, 0.0)), ends, ([0, 1], [2]))
+        engine._uncross(HAND, ((0.0, 0.0), (0.0, 0.0)), ends, ([0, 1], [2]))
     replay = json.loads(err.value.replay)
     assert replay["model"]["model"] == "poisson"
     assert replay["chains"] == [[0, 1], [2]] and replay["ends"] == [[0.0, 1.0], [0.0, 1.0]]
     from lpplab.model import model_from_descriptor
     rebuilt = model_from_descriptor(replay["model"])
     assert np.array_equal(rebuilt.xs, HAND.xs) and np.array_equal(rebuilt.ts, HAND.ts)
+
+
+def test_position_reads_arrays_of_times_and_checks_the_span():
+    chain = geodesic(HAND, (0.0, 0.0), (0.0, 1.0), "left")
+    ts = np.linspace(0.0, 1.0, 11)
+    got = chain.position(ts)
+    assert got.shape == ts.shape
+    assert got.tolist() == [chain.position(float(t)) for t in ts]
+    assert type(chain.position(0.5)) is float
+    for bad in (np.array([0.5, 1.5]), np.array([-0.1, 0.5]), np.array([np.nan])):
+        with pytest.raises(DomainError):
+            chain.position(bad)
+    with pytest.raises(DomainError):
+        chain.position(1.5)

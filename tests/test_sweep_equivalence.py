@@ -1,7 +1,8 @@
 """Equivalence gate: the banded sweep against the dense sweeps it replaced,
 the rectangle walk against the per-cell walk it replaced, the one
 patience kernel of the cloud against the three chain kernels it replaced,
-and the one merge read-out against the four loops it replaced.
+the one merge read-out against the four loops it replaced, and the one
+chain track and probe grid against the chain comparisons they replaced.
 
 The reference kernels below are the earlier implementations, kept
 here verbatim as the specification.  Dead states are only meaningful as
@@ -14,12 +15,12 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from lpplab import busemann, engine, gaplab, lattice
+from lpplab import busemann, classify, engine, flow, gaplab, lattice
 from lpplab import cloud as cloud_mod
 from lpplab.errors import DomainError, InvariantError
 from lpplab.lattice import NEG, _VALID
-from lpplab.model import (LatticeField, Region, _xy, causal_leq, cloud_from_points,
-                          make_lattice_field, make_poisson_cloud)
+from lpplab.model import (LatticeField, Region, ScalingFrame, _xy, causal_leq,
+                          cloud_from_points, make_lattice_field, make_poisson_cloud)
 
 
 # ---------------------------------------------------------------- reference
@@ -772,3 +773,247 @@ def test_coalescence_time_matches_suffix_scan_on_clouds():
         right = engine.geodesic(cl, start, end, "right")
         for a, b in ((left, right), (right, left), (left, left)):
             assert busemann.coalescence_time(a, b) == ref_coalescence_time(a, b)
+
+
+# ------------------------------------------------- chain track references
+# The chain comparisons from before one (ts, xs) track and one probe grid
+# served them all: flow's crossing check and uncrossing, the per-call
+# arrays and grid of engine.overlap, the per-time separation loop of
+# classify._classify_cloud, and the run scan of the shape reading.
+
+def ref_position(chain, t):
+    pts = chain.spacetime_nodes()
+    ts = np.array([p[1] for p in pts], dtype=np.float64)
+    xs = np.array([p[0] for p in pts], dtype=np.float64)
+    if not ts[0] <= t <= ts[-1]:
+        raise DomainError(f"time {t} outside chain span [{ts[0]}, {ts[-1]}]")
+    return float(np.interp(t, ts, xs))
+
+
+def ref_interp(cloud, s, e, chain):
+    sx, st = _xy(s)
+    ex, et = _xy(e)
+    ts = [st] + [float(cloud.ts[m]) for m in chain] + [et]
+    xs = [sx] + [float(cloud.xs[m]) for m in chain] + [ex]
+    return ts, xs
+
+
+def ref_first_violation(f1, f2):
+    ts = sorted(set(f1[0]) | set(f2[0]))
+    grid = []
+    for a, b in zip(ts[:-1], ts[1:]):
+        grid.extend((a, 0.5 * (a + b)))
+    grid.append(ts[-1])
+    lo = max(f1[0][0], f2[0][0])
+    hi = min(f1[0][-1], f2[0][-1])
+    prev_t = None
+    for t in grid:
+        if t < lo or t > hi:
+            continue
+        x1 = float(np.interp(t, f1[0], f1[1]))
+        x2 = float(np.interp(t, f2[0], f2[1]))
+        if x1 > x2 + 1e-9:
+            return prev_t if prev_t is not None else t
+        prev_t = t
+    return None
+
+
+def ref_uncross(cloud, starts, ends, chains):
+    s1, s2 = starts
+    e1, e2 = ends
+    c1, c2 = [list(c) for c in chains]
+    for _ in range(2 * (len(c1) + len(c2)) + 4):
+        f1 = ref_interp(cloud, s1, e1, c1)
+        f2 = ref_interp(cloud, s2, e2, c2)
+        t_cross = ref_first_violation(f1, f2)
+        if t_cross is None:
+            return c1, c2
+        head1 = [m for m in c1 if cloud.ts[m] <= t_cross]
+        tail1 = [m for m in c1 if cloud.ts[m] > t_cross]
+        head2 = [m for m in c2 if cloud.ts[m] <= t_cross]
+        tail2 = [m for m in c2 if cloud.ts[m] > t_cross]
+        c1 = head1 + tail2
+        c2 = head2 + tail1
+    raise InvariantError("uncrossing did not order the pair", cloud)
+
+
+def ref_overlap(a, b):
+    pa = a.spacetime_nodes()
+    pb = b.spacetime_nodes()
+    ta = np.array([p[1] for p in pa])
+    xa = np.array([p[0] for p in pa])
+    tb = np.array([p[1] for p in pb])
+    xb = np.array([p[0] for p in pb])
+    lo = max(ta[0], tb[0])
+    hi = min(ta[-1], tb[-1])
+    if lo > hi:
+        return []
+    ts = sorted({float(lo), float(hi)}
+                | {float(t) for t in ta if lo <= t <= hi}
+                | {float(t) for t in tb if lo <= t <= hi})
+    grid = []
+    for u, v in zip(ts[:-1], ts[1:]):
+        grid.extend((u, 0.5 * (u + v)))
+    grid.append(ts[-1])
+    eq = [abs(float(np.interp(t, ta, xa)) - float(np.interp(t, tb, xb))) == 0.0
+          for t in grid]
+    intervals = []
+    k = 0
+    while k < len(grid):
+        if eq[k]:
+            k2 = k
+            while k2 + 1 < len(grid) and eq[k2 + 1]:
+                k2 += 1
+            intervals.append((grid[k], grid[k2]))
+            k = k2 + 1
+        else:
+            k += 1
+    return intervals
+
+
+def ref_cloud_separation(left, right, t0, t1):
+    grid = np.linspace(t0, t1, 257)
+    return np.array([ref_position(right, t) - ref_position(left, t) for t in grid])
+
+
+def ref_shape_from_separation(sep, threshold, frame):
+    n = sep.size
+    unit = frame.space_unit if frame is not None else 1.0
+    cut = threshold * unit
+    apart = sep > cut
+    apart[0] = apart[-1] = False
+    comps = []
+    k = 1
+    while k < n - 1:
+        if apart[k]:
+            k2 = k
+            while k2 + 1 < n - 1 and apart[k2 + 1]:
+                k2 += 1
+            comps.append((k, k2))
+            k = k2 + 1
+        else:
+            k += 1
+    merged = []
+    gap_tol = max(1, int(classify.MERGE_GAP * n))
+    for c in comps:
+        if merged and c[0] - merged[-1][1] <= gap_tol:
+            merged[-1] = (merged[-1][0], c[1])
+        else:
+            merged.append(list(c))
+    merged = [tuple(c) for c in merged]
+    if not merged:
+        return "I", merged
+    m = max(1, int(classify.MARGIN * n))
+    touches_start = merged[0][0] <= m
+    touches_end = merged[-1][1] >= n - 1 - m
+    if len(merged) == 1:
+        if touches_end and not touches_start:
+            return "IIa", merged
+        if touches_start and not touches_end:
+            return "IIb", merged
+        return "other", merged
+    if len(merged) == 2 and touches_start and touches_end:
+        return "III", merged
+    return "other", merged
+
+
+def flow_cases():
+    """Anchor pairs on the integer clouds (doubled and distinct, ties
+    everywhere) and on float clouds without ties."""
+    for cl, (sx, _), (ex, T) in CLOUD_CASES:
+        yield cl, ((sx, 0.0), (sx, 0.0)), ((ex, T), (ex, T))
+        yield cl, ((sx - 1, 0.0), (sx + 1, 0.0)), ((ex, T), (ex, T))
+        yield cl, ((sx, 0.0), (sx, 0.0)), ((ex - 1, T), (ex + 1, T))
+        yield cl, ((sx - 1, 0.0), (sx, 0.0)), ((ex, T), (ex + 2, T))
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        cl = cloud_from_points(list(zip(rng.uniform(-1, 1, 12), rng.uniform(0.05, 0.95, 12))))
+        yield cl, ((0.0, 0.0), (0.0, 0.0)), ((0.0, 1.0), (0.0, 1.0))
+        yield cl, ((-0.2, 0.0), (0.3, 0.0)), ((-0.3, 1.0), (0.4, 1.0))
+
+
+def test_optimizer2_on_clouds_matches_old_uncrossing():
+    pairs = uncrossed = 0
+    for cl, starts, ends in flow_cases():
+        res = flow.disjoint_pair(cl, starts, ends)
+        got = engine.optimizer2(cl, starts, ends)
+        if res is None:
+            assert got is None
+            continue
+        value, c1, c2 = res
+        w1, w2 = ref_uncross(cl, starts, ends, (c1, c2))
+        pairs += 1
+        uncrossed += (w1, w2) != (c1, c2)
+        assert got.value == value and type(got.value) is int
+        for chain, want, s, e in ((got.left, w1, starts[0], ends[0]),
+                                  (got.right, w2, starts[1], ends[1])):
+            assert chain.nodes == [(float(cl.xs[m]), float(cl.ts[m])) for m in want]
+            assert (chain.start, chain.end, chain.value) == (s, e, len(want))
+        assert engine.disjoint2_value(cl, starts, ends) == value
+    assert pairs >= 900 and uncrossed > 0
+    print(f"{pairs} flow pairs, {uncrossed} uncrossed")
+
+
+def _assert_overlap_matches(a, b):
+    got = engine.overlap(a, b).intervals
+    want = ref_overlap(a, b)
+    assert got == want
+    assert all(type(u) is float and type(v) is float for u, v in got)
+    return got
+
+
+def test_overlap_matches_old_probe_loop_on_clouds():
+    kinds = set()
+    for cl, starts, ends in flow_cases():
+        chains = [engine.geodesic(cl, s, e, side)
+                  for s, e, side in ((starts[0], ends[0], "left"), (starts[1], ends[1], "right"))
+                  if causal_leq(s, e)]
+        pair = engine.optimizer2(cl, starts, ends)
+        if pair is not None:
+            chains += [pair.left, pair.right]
+        for a in chains:
+            for b in chains:
+                got = _assert_overlap_matches(a, b)
+                kinds.add(len(got) if len(got) < 3 else 3)
+    assert kinds == {0, 1, 2, 3}
+
+
+def test_overlap_matches_old_probe_loop_on_lattices(field_walks):
+    f, walks = field_walks
+    chains = [engine.Chain("lattice", s, e, c, 0) for (s, e, _), c in walks.items()]
+    rng = np.random.default_rng(f.rows * 31 + f.cols)
+    picks = [(a, a) for a in chains[:20]] + [
+        (chains[p], chains[q]) for p, q in rng.integers(0, len(chains), (400, 2))]
+    for a, b in picks:
+        _assert_overlap_matches(a, b)
+
+
+def test_cloud_separations_and_tags_match_per_time_loop():
+    # the 600 anchor pairs of the exact zero split test in test_classify.py
+    pairs = [((-1.0, 0.0), (1.0, 8.0)), ((0.0, 0.0), (0.0, 8.0)), ((1.0, 0.0), (-1.0, 8.0))]
+    tags = set()
+    for seed in range(1000, 1200):
+        cl = make_poisson_cloud(seed, 1.0, Region(-5, 5, 0, 8))
+        for start, end in pairs:
+            got = classify.classify_geometric(cl, start, end)
+            left = engine.geodesic(cl, start, end, "left")
+            right = engine.geodesic(cl, start, end, "right")
+            sep = ref_cloud_separation(left, right, start[1], end[1])
+            assert got.separation.dtype == sep.dtype
+            assert got.separation.tobytes() == sep.tobytes()
+            if not got.gap_is_zero:
+                assert (got.tag, got.components) == ref_shape_from_separation(sep, 1.0, None)
+            for threshold in (0.0, 0.5):
+                want = ref_shape_from_separation(sep, threshold, None)
+                assert classify._shape_from_separation(sep, threshold, None) == want
+                tags.add(want[0])
+    assert {"I", "IIa", "IIb", "III", "other"} <= tags
+
+
+def test_shape_runs_match_old_scan_on_random_separations():
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        sep = rng.choice([-1.0, 0.0, 0.5, 1.0, 3.0], int(rng.integers(1, 60)))
+        for threshold, frame in ((0.0, None), (0.5, None), (0.25, ScalingFrame(8.0))):
+            assert (classify._shape_from_separation(sep, threshold, frame)
+                    == ref_shape_from_separation(sep, threshold, frame))
