@@ -604,20 +604,11 @@ def excursions(xs: np.ndarray, vs: np.ndarray, step: float,
     A run also ends where consecutive grid points are not ``step`` apart.
     Runs of ``min_len`` values or fewer are dropped.
     """
+    breaks = np.flatnonzero(np.diff(xs) != step) + 1
     runs = []
-    current = []
-    prev_x = None
-    for x, v in zip(xs, vs):
-        broken = (prev_x is not None and x - prev_x != step)
-        if v == 0 or broken:
-            if len(current) > min_len:
-                runs.append(np.array(current))
-            current = [] if v == 0 else [v]
-        else:
-            current.append(v)
-        prev_x = x
-    if len(current) > min_len:
-        runs.append(np.array(current))
+    for i, k in engine._runs(vs != 0):
+        cuts = breaks[(breaks > i) & (breaks <= k)] - i
+        runs += [r for r in np.split(vs[i:k + 1], cuts) if r.size > min_len]
     return runs
 
 

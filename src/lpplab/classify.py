@@ -8,11 +8,18 @@ interior -> IV, Va or Vb depending on optimal crossing bridges; any
 other pattern -> other.  The zero split is exact: the extremal geodesics
 are disjoint on the whole interior exactly when the gap vanishes.
 
+A left-to-right bridge is a geodesic through a node of the leftmost
+geodesic off the rightmost and, later, a node of the rightmost off the
+leftmost (right-to-left: the reverse).  On a cloud it is a path of
+optimal steps (``cloud.OptimalSteps.bridge``) from the one to the other.
+No bridge -> IV, only left-to-right -> Va, only right-to-left -> Vb.
+
 Integer weights produce microscopic excursions (two equal-weight routes
 around one cell) that would push every instance to "other" under the
 literal reading, so the I-III shape analysis runs at a configurable
-spatial resolution: separations of at most ``threshold`` rescaled units
-(default one correlation length, n^(2/3)) are treated as coincidence.
+spatial resolution: separations of at most ``threshold`` are treated
+as coincidence (in spatial units for ``classify_geometric``, in units of
+the frame, one correlation length n^(2/3), for ``agreement_matrix``).
 threshold=0 recovers the literal reading used for small exact tests.
 The zero split never uses the threshold.
 
@@ -28,11 +35,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import cloud as _cloud
 from . import engine
 from . import gaplab
 from . import lattice as _lattice
 from .errors import DomainError, ParameterError
-from .model import LatticeField, Model, ScalingFrame, causal_leq
+from .model import LatticeField, Model, ScalingFrame
 
 TAGS = ("I", "IIa", "IIb", "III", "IV", "Va", "Vb", "other")
 # fractions of the time span: a separated stretch within MARGIN of an end
@@ -59,40 +67,34 @@ class GeometricClassification:
 
 
 def classify_geometric(model: Model, start, end,
-                       threshold: float = 1.0,
-                       frame: Optional[ScalingFrame] = None) -> GeometricClassification:
+                       threshold: float = 1.0) -> GeometricClassification:
     """Classify the network shape of an endpoint pair.
 
-    threshold is in rescaled spatial units of ``frame`` (unscaled when no
-    frame is given).  MARGIN and MERGE_GAP decide whether a separated
-    stretch touches an endpoint and merge stretches split by microscopic
-    coincidences.
+    threshold is in unscaled spatial units.  MARGIN and MERGE_GAP decide
+    whether a separated stretch touches an endpoint and merge stretches
+    split by microscopic coincidences.
     """
-    if isinstance(model, LatticeField):
-        return _classify_lattice(model, start, end, threshold, frame)
-    return _classify_cloud(model, start, end, threshold, frame)
-
-
-def _classify_lattice(model, start, end, threshold, frame):
+    if not isinstance(model, LatticeField):
+        return _classify_cloud(model, start, end, threshold)
     F = _lattice.forward_values(model, start)
     B = _lattice.backward_values(model, end)
     if not _lattice.is_reachable(F[end]):
         raise DomainError(f"endpoints {start}->{end} not connected")
-    return _classify_lattice_cached(model, start, end, F, B, threshold, frame)
+    return _classify_lattice_cached(model, start, end, F, B, threshold, None)
 
 
-def _classify_cloud(model, start, end, threshold, frame):
-    left = engine.geodesic(model, start, end, "left")
-    right = engine.geodesic(model, start, end, "right")
+def _classify_cloud(model, start, end, threshold):
+    steps = _cloud.OptimalSteps(model, start, end)
+    lw, rw = steps.walk("left"), steps.walk("right")
+    left = engine._cloud_chain(model, start, end, steps.idx[lw])
+    right = engine._cloud_chain(model, start, end, steps.idx[rw])
     t0, t1 = float(start[1]), float(end[1])
     grid = np.linspace(t0, t1, 257)
     sep = right.position(grid) - left.position(grid)
     # the gap vanishes exactly when the extremal chains share no cloud point;
     # the sampled separation serves only the I-III shape reading
-    zero = not set(left.nodes) & set(right.nodes)
-    return _classify_separation(
-        sep, zero, left, right, lambda p, q: _cloud_bridge(model, start, end, p, q),
-        threshold, frame)
+    zero = not set(lw) & set(rw)
+    return _classify_separation(sep, zero, lw, rw, steps.bridge, threshold, None)
 
 
 def _classify_separation(sep, zero, left, right, bridge,
@@ -106,22 +108,6 @@ def _classify_separation(sep, zero, left, right, bridge,
         lr = rl = False
         tag, comps = _shape_from_separation(sep, threshold, frame)
     return GeometricClassification(tag, zero, sep, (lr, rl), comps)
-
-
-def _cloud_bridge(model, start, end, chain_from, chain_to) -> bool:
-    total = int(chain_from.value)
-    set_from = set(map(tuple, chain_from.nodes))
-    set_to = set(map(tuple, chain_to.nodes))
-    for p in set_from - set_to:
-        for q in set_to - set_from:
-            if causal_leq(p, q) and p != q:
-                a = engine.passage_value(model, start, p)
-                mid = engine.passage_value(model, p, q)
-                b = engine.passage_value(model, q, end)
-                # p, q are cloud points: each inner value counts them once
-                if a + mid + b == total:
-                    return True
-    return False
 
 
 def _shape_from_separation(sep, threshold, frame):

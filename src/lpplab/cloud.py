@@ -20,6 +20,14 @@ before each point, so F is the count plus one.  B comes from the same
 call on the reflected diamond (reversed order, negated v), as the
 lattice gets its backward tables.
 
+Optimal steps.  ``OptimalSteps`` builds one graph from one
+``chain_tables`` call: its nodes are the points with F + B - 1 equal to
+the passage value and the anchors (the start with F = 0, the end with
+B = 0), and a -> b is an optimal step iff F[b] == F[a] + 1,
+B[b] == B[a] - 1 and b lies strictly causally after a.  Its paths from
+start to end are the optimal chains.  Extremal chains walk it, networks
+compress it, and a crossing bridge is a path in it.
+
 Anchors carry no weight: a cloud point coinciding with an anchor is
 dropped from the chain problem.
 """
@@ -168,44 +176,75 @@ def chain_tables(cloud: PoissonCloud, start, end):
     return idx, F, B, int(F.max()) if n else 0
 
 
-def extremal_chain(cloud: PoissonCloud, start, end, side: str) -> list:
-    """Point indices of the pointwise-extremal maximal chain.
+class OptimalSteps:
+    """The graph of optimal steps inside a diamond (see above).
 
-    Greedy: from the current node, among optimal continuations take the
-    one whose initial segment slope is extremal (a crossing-swap argument
-    shows the pointwise-extremal chain always makes this local choice).
-    Ties in slope are broken toward the earlier point.
+    Nodes 0..n-1 are the on-optimal points in (u, v) order, with cloud
+    indices ``idx``; node n is the start anchor and n + 1 the end anchor.
+    ``xs``/``ts`` place every node; ``succ[a]`` lists a's successors.
     """
-    idx, F, B, total = chain_tables(cloud, start, end)
-    if total == 0:
-        return []
-    xs = cloud.xs[idx]
-    ts = cloud.ts[idx]
-    on_opt = (F + B - 1) == total
-    chosen = []
-    cx, ct = _xy(start)
-    level = 0
-    cur = -1
-    while level < total:
-        best_m = -1
-        best_key = None
-        for m in np.nonzero(on_opt & (F == level + 1))[0]:
-            if cur >= 0 and B[m] != B[cur] - 1:
-                continue
-            dt = ts[m] - ct
-            dx = xs[m] - cx
-            if dt <= 0 or abs(dx) > dt:
-                continue
-            slope = dx / dt
-            key = (slope, ts[m]) if side == "left" else (-slope, ts[m])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_m = m
-        if best_m < 0:
-            raise InvariantError("chain extraction lost the optimum", cloud,
-                                 start=start, end=end, side=side)
-        chosen.append(best_m)
-        cx, ct = xs[best_m], ts[best_m]
-        cur = best_m
-        level += 1
-    return [int(idx[m]) for m in chosen]
+
+    def __init__(self, cloud: PoissonCloud, start, end):
+        idx, F, B, total = chain_tables(cloud, start, end)
+        on = (F + B - 1) == total
+        self.cloud, self.start, self.end = cloud, start, end
+        self.idx = idx[on]
+        n = self.idx.size
+        self.source, self.sink = n, n + 1
+        (sx, st), (ex, et) = _xy(start), _xy(end)
+        xs = self.xs = cloud.xs[self.idx].tolist() + [sx, ex]
+        ts = self.ts = cloud.ts[self.idx].tolist() + [st, et]
+        F = F[on].tolist() + [0, total + 1]
+        B = B[on].tolist() + [total + 1, 0]
+        levels = [[] for _ in range(total + 2)]
+        for node, level in enumerate(F):
+            levels[level].append(node)
+        self.succ = [[] for _ in range(n + 2)]
+        for a in range(n + 1):
+            for b in levels[F[a] + 1]:
+                dt = ts[b] - ts[a]
+                # the diamond already puts every point between its anchors
+                causal = a == n or b == n + 1 or (dt > 0 and abs(xs[b] - xs[a]) <= dt)
+                if B[b] == B[a] - 1 and causal:
+                    self.succ[a].append(b)
+
+    def walk(self, side: str) -> list:
+        """Point nodes of the pointwise-extremal optimal chain.
+
+        Greedy: from the current node take the successor whose step
+        slope is extremal (a crossing-swap argument shows the
+        pointwise-extremal chain always makes this local choice).  Ties
+        in slope go to the earlier point.
+        """
+        sign = 1.0 if side == "left" else -1.0
+        chain, a = [], self.source
+        while True:
+            nxt = self.succ[a]
+            if not nxt:
+                raise InvariantError("chain extraction lost the optimum", self.cloud,
+                                     start=self.start, end=self.end, side=side)
+            if nxt[0] == self.sink:
+                return chain
+            x, t = self.xs[a], self.ts[a]
+            a = min(nxt, key=lambda b: (sign * (self.xs[b] - x) / (self.ts[b] - t), self.ts[b]))
+            chain.append(a)
+
+    def bridge(self, chain_from, chain_to) -> bool:
+        """Does some node of chain_from off chain_to reach a node of
+        chain_to off chain_from along optimal steps?"""
+        targets = set(chain_to) - set(chain_from)
+        stack, seen = list(set(chain_from) - set(chain_to)), set()
+        while stack:
+            a = stack.pop()
+            if a in targets:
+                return True
+            if a not in seen:
+                seen.add(a)
+                stack.extend(self.succ[a])
+        return False
+
+
+def extremal_chain(cloud: PoissonCloud, start, end, side: str) -> list:
+    """Point indices of the pointwise-extremal maximal chain."""
+    steps = OptimalSteps(cloud, start, end)
+    return steps.idx[steps.walk(side)].tolist()

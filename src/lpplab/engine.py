@@ -361,50 +361,33 @@ def _lattice_network(model: LatticeField, start, end) -> GeodesicNetwork:
               if c not in (start, end) and (len(succ[c]) >= 2 or pred[c] >= 2)}
     vertices = [start] + sorted(branch, key=lambda c: (c[0] + c[1], c[1])) + [end]
     edges = _compress(vertices, succ)
-    left = geodesic(model, start, end, "left")
-    right = geodesic(model, start, end, "right")
+    left, right = (_lattice_chain(model, start, end,
+                                  _lattice.geodesic_cells_from_B(model, B, start, end, side))
+                   for side in ("left", "right"))
     # cell degree is structurally capped at 2 on the lattice
     violations = sum(1 for c in succ if len(succ[c]) >= 3)
     return GeodesicNetwork(start, end, vertices, edges, left, right, violations)
 
 
 def _cloud_network(model: PoissonCloud, start, end) -> GeodesicNetwork:
-    idx, F, B, total = _cloud.chain_tables(model, start, end)
-    source = tuple(_xy(start))
-    sink = tuple(_xy(end))
-    left = geodesic(model, start, end, "left")
-    right = geodesic(model, start, end, "right")
-    if total == 0:
-        return GeodesicNetwork(source, sink, [source, sink],
-                               [(0, 1, [source, sink])], left, right)
-    on = (F + B - 1) == total
-    pts = {m: (float(model.xs[i]), float(model.ts[i]))
-           for m, i in enumerate(idx) if on[m]}
-    succ = {"src": [], "snk": [], **{m: [] for m in pts}}
-    for m in pts:
-        if F[m] == 1:
-            succ["src"].append(m)
-        if B[m] == 1:
-            succ[m].append("snk")
-    for a in pts:
-        for b in pts:
-            if (F[b] == F[a] + 1 and B[b] == B[a] - 1
-                    and causal_leq(pts[a], pts[b]) and pts[a] != pts[b]):
-                succ[a].append(b)
-    pred = {node: [] for node in succ}
-    for a, outs in succ.items():
+    steps = _cloud.OptimalSteps(model, start, end)
+    succ = steps.succ
+    pred = [0] * len(succ)
+    for outs in succ:
         for b in outs:
-            pred[b].append(a)
-    coord = {"src": source, "snk": sink, **pts}
-    branch = {m for m in pts if len(succ[m]) >= 2 or len(pred[m]) >= 2}
-    vertex_nodes = (["src"]
-                    + sorted(branch, key=lambda m: (pts[m][1], pts[m][0]))
-                    + ["snk"])
+            pred[b] += 1
+    coord = list(zip(steps.xs, steps.ts))
+    branch = [m for m in range(steps.source) if len(succ[m]) >= 2 or pred[m] >= 2]
+    vertex_nodes = ([steps.source]
+                    + sorted(branch, key=lambda m: (coord[m][1], coord[m][0]))
+                    + [steps.sink])
     vertices = [coord[node] for node in vertex_nodes]
     edges = [(a, b, [coord[q] for q in seg]) for a, b, seg in _compress(vertex_nodes, succ)]
-    violations = sum(1 for node in succ if len(succ[node]) >= 3)
-    violations += sum(1 for node in pred if len(pred[node]) >= 3)
-    return GeodesicNetwork(source, sink, vertices, edges, left, right, violations)
+    violations = sum(len(outs) >= 3 for outs in succ) + sum(k >= 3 for k in pred)
+    left, right = (_cloud_chain(model, start, end, steps.idx[steps.walk(side)])
+                   for side in ("left", "right"))
+    return GeodesicNetwork(coord[steps.source], coord[steps.sink], vertices, edges,
+                           left, right, violations)
 
 
 def _compress(vertices: list, succ: dict) -> list:
@@ -413,7 +396,7 @@ def _compress(vertices: list, succ: dict) -> list:
     vindex = {v: k for k, v in enumerate(vertices)}
     edges = []
     for v in vertices:
-        for s in succ.get(v, []):
+        for s in succ[v]:
             seg = [v, s]
             while seg[-1] not in vindex:
                 seg.append(succ[seg[-1]][0])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lpplab import (Region, ScalingFrame, cloud_from_points, make_lattice_field,
-                    make_poisson_cloud)
-from lpplab import classify, gaplab, oracle
+from lpplab import (Region, ScalingFrame, cloud_from_points, geodesic,
+                    make_lattice_field, make_poisson_cloud)
+from lpplab import classify, cloud, gaplab, oracle
 from lpplab.model import reflect
 
 
@@ -265,3 +265,79 @@ def test_one_sided_diag_no_terminal_coincidence():
     rep = classify.one_sided_diag(f, 0, 0, times=(0, 2))
     assert not rep.coincides
     assert rep.from_time is None
+
+
+def tiny_clouds(count, seed):
+    """Integer clouds of 4-10 distinct points inside the diamond from
+    (0, 0) to (0, 8): ties everywhere, within the oracle's reach."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        ts = rng.integers(1, 8, int(rng.integers(4, 11)))
+        xs = [int(rng.integers(-min(t, 8 - t), min(t, 8 - t) + 1)) for t in ts]
+        yield cloud_from_points(list(dict.fromkeys(zip(map(float, xs), map(float, ts)))))
+
+
+def oracle_bridges(cl, start, end, left, right):
+    """(left-to-right, right-to-left): does an enumerated optimal chain meet
+    a point of one chain off the other, and later one of the other?"""
+    chains = oracle.enumerate_paths(cl, start, end).optimal_paths
+
+    def bridge(a, b):
+        off_a, off_b = set(a) - set(b), set(b) - set(a)
+        return any(p in off_a and q in off_b
+                   for c in chains for k, p in enumerate(c) for q in c[k + 1:])
+    return bridge(left, right), bridge(right, left)
+
+
+def test_cloud_bridges_match_oracle_on_tiny_clouds():
+    start, end = (0.0, 0.0), (0.0, 8.0)
+    tags = []
+    for cl in tiny_clouds(3000, 2):
+        res = literal(cl, start, end)
+        if not res.gap_is_zero:
+            continue
+        left = cloud.extremal_chain(cl, start, end, "left")
+        right = cloud.extremal_chain(cl, start, end, "right")
+        want = oracle_bridges(cl, start, end, left, right)
+        assert res.bridges == want
+        assert res.tag == classify.crossing_tag(*want)
+        tags.append(res.tag)
+    # 460 zero gaps: 70 IV, 115 Va, 106 Vb and 169 with bridges both ways
+    assert len(tags) >= 400 and {"IV", "Va", "Vb", "other"} <= set(tags)
+
+
+def test_optimal_steps_are_the_oracle_optimal_chains():
+    start, end = (0.0, 0.0), (0.0, 8.0)
+    for cl in tiny_clouds(400, 3):
+        steps = cloud.OptimalSteps(cl, start, end)
+        node = {steps.source: "start", steps.sink: "end",
+                **{m: int(i) for m, i in enumerate(steps.idx)}}
+        edges = {(node[a], node[b]) for a, outs in enumerate(steps.succ) for b in outs}
+        chains = oracle.enumerate_paths(cl, start, end).optimal_paths
+        assert set(steps.idx.tolist()) == {m for c in chains for m in c}
+        assert edges == {step for c in chains
+                         for step in zip(["start"] + c, c + ["end"])}
+
+
+VA_CLOUD = cloud_from_points([(-1.0, 1.0), (-2.0, 2.0), (1.0, 1.0), (1.0, 3.0)])
+
+
+def test_cloud_type_va_crossing_bridge():
+    # leftmost (-1,1),(-2,2) and rightmost (1,1),(1,3) share no point, and
+    # (-1,1),(1,3) is an optimal chain from the left one to the right one
+    res = literal(VA_CLOUD, (0.0, 0.0), (0.0, 8.0))
+    assert res.gap_is_zero
+    assert res.bridges == (True, False)
+    assert res.tag == "Va"
+
+
+def test_cloud_type_vb_mirror():
+    mirror = cloud_from_points([(-x, t) for x, t in zip(VA_CLOUD.xs, VA_CLOUD.ts)])
+    start, end = (0.0, 0.0), (0.0, 8.0)
+    res = literal(mirror, start, end)
+    assert res.bridges == (False, True)
+    assert res.tag == "Vb"
+    for side, other in (("left", "right"), ("right", "left")):
+        got = geodesic(mirror, start, end, side).nodes
+        want = geodesic(VA_CLOUD, start, end, other).nodes
+        assert got == [(-x, t) for x, t in want]

@@ -204,6 +204,20 @@ def test_network_all_ones_type_iv_shape():
     assert net.degree_violations == 0
 
 
+def test_network_builds_one_backward_table(monkeypatch):
+    from lpplab import lattice
+    honest = lattice.backward_values
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(lattice, "backward_values", counted)
+    network(make_lattice_field(8, 4, 4, "exponential"), (0, 0), (3, 3))
+    assert len(calls) == 1
+
+
 IIA = field([[9, 0, 0],
              [9, 9, 5],
              [0, 5, 9]])

@@ -276,6 +276,28 @@ def test_corrupted_chain_tables_raise_replayable_invariant_error(monkeypatch):
     assert replay["side"] == "left" and replay["model"]["model"] == "poisson"
 
 
+def test_one_chain_table_per_geodesic_network_and_classification(monkeypatch):
+    from lpplab import classify, cloud
+    honest = cloud.chain_tables
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(cloud, "chain_tables", counted)
+    cl = make_poisson_cloud(1003, 1.0, Region(-5, 5, 0, 8))
+    start, end = (0.0, 0.0), (0.0, 8.0)
+    for op in (lambda: geodesic(cl, start, end, "left"),
+               lambda: geodesic(cl, start, end, "right"),
+               lambda: network(cl, start, end),
+               lambda: classify.classify_geometric(cl, start, end),
+               lambda: classify.classify_geometric(cl, start, end, threshold=0.0)):
+        calls.clear()
+        op()
+        assert calls == [(cl, start, end)]
+
+
 def test_uncross_at_its_iteration_cap_raises_replayable_invariant_error(monkeypatch):
     import json
     from lpplab import engine

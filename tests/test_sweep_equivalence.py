@@ -1,8 +1,10 @@
 """Equivalence gate: the banded sweep against the dense sweeps it replaced,
 the rectangle walk against the per-cell walk it replaced, the one
 patience kernel of the cloud against the three chain kernels it replaced,
-the one merge read-out against the four loops it replaced, and the one
-chain track and probe grid against the chain comparisons they replaced.
+the one merge read-out against the four loops it replaced, the one
+chain track and probe grid against the chain comparisons they replaced,
+and the one optimal-step graph of the cloud against the level scan and
+successor loop it replaced.
 
 The reference kernels below are the earlier implementations, kept
 here verbatim as the specification.  Dead states are only meaningful as
@@ -1017,3 +1019,201 @@ def test_shape_runs_match_old_scan_on_random_separations():
         for threshold, frame in ((0.0, None), (0.5, None), (0.25, ScalingFrame(8.0))):
             assert (classify._shape_from_separation(sep, threshold, frame)
                     == ref_shape_from_separation(sep, threshold, frame))
+
+
+# --------------------------------------------- optimal-step graph references
+# The level scan of cloud.extremal_chain and the successor loop of
+# engine._cloud_network, each with its own optimal-step test, before one
+# graph (cloud.OptimalSteps) served both; and the stateful run loop of
+# busemann.excursions before engine._runs served it.
+
+def ref_extremal_chain(cloud, start, end, side):
+    idx, F, B, total = cloud_mod.chain_tables(cloud, start, end)
+    if total == 0:
+        return []
+    xs = cloud.xs[idx]
+    ts = cloud.ts[idx]
+    on_opt = (F + B - 1) == total
+    chosen = []
+    cx, ct = _xy(start)
+    level = 0
+    cur = -1
+    while level < total:
+        best_m = -1
+        best_key = None
+        for m in np.nonzero(on_opt & (F == level + 1))[0]:
+            if cur >= 0 and B[m] != B[cur] - 1:
+                continue
+            dt = ts[m] - ct
+            dx = xs[m] - cx
+            if dt <= 0 or abs(dx) > dt:
+                continue
+            slope = dx / dt
+            key = (slope, ts[m]) if side == "left" else (-slope, ts[m])
+            if best_key is None or key < best_key:
+                best_key = key
+                best_m = m
+        if best_m < 0:
+            raise InvariantError("chain extraction lost the optimum", cloud,
+                                 start=start, end=end, side=side)
+        chosen.append(best_m)
+        cx, ct = xs[best_m], ts[best_m]
+        cur = best_m
+        level += 1
+    return [int(idx[m]) for m in chosen]
+
+
+def ref_cloud_network(model, start, end):
+    idx, F, B, total = cloud_mod.chain_tables(model, start, end)
+    source = tuple(_xy(start))
+    sink = tuple(_xy(end))
+    left, right = (engine._cloud_chain(model, start, end,
+                                       ref_extremal_chain(model, start, end, side))
+                   for side in ("left", "right"))
+    if total == 0:
+        return engine.GeodesicNetwork(source, sink, [source, sink],
+                                      [(0, 1, [source, sink])], left, right)
+    on = (F + B - 1) == total
+    pts = {m: (float(model.xs[i]), float(model.ts[i]))
+           for m, i in enumerate(idx) if on[m]}
+    succ = {"src": [], "snk": [], **{m: [] for m in pts}}
+    for m in pts:
+        if F[m] == 1:
+            succ["src"].append(m)
+        if B[m] == 1:
+            succ[m].append("snk")
+    for a in pts:
+        for b in pts:
+            if (F[b] == F[a] + 1 and B[b] == B[a] - 1
+                    and causal_leq(pts[a], pts[b]) and pts[a] != pts[b]):
+                succ[a].append(b)
+    pred = {node: [] for node in succ}
+    for a, outs in succ.items():
+        for b in outs:
+            pred[b].append(a)
+    coord = {"src": source, "snk": sink, **pts}
+    branch = {m for m in pts if len(succ[m]) >= 2 or len(pred[m]) >= 2}
+    vertex_nodes = (["src"]
+                    + sorted(branch, key=lambda m: (pts[m][1], pts[m][0]))
+                    + ["snk"])
+    vertices = [coord[node] for node in vertex_nodes]
+    edges = [(a, b, [coord[q] for q in seg])
+             for a, b, seg in engine._compress(vertex_nodes, succ)]
+    violations = sum(1 for node in succ if len(succ[node]) >= 3)
+    violations += sum(1 for node in pred if len(pred[node]) >= 3)
+    return engine.GeodesicNetwork(source, sink, vertices, edges, left, right, violations)
+
+
+def ref_excursions(xs, vs, step, min_len):
+    runs = []
+    current = []
+    prev_x = None
+    for x, v in zip(xs, vs):
+        broken = (prev_x is not None and x - prev_x != step)
+        if v == 0 or broken:
+            if len(current) > min_len:
+                runs.append(np.array(current))
+            current = [] if v == 0 else [v]
+        else:
+            current.append(v)
+        prev_x = x
+    if len(current) > min_len:
+        runs.append(np.array(current))
+    return runs
+
+
+POISSON_PAIRS = [((-1.0, 0.0), (1.0, 8.0)), ((0.0, 0.0), (0.0, 8.0)), ((1.0, 0.0), (-1.0, 8.0))]
+
+
+def chain_cases():
+    """Anchors on the integer clouds, the flow cases (each start with its
+    end) and the 600 Poisson pairs of the exact cloud zero split test."""
+    for cl, start, end in CLOUD_CASES:
+        yield cl, start, end
+    for cl, starts, ends in flow_cases():
+        for s, e in zip(starts, ends):
+            if causal_leq(s, e):
+                yield cl, s, e
+    for seed in range(1000, 1200):
+        cl = make_poisson_cloud(seed, 1.0, Region(-5, 5, 0, 8))
+        for start, end in POISSON_PAIRS:
+            yield cl, start, end
+
+
+def test_extremal_chains_match_level_scan():
+    cases = steps = 0
+    for cl, start, end in chain_cases():
+        for side in ("left", "right"):
+            got = cloud_mod.extremal_chain(cl, start, end, side)
+            assert got == ref_extremal_chain(cl, start, end, side)
+            assert all(type(m) is int for m in got)
+            steps += len(got)
+        cases += 1
+    assert cases >= 2000 and steps > 0
+
+
+def test_cloud_networks_match_successor_loop():
+    shapes = set()
+    for cl, start, end in chain_cases():
+        got = engine.network(cl, start, end)
+        want = ref_cloud_network(cl, start, end)
+        assert got.to_jsonable() == want.to_jsonable()
+        assert got.leftmost.nodes == want.leftmost.nodes
+        assert got.rightmost.nodes == want.rightmost.nodes
+        coords = got.vertices + [q for _, _, seg in got.edges for q in seg]
+        assert all(type(x) is float and type(t) is float for x, t in coords)
+        assert type(got.degree_violations) is int
+        shapes.add((min(len(got.vertices), 4), min(len(got.edges), 4),
+                    got.degree_violations > 0))
+    # single edges, branch vertices and degree violations all occur
+    assert {(2, 1, False), (4, 4, False)} <= shapes and any(s[2] for s in shapes)
+
+
+def test_extremal_chain_slope_ties_go_to_the_earlier_point():
+    # two incomparable points whose step slopes from the start round to the
+    # same float: the earlier one wins on both sides, whichever of them
+    # comes first in (u, v) order
+    ties = [(-0.12308153603318761, 0.7275345148463459,
+             3.573133173009497, 7.551174833346407, 3.5731331730094964, 7.5511748333464075),
+            (0.774534518215545, 0.8622534546812017,
+             -0.9639941755761237, 3.658277377734706, -0.9639941755761234, 3.6582773777347066)]
+    firsts = set()
+    for sx, st, x1, t1, x2, t2 in ties:
+        assert (x1 - sx) / (t1 - st) == (x2 - sx) / (t2 - st) and t1 < t2
+        cl = cloud_from_points([(x1, t1), (x2, t2)])
+        start, end = (sx, st), (sx, st + 20.0)
+        steps = cloud_mod.OptimalSteps(cl, start, end)
+        assert sorted(steps.succ[steps.source]) == [0, 1]
+        firsts.add(float(cl.ts[steps.idx[0]]) == t1)
+        earlier = int(np.flatnonzero(cl.ts == t1)[0])
+        for side in ("left", "right"):
+            assert cloud_mod.extremal_chain(cl, start, end, side) == [earlier]
+            assert ref_extremal_chain(cl, start, end, side) == [earlier]
+    assert firsts == {True, False}
+
+
+def test_lattice_network_chains_match_geodesics():
+    for f in FIELDS:
+        end = (f.rows - 1, f.cols - 1)
+        for start in cells(f):
+            net = engine.network(f, start, end)
+            for chain, side in ((net.leftmost, "left"), (net.rightmost, "right")):
+                want = engine.geodesic(f, start, end, side)
+                assert chain.to_jsonable() == want.to_jsonable()
+                assert type(chain.value) is type(want.value)
+
+
+def test_excursions_match_stateful_loop():
+    rng = np.random.default_rng(5)
+    for _ in range(3000):
+        n = int(rng.integers(0, 40))
+        # grid steps of 2, broken by steps of 1 and 4; int and float grids
+        xs = np.cumsum(rng.choice([2, 2, 2, 2, 4, 1], n))
+        xs = xs.astype(rng.choice([np.int64, np.float64]))
+        vs = rng.choice([0.0, 0.0, 1.0, 2.5, -1.0, np.nan], n)
+        for min_len in (0, 1, 3):
+            got = busemann.excursions(xs, vs, 2, min_len)
+            want = ref_excursions(xs, vs, 2, min_len)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
