@@ -5,9 +5,12 @@ Each run writes CSV artifacts, optional SVG renders, and a manifest that
 digests every file.  ``sample``, ``gap`` and ``dim`` take ``replicates``
 and ``threads``: replicates fan out over a thread pool and are written
 in replicate order, so the artifact tree is byte-identical for any
-thread count.  The other commands run one experiment and reject both
-keys.  A config error, or a parameter or domain error raised by the run,
-exits with status 2 and one line on stderr.
+thread count.  The cloud's compiled patience kernel releases the GIL,
+so Poisson row passes of different replicates run in parallel.  The
+other commands run one experiment and reject both keys.  A config
+error, or a parameter or domain error raised by the run, exits with
+status 2 and one line on stderr.  The manifest records which patience
+kernel ran (``kernels``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from . import busemann as bz
 from . import classify as cls
 from . import config as cfgmod
-from . import gaplab, manifest, oracle, svg
+from . import cloud, gaplab, manifest, oracle, svg
 from .errors import DomainError, ParameterError
 from .model import (Region, ScalingFrame, anchor_layout, environment_for,
                     make_poisson_cloud)
@@ -248,12 +251,14 @@ def run_experiment(cfg: cfgmod.ExperimentConfig, out_dir=None) -> tuple:
     """Dispatch a validated config; returns (out_path, ok)."""
     out = Path(out_dir if out_dir is not None else cfg["out"])
     started = time.time()
+    cloud.kernel_ran = None
     summaries, envs, ok = _RUNNERS[cfg.command](cfg, out)
     out.mkdir(parents=True, exist_ok=True)  # a run may write no artifact
     manifest.write_manifest(out, json.loads(cfg.to_json()), summaries, envs,
                             wall_clock_s=time.time() - started,
                             schema={"csv_columns": _CSV_SCHEMA,
-                                    "version": manifest.SCHEMA_VERSION})
+                                    "version": manifest.SCHEMA_VERSION},
+                            kernels={"patience": cloud.kernel_ran})
     return out, ok
 
 

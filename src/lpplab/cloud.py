@@ -20,6 +20,16 @@ before each point, so F is the count plus one.  B comes from the same
 call on the reflected diamond (reversed order, negated v), as the
 lattice gets its backward tables.
 
+The kernel is compiled: ``_patience.c`` holds the same insertion in C,
+comparing doubles as Python compares floats, so both give identical
+counts.  The first ``_pile_counts`` call builds it with the local gcc
+into ``__pycache__/_patience-<hash>.so`` next to this module (the hash
+covers the source and the build command; a build goes to a temporary
+file renamed into place, so concurrent builds are safe) and loads it
+with ``ctypes``, which releases the GIL during the call: threads run
+their row passes in parallel.  When it cannot be built or loaded, the
+Python routine ``_pile_counts_py``, the reference, runs instead.
+
 Optimal steps.  ``OptimalSteps`` builds one graph from one
 ``chain_tables`` call: its nodes are the points with F + B - 1 equal to
 the passage value and the anchors (the start with F = 0, the end with
@@ -34,9 +44,14 @@ dropped from the chain problem.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import threading
 from bisect import bisect_right
 from itertools import accumulate
 from math import inf
+from pathlib import Path
 
 import numpy as np
 
@@ -71,17 +86,14 @@ def _before(pu, pv, U, V):
     return np.searchsorted(pu + 1j * pv, U + 1j * V)
 
 
-def _pile_counts(vs, k: int, stops, bounds) -> np.ndarray:
-    """The patience kernel: one k-row insertion over the floats ``vs``.
-
-    ``stops`` is nondecreasing.  Row m of the result holds, for each pile
-    row, how many of its tops are <= bounds[m] once the first stops[m]
-    values are inserted.  A value bumped out of row k is dropped.
-    """
+def _pile_counts_py(vs, k: int, stops, bounds) -> np.ndarray:
+    """The patience kernel in Python, the reference of the compiled one."""
+    vs = np.asarray(vs, dtype=np.float64).tolist()
     rows = [[] for _ in range(k)]
     out = []
     pos = 0
-    for stop, bound in zip(stops, bounds):
+    for stop, bound in zip(np.asarray(stops, dtype=np.int64).tolist(),
+                           np.asarray(bounds, dtype=np.float64).tolist()):
         for item in vs[pos:stop]:
             for row in rows:
                 spot = bisect_right(row, item)
@@ -92,6 +104,78 @@ def _pile_counts(vs, k: int, stops, bounds) -> np.ndarray:
         pos = stop
         out.append([bisect_right(row, bound) for row in rows])
     return np.array(out, dtype=np.int64).reshape(len(out), k)
+
+
+_SOURCE = Path(__file__).with_name("_patience.c")
+_CACHE = _SOURCE.parent / "__pycache__"
+_BUILD = ("gcc", "-O2", "-shared", "-fPIC")
+_loaded = None  # the compiled routine; False once it failed to build or load
+_load_lock = threading.Lock()
+kernel_ran = None  # "compiled" or "python": the kernel of the last read-out
+
+
+def _build() -> Path:
+    """The compiled kernel's library in ``_CACHE``, built unless present."""
+    import subprocess
+    import tempfile
+    tag = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_BUILD).encode()).hexdigest()
+    lib = _CACHE / f"_patience-{tag[:16]}.so"
+    if not lib.exists():
+        _CACHE.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix="_patience-", suffix=".tmp", dir=_CACHE)
+        os.close(fd)
+        try:
+            subprocess.run([*_BUILD, "-o", tmp, str(_SOURCE)], check=True,
+                           capture_output=True, timeout=120)
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return lib
+
+
+def _compiled():
+    """The compiled ``pile_counts``, built and loaded on first use; None
+    when that failed."""
+    global _loaded
+    if _loaded is None:
+        with _load_lock:
+            if _loaded is None:
+                try:
+                    fn = ctypes.CDLL(str(_build())).pile_counts
+                    fn.restype = None
+                    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+                    _loaded = fn
+                except Exception:  # any failure: the Python routine serves
+                    _loaded = False
+    return _loaded or None
+
+
+def _pile_counts(vs, k: int, stops, bounds) -> np.ndarray:
+    """The patience kernel: one k-row insertion over the floats ``vs``.
+
+    ``stops`` is nondecreasing in [0, len(vs)].  Row m of the result
+    holds, for each pile row, how many of its tops are <= bounds[m] once
+    the first stops[m] values are inserted.  A value bumped out of row k
+    is dropped.
+    """
+    global kernel_ran
+    fn = _compiled()
+    if fn is None:
+        kernel_ran = "python"
+        return _pile_counts_py(vs, k, stops, bounds)
+    kernel_ran = "compiled"
+    vs = np.ascontiguousarray(vs, dtype=np.float64)
+    stops = np.ascontiguousarray(stops, dtype=np.int64)
+    bounds = np.ascontiguousarray(bounds, dtype=np.float64)
+    rows = np.empty(k * vs.size, dtype=np.float64)
+    lens = np.empty(k, dtype=np.int64)
+    out = np.empty((stops.size, k), dtype=np.int64)
+    fn(vs.ctypes.data, vs.size, k, stops.ctypes.data, bounds.ctypes.data, stops.size,
+       rows.ctypes.data, lens.ctypes.data, out.ctypes.data)
+    return out
 
 
 def diamond_order(cloud: PoissonCloud, start, end):
@@ -110,7 +194,7 @@ def diamond_order(cloud: PoissonCloud, start, end):
 
 def passage_value(cloud: PoissonCloud, start, end) -> int:
     idx, pv = diamond_order(cloud, start, end)
-    return int(_pile_counts(pv.tolist(), 1, [idx.size], [inf])[0, 0])
+    return int(_pile_counts(pv, 1, [idx.size], [inf])[0, 0])
 
 
 def greene_partial_sums(cloud: PoissonCloud, start, end, k: int) -> list:
@@ -123,7 +207,7 @@ def greene_partial_sums(cloud: PoissonCloud, start, end, k: int) -> list:
         raise DomainError(f"k must be >= 1, got {k}")
     idx, pv = diamond_order(cloud, start, end)
     kk = min(k, idx.size)
-    counts = _pile_counts(pv.tolist(), kk, [idx.size], [inf])[0].tolist()
+    counts = _pile_counts(pv, kk, [idx.size], [inf])[0].tolist()
     return list(accumulate(counts + [0] * (k - kk)))
 
 
@@ -152,8 +236,7 @@ def row_pass(cloud: PoissonCloud, start, target_xs, target_t: float):
         return L, L2
     idx, pu, pv = _sorted_cone(cloud, start, Us.max(), Vs.max())
     read = np.lexsort((Vs, Us))
-    counts = _pile_counts(pv.tolist(), 2, _before(pu, pv, Us[read], Vs[read]).tolist(),
-                          Vs[read].tolist())
+    counts = _pile_counts(pv, 2, _before(pu, pv, Us[read], Vs[read]), Vs[read])
     L[read] = counts[:, 0]
     L2[read] = counts[:, 0] + counts[:, 1]
     return L, L2
@@ -168,11 +251,10 @@ def chain_tables(cloud: PoissonCloud, start, end):
     """
     idx, pv = diamond_order(cloud, start, end)
     n = idx.size
-    vs = pv.tolist()
-    F = _pile_counts(vs, 1, range(n), vs)[:, 0] + 1
+    F = _pile_counts(pv, 1, np.arange(n), pv)[:, 0] + 1
     # chains starting at a point are chains ending there in the reflection
-    neg = [-x for x in reversed(vs)]
-    B = _pile_counts(neg, 1, range(n), neg)[::-1, 0] + 1
+    neg = -pv[::-1]
+    B = _pile_counts(neg, 1, np.arange(n), neg)[::-1, 0] + 1
     return idx, F, B, int(F.max()) if n else 0
 
 

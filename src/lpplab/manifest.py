@@ -19,12 +19,13 @@ def sha256_file(path: Path) -> str:
 
 def write_manifest(out_dir, config_json: dict, summaries: dict,
                    environments: list, wall_clock_s: float,
-                   schema: dict | None = None) -> Path:
+                   schema: dict | None = None, kernels: dict | None = None) -> Path:
     """Digest every artifact in out_dir and write manifest.json.
 
     The manifest itself is excluded from its own artifact list.  The
-    wall clock is informational; determinism claims cover artifacts,
-    not the manifest.
+    wall clock and ``kernels`` (which implementation ran each kernel)
+    are informational; determinism claims cover artifacts, not the
+    manifest.
     """
     out = Path(out_dir)
     artifacts = []
@@ -42,6 +43,7 @@ def write_manifest(out_dir, config_json: dict, summaries: dict,
         "environments": environments,
         "summaries": summaries,
         "wall_clock_s": wall_clock_s,
+        "kernels": kernels or {},
         "artifacts": artifacts,
         "schema": schema or {},
     }

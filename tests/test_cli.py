@@ -70,6 +70,22 @@ def test_manifest_references_every_artifact(tmp_path):
     assert all(manifest.verify_digests(out).values())
 
 
+def test_manifest_records_the_patience_kernel(tmp_path, monkeypatch):
+    poisson = {"command": "gap", "n": 12, "grid_points": 6, "seed": 1}
+    lattice = {**poisson, "model": "geometric"}
+
+    def kernel(doc, name):
+        return manifest.read_manifest(run(tmp_path, doc, name)[0])["kernels"]
+
+    assert kernel(poisson, "compiled") == {"patience": "compiled"}
+    assert kernel(lattice, "lattice") == {"patience": None}  # no cloud kernel ran
+    monkeypatch.setattr(cli.cloud, "_compiled", lambda: None)
+    assert kernel(poisson, "python") == {"patience": "python"}
+    for name in ("compiled", "python"):  # the manifest is outside the artifacts
+        assert ((tmp_path / name / "sheet_0.bin").read_bytes()
+                == (tmp_path / "compiled" / "sheet_0.bin").read_bytes())
+
+
 def test_manifest_detects_tampering(tmp_path):
     out, _ = run(tmp_path, {"command": "gap", "n": 12, "grid_points": 6})
     target = out / "sheet_0.csv"

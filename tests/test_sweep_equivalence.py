@@ -1,6 +1,8 @@
 """Equivalence gate: the banded sweep against the dense sweeps it replaced,
 the rectangle walk against the per-cell walk it replaced, the one
-patience kernel of the cloud against the three chain kernels it replaced,
+patience kernel of the cloud against the three chain kernels it replaced
+(once per kernel: compiled and Python), the compiled kernel against the
+Python one, its build and its fallback,
 the one merge read-out against the four loops it replaced, the one
 chain track and probe grid against the chain comparisons they replaced,
 and the one optimal-step graph of the cloud against the level scan and
@@ -12,10 +14,17 @@ here verbatim as the specification.  Dead states are only meaningful as
 comparing; every reachable entry must be bit-identical.
 """
 
+import os
+import subprocess
+import sys
 from bisect import bisect_right
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpplab import busemann, classify, engine, flow, gaplab, lattice
 from lpplab import cloud as cloud_mod
@@ -596,54 +605,198 @@ def integer_clouds(count, seed):
 CLOUD_CASES = list(integer_clouds(300, 0))
 
 
-def test_pile_kernel_passage_and_greene_match_patience_rows():
-    for cl, start, end in CLOUD_CASES:
-        n = ref_diamond_order(cl, start, end)[0].size
-        want = ref_greene_partial_sums(cl, start, end, n + 3)
-        assert cloud_mod.passage_value(cl, start, end) == want[0]
-        for k in (1, 2, 3, n + 3):
-            got = cloud_mod.greene_partial_sums(cl, start, end, k)
-            assert got == want[:k]
-            assert all(type(s) is int for s in got)
+KERNELS = ("compiled", "python")
 
 
-def test_pile_kernel_row_pass_matches_two_row_loop():
-    rng = np.random.default_rng(1)
-    for cl, start, end in CLOUD_CASES:
-        sx, T = start[0], end[1]
-        cone = np.arange(sx - T, sx + T + 1)
-        between = cone[:-1] + 0.5
-        for ys in (cone, rng.choice(cone, 12), np.full(9, rng.choice(cone)),
-                   np.concatenate([between, between[::-1]])):
-            for g, w in zip(cloud_mod.row_pass(cl, start, ys, T),
-                            ref_row_pass(cl, start, ys, T)):
-                assert g.dtype == np.int64 and np.array_equal(g, w)
+@contextmanager
+def patience_kernel(name):
+    """Serve the cloud's chain read-outs from one patience kernel."""
+    saved = cloud_mod._compiled
+    if name == "python":
+        cloud_mod._compiled = lambda: None
+    try:
+        yield
+    finally:
+        cloud_mod._compiled = saved
 
 
-def test_pile_kernel_chain_tables_match_fenwick_tables():
-    for cl, start, end in CLOUD_CASES:
-        got = cloud_mod.chain_tables(cl, start, end)
-        want = ref_chain_tables(cl, start, end)
-        for g, w in zip(got[:3], want[:3]):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert got[3] == want[3] and type(got[3]) is int
+@pytest.fixture
+def each_kernel(monkeypatch):
+    """``for _ in each_kernel():`` runs a test body once per patience kernel."""
+    def each():
+        yield "compiled"
+        monkeypatch.setattr(cloud_mod, "_compiled", lambda: None)
+        yield "python"
+    return each
 
 
-def test_pile_kernel_matches_references_on_a_poisson_cloud():
+def test_pile_kernel_passage_and_greene_match_patience_rows(each_kernel):
+    for _ in each_kernel():
+        for cl, start, end in CLOUD_CASES:
+            n = ref_diamond_order(cl, start, end)[0].size
+            want = ref_greene_partial_sums(cl, start, end, n + 3)
+            assert cloud_mod.passage_value(cl, start, end) == want[0]
+            for k in (1, 2, 3, n + 3):
+                got = cloud_mod.greene_partial_sums(cl, start, end, k)
+                assert got == want[:k]
+                assert all(type(s) is int for s in got)
+
+
+def test_pile_kernel_row_pass_matches_two_row_loop(each_kernel):
+    for _ in each_kernel():
+        rng = np.random.default_rng(1)
+        for cl, start, end in CLOUD_CASES:
+            sx, T = start[0], end[1]
+            cone = np.arange(sx - T, sx + T + 1)
+            between = cone[:-1] + 0.5
+            for ys in (cone, rng.choice(cone, 12), np.full(9, rng.choice(cone)),
+                       np.concatenate([between, between[::-1]])):
+                for g, w in zip(cloud_mod.row_pass(cl, start, ys, T),
+                                ref_row_pass(cl, start, ys, T)):
+                    assert g.dtype == np.int64 and np.array_equal(g, w)
+
+
+def test_pile_kernel_chain_tables_match_fenwick_tables(each_kernel):
+    for _ in each_kernel():
+        for cl, start, end in CLOUD_CASES:
+            got = cloud_mod.chain_tables(cl, start, end)
+            want = ref_chain_tables(cl, start, end)
+            for g, w in zip(got[:3], want[:3]):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert got[3] == want[3] and type(got[3]) is int
+
+
+def test_pile_kernel_matches_references_on_a_poisson_cloud(each_kernel):
     n = 64
     half = 2.0 * n ** (2.0 / 3.0)
     pad = n / 2 + 1
     cl = make_poisson_cloud(0, 2.0, Region(-(half + pad), half + pad, 0, n))
     ys = np.linspace(-half, half, 257)
-    for g, w in zip(cloud_mod.row_pass(cl, (0.0, 0.0), ys, float(n)),
-                    ref_row_pass(cl, (0.0, 0.0), ys, float(n))):
-        assert np.array_equal(g, w)
     start, end = (0.0, 0.0), (0.0, float(n))
-    for g, w in zip(cloud_mod.chain_tables(cl, start, end),
-                    ref_chain_tables(cl, start, end)):
-        assert np.array_equal(g, w)
-    assert (cloud_mod.greene_partial_sums(cl, start, end, 4)
-            == ref_greene_partial_sums(cl, start, end, 4))
+    for _ in each_kernel():
+        for g, w in zip(cloud_mod.row_pass(cl, start, ys, float(n)),
+                        ref_row_pass(cl, start, ys, float(n))):
+            assert np.array_equal(g, w)
+        for g, w in zip(cloud_mod.chain_tables(cl, start, end),
+                        ref_chain_tables(cl, start, end)):
+            assert np.array_equal(g, w)
+        assert (cloud_mod.greene_partial_sums(cl, start, end, 4)
+                == ref_greene_partial_sums(cl, start, end, 4))
+
+
+def pile_inputs(count, seed):
+    """(vs, k, stops, bounds) for the kernel itself: integer ties with -0.0
+    next to 0.0, or distinct floats; k in {0, 1, 2, 3, n + 3}; empty
+    values and empty stops; stops at 0 and n and repeated; +-inf bounds."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = 0 if case % 25 == 0 else int(rng.integers(1, 40))
+        if case % 2:
+            vs = rng.integers(-3, 4, n).astype(np.float64)
+            vs[rng.random(n) < 0.3] *= 0.0  # -0.0 where negative, 0.0 elsewhere
+            vs[rng.random(n) < 0.1] = -0.0
+        else:
+            vs = rng.normal(size=n)
+        m = 0 if case % 25 == 1 else int(rng.integers(1, 12))
+        stops = np.sort(rng.integers(0, n + 1, m))
+        if m > 2:
+            stops[0], stops[-1], stops[1] = 0, n, 0
+        bounds = rng.choice(np.concatenate([vs, [0.0, -0.0, np.inf, -np.inf, 1.5]]), m)
+        for k in (0, 1, 2, 3, n + 3):
+            yield vs, k, stops, bounds
+
+
+def test_compiled_pile_counts_match_python_kernel():
+    assert cloud_mod._compiled() is not None
+    for vs, k, stops, bounds in pile_inputs(1000, 2):
+        got = cloud_mod._pile_counts(vs, k, stops, bounds)
+        want = cloud_mod._pile_counts_py(vs, k, stops, bounds)
+        assert got.shape == want.shape == (stops.size, k)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), (vs, k, stops, bounds)
+
+
+def test_compiled_kernel_loads_here():
+    """gcc is part of this project's toolchain: a silent fallback to the
+    Python kernel must fail here, not only slow the benchmark."""
+    assert cloud_mod._compiled() is not None
+    cloud_mod._pile_counts(np.zeros(3), 2, [3], [0.0])
+    assert cloud_mod.kernel_ran == "compiled"
+
+
+@pytest.mark.parametrize("breakage", ["missing compiler", "compile error", "unwritable cache"])
+def test_failed_build_falls_back_silently(breakage, monkeypatch, tmp_path, capfd):
+    build = cloud_mod._BUILD
+    monkeypatch.setattr(cloud_mod, "_loaded", None)
+    monkeypatch.setattr(cloud_mod, "_CACHE", tmp_path / "cache")
+    if breakage == "missing compiler":
+        monkeypatch.setattr(cloud_mod, "_BUILD", (str(tmp_path / "no-cc"),) + build[1:])
+    elif breakage == "compile error":
+        monkeypatch.setattr(cloud_mod, "_BUILD", build + ("-Dpile_counts=",))
+    else:
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(cloud_mod, "_CACHE", tmp_path / "file" / "cache")
+    for vs, k, stops, bounds in pile_inputs(50, 3):
+        want = cloud_mod._pile_counts_py(vs, k, stops, bounds)
+        got = cloud_mod._pile_counts(vs, k, stops, bounds)
+        assert cloud_mod.kernel_ran == "python"
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert cloud_mod._loaded is False
+    assert capfd.readouterr() == ("", "")
+    cache = tmp_path / "cache"
+    assert not cache.exists() or list(cache.iterdir()) == []
+
+
+BUILDER = """
+import sys, time
+from pathlib import Path
+from lpplab import cloud
+cloud._CACHE, me, other = (Path(arg) for arg in sys.argv[1:])
+me.touch()
+deadline = time.monotonic() + 60
+while not other.exists() and time.monotonic() < deadline:
+    time.sleep(0.001)
+fn = cloud._compiled()
+print(cloud._build(), fn is not None)
+"""
+
+
+def test_two_processes_build_one_cache(tmp_path):
+    cache = tmp_path / "cache"
+    env = dict(os.environ, PYTHONPATH=str(Path(cloud_mod.__file__).parents[1]))
+    ready = [tmp_path / "a", tmp_path / "b"]
+    procs = [subprocess.Popen([sys.executable, "-c", BUILDER, str(cache), str(me), str(other)],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for me, other in (ready, ready[::-1])]
+    outs = [p.communicate(timeout=120) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0], outs
+    lines = {out.strip() for out, _ in outs}
+    assert len(lines) == 1
+    lib, loaded = lines.pop().rsplit(" ", 1)
+    assert loaded == "True"
+    assert [p.name for p in cache.iterdir()] == [Path(lib).name]
+
+
+cloud_points = st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 5)), max_size=30)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@settings(max_examples=150, deadline=None)
+@given(pts=cloud_points, x0=st.integers(-2, 2), x1=st.integers(-5, 5),
+       targets=st.lists(st.integers(-5, 5), min_size=1, max_size=8), T=st.integers(1, 5))
+def test_mirror_transposes_the_row_pass(kernel, pts, x0, x1, targets, T):
+    """x -> -x maps (u, v) to (v, u) exactly; chain values do not see it."""
+    pts = list(dict.fromkeys((float(x), float(t)) for x, t in pts))
+    cl = cloud_from_points(pts)
+    mirror = cloud_from_points([(-x, t) for x, t in pts])
+    ys = np.array([y for y in targets if abs(y - x0) <= T], dtype=np.float64)
+    x1 = float(np.clip(x1, x0 - T, x0 + T))
+    with patience_kernel(kernel):
+        for g, w in zip(cloud_mod.row_pass(mirror, (-float(x0), 0.0), -ys, float(T)),
+                        cloud_mod.row_pass(cl, (float(x0), 0.0), ys, float(T))):
+            assert np.array_equal(g, w)
+        assert (cloud_mod.greene_partial_sums(mirror, (-float(x0), 0.0), (-x1, float(T)), 3)
+                == cloud_mod.greene_partial_sums(cl, (float(x0), 0.0), (x1, float(T)), 3))
 
 
 # ------------------------------------------------- merge read-out references
