@@ -20,15 +20,29 @@ before each point, so F is the count plus one.  B comes from the same
 call on the reflected diamond (reversed order, negated v), as the
 lattice gets its backward tables.
 
+One point order per cloud.  Each cloud sorts its points once, by the
+absolute keys (t + x, t - x) (``u_order``).  Every read-out takes its
+points from ``_sorted_cone``: a slab of that order found by binary
+search on t + x, with a margin that covers float64 rounding (see
+``_slab``), then the exact per-source keys (t - t0) +- (x - x0) and the
+cone mask on the slab alone.  Rounding can order the absolute and the
+per-source keys differently, so an O(n) check confirms that the kept
+points are in (u, v) order, equal (u, v) in index order; where it
+fails, the kept points are sorted.
+
 The kernel is compiled: ``_patience.c`` holds the same insertion in C,
 comparing doubles as Python compares floats, so both give identical
-counts.  The first ``_pile_counts`` call builds it with the local gcc
-into ``__pycache__/_patience-<hash>.so`` next to this module (the hash
-covers the source and the build command; a build goes to a temporary
-file renamed into place, so concurrent builds are safe) and loads it
-with ``ctypes``, which releases the GIL during the call: threads run
-their row passes in parallel.  When it cannot be built or loaded, the
-Python routine ``_pile_counts_py``, the reference, runs instead.
+counts, and a whole row pass: the keys, the mask and the order check on
+the slab, the stops and the two-row insertion, in one call.  When the
+compiled row finds the slab out of order it says so, and the Python
+parts (``_sorted_cone``, ``_before``, ``_pile_counts``) serve that row.
+The first read-out builds the library with the local gcc into
+``__pycache__/_patience-<hash>.so`` next to this module (the hash covers
+the source and the build command; a build goes to a temporary file
+renamed into place, so concurrent builds are safe) and loads it with
+``ctypes``, which releases the GIL during each call: threads run their
+row passes in parallel.  When it cannot be built or loaded, the Python
+routines run instead; ``_pile_counts_py`` is the reference.
 
 Optimal steps.  ``OptimalSteps`` builds one graph from one
 ``chain_tables`` call: its nodes are the points with F + B - 1 equal to
@@ -59,22 +73,57 @@ from .errors import InvariantError
 from .model import DomainError, PoissonCloud, causal_leq, _xy
 
 
-def rel_uv(cloud: PoissonCloud, origin) -> tuple:
-    x0, t0 = _xy(origin)
-    u = (cloud.ts - t0) + (cloud.xs - x0)
-    v = (cloud.ts - t0) - (cloud.xs - x0)
-    return u, v
+def _slab(cloud: PoissonCloud, x0: float, t0: float, U: float) -> np.ndarray:
+    """Cloud indices, in ``u_order``, of every point whose key
+    u = (t - t0) + (x - x0) relative to the source may lie in [0, U].
+
+    The slab is read from the sorted absolute keys a = t + x with
+    c = t0 + x0 and a margin m = 2^-48 s, where s bounds |x| and |t| on
+    the cloud's region (its points lie in it), |x0|, |t0| and U.  With eps = 2^-53 each rounded
+    sum or difference is off by at most eps times its size: u is within
+    9 s eps of the exact (t - t0) + (x - x0), and a - c within 4 s eps
+    of it, so 0 <= u <= U puts a within [c - 13 s eps, c + U + 13 s eps].
+    The rounded bounds fl(c - m) and fl(fl(c + U) + m) lie outside that
+    range, since m = 32 s eps.
+    """
+    r = cloud.region
+    s = max(abs(r.x_lo), abs(r.x_hi), abs(r.t_lo), abs(r.t_hi), abs(x0), abs(t0), abs(U))
+    c, m = t0 + x0, 2.0 ** -48 * s
+    lo = np.searchsorted(cloud.u_keys, c - m, side="left")
+    hi = np.searchsorted(cloud.u_keys, (c + U) + m, side="right")
+    return cloud.u_order[lo:hi]
+
+
+def _in_order(idx, u, v) -> bool:
+    """Are the points in (u, v) order, equal (u, v) in index order?"""
+    a, b = slice(None, -1), slice(1, None)
+    tie = u[a] == u[b]
+    later = (u[a] < u[b]) | (tie & (v[a] < v[b])) | (tie & (v[a] == v[b]) & (idx[a] < idx[b]))
+    return bool(later.all())
 
 
 def _sorted_cone(cloud: PoissonCloud, start, U, V):
     """Cloud points in the rectangle [0, U] x [0, V] relative to the start,
-    start anchor excluded, as (idx, u, v) in (u, v) order."""
-    u, v = rel_uv(cloud, start)
-    keep = (u >= 0) & (v >= 0) & (u <= U) & (v <= V)
-    keep &= ~((u == 0) & (v == 0))
-    idx = np.nonzero(keep)[0]
-    idx = idx[np.lexsort((v[idx], u[idx]))]
-    return idx, u[idx], v[idx]
+    start anchor excluded, as (idx, u, v) in (u, v) order, equal (u, v)
+    in index order.
+
+    Only the slab of ``u_order`` within t0 + x0 - m <= t + x <=
+    t0 + x0 + U + m is read, with the float64 rounding margin
+    m = 2^-48 s of ``_slab``.  The keys are exact per source, the slab's
+    order is the cloud's: a check confirms that it is the (u, v) order of
+    the kept points, and a sort restores that order where rounding made
+    the two disagree.
+    """
+    x0, t0 = _xy(start)
+    idx = _slab(cloud, x0, t0, U)
+    dt, dx = cloud.ts[idx] - t0, cloud.xs[idx] - x0
+    u, v = dt + dx, dt - dx
+    keep = (u >= 0) & (v >= 0) & (u <= U) & (v <= V) & ~((u == 0) & (v == 0))
+    idx, u, v = idx[keep], u[keep], v[keep]
+    if not _in_order(idx, u, v):
+        order = np.lexsort((idx, v, u))
+        idx, u, v = idx[order], u[order], v[order]
+    return idx, u, v
 
 
 def _before(pu, pv, U, V):
@@ -135,20 +184,22 @@ def _build() -> Path:
 
 
 def _compiled():
-    """The compiled ``pile_counts``, built and loaded on first use; None
-    when that failed."""
+    """The compiled library, built and loaded on first use; None when that
+    failed."""
     global _loaded
     if _loaded is None:
         with _load_lock:
             if _loaded is None:
                 try:
-                    fn = ctypes.CDLL(str(_build())).pile_counts
-                    fn.restype = None
-                    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
-                    _loaded = fn
-                except Exception:  # any failure: the Python routine serves
+                    lib = ctypes.CDLL(str(_build()))
+                    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+                    lib.pile_counts.restype = None
+                    lib.pile_counts.argtypes = [ptr, i64, i64, ptr, ptr, i64, ptr, ptr, ptr]
+                    lib.row_pass.restype = i64
+                    lib.row_pass.argtypes = [ptr, ptr, ptr, i64, f64, f64, f64, f64,
+                                             ptr, ptr, i64, ptr, ptr]
+                    _loaded = lib
+                except Exception:  # any failure: the Python routines serve
                     _loaded = False
     return _loaded or None
 
@@ -162,8 +213,8 @@ def _pile_counts(vs, k: int, stops, bounds) -> np.ndarray:
     is dropped.
     """
     global kernel_ran
-    fn = _compiled()
-    if fn is None:
+    lib = _compiled()
+    if lib is None:
         kernel_ran = "python"
         return _pile_counts_py(vs, k, stops, bounds)
     kernel_ran = "compiled"
@@ -173,8 +224,8 @@ def _pile_counts(vs, k: int, stops, bounds) -> np.ndarray:
     rows = np.empty(k * vs.size, dtype=np.float64)
     lens = np.empty(k, dtype=np.int64)
     out = np.empty((stops.size, k), dtype=np.int64)
-    fn(vs.ctypes.data, vs.size, k, stops.ctypes.data, bounds.ctypes.data, stops.size,
-       rows.ctypes.data, lens.ctypes.data, out.ctypes.data)
+    lib.pile_counts(vs.ctypes.data, vs.size, k, stops.ctypes.data, bounds.ctypes.data,
+                    stops.size, rows.ctypes.data, lens.ctypes.data, out.ctypes.data)
     return out
 
 
@@ -234,12 +285,30 @@ def row_pass(cloud: PoissonCloud, start, target_xs, target_t: float):
     L2 = np.zeros(ys.size, dtype=np.int64)
     if ys.size == 0:
         return L, L2
-    idx, pu, pv = _sorted_cone(cloud, start, Us.max(), Vs.max())
     read = np.lexsort((Vs, Us))
-    counts = _pile_counts(pv, 2, _before(pu, pv, Us[read], Vs[read]), Vs[read])
+    counts = _row_counts(cloud, sx, st, Us.max(), Vs.max(), Us[read], Vs[read])
     L[read] = counts[:, 0]
     L2[read] = counts[:, 0] + counts[:, 1]
     return L, L2
+
+
+def _row_counts(cloud: PoissonCloud, sx, st, U, V, tu, tv) -> np.ndarray:
+    """Two pile rows' counts at the targets (tu, tv), sorted by (u, v),
+    from the source (sx, st): the compiled row in one call, or its
+    Python parts when it is missing or finds the slab out of order."""
+    global kernel_ran
+    lib = _compiled()
+    if lib is not None:
+        slab = _slab(cloud, sx, st, U)
+        rows = np.empty(2 * slab.size, dtype=np.float64)
+        out = np.empty((tu.size, 2), dtype=np.int64)
+        if not lib.row_pass(cloud.xs.ctypes.data, cloud.ts.ctypes.data, slab.ctypes.data,
+                            slab.size, sx, st, U, V, tu.ctypes.data, tv.ctypes.data, tu.size,
+                            rows.ctypes.data, out.ctypes.data):
+            kernel_ran = "compiled"
+            return out
+    idx, pu, pv = _sorted_cone(cloud, (sx, st), U, V)
+    return _pile_counts(pv, 2, _before(pu, pv, tu, tv), tv)
 
 
 def chain_tables(cloud: PoissonCloud, start, end):

@@ -13,6 +13,7 @@ sweep (cloud) per source anchor yields the whole row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from math import isnan
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,12 +63,13 @@ class GapSheet:
         return self.values[:, j]
 
     def to_csv(self) -> str:
+        """One line x,y,G per entry; G is empty where NaN."""
+        text = (lambda v: str(int(v))) if self.integer_valued else repr
+        ys = [f",{y}," for y in self.y_grid]
         lines = ["x,y,G"]
-        for i, x in enumerate(self.x_grid):
-            for j, y in enumerate(self.y_grid):
-                v = self.values[i, j]
-                sv = "" if np.isnan(v) else (str(int(v)) if self.integer_valued else repr(v))
-                lines.append(f"{x},{y},{sv}")
+        for x, row in zip(self.x_grid, self.values.tolist()):
+            head = f"{x}"
+            lines += [head + y + ("" if isnan(v) else text(v)) for y, v in zip(ys, row)]
         return "\n".join(lines) + "\n"
 
     def to_binary(self) -> Tuple[dict, bytes]:

@@ -125,6 +125,12 @@ class PoissonCloud:
     cloud exactly, with ``"reflected": true`` when it is the image of a
     seeded cloud under ``reflect``; a cloud without a seed carries its
     points instead.
+
+    The cloud also keeps one point order for the chain kernels:
+    ``u_order`` sorts the points by (t + x, t - x), ties in index order,
+    and ``u_keys`` holds their t + x in that order.  Each read-out takes
+    the slab of it near a source's cone (see ``cloud``), so no read-out
+    sorts the whole cloud.
     """
 
     reflected = False  # set by reflect()
@@ -138,6 +144,9 @@ class PoissonCloud:
         order = np.lexsort((xs, ts))
         self.xs = xs[order]
         self.ts = ts[order]
+        u = self.ts + self.xs
+        self.u_order = np.lexsort((self.ts - self.xs, u))
+        self.u_keys = u[self.u_order]
         self.region = region
         self.seed = seed
         self.rate = rate

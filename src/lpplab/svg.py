@@ -27,17 +27,15 @@ def heatmap(matrix) -> str:
     lo = float(finite.min()) if finite.size else 0.0
     hi = float(finite.max()) if finite.size else 1.0
     span = hi - lo if hi > lo else 1.0
+    level = np.rint(255 * (1.0 - (m - lo) / span))  # round half to even, as round()
+    # fills[256] is the fill of a cell that is not finite
+    fills = [f'fill="rgb({g},{g},{g})"/>' for g in range(256)] + ['fill="rgb(255,200,200)"/>']
+    codes = np.where(np.isfinite(m), level, 256).astype(np.int64).tolist()
+    xs = [f'<rect x="{j * CELL:.2f}" ' for j in range(m.shape[1])]
     body = []
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            v = m[i, j]
-            if np.isfinite(v):
-                level = int(round(255 * (1.0 - (v - lo) / span)))
-                fill = f"rgb({level},{level},{level})"
-            else:
-                fill = "rgb(255,200,200)"
-            body.append(f'<rect x="{j * CELL:.2f}" y="{i * CELL:.2f}" '
-                        f'width="{CELL:.2f}" height="{CELL:.2f}" fill="{fill}"/>')
+    for i, row in enumerate(codes):
+        y = f'y="{i * CELL:.2f}" width="{CELL:.2f}" height="{CELL:.2f}" '
+        body += [x + y + fills[g] for x, g in zip(xs, row)]
     return _doc(m.shape[1] * CELL, m.shape[0] * CELL, body)
 
 

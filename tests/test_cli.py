@@ -273,6 +273,19 @@ def test_lattice_gap_honours_the_law(tmp_path, law):
     assert header["integer_valued"] == (law != "exponential")
 
 
+def test_float_sheet_csv_holds_the_binary_values(tmp_path):
+    doc = {"command": "gap", "model": "exponential", "n": 16, "grid_points": 8, "seed": 3}
+    out, ok = run(tmp_path, doc)
+    assert ok
+    header = json.loads((out / "sheet_0.json").read_text())
+    assert not header["integer_valued"]
+    want = np.frombuffer((out / "sheet_0.bin").read_bytes(), dtype=np.float64)
+    fields = [line.split(",")[2] for line in (out / "sheet_0.csv").read_text().splitlines()[1:]]
+    got = np.array([float(f) if f else np.nan for f in fields])
+    assert got.tobytes() == want.tobytes()
+    assert np.isfinite(want).any() and not np.array_equal(want, np.rint(want))
+
+
 def test_svg_determinism_and_shapes():
     m = np.array([[1.0, 2.0], [3.0, np.nan]])
     a = svg.heatmap(m)

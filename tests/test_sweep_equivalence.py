@@ -2,11 +2,13 @@
 the rectangle walk against the per-cell walk it replaced, the one
 patience kernel of the cloud against the three chain kernels it replaced
 (once per kernel: compiled and Python), the compiled kernel against the
-Python one, its build and its fallback,
-the one merge read-out against the four loops it replaced, the one
+Python one, its build and its fallback, the cloud's one point order
+against the full sort of every cone, the compiled row against the Python
+row, the one merge read-out against the four loops it replaced, the one
 chain track and probe grid against the chain comparisons they replaced,
-and the one optimal-step graph of the cloud against the level scan and
-successor loop it replaced.
+the one optimal-step graph of the cloud against the level scan and
+successor loop it replaced, and the heatmap and CSV writers against the
+per-cell loops they replaced.
 
 The reference kernels below are the earlier implementations, kept
 here verbatim as the specification.  Dead states are only meaningful as
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpplab import busemann, classify, engine, flow, gaplab, lattice
+from lpplab import busemann, classify, engine, flow, gaplab, lattice, svg
 from lpplab import cloud as cloud_mod
 from lpplab.errors import DomainError, InvariantError
 from lpplab.lattice import NEG, _VALID
@@ -452,12 +454,19 @@ def test_walks_on_corrupted_tables_fail_at_the_same_cell(f):
 # them all: k pile rows, the inline two-row loop of the row pass, and the
 # Fenwick prefix-maximum tables.
 
+def ref_rel_uv(cloud, origin):
+    x0, t0 = _xy(origin)
+    u = (cloud.ts - t0) + (cloud.xs - x0)
+    v = (cloud.ts - t0) - (cloud.xs - x0)
+    return u, v
+
+
 def ref_diamond_order(cloud, start, end):
     sx, st = _xy(start)
     ex, et = _xy(end)
     if not causal_leq(start, end):
         raise DomainError(f"end {end} not causally reachable from start {start}")
-    u, v = cloud_mod.rel_uv(cloud, start)
+    u, v = ref_rel_uv(cloud, start)
     U = (et - st) + (ex - sx)
     V = (et - st) - (ex - sx)
     keep = (u >= 0) & (v >= 0) & (u <= U) & (v <= V)
@@ -504,7 +513,7 @@ def ref_row_pass(cloud, start, target_xs, target_t):
     Vs = dt - (ys - sx)
     if np.any(np.abs(ys - sx) > dt):
         raise DomainError("some target lies outside the causal cone of the source")
-    u, v = cloud_mod.rel_uv(cloud, start)
+    u, v = ref_rel_uv(cloud, start)
     keep = (u >= 0) & (v >= 0) & (u <= Us.max()) & (v <= Vs.max())
     keep &= ~((u == 0) & (v == 0))
     idx = np.nonzero(keep)[0]
@@ -797,6 +806,184 @@ def test_mirror_transposes_the_row_pass(kernel, pts, x0, x1, targets, T):
             assert np.array_equal(g, w)
         assert (cloud_mod.greene_partial_sums(mirror, (-float(x0), 0.0), (-x1, float(T)), 3)
                 == cloud_mod.greene_partial_sums(cl, (float(x0), 0.0), (x1, float(T)), 3))
+
+
+# ---------------------------------------------------- cloud order references
+# Before each cloud kept one point order, every cone selection computed the
+# keys of the whole cloud, masked them and sorted what was kept.
+
+def ref_sorted_cone(cloud, start, U, V):
+    u, v = ref_rel_uv(cloud, start)
+    keep = (u >= 0) & (v >= 0) & (u <= U) & (v <= V)
+    keep &= ~((u == 0) & (v == 0))
+    idx = np.nonzero(keep)[0]
+    idx = idx[np.lexsort((v[idx], u[idx]))]
+    return idx, u[idx], v[idx]
+
+
+def _edge_points(x0, t0, t, key, level):
+    """Points at time t whose key is level, and the nearest ones with the
+    key on either side: x is scanned over 40 floats each way of the guess."""
+    dt = t - t0
+    guess = x0 + (level - dt) if key == "u" else x0 + (dt - level)
+    xs = {guess}
+    for way in (np.inf, -np.inf):
+        x = guess
+        for _ in range(40):
+            x = float(np.nextafter(x, way))
+            xs.add(x)
+    xs = sorted(xs)
+    keys = [(dt + (x - x0)) if key == "u" else (dt - (x - x0)) for x in xs]
+    below = [k for k in keys if k < level]
+    above = [k for k in keys if k > level]
+    near = {max(below, default=None), min(above, default=None), level}
+    return [(x, t) for x, k in zip(xs, keys) if k in near]
+
+
+def edge_cloud(x0, t0, U, V):
+    """Points on the four edges of the rectangle [0, U] x [0, V] of the
+    source (x0, t0), the nearest points outside and inside each edge, the
+    source and the far corner."""
+    pts = [(x0, t0), (x0 + (U - V) / 2, t0 + (U + V) / 2)]
+    for t in np.linspace(t0, t0 + (U + V) / 2, 9).tolist():
+        for key, level in (("u", 0.0), ("u", U), ("v", 0.0), ("v", V)):
+            pts += _edge_points(x0, t0, t, key, level)
+    return cloud_from_points(list(dict.fromkeys(pts)))
+
+
+def fallback_cloud():
+    """A cloud whose order by (t + x, t - x) disagrees with the exact keys
+    of the source (0, 1e8 - 10): near 1e8 one float step is about 1.5e-8,
+    so the two middle points get equal t + x and t - x orders them, while
+    their keys from the source order them the other way."""
+    t1 = 1e8
+    pts = [(0.7e-8, t1), (-1e-8, float(np.nextafter(t1, np.inf))), (0.5, t1 - 3), (-0.25, t1 + 2)]
+    return cloud_from_points(pts), (0.0, t1 - 10), 30.0, 30.0
+
+
+def cone_cases():
+    """(cloud, start, U, V): rectangle edges at several scales, ties in u
+    and in v, distinct points with equal rounded (u, v), points on the
+    anchors, sources at both grid ends of a Poisson cloud, and the
+    integer clouds."""
+    for x0, t0, U, V in ((0.1, 0.3, 4.7, 3.1), (-7.3, 2.9, 2.0, 6.0),
+                         (1000.1, 500.3, 3.25, 3.5), (0.0, 0.0, 1.0, 1.0)):
+        yield edge_cloud(x0, t0, U, V), (x0, t0), U, V
+    grid = [(0.1 * i, 0.1 * j) for i in range(-12, 13) for j in range(0, 25)]
+    for start in ((0.3, 0.1), (0.0, 0.0), (-0.7, 0.4)):
+        yield cloud_from_points(grid), start, 1.3, 1.1
+    third, one = (float(np.nextafter(a, np.inf)) for a in (3.0, 1.0))
+    twins = [(x, t) for x in (1e-17, 2e-17, -1e-17, 0.0, 1.0, one) for t in (3.0, third)]
+    for start in ((0.0, 0.0), (0.1, 0.2), (-1.0, 1.0)):
+        yield cloud_from_points(twins), start, 8.0, 8.0
+    n = 32
+    half = 2.0 * n ** (2.0 / 3.0)
+    pad = n / 2 + 1
+    cl = make_poisson_cloud(0, 2.0, Region(-(half + pad), half + pad, 0, n))
+    for x0 in (-half, half, -(half + pad), half + pad):
+        yield cl, (x0, 0.0), float(2 * n), float(2 * n)
+        yield cl, (x0, 0.0), float(n), float(n)
+    yield fallback_cloud()
+    for cl, start, end in CLOUD_CASES:
+        (sx, st), (ex, et) = start, end
+        yield cl, start, (et - st) + (ex - sx), (et - st) - (ex - sx)
+
+
+CONE_CASES = list(cone_cases())
+
+
+def _same_cone(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_cone_cases_are_adversarial():
+    """The edge clouds (the first four cases) put points on u = 0 and
+    u = U and one float outside each; the twin clouds (cases 7-9) hold
+    distinct points with equal (u, v)."""
+    for cl, start, U, V in CONE_CASES[:4]:
+        u, _ = ref_rel_uv(cl, start)
+        assert (u == 0).any() and (u == U).any()
+        assert ((u < 0) & (u > -1e-9)).any() and ((u > U) & (u < U + 1e-9)).any()
+    for cl, start, U, V in CONE_CASES[7:10]:
+        _, u, v = ref_sorted_cone(cl, start, U, V)
+        assert ((u[1:] == u[:-1]) & (v[1:] == v[:-1])).any()
+
+
+def test_sorted_cone_matches_the_full_sort():
+    for cl, start, U, V in CONE_CASES:
+        _same_cone(cloud_mod._sorted_cone(cl, start, U, V), ref_sorted_cone(cl, start, U, V))
+
+
+def test_cloud_order_is_checked_and_restored(monkeypatch):
+    cl, start, U, V = fallback_cloud()
+    want = ref_sorted_cone(cl, start, U, V)
+    kept = cl.u_order[np.isin(cl.u_order, want[0])]
+    assert not np.array_equal(kept, want[0])  # the cloud's order is not the source's
+    checks = []
+    check = cloud_mod._in_order
+    monkeypatch.setattr(cloud_mod, "_in_order", lambda *a: checks.append(check(*a)) or checks[-1])
+    _same_cone(cloud_mod._sorted_cone(cl, start, U, V), want)
+    assert checks == [False]
+
+
+def test_compiled_row_falls_back_where_the_cloud_order_disagrees(monkeypatch):
+    assert cloud_mod._compiled() is not None
+    cl, (x0, t0), U, V = fallback_cloud()
+    ys = np.linspace(x0 - 12, x0 + 12, 9)
+    cone = cloud_mod._sorted_cone
+    calls = []
+    monkeypatch.setattr(cloud_mod, "_sorted_cone", lambda *a: calls.append(a) or cone(*a))
+    for g, w in zip(cloud_mod.row_pass(cl, (x0, t0), ys, t0 + 15),
+                    ref_row_pass(cl, (x0, t0), ys, t0 + 15)):
+        assert np.array_equal(g, w)
+    assert len(calls) == 1  # the compiled row found the order broken
+    calls.clear()
+    cloud_mod.row_pass(cl, (x0, t0), [x0], t0 + 8)  # one point in reach: in order
+    assert calls == []
+
+
+def _row_targets(start, U, V):
+    """Targets at the time of the far corner: the corner, the cone's ends
+    and points between."""
+    x0, t0 = start
+    dt = (U + V) / 2
+    ys = np.concatenate([[x0 + (U - V) / 2, x0 - dt, x0 + dt], np.linspace(x0 - dt, x0 + dt, 13)])
+    T = t0 + dt
+    return ys[np.abs(ys - x0) <= T - t0], T
+
+
+def test_row_pass_matches_the_reference_on_adversarial_clouds(each_kernel):
+    for _ in each_kernel():
+        for cl, start, U, V in CONE_CASES:
+            ys, T = _row_targets(start, U, V)
+            if T <= start[1]:
+                continue
+            for g, w in zip(cloud_mod.row_pass(cl, start, ys, T),
+                            ref_row_pass(cl, start, ys, T)):
+                assert g.dtype == np.int64 and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n, count", [(128, 256), (256, 1025)])
+def test_compiled_row_matches_python_row_on_acceptance_seeds(n, count):
+    """The clouds of criteria 5 (n = 128) and 6 (n = 256), seeds 0-19:
+    criterion 6's row from (0, 0) and, for criterion 5, the rows from
+    both grid ends and two inner sources."""
+    half = 2.0 * n ** (2.0 / 3.0)
+    pad = n / 2 + 1
+    ys = np.linspace(-half, half, count)
+    for seed in range(20):
+        cl = make_poisson_cloud(seed, 2.0, Region(-(half + pad), half + pad, 0, n))
+        for x0 in [0.0] if n == 256 else ys[[0, 85, 170, -1]].tolist():
+            _same_cone(cloud_mod._sorted_cone(cl, (x0, 0.0), 2.0 * n, 2.0 * n),
+                       ref_sorted_cone(cl, (x0, 0.0), 2.0 * n, 2.0 * n))
+            reach = ys[np.abs(ys - x0) <= n]
+            rows = []
+            for kernel in KERNELS:
+                with patience_kernel(kernel):
+                    rows.append(cloud_mod.row_pass(cl, (x0, 0.0), reach, float(n)))
+            for g, w in zip(*rows):
+                assert np.array_equal(g, w)
 
 
 # ------------------------------------------------- merge read-out references
@@ -1370,3 +1557,78 @@ def test_excursions_match_stateful_loop():
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+# --------------------------------------------------- artifact references
+# The per-cell loops that wrote a gap sheet's heatmap and CSV.  The CSV
+# loop carries one fix: a non-integer value is written as repr(float(v)),
+# where it once wrote the repr of a numpy scalar.
+
+def ref_heatmap(matrix):
+    m = np.asarray(matrix, dtype=np.float64)
+    finite = m[np.isfinite(m)]
+    lo = float(finite.min()) if finite.size else 0.0
+    hi = float(finite.max()) if finite.size else 1.0
+    span = hi - lo if hi > lo else 1.0
+    body = []
+    for i in range(m.shape[0]):
+        for j in range(m.shape[1]):
+            v = m[i, j]
+            if np.isfinite(v):
+                level = int(round(255 * (1.0 - (v - lo) / span)))
+                fill = f"rgb({level},{level},{level})"
+            else:
+                fill = "rgb(255,200,200)"
+            body.append(f'<rect x="{j * svg.CELL:.2f}" y="{i * svg.CELL:.2f}" '
+                        f'width="{svg.CELL:.2f}" height="{svg.CELL:.2f}" fill="{fill}"/>')
+    return svg._doc(m.shape[1] * svg.CELL, m.shape[0] * svg.CELL, body)
+
+
+def ref_sheet_csv(sheet):
+    lines = ["x,y,G"]
+    for i, x in enumerate(sheet.x_grid):
+        for j, y in enumerate(sheet.y_grid):
+            v = sheet.values[i, j]
+            sv = "" if np.isnan(v) else (str(int(v)) if sheet.integer_valued else repr(float(v)))
+            lines.append(f"{x},{y},{sv}")
+    return "\n".join(lines) + "\n"
+
+
+def artifact_matrices():
+    """NaN cells, all NaN, constant, negative values, -0.0 next to 0.0,
+    levels that round half to even, +-inf, one cell, and two sheets."""
+    rng = np.random.default_rng(7)
+    a = rng.integers(-5, 6, (9, 7)).astype(np.float64)
+    a[rng.random(a.shape) < 0.2] = np.nan
+    yield a
+    yield np.full((3, 4), np.nan)
+    yield np.full((4, 3), 2.0)
+    yield -np.abs(rng.normal(size=(6, 5))) * 100
+    yield np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, np.nan]])
+    yield np.arange(511.0).reshape(7, 73) / 2  # 255 * k / 510 hits every .5
+    yield np.array([[np.inf, 1.0], [-np.inf, 3.0]])
+    yield np.array([[5.0]])
+    yield rng.exponential(size=(8, 8)) * 3
+    frame = ScalingFrame(16.0)
+    cl = make_poisson_cloud(3, 2.0, Region(-20.0, 20.0, 0.0, 16.0))
+    xs = np.linspace(-9.0, 9.0, 12)
+    yield gaplab.gap_sheet(cl, xs, xs, frame, (0.0, 16.0)).values
+    f = make_lattice_field(2, 30, 30, "geometric", 0.5)
+    yield gaplab.gap_sheet(f, list(range(-8, 9, 2)), list(range(-8, 9, 2)),
+                           frame, (16, 40)).values
+
+
+def test_heatmap_matches_per_cell_loop():
+    for m in artifact_matrices():
+        assert svg.heatmap(m) == ref_heatmap(m)
+
+
+def test_sheet_csv_matches_per_cell_loop():
+    for m in artifact_matrices():
+        rows, cols = m.shape
+        v = m[~np.isnan(m)]
+        whole = np.isfinite(v).all() and np.array_equal(v, np.rint(v))
+        for integer in (True, False) if whole else (False,):  # an integer sheet holds integers
+            sheet = gaplab.GapSheet(np.linspace(-1.5, 2.25, rows), np.arange(cols) * 0.1 - 0.3,
+                                    m, ScalingFrame(16.0), (0.0, 16.0), integer)
+            assert sheet.to_csv() == ref_sheet_csv(sheet)
