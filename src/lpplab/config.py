@@ -10,6 +10,7 @@ numerical artifacts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, NamedTuple, Optional
 
@@ -103,9 +104,10 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document.
 
     Raises ConfigError naming the offending key on unknown keys, type
-    mismatches (a JSON boolean is not a number), values outside a key's
-    allowed set, below its minimum or not above its bound, list entries
-    of the wrong type, or a missing command.
+    mismatches (a JSON boolean is not a number), numbers that are not
+    finite floats (NaN, Infinity, an int too large for a float), values
+    outside a key's allowed set, below its minimum or not above its
+    bound, list entries of the wrong type, or a missing command.
     """
     try:
         raw = json.loads(text)
@@ -136,9 +138,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _checked(key: str, value, spec: Key):
     if spec.type is float and type(value) is int:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # too large for a float: rejected below as not finite
+            value = math.inf
     if not isinstance(value, spec.type) or (isinstance(value, bool) and spec.type is not bool):
         raise ConfigError(f"key {key}: expected {spec.type.__name__}, got {type(value).__name__}")
+    if spec.type is float and not math.isfinite(value):
+        raise ConfigError(f"key {key}: {value} is not a finite number")
     if spec.choices and value not in spec.choices:
         raise ConfigError(f"key {key}: {value!r} is not one of {spec.choices}")
     if spec.minimum is not None and value < spec.minimum:

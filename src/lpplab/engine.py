@@ -15,11 +15,12 @@ space-time nodes, read once as a ``(ts, xs)`` track (``Chain._track``).
 times.  Two chains are compared on one probe grid (``_probe_grid``): the
 knots of both tracks inside their common span and the midpoints between
 them.  Both graphs are linear between consecutive knots, so the two
-positions at these times decide where the chains coincide (``overlap``)
-and where one runs right of the other (``_first_crossing``, with which
-``_uncross`` orders the flow's pair for ``optimizer2``).  No other
-module compares chains in space; the oracle keeps its own comparison as
-the reference.
+positions at these times decide where the chains coincide (``overlap``).
+``optimizer2`` orders the flow's cloud pair by the envelopes of its two
+tracks: each point goes to the side of the other track it lies on, so
+the left chain runs on the lower envelope and the right chain on the
+upper one.  No other module compares chains in space; the oracle keeps
+its own comparison as the reference.
 """
 
 from __future__ import annotations
@@ -32,13 +33,8 @@ import numpy as np
 from . import cloud as _cloud
 from . import flow as _flow
 from . import lattice as _lattice
-from .errors import InvariantError
 from .model import (DomainError, LatticeField, Model, PoissonCloud,
                     causal_leq, _xy)
-
-# the one slack of a float position comparison: a chain of a cloud pair
-# runs right of the other only by more than this
-_CROSS_SLACK = 1e-9
 
 
 @dataclass
@@ -220,7 +216,19 @@ def optimizer2(model: Model, start_pair, end_pair, side: str = "right"):
 
     On a lattice ``side`` picks the leftmost or rightmost optimal pair.
     On a cloud it selects nothing: both sides return the flow's optimal
-    pair, uncrossed, which need not be extremal.
+    pair ordered by its envelopes, which need not be extremal.  Each point
+    of a flow chain goes left when it lies left of the other flow chain's
+    track at its time and right when it lies right of it; a point on that
+    track goes left when its flow chain leaves the first start anchor and
+    right when it leaves the second.
+
+    This is exact.  The lower and upper envelopes of the two 1-Lipschitz
+    tracks are 1-Lipschitz and run between the left anchors and between
+    the right anchors.  Between consecutive left nodes the lower envelope
+    kinks only where the tracks meet, and there it is concave, so the
+    left chain runs on or below it; mirrored, the right chain runs on or
+    above the upper envelope.  Both chains are causal and ordered, and
+    together they hold the flow's points.
     """
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
@@ -238,48 +246,16 @@ def optimizer2(model: Model, start_pair, end_pair, side: str = "right"):
     res = _flow.disjoint_pair(model, start_pair, end_pair)
     if res is None:
         return None
-    value, c1, c2 = res
-    c1, c2 = _uncross(model, start_pair, end_pair, (c1, c2))
-    return DisjointPair(_cloud_chain(model, start_pair[0], end_pair[0], c1),
-                        _cloud_chain(model, start_pair[1], end_pair[1], c2), value)
-
-
-def _uncross(cloud: PoissonCloud, starts, ends, chains):
-    """Swap crossing tails until the pair is ordered left to right.
-
-    chains are two lists of cloud point indices, the first read from the
-    first start to the first end anchor, the second from the second
-    start to the second end.  Swapping the tails after a crossing keeps
-    the points of both chains, so the total value is unchanged.
-    """
-    s1, s2 = starts
-    e1, e2 = ends
-    c1, c2 = [list(c) for c in chains]
-    for _ in range(2 * (len(c1) + len(c2)) + 4):
-        t_cross = _first_crossing(_cloud_chain(cloud, s1, e1, c1),
-                                  _cloud_chain(cloud, s2, e2, c2))
-        if t_cross is None:
-            return c1, c2
-        head1 = [m for m in c1 if cloud.ts[m] <= t_cross]
-        tail1 = [m for m in c1 if cloud.ts[m] > t_cross]
-        head2 = [m for m in c2 if cloud.ts[m] <= t_cross]
-        tail2 = [m for m in c2 if cloud.ts[m] > t_cross]
-        c1 = head1 + tail2
-        c2 = head2 + tail1
-    raise InvariantError("uncrossing did not order the pair", cloud,
-                         starts=starts, ends=ends,
-                         chains=[[int(m) for m in c] for c in chains])
-
-
-def _first_crossing(a: Chain, b: Chain):
-    """The probe time just before a first runs right of b (the first probe
-    time if a starts right of b), or None if a never does."""
-    grid = _probe_grid(a, b)
-    right_of = a.position(grid) > b.position(grid) + _CROSS_SLACK
-    if not right_of.any():
-        return None
-    k = int(np.argmax(right_of))
-    return float(grid[max(k - 1, 0)])
+    value, c1, c2, reached = res
+    tracks = [_cloud_chain(model, s, e, c) for s, e, c in zip(start_pair, reached, (c1, c2))]
+    sides = ([], [])
+    for c, other, tie in ((c1, tracks[1], 0), (c2, tracks[0], 1)):
+        x_other = other.position(model.ts[c])
+        for m, x, xo in zip(c, model.xs[c].tolist(), x_other.tolist()):
+            sides[tie if x == xo else int(x > xo)].append(m)  # 0 left, 1 right
+    left, right = (sorted(idx, key=lambda m: model.ts[m]) for idx in sides)
+    return DisjointPair(_cloud_chain(model, start_pair[0], end_pair[0], left),
+                        _cloud_chain(model, start_pair[1], end_pair[1], right), value)
 
 
 def _probe_grid(a: Chain, b: Chain) -> np.ndarray:

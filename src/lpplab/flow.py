@@ -8,8 +8,9 @@ route for explicit 2-optimizers on clouds.  Costs are integers, so
 every comparison of path costs is exact.
 
 The flow ignores which start anchor feeds which end anchor, so the two
-chains come back unordered: they may cross.  ``engine`` orders them
-when it returns a pair; a value alone needs no ordering.
+chains come back unordered: they may cross, and each reports the end
+anchor its unit of flow reached.  ``engine`` orders them by their
+envelopes when it returns a pair; a value alone needs no ordering.
 
 Intended for modest instances (the edge set is quadratic in the number
 of points inside the anchor cones).
@@ -20,6 +21,10 @@ from __future__ import annotations
 import math
 
 from .model import PoissonCloud, causal_leq, _xy
+
+# node layout: source, start anchors, end anchors, sink, then an in/out
+# pair per point: point k enters at POINTS + 2k and leaves at POINTS + 2k + 1
+S, A1, A2, E1, E2, T, POINTS = range(7)
 
 
 class _MinCostFlow:
@@ -76,10 +81,12 @@ def disjoint_pair(cloud: PoissonCloud, starts, ends):
     """Best disjoint chain pair between anchor pairs.
 
     starts and ends are pairs of space-time anchors (members may
-    coincide).  Returns (value, chain1, chain2) where the chains are
-    lists of cloud point indices ordered in time, chain1 traced from the
-    first start anchor, or None when no pair of paths exists.  The value
-    is an int.  The chains are not ordered left to right.
+    coincide).  Returns (value, chain1, chain2, reached), or None when
+    no pair of paths exists.  The chains are lists of cloud point
+    indices ordered in time, chain1 traced from the first start anchor
+    and chain2 from the second; reached holds the member of ends each
+    one reaches.  The value is an int.  The chains are not ordered left
+    to right, and chain1 may reach the second end anchor.
     """
     s1, s2 = (_xy(s) for s in starts)
     e1, e2 = (_xy(e) for e in ends)
@@ -88,12 +95,9 @@ def disjoint_pair(cloud: PoissonCloud, starts, ends):
     inside = lambda p, s, e: causal_leq(s, p) and p != s and causal_leq(p, e) and p != e
     usable = [m for m, p in enumerate(pts) if inside(p, s1, e1) or inside(p, s2, e2)]
     n = len(usable)
-    # node layout: 0 = S, 1..2 = start anchors, 3..4 = end anchors, 5 = T,
-    # then in/out pairs for points.
-    S, A1, A2, E1, E2, T = 0, 1, 2, 3, 4, 5
-    g = _MinCostFlow(6 + 2 * n)
-    node_in = lambda k: 6 + 2 * k
-    node_out = lambda k: 7 + 2 * k
+    g = _MinCostFlow(POINTS + 2 * n)
+    node_in = lambda k: POINTS + 2 * k
+    node_out = lambda k: POINTS + 2 * k + 1
     g.add(S, A1, 1, 0)
     g.add(S, A2, 1, 0)
     g.add(E1, T, 1, 0)
@@ -118,28 +122,21 @@ def disjoint_pair(cloud: PoissonCloud, starts, ends):
     sent, cost = g.send(S, T, 2)
     if sent < 2:
         return None
-    chain1, chain2 = [_trace(g, usable, A) for A in (A1, A2)]
-    return -cost, chain1, chain2
+    (chain1, end1), (chain2, end2) = [_trace(g, usable, A) for A in (A1, A2)]
+    return -cost, chain1, chain2, (ends[end1 - E1], ends[end2 - E1])
 
 
 def _trace(g, usable, A):
-    """Cloud point indices of the unit of flow leaving start anchor A."""
+    """Cloud point indices of the unit of flow leaving start anchor A, and
+    the end anchor node (E1 or E2) it reaches."""
     chain = []
     node = A
-    while True:
-        nxt = None
-        for e in g.head[node]:
-            if e % 2 == 0 and g.cap[e ^ 1] > 0:
-                target = g.to[e]
-                if target >= 6 or target in (3, 4):
-                    g.cap[e ^ 1] -= 1
-                    nxt = target
-                    break
-        if nxt is None or nxt in (3, 4):
-            break
-        if nxt >= 6 and (nxt - 6) % 2 == 0:
-            chain.append(usable[(nxt - 6) // 2])
-            node = nxt + 1
-        else:
-            node = nxt
-    return chain
+    while node not in (E1, E2):
+        # a forward edge (even index) carries flow iff its reverse has capacity
+        e = next(e for e in g.head[node] if e % 2 == 0 and g.cap[e ^ 1] > 0)
+        g.cap[e ^ 1] -= 1
+        node = g.to[e]
+        if node >= POINTS:
+            chain.append(usable[(node - POINTS) // 2])
+            node += 1  # through the point to its out-node
+    return chain, node

@@ -186,6 +186,11 @@ def test_cli_config_command_mismatch(tmp_path):
     ({"command": "classify", "halfwidth": 0.0}, "halfwidth"),
     ({"command": "classify", "threshold": -1.0}, "threshold"),
     ({"command": "busemann", "threshold": -0.25}, "threshold"),
+    ({"command": "gap", "rate": float("nan")}, "rate"),
+    ({"command": "classify", "threshold": float("nan")}, "threshold"),
+    ({"command": "gap", "halfwidth": float("inf")}, "halfwidth"),
+    ({"command": "gap", "rate": float("inf")}, "rate"),
+    ({"command": "gap", "rate": 10 ** 400}, "rate"),
 ])
 def test_cli_config_error_exits_2_with_one_line(tmp_path, capsys, doc, key):
     cfg = tmp_path / "c.json"

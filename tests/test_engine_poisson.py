@@ -181,6 +181,34 @@ def test_optimizer2_extracts_valid_optimal_pair():
                 ok = True
                 break
         assert ok, "extracted pair not among oracle optimal pairs"
+    for cl, starts, ends in tiny_distinct_anchor_cases(1600, 0):
+        res = oracle.enumerate_disjoint_pairs(cl, starts, ends)
+        pair = optimizer2(cl, starts, ends)
+        assert pair.value == res.pair_optimum
+        nodes = lambda c: [(float(cl.xs[m]), float(cl.ts[m])) for m in c]
+        assert (pair.left.nodes, pair.right.nodes) in [
+            (nodes(c1), nodes(c2)) for c1, c2 in res.optimal_pairs]
+
+
+def tiny_distinct_anchor_cases(count, seed):
+    """Integer clouds of at most 8 points strictly between the anchor
+    times, with distinct starts, distinct ends or both; each start is
+    causally below its end, so a pair always exists."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        T = float(rng.integers(2, 5))
+        s1 = float(rng.integers(-1, 2))
+        s2 = s1 + float(rng.integers(0, 2))
+        e1 = s1 + float(rng.integers(-1, 2))
+        e2 = e1 + float(rng.integers(0, 3))
+        starts, ends = ((s1, 0.0), (s2, 0.0)), ((e1, T), (e2, T))
+        if s1 == s2 and e1 == e2 or abs(e2 - s2) > T:
+            continue
+        n = int(rng.integers(1, 9))
+        pts = zip(rng.integers(-3, 4, n).astype(float), rng.integers(1, int(T), n).astype(float))
+        made += 1
+        yield cloud_from_points(list(dict.fromkeys(pts))), starts, ends
 
 
 def test_optimizer2_sides_are_ordered():
@@ -190,8 +218,8 @@ def test_optimizer2_sides_are_ordered():
         lo = optimizer2(cl, (start, start), (end, end), side="left")
         hi = optimizer2(cl, (start, start), (end, end), side="right")
         for t in np.linspace(0.05, 0.95, 19):
-            assert lo.left.position(t) <= lo.right.position(t) + 1e-9
-            assert hi.left.position(t) <= hi.right.position(t) + 1e-9
+            assert lo.left.position(t) <= lo.right.position(t)
+            assert hi.left.position(t) <= hi.right.position(t)
 
 
 def test_geodesic_sides_bound_all_optimal_chains():
@@ -296,23 +324,6 @@ def test_one_chain_table_per_geodesic_network_and_classification(monkeypatch):
         calls.clear()
         op()
         assert calls == [(cl, start, end)]
-
-
-def test_uncross_at_its_iteration_cap_raises_replayable_invariant_error(monkeypatch):
-    import json
-    from lpplab import engine
-    from lpplab.errors import InvariantError
-    # a crossing that never goes away: every pass finds one at t = 0.5
-    monkeypatch.setattr(engine, "_first_crossing", lambda a, b: 0.5)
-    ends = ((0.0, 1.0), (0.0, 1.0))
-    with pytest.raises(InvariantError) as err:
-        engine._uncross(HAND, ((0.0, 0.0), (0.0, 0.0)), ends, ([0, 1], [2]))
-    replay = json.loads(err.value.replay)
-    assert replay["model"]["model"] == "poisson"
-    assert replay["chains"] == [[0, 1], [2]] and replay["ends"] == [[0.0, 1.0], [0.0, 1.0]]
-    from lpplab.model import model_from_descriptor
-    rebuilt = model_from_descriptor(replay["model"])
-    assert np.array_equal(rebuilt.xs, HAND.xs) and np.array_equal(rebuilt.ts, HAND.ts)
 
 
 def test_position_reads_arrays_of_times_and_checks_the_span():

@@ -1274,26 +1274,57 @@ def flow_cases():
         yield cl, ((-0.2, 0.0), (0.3, 0.0)), ((-0.3, 1.0), (0.4, 1.0))
 
 
+# The flow_cases pairs (numbered in flow_cases order) whose envelope
+# order differs from the old loop: the old loop read a swapped tail
+# toward the wrong end anchor and returned a non-causal chain on 30 of
+# them; on the other 5 (two with doubled ends) it returned a valid
+# ordered pair, and the envelopes, with a point on the other track kept
+# on the side its flow chain starts from, give another.
+ENVELOPE_CHANGED = {14, 31, 46, 114, 118, 127, 218, 298, 359, 446, 478, 546, 547,
+                    571, 619, 646, 715, 738, 762, 870, 934, 975, 992, 1038, 1178,
+                    1231, 1235, 1249, 1323, 1481, 1559, 1591, 1705, 1777, 1782}
+OLD_LOOP_VALID_CHANGED = {546, 715, 975, 992, 1782}
+
+
+def _causal(chain):
+    nodes = chain.spacetime_nodes()
+    return all(causal_leq(p, q) and p != q for p, q in zip(nodes, nodes[1:]))
+
+
 def test_optimizer2_on_clouds_matches_old_uncrossing():
-    pairs = uncrossed = 0
-    for cl, starts, ends in flow_cases():
+    pairs = 0
+    changed, old_valid = set(), set()
+    for case, (cl, starts, ends) in enumerate(flow_cases()):
         res = flow.disjoint_pair(cl, starts, ends)
         got = engine.optimizer2(cl, starts, ends)
         if res is None:
             assert got is None
             continue
-        value, c1, c2 = res
-        w1, w2 = ref_uncross(cl, starts, ends, (c1, c2))
+        value, c1, c2, reached = res
         pairs += 1
-        uncrossed += (w1, w2) != (c1, c2)
+        assert sorted(reached) == sorted(ends)
         assert got.value == value and type(got.value) is int
-        for chain, want, s, e in ((got.left, w1, starts[0], ends[0]),
-                                  (got.right, w2, starts[1], ends[1])):
-            assert chain.nodes == [(float(cl.xs[m]), float(cl.ts[m])) for m in want]
-            assert (chain.start, chain.end, chain.value) == (s, e, len(want))
+        index = {(float(cl.xs[m]), float(cl.ts[m])): m for m in c1 + c2}
+        idx = []
+        for chain, s, e in ((got.left, starts[0], ends[0]), (got.right, starts[1], ends[1])):
+            assert (chain.start, chain.end, chain.value) == (s, e, len(chain.nodes))
+            assert _causal(chain)
+            idx.append([index[n] for n in chain.nodes])
+        assert not set(idx[0]) & set(idx[1])
+        assert sorted(idx[0] + idx[1]) == sorted(c1 + c2)
+        assert len(c1) + len(c2) == value
+        grid = engine._probe_grid(got.left, got.right)
+        assert (got.left.position(grid) <= got.right.position(grid)).all()
         assert engine.disjoint2_value(cl, starts, ends) == value
-    assert pairs >= 900 and uncrossed > 0
-    print(f"{pairs} flow pairs, {uncrossed} uncrossed")
+        w1, w2 = ref_uncross(cl, starts, ends, (c1, c2))
+        if idx != [w1, w2]:
+            changed.add(case)
+            old = [engine._cloud_chain(cl, s, e, w) for s, e, w in zip(starts, ends, (w1, w2))]
+            if all(map(_causal, old)):
+                old_valid.add(case)
+    assert pairs == 1509
+    assert changed == ENVELOPE_CHANGED and old_valid == OLD_LOOP_VALID_CHANGED
+    print(f"{pairs} flow pairs, {len(changed)} ordered differently from the old loop")
 
 
 def _assert_overlap_matches(a, b):
