@@ -1,0 +1,187 @@
+/* The compiled kernels of lpplab, one library.
+
+   Cloud (lpplab.cloud): the same k-row insertion as cloud._pile_counts_py,
+   and the whole row pass of cloud._sorted_cone, cloud._before and that
+   insertion, comparing doubles exactly as Python does.
+
+   Lattice (lpplab.lattice): the single-path table of lattice._path_table_py
+   and the pair sweep of lattice._pair_sweep_py, in numpy's operand order:
+   the max of the predecessors, in the order _relax takes them, then the
+   weights path by path.  MAX returns its second operand unless the first
+   is larger, as np.maximum does on non-NaN doubles, signed zeros
+   included; fields are finite, so every reachable state is bit-identical
+   to numpy's.  Weights are read through element strides (rs, cs), so a
+   reflected view needs no copy.
+
+   Scratch and output buffers come from the caller, and the routines keep
+   no state, so concurrent calls are safe. */
+#include <stdint.h>
+
+#define NEG (-1.0e18)
+#define MAX(a, b) ((a) > (b) ? (a) : (b))
+
+/* bisect_right: the first index whose value is > x */
+static int64_t upper(const double *row, int64_t len, double x)
+{
+    int64_t lo = 0, hi = len;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (x < row[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+/* insert one value into k rows of capacity n; out of row k it is dropped */
+static void insert(double *rows, int64_t *lens, int64_t n, int64_t k, double item)
+{
+    for (int64_t r = 0; r < k; r++) {
+        double *row = rows + r * n;
+        int64_t spot = upper(row, lens[r], item);
+        if (spot == lens[r]) {
+            row[lens[r]++] = item;
+            return;
+        }
+        double bumped = row[spot];
+        row[spot] = item;
+        item = bumped;
+    }
+}
+
+/* the counts of row tops <= bound, one per row */
+static void count(const double *rows, const int64_t *lens, int64_t n, int64_t k,
+                  double bound, int64_t *out)
+{
+    for (int64_t r = 0; r < k; r++)
+        out[r] = upper(rows + r * n, lens[r], bound);
+}
+
+void pile_counts(const double *vs, int64_t n, int64_t k, const int64_t *stops,
+                 const double *bounds, int64_t m, double *rows, int64_t *lens,
+                 int64_t *out)
+{
+    int64_t pos = 0;
+    for (int64_t r = 0; r < k; r++)
+        lens[r] = 0;
+    for (int64_t j = 0; j < m; j++) {
+        int64_t stop = stops[j] < n ? stops[j] : n;
+        for (; pos < stop; pos++)
+            insert(rows, lens, n, k, vs[pos]);
+        count(rows, lens, n, k, bounds[j], out + j * k);
+    }
+}
+
+/* One row pass from the source (x0, t0).  The n cloud indices of slab,
+   taken in their order, are kept when their keys u = (t - t0) + (x - x0),
+   v = (t - t0) - (x - x0) lie in [0, U] x [0, V] and are not (0, 0).
+   The kept points are inserted into two pile rows; before each, the
+   targets (tu, tv), sorted by (u, v), that it does not precede are read
+   into out (m x 2).  Returns 1, with out incomplete, when the kept
+   points are not in (u, v) order with equal (u, v) in index order. */
+int64_t row_pass(const double *xs, const double *ts, const int64_t *slab, int64_t n,
+                 double x0, double t0, double U, double V, const double *tu,
+                 const double *tv, int64_t m, double *rows, int64_t *out)
+{
+    int64_t lens[2] = {0, 0}, j = 0, last = -1;
+    double lu = 0.0, lv = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t p = slab[i];
+        double u = (ts[p] - t0) + (xs[p] - x0);
+        double v = (ts[p] - t0) - (xs[p] - x0);
+        if (!(u >= 0.0 && v >= 0.0 && u <= U && v <= V) || (u == 0.0 && v == 0.0))
+            continue;
+        if (last >= 0 && !(lu < u || (lu == u && (lv < v || (lv == v && last < p)))))
+            return 1;
+        for (; j < m && !(u < tu[j] || (u == tu[j] && v < tv[j])); j++)
+            count(rows, lens, n, 2, tv[j], out + 2 * j);
+        insert(rows, lens, n, 2, v);
+        lu = u;
+        lv = v;
+        last = p;
+    }
+    for (; j < m; j++)
+        count(rows, lens, n, 2, tv[j], out + 2 * j);
+    return 0;
+}
+
+static int64_t lmax(int64_t a, int64_t b) { return a > b ? a : b; }
+static int64_t lmin(int64_t a, int64_t b) { return a < b ? a : b; }
+
+/* The best-path table of a rows x cols field w, swept from the corner
+   (i0, j0) to the grid's far end, into the padded (rows + 1) x (cols + 1)
+   table, NEG-filled by the caller.  Without seeds (NULL) the corner
+   starts with its own weight; with seeds (contiguous rows x cols) every
+   swept cell takes the max of its value and its seed.  Cell (i, j) is
+   max(left, up) + w[i, j]. */
+void path_table(const double *w, int64_t rows, int64_t cols, int64_t rs, int64_t cs,
+                int64_t i0, int64_t j0, const double *seeds, double *table)
+{
+    int64_t W = cols + 1;
+    if (!seeds)
+        table[(i0 + 1) * W + j0 + 1] = w[i0 * rs + j0 * cs];
+    for (int64_t t = i0 + j0 + !seeds; t < rows + cols - 1; t++) {
+        int64_t lo = lmax(i0, t - cols + 1), hi = lmin(rows - 1, t - j0);
+        for (int64_t i = lo; i <= hi; i++) {
+            int64_t j = t - i;
+            double *cell = table + (i + 1) * W + j + 1;
+            double v = MAX(cell[-1], cell[-W]) + w[i * rs + j * cs];
+            *cell = seeds ? MAX(v, seeds[i * cols + j]) : v;
+        }
+    }
+}
+
+/* One pair sweep of a rows x cols field w from the ordered start pair
+   (i1, j1), (i2, j2) (doubled when equal) to chart time t_stop, over
+   padded (cols + 1)^2 state buffers, NEG-filled by the caller: step s
+   reads buffer (s - 1) % nbuf and writes buffer s % nbuf, so nbuf = 2
+   keeps the last step and nbuf = steps + 1 records every one.  A step
+   writes the live window's upper triangle j1 < j2 and sets its diagonal
+   to NEG; the lower triangle is never read, never written.  order 0 adds
+   the left path's weight first, order 1 the right path's.  Returns 1
+   when a pair state at t_stop is reachable, else 0. */
+int64_t pair_sweep(const double *w, int64_t rows, int64_t cols, int64_t rs, int64_t cs,
+                   int64_t i1, int64_t j1, int64_t i2, int64_t j2, int64_t t_stop,
+                   int64_t order, double *states, int64_t nbuf)
+{
+    int64_t W = cols + 1, size = W * W, t = i1 + j1, imin = lmin(i1, i2), lo = 0, s = 0;
+    if (i1 == i2 && j1 == j2) {
+        if (i1 + 1 >= rows || j1 + 1 >= cols)
+            return 0;
+        t++;
+        states[(j1 + 1) * W + j1 + 2] = 2.0 * w[i1 * rs + j1 * cs]
+            + w[(i1 + 1) * rs + j1 * cs] + w[i1 * rs + (j1 + 1) * cs];
+    } else {
+        states[(j1 + 1) * W + j2 + 1] = w[i1 * rs + j1 * cs] + w[i2 * rs + j2 * cs];
+    }
+    for (s = 1; t + s <= t_stop; s++) {
+        int64_t u = t + s, hi = lmin(cols - 1, u - imin) + 1;
+        const double *prev = states + ((s - 1) % nbuf) * size;
+        double *next = states + (s % nbuf) * size;
+        lo = lmax(j1, u - rows + 1) + 1;
+        if (lo > hi)
+            return 0;
+        for (int64_t a = lo; a <= hi; a++) {
+            /* the left path stayed on column a or moved from a - 1 */
+            const double *stayed = prev + a * W, *moved = prev + (a - 1) * W;
+            double *out = next + a * W;
+            double wa = w[(u - a + 1) * rs + (a - 1) * cs];
+            out[a] = NEG;
+            for (int64_t b = a + 1; b <= hi; b++) {
+                double m = MAX(stayed[b], stayed[b - 1]);
+                m = MAX(m, moved[b]);
+                m = MAX(m, moved[b - 1]);
+                double wb = w[(u - b + 1) * rs + (b - 1) * cs];
+                out[b] = order ? (m + wb) + wa : (m + wa) + wb;
+            }
+        }
+    }
+    /* the last state: rows below the window may hold stale states */
+    double *last = states + ((s - 1) % nbuf) * size, best = NEG;
+    for (int64_t k = 0; k < lo * W; k++)
+        last[k] = NEG;
+    for (int64_t k = 0; k < size; k++)
+        best = MAX(best, last[k]);
+    return best > NEG / 2.0;
+}

@@ -5,18 +5,21 @@ Each run writes CSV artifacts, optional SVG renders, and a manifest that
 digests every file.  ``sample``, ``gap`` and ``dim`` take ``replicates``
 and ``threads``: replicates fan out over a thread pool and are written
 in replicate order, so the artifact tree is byte-identical for any
-thread count.  The cloud's compiled patience kernel releases the GIL,
-so Poisson row passes of different replicates run in parallel.  The
+thread count.  The pool has at most one worker per replicate and per
+CPU.  The compiled kernels release the GIL, so the Poisson row passes
+and the lattice sweeps of different replicates run in parallel.  The
 other commands run one experiment and reject both keys.  A config
 error, or a parameter or domain error raised by the run, exits with
-status 2 and one line on stderr.  The manifest records which patience
-kernel ran (``kernels``).
+status 2 and one line on stderr.  The manifest records which kernel
+ran, for the cloud's patience kernel and for the lattice sweeps
+(``kernels``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,17 +30,19 @@ import numpy as np
 from . import busemann as bz
 from . import classify as cls
 from . import config as cfgmod
-from . import cloud, gaplab, manifest, oracle, svg
+from . import cloud, gaplab, lattice, manifest, oracle, svg
 from .errors import DomainError, ParameterError
 from .model import (Region, ScalingFrame, anchor_layout, environment_for,
                     make_poisson_cloud)
 
 
 def _fanout(threads: int, n: int, fn):
-    """Run fn(k) for k in range(n), returning results in index order."""
-    if threads <= 1 or n <= 1:
+    """Run fn(k) for k in range(n), returning results in index order, on
+    at most one worker per task and per CPU."""
+    workers = min(threads, n, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(k) for k in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n)))
 
 
@@ -251,14 +256,15 @@ def run_experiment(cfg: cfgmod.ExperimentConfig, out_dir=None) -> tuple:
     """Dispatch a validated config; returns (out_path, ok)."""
     out = Path(out_dir if out_dir is not None else cfg["out"])
     started = time.time()
-    cloud.kernel_ran = None
+    cloud.kernel_ran = lattice.kernel_ran = None
     summaries, envs, ok = _RUNNERS[cfg.command](cfg, out)
     out.mkdir(parents=True, exist_ok=True)  # a run may write no artifact
     manifest.write_manifest(out, json.loads(cfg.to_json()), summaries, envs,
                             wall_clock_s=time.time() - started,
                             schema={"csv_columns": _CSV_SCHEMA,
                                     "version": manifest.SCHEMA_VERSION},
-                            kernels={"patience": cloud.kernel_ran})
+                            kernels={"patience": cloud.kernel_ran,
+                                     "lattice": lattice.kernel_ran})
     return out, ok
 
 

@@ -30,18 +30,21 @@ per-source keys differently, so an O(n) check confirms that the kept
 points are in (u, v) order, equal (u, v) in index order; where it
 fails, the kept points are sorted.
 
-The kernel is compiled: ``_patience.c`` holds the same insertion in C,
+The kernel is compiled: ``_kernels.c`` holds the same insertion in C,
 comparing doubles as Python compares floats, so both give identical
 counts, and a whole row pass: the keys, the mask and the order check on
 the slab, the stops and the two-row insertion, in one call.  When the
 compiled row finds the slab out of order it says so, and the Python
 parts (``_sorted_cone``, ``_before``, ``_pile_counts``) serve that row.
-The first read-out builds the library with the local gcc into
-``__pycache__/_patience-<hash>.so`` next to this module (the hash covers
-the source and the build command; a build goes to a temporary file
-renamed into place, so concurrent builds are safe) and loads it with
-``ctypes``, which releases the GIL during each call: threads run their
-row passes in parallel.  When it cannot be built or loaded, the Python
+``_kernels.c`` is the package's one C library: it also holds the
+lattice's table and pair sweeps (see ``lattice``), and ``_compiled``
+is its one loader.  The first read-out of either model builds it with
+the local gcc into ``__pycache__/_kernels-<hash>.so`` next to this
+module (the hash covers the source and the build command; a build goes
+to a temporary file renamed into place, so concurrent builds are safe)
+and loads it with ``ctypes``, which releases the GIL during each call:
+threads run their row passes and sweeps in parallel.  Nothing is built
+or loaded at import.  When it cannot be built or loaded, the Python
 routines run instead; ``_pile_counts_py`` is the reference.
 
 Optimal steps.  ``OptimalSteps`` builds one graph from one
@@ -155,23 +158,23 @@ def _pile_counts_py(vs, k: int, stops, bounds) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(len(out), k)
 
 
-_SOURCE = Path(__file__).with_name("_patience.c")
+_SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = _SOURCE.parent / "__pycache__"
 _BUILD = ("gcc", "-O2", "-shared", "-fPIC")
-_loaded = None  # the compiled routine; False once it failed to build or load
+_loaded = None  # the compiled library; False once it failed to build or load
 _load_lock = threading.Lock()
 kernel_ran = None  # "compiled" or "python": the kernel of the last read-out
 
 
 def _build() -> Path:
-    """The compiled kernel's library in ``_CACHE``, built unless present."""
+    """The compiled library in ``_CACHE``, built unless present."""
     import subprocess
     import tempfile
     tag = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_BUILD).encode()).hexdigest()
-    lib = _CACHE / f"_patience-{tag[:16]}.so"
+    lib = _CACHE / f"_kernels-{tag[:16]}.so"
     if not lib.exists():
         _CACHE.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix="_patience-", suffix=".tmp", dir=_CACHE)
+        fd, tmp = tempfile.mkstemp(prefix="_kernels-", suffix=".tmp", dir=_CACHE)
         os.close(fd)
         try:
             subprocess.run([*_BUILD, "-o", tmp, str(_SOURCE)], check=True,
@@ -198,6 +201,11 @@ def _compiled():
                     lib.row_pass.restype = i64
                     lib.row_pass.argtypes = [ptr, ptr, ptr, i64, f64, f64, f64, f64,
                                              ptr, ptr, i64, ptr, ptr]
+                    lib.path_table.restype = None
+                    lib.path_table.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr, ptr]
+                    lib.pair_sweep.restype = i64
+                    lib.pair_sweep.argtypes = [ptr, i64, i64, i64, i64, i64, i64, i64, i64,
+                                               i64, i64, ptr, i64]
                     _loaded = lib
                 except Exception:  # any failure: the Python routines serve
                     _loaded = False

@@ -33,6 +33,21 @@ constant until the grid's bottom edge cuts in and then rises by one per
 step, so a step reads only rows the step before wrote or rows never
 written.  Rows left behind go stale and are cleared once, at the end.
 
+Compiled kernel: ``_path_table`` and ``_pair_sweep`` each run a whole
+sweep as one call into the package's C library (``_kernels.c``, loaded
+by ``cloud._compiled`` on first use, never at import; the call releases
+the GIL).  The C sweeps take the operands in numpy's order, the max of
+the predecessors as ``_relax`` takes them, then the weights path by
+path, so every reachable state is bit-identical to numpy's for every
+law (weights are finite, see ``LatticeField``).  The pair sweep
+computes only the live upper triangle j1 < j2 and clears the diagonal;
+the lower triangle is never read, so it is never written and stays NEG.
+It reads each weight at (t - j, j) through the field's strides, a
+reflected view included, and builds no antidiagonal rows.  When the
+library is missing, the numpy sweeps ``_path_table_py`` and
+``_pair_sweep_py`` run instead; they are the reference.  ``kernel_ran``
+names the kernel of the last sweep.
+
 Mirrors come from reflection: backward tables and backward pair sweeps
 are forward sweeps of the field reflected by (i, j) -> (rows-1-i,
 cols-1-j).  Reflection swaps a pair's paths, so the mirrored sweep adds
@@ -71,6 +86,7 @@ import itertools
 
 import numpy as np
 
+from . import cloud
 from .errors import InvariantError
 from .model import DomainError, LatticeField, reflect_cell
 
@@ -78,6 +94,7 @@ NEG = -1.0e18
 _VALID = NEG / 2.0
 _SHIFTS = (slice(1, None), slice(None, -1))  # index stayed, index moved up
 _BORDER = ((1, 0), (1, 0))  # np.pad widths: one border row and column in front
+kernel_ran = None  # "compiled" or "python": the kernel of the last table or pair sweep
 
 
 def is_reachable(value: float) -> bool:
@@ -98,6 +115,20 @@ def _relax(out: np.ndarray, prev: np.ndarray, weights) -> None:
         out += w.reshape((-1,) + (1,) * (out.ndim - 1 - axis))
 
 
+def _library():
+    """The compiled library, or None when the numpy sweeps must serve;
+    records which kernel runs in ``kernel_ran``."""
+    global kernel_ran
+    lib = cloud._compiled()
+    kernel_ran = "python" if lib is None else "compiled"
+    return lib
+
+
+def _strides(w: np.ndarray):
+    """w's row and column strides in elements (negative for a reflection)."""
+    return w.strides[0] // w.itemsize, w.strides[1] // w.itemsize
+
+
 def _path_table(w: np.ndarray, corner, seeds=None) -> np.ndarray:
     """Padded best-path table, swept from corner to the grid's far end.
 
@@ -105,6 +136,20 @@ def _path_table(w: np.ndarray, corner, seeds=None) -> np.ndarray:
     (NEG where unseeded) every cell takes max(seed, swept value); the
     corner must then lie weakly above-left of every seeded cell.
     """
+    lib = _library()
+    if lib is None:
+        return _path_table_py(w, corner, seeds)
+    rows, cols = w.shape
+    table = np.full((rows + 1, cols + 1), NEG)
+    if seeds is not None:
+        seeds = np.ascontiguousarray(seeds, dtype=np.float64)
+    lib.path_table(w.ctypes.data, rows, cols, *_strides(w), int(corner[0]), int(corner[1]),
+                   None if seeds is None else seeds.ctypes.data, table.ctypes.data)
+    return table
+
+
+def _path_table_py(w: np.ndarray, corner, seeds=None) -> np.ndarray:
+    """_path_table in numpy, the reference of the compiled one."""
     rows, cols = w.shape
     table = np.full((rows + 1, cols + 1), NEG)
     flat, wflat = table.reshape(-1), np.pad(w, _BORDER).reshape(-1)
@@ -148,6 +193,9 @@ def seeded_forward(field: LatticeField, seeds: np.ndarray) -> np.ndarray:
     the weight of c), or NEG.  Returns A with
     A[c] = max(seeds[c], max(A[up], A[left]) + w[c]), evaluated literally.
     """
+    seeds = np.asarray(seeds, dtype=np.float64)
+    if seeds.shape != field.weights.shape:
+        raise DomainError(f"seeds of shape {seeds.shape} on a {field.rows}x{field.cols} grid")
     seeded = np.argwhere(seeds > _VALID)
     if not len(seeded):
         return np.full(field.weights.shape, NEG)
@@ -200,6 +248,27 @@ def _pair_sweep(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
     record and only the last one without; [] if no pair is feasible.
     ``order`` is the axis order in which the paths' weights are added.
     """
+    lib = _library()
+    if lib is None:
+        return _pair_sweep_py(w, start_pair, t_stop, record, order)
+    rows, cols = w.shape
+    (i1, j1), (i2, j2) = start_pair
+    t = i1 + j1 + ((i1, j1) == (i2, j2))
+    if t_stop < t:
+        return []
+    steps = t_stop - t + 1
+    states = np.full((steps if record else min(steps, 2), cols + 1, cols + 1), NEG)
+    if not lib.pair_sweep(w.ctypes.data, rows, cols, *_strides(w),
+                          *(int(k) for k in (i1, j1, i2, j2, t_stop)),
+                          int(order == (1, 0)), states.ctypes.data, len(states)):
+        return []
+    if record:
+        return list(zip(range(t, t_stop + 1), states))
+    return [(t_stop, states[(steps - 1) % 2])]
+
+
+def _pair_sweep_py(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
+    """_pair_sweep in numpy, the reference of the compiled one."""
     rows, cols = w.shape
     (i1, j1), (i2, j2) = start_pair
     t = i1 + j1

@@ -116,6 +116,16 @@ def _xy(p) -> tuple:
     return (float(x), float(t))
 
 
+def _sort_order(key: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
+    """The order of np.lexsort((tiebreak, key)): by key, then tiebreak,
+    then index.  One argsort of key serves unless two keys are equal."""
+    order = np.argsort(key)
+    sorted_key = key[order]
+    if bool(np.any(sorted_key[1:] == sorted_key[:-1])):
+        return np.lexsort((tiebreak, key))
+    return order
+
+
 class PoissonCloud:
     """A realized Poisson point set, sorted by (t, x).
 
@@ -128,9 +138,10 @@ class PoissonCloud:
 
     The cloud also keeps one point order for the chain kernels:
     ``u_order`` sorts the points by (t + x, t - x), ties in index order,
-    and ``u_keys`` holds their t + x in that order.  Each read-out takes
-    the slab of it near a source's cone (see ``cloud``), so no read-out
-    sorts the whole cloud.
+    and ``u_keys`` holds their t + x in that order.  Both sorts are one
+    argsort of their first key unless that key repeats (``_sort_order``).
+    Each read-out takes the slab of it near a source's cone (see
+    ``cloud``), so no read-out sorts the whole cloud.
     """
 
     reflected = False  # set by reflect()
@@ -141,11 +152,11 @@ class PoissonCloud:
         ts = np.asarray(ts, dtype=np.float64)
         if xs.shape != ts.shape:
             raise ParameterError("xs and ts must have equal length")
-        order = np.lexsort((xs, ts))
+        order = _sort_order(ts, xs)
         self.xs = xs[order]
         self.ts = ts[order]
         u = self.ts + self.xs
-        self.u_order = np.lexsort((self.ts - self.xs, u))
+        self.u_order = _sort_order(u, self.ts - self.xs)
         self.u_keys = u[self.u_order]
         self.region = region
         self.seed = seed
@@ -216,7 +227,7 @@ _LAWS = ("geometric", "exponential", "bernoulli", "explicit")
 
 
 class LatticeField:
-    """A rows x cols field of nonnegative weights.
+    """A rows x cols field of finite nonnegative weights.
 
     Chart coordinates: cell (i, j), 0-indexed, sits at chart time
     t = i + j and chart position x = j - i.  ``cell_at`` and ``chart_of``
@@ -233,6 +244,8 @@ class LatticeField:
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise ParameterError(f"weights must be a nonempty matrix, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise ParameterError("weights must be finite")
         if np.any(w < 0):
             raise ParameterError("weights must be nonnegative")
         self.weights = w

@@ -77,13 +77,42 @@ def test_manifest_records_the_patience_kernel(tmp_path, monkeypatch):
     def kernel(doc, name):
         return manifest.read_manifest(run(tmp_path, doc, name)[0])["kernels"]
 
-    assert kernel(poisson, "compiled") == {"patience": "compiled"}
-    assert kernel(lattice, "lattice") == {"patience": None}  # no cloud kernel ran
+    assert kernel(poisson, "compiled") == {"patience": "compiled", "lattice": None}
+    assert kernel(lattice, "lattice") == {"patience": None, "lattice": "compiled"}
     monkeypatch.setattr(cli.cloud, "_compiled", lambda: None)
-    assert kernel(poisson, "python") == {"patience": "python"}
-    for name in ("compiled", "python"):  # the manifest is outside the artifacts
-        assert ((tmp_path / name / "sheet_0.bin").read_bytes()
-                == (tmp_path / "compiled" / "sheet_0.bin").read_bytes())
+    assert kernel(poisson, "python") == {"patience": "python", "lattice": None}
+    assert kernel(lattice, "lattice_python") == {"patience": None, "lattice": "python"}
+    for a, b in (("compiled", "python"), ("lattice", "lattice_python")):
+        # the manifest is outside the artifacts
+        assert ((tmp_path / a / "sheet_0.bin").read_bytes()
+                == (tmp_path / b / "sheet_0.bin").read_bytes())
+
+
+@pytest.mark.parametrize("threads, n, cpus, want", [
+    (1, 5, 8, None), (4, 1, 8, None), (4, 5, 1, None), (8, 5, None, None),
+    (2, 5, 8, 2), (64, 3, 8, 3), (10**9, 5, 2, 2), (4, 9, 3, 3)])
+def test_fanout_pool_is_capped(threads, n, cpus, want, monkeypatch):
+    """The pool has min(threads, tasks, CPUs) workers, and none below 2;
+    recorded by a stand-in executor that starts no thread."""
+    pools = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli._fanout(threads, n, lambda k: k * k) == [k * k for k in range(n)]
+    assert pools == ([] if want is None else [want])
 
 
 def test_manifest_detects_tampering(tmp_path):

@@ -57,6 +57,14 @@ def test_lattice_explicit_echo():
     assert f.integer_valued
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lattice_rejects_non_finite_weights(bad):
+    w = np.ones((3, 3))
+    w[1, 2] = bad
+    with pytest.raises(ParameterError, match="^weights must be finite$"):
+        make_lattice_field(0, 3, 3, "explicit", weights=w)
+
+
 def test_lattice_deterministic():
     a = make_lattice_field(5, 3, 3, "geometric", 0.5)
     b = make_lattice_field(5, 3, 3, "geometric", 0.5)

@@ -1,9 +1,12 @@
-"""Equivalence gate: the banded sweep against the dense sweeps it replaced,
-the rectangle walk against the per-cell walk it replaced, the one
+"""Equivalence gate: the banded sweep against the dense sweeps it replaced
+(once per kernel: compiled and numpy), the compiled lattice sweeps
+against the numpy ones on gap sheets, the rectangle walk against the
+per-cell walk it replaced, the one
 patience kernel of the cloud against the three chain kernels it replaced
 (once per kernel: compiled and Python), the compiled kernel against the
 Python one, its build and its fallback, the cloud's one point order
-against the full sort of every cone, the compiled row against the Python
+against the full sort of every cone and its sort against lexsort, the
+compiled row against the Python
 row, the one merge read-out against the four loops it replaced, the one
 chain track and probe grid against the chain comparisons they replaced,
 the one optimal-step graph of the cloud against the level scan and
@@ -16,6 +19,7 @@ here verbatim as the specification.  Dead states are only meaningful as
 comparing; every reachable entry must be bit-identical.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -28,8 +32,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpplab import busemann, classify, engine, flow, gaplab, lattice, svg
+from lpplab import busemann, classify, cli, engine, flow, gaplab, lattice, svg
 from lpplab import cloud as cloud_mod
+from lpplab.config import parse_config
 from lpplab.errors import DomainError, InvariantError
 from lpplab.lattice import NEG, _VALID
 from lpplab.model import (LatticeField, Region, ScalingFrame, _xy, causal_leq,
@@ -255,26 +260,59 @@ def start_pairs(f):
     return out
 
 
+# ---------------------------------------------------------------- kernels
+
+KERNELS = ("compiled", "python")
+
+
+@contextmanager
+def one_kernel(name):
+    """Serve the chain read-outs and lattice sweeps from one kernel: the
+    compiled library or the Python (numpy) routines."""
+    saved = cloud_mod._compiled
+    if name == "python":
+        cloud_mod._compiled = lambda: None
+    try:
+        yield
+    finally:
+        cloud_mod._compiled = saved
+
+
+@pytest.fixture
+def each_kernel(monkeypatch):
+    """``for _ in each_kernel():`` runs a test body once per kernel."""
+    def each():
+        yield "compiled"
+        monkeypatch.setattr(cloud_mod, "_compiled", lambda: None)
+        yield "python"
+    return each
+
+
 # ---------------------------------------------------------------- tests
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
-def test_single_tables_match_dense_reference(f):
-    for c in cells(f):
-        assert_same(lattice.forward_values(f, c), ref_forward_values(f, c))
-        assert_same(lattice.backward_values(f, c), ref_backward_values(f, c))
+def test_single_tables_match_dense_reference(f, each_kernel):
+    for _ in each_kernel():
+        for c in cells(f):
+            assert_same(lattice.forward_values(f, c), ref_forward_values(f, c))
+            assert_same(lattice.backward_values(f, c), ref_backward_values(f, c))
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
-def test_seeded_forward_matches_dense_reference(f):
-    rng = np.random.default_rng(f.rows * 31 + f.cols)
-    F = lattice.forward_values(f, (0, 0))
-    for trial in range(6):
-        seeds = np.full(f.weights.shape, NEG)
-        mask = rng.random(f.weights.shape) < (0.1 + 0.15 * trial)
-        seeds[mask] = F[mask] + rng.integers(-3, 4, size=mask.sum())
-        assert_same(lattice.seeded_forward(f, seeds), ref_seeded_forward(f, seeds))
-    empty = np.full(f.weights.shape, NEG)
-    assert_same(lattice.seeded_forward(f, empty), ref_seeded_forward(f, empty))
+def test_seeded_forward_matches_dense_reference(f, each_kernel):
+    for _ in each_kernel():
+        rng = np.random.default_rng(f.rows * 31 + f.cols)
+        F = lattice.forward_values(f, (0, 0))
+        for trial in range(6):
+            seeds = np.full(f.weights.shape, NEG)
+            mask = rng.random(f.weights.shape) < (0.1 + 0.15 * trial)
+            seeds[mask] = F[mask] + rng.integers(-3, 4, size=mask.sum())
+            assert_same(lattice.seeded_forward(f, seeds), ref_seeded_forward(f, seeds))
+        empty = np.full(f.weights.shape, NEG)
+        assert_same(lattice.seeded_forward(f, empty), ref_seeded_forward(f, empty))
+        for shape in ((f.rows, f.cols + 1), (f.rows - 1, f.cols), (f.rows * f.cols,)):
+            with pytest.raises(DomainError):
+                lattice.seeded_forward(f, np.zeros(shape))
 
 
 def _check_pair_results(got, want, record):
@@ -293,26 +331,28 @@ def _check_pair_results(got, want, record):
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
-def test_pair_forward_matches_dense_reference(f):
+def test_pair_forward_matches_dense_reference(f, each_kernel):
     t_max = f.rows + f.cols - 2
-    for pair in start_pairs(f):
-        t0 = pair[0][0] + pair[0][1]
-        for t_stop in sorted({t0 - 1, t0, t0 + 1, t0 + 3, t_max - 1, t_max, t_max + 1}):
-            _check_pair_results(lattice.pair_forward(f, pair, t_stop),
-                                ref_pair_forward(f, pair, t_stop), False)
-        _check_pair_results(lattice.pair_forward(f, pair, t_max, record=True),
-                            ref_pair_forward(f, pair, t_max, record=True), True)
+    for _ in each_kernel():
+        for pair in start_pairs(f):
+            t0 = pair[0][0] + pair[0][1]
+            for t_stop in sorted({t0 - 1, t0, t0 + 1, t0 + 3, t_max - 1, t_max, t_max + 1}):
+                _check_pair_results(lattice.pair_forward(f, pair, t_stop),
+                                    ref_pair_forward(f, pair, t_stop), False)
+            _check_pair_results(lattice.pair_forward(f, pair, t_max, record=True),
+                                ref_pair_forward(f, pair, t_max, record=True), True)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
-def test_pair_backward_matches_dense_reference(f):
-    for pair in start_pairs(f):
-        t1 = pair[0][0] + pair[0][1]
-        for t_stop in sorted({-1, 0, 1, t1 - 3, t1 - 1, t1, t1 + 1}):
-            _check_pair_results(lattice.pair_backward(f, pair, t_stop),
-                                ref_pair_backward(f, pair, t_stop), False)
-        _check_pair_results(lattice.pair_backward(f, pair, 0, record=True),
-                            ref_pair_backward(f, pair, 0, record=True), True)
+def test_pair_backward_matches_dense_reference(f, each_kernel):
+    for _ in each_kernel():
+        for pair in start_pairs(f):
+            t1 = pair[0][0] + pair[0][1]
+            for t_stop in sorted({-1, 0, 1, t1 - 3, t1 - 1, t1, t1 + 1}):
+                _check_pair_results(lattice.pair_backward(f, pair, t_stop),
+                                    ref_pair_backward(f, pair, t_stop), False)
+            _check_pair_results(lattice.pair_backward(f, pair, 0, record=True),
+                                ref_pair_backward(f, pair, 0, record=True), True)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
@@ -374,18 +414,53 @@ def test_doubled_values_need_adjacent_states():
     assert np.isnan(lattice.doubled_values(f, None, 9, _diag_cells(f, 8))).all()
 
 
-def test_acceptance_size_sweeps_match_dense_reference():
+def test_acceptance_size_sweeps_match_dense_reference(each_kernel):
     """One gap-sheet row and one mirrored sweep on a field of benchmark shape."""
     f = make_lattice_field(11, 60, 64, "exponential")
     a = f.cell_at(0, 30)
-    assert_same(lattice.forward_values(f, a), ref_forward_values(f, a))
-    S, _ = lattice.pair_forward(f, (a, a), 100)
-    R, _ = ref_pair_forward(f, (a, a), 100)
-    assert_same(S, R)
     b1, b2 = f.cell_at(-4, 100), f.cell_at(6, 100)
-    S, _ = lattice.pair_backward(f, (b1, b2), 31)
-    R, _ = ref_pair_backward(f, (b1, b2), 31)
+    for _ in each_kernel():
+        assert_same(lattice.forward_values(f, a), ref_forward_values(f, a))
+        S, _ = lattice.pair_forward(f, (a, a), 100)
+        R, _ = ref_pair_forward(f, (a, a), 100)
+        assert_same(S, R)
+        S, _ = lattice.pair_backward(f, (b1, b2), 31)
+        R, _ = ref_pair_backward(f, (b1, b2), 31)
+        assert_same(S, R)
+
+
+def _lattice_gap_sheet(model, seed):
+    """The gap sheet of the lattice_gap benchmark configuration."""
+    doc = {"command": "gap", "model": model, "n": 128, "grid_points": 64, "seed": seed}
+    return cli._sheet(parse_config(json.dumps(doc)), seed)[1]
+
+
+@pytest.mark.parametrize("model, seed", [("geometric", s) for s in range(8)]
+                         + [("exponential", 0)])
+def test_compiled_sweeps_give_the_numpy_gap_sheets(model, seed):
+    """The lattice_gap sheets, from the compiled sweeps and from numpy."""
+    assert cloud_mod._compiled() is not None
+    sheets = []
+    for kernel in KERNELS:
+        with one_kernel(kernel):
+            sheets.append(_lattice_gap_sheet(model, seed))
+            assert lattice.kernel_ran == kernel
+    got, want = sheets
+    assert np.isfinite(want.values).any()
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.to_binary() == want.to_binary()
+
+
+def test_compiled_pair_sweep_reads_the_weights_directly(monkeypatch):
+    def forbidden(w):
+        raise AssertionError("the compiled sweep built the antidiagonals")
+
+    monkeypatch.setattr(lattice, "_antidiagonals", forbidden)
+    f = FIELDS[1]
+    S, _ = lattice.pair_forward(f, ((0, 0), (0, 0)), f.rows + f.cols - 3)
+    R, _ = ref_pair_forward(f, ((0, 0), (0, 0)), f.rows + f.cols - 3)
     assert_same(S, R)
+    assert lattice.kernel_ran == "compiled"
 
 
 def test_min_formula_batch_unchanged_by_pair_step():
@@ -614,31 +689,6 @@ def integer_clouds(count, seed):
 CLOUD_CASES = list(integer_clouds(300, 0))
 
 
-KERNELS = ("compiled", "python")
-
-
-@contextmanager
-def patience_kernel(name):
-    """Serve the cloud's chain read-outs from one patience kernel."""
-    saved = cloud_mod._compiled
-    if name == "python":
-        cloud_mod._compiled = lambda: None
-    try:
-        yield
-    finally:
-        cloud_mod._compiled = saved
-
-
-@pytest.fixture
-def each_kernel(monkeypatch):
-    """``for _ in each_kernel():`` runs a test body once per patience kernel."""
-    def each():
-        yield "compiled"
-        monkeypatch.setattr(cloud_mod, "_compiled", lambda: None)
-        yield "python"
-    return each
-
-
 def test_pile_kernel_passage_and_greene_match_patience_rows(each_kernel):
     for _ in each_kernel():
         for cl, start, end in CLOUD_CASES:
@@ -727,10 +777,16 @@ def test_compiled_pile_counts_match_python_kernel():
 
 def test_compiled_kernel_loads_here():
     """gcc is part of this project's toolchain: a silent fallback to the
-    Python kernel must fail here, not only slow the benchmark."""
+    Python kernels must fail here, not only slow the benchmark."""
     assert cloud_mod._compiled() is not None
     cloud_mod._pile_counts(np.zeros(3), 2, [3], [0.0])
     assert cloud_mod.kernel_ran == "compiled"
+    f = FIELDS[0]
+    for sweep in (lambda: lattice.forward_values(f, (0, 0)),
+                  lambda: lattice.pair_forward(f, ((0, 0), (0, 0)), 5)):
+        lattice.kernel_ran = None
+        sweep()
+        assert lattice.kernel_ran == "compiled"
 
 
 @pytest.mark.parametrize("breakage", ["missing compiler", "compile error", "unwritable cache"])
@@ -750,6 +806,14 @@ def test_failed_build_falls_back_silently(breakage, monkeypatch, tmp_path, capfd
         got = cloud_mod._pile_counts(vs, k, stops, bounds)
         assert cloud_mod.kernel_ran == "python"
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    f = FIELDS[1]
+    t_max = f.rows + f.cols - 2
+    for c in cells(f)[::5]:
+        assert_same(lattice.forward_values(f, c), ref_forward_values(f, c))
+        assert lattice.kernel_ran == "python"
+        _check_pair_results(lattice.pair_forward(f, (c, c), t_max),
+                            ref_pair_forward(f, (c, c), t_max), False)
+        assert lattice.kernel_ran == "python"
     assert cloud_mod._loaded is False
     assert capfd.readouterr() == ("", "")
     cache = tmp_path / "cache"
@@ -800,7 +864,7 @@ def test_mirror_transposes_the_row_pass(kernel, pts, x0, x1, targets, T):
     mirror = cloud_from_points([(-x, t) for x, t in pts])
     ys = np.array([y for y in targets if abs(y - x0) <= T], dtype=np.float64)
     x1 = float(np.clip(x1, x0 - T, x0 + T))
-    with patience_kernel(kernel):
+    with one_kernel(kernel):
         for g, w in zip(cloud_mod.row_pass(mirror, (-float(x0), 0.0), -ys, float(T)),
                         cloud_mod.row_pass(cl, (float(x0), 0.0), ys, float(T))):
             assert np.array_equal(g, w)
@@ -927,6 +991,47 @@ def test_cloud_order_is_checked_and_restored(monkeypatch):
     assert checks == [False]
 
 
+def ref_cloud_order(xs, ts):
+    """xs, ts, u_order and u_keys as the cloud built them with two lexsorts."""
+    order = np.lexsort((xs, ts))
+    xs, ts = xs[order], ts[order]
+    u = ts + xs
+    u_order = np.lexsort((ts - xs, u))
+    return xs, ts, u_order, u[u_order]
+
+
+def _shuffled(cl, seed):
+    """The cloud's points in a fixed shuffled order, as a new cloud's input."""
+    perm = np.random.default_rng(seed).permutation(len(cl))
+    return cl.xs[perm], cl.ts[perm]
+
+
+def _has_ties(key):
+    key = np.sort(key)
+    return bool(np.any(key[1:] == key[:-1]))
+
+
+def test_cloud_sorts_match_lexsort():
+    """The cloud sorts by argsort unless a key repeats, then by lexsort:
+    both give the lexsort order, on tied grid clouds (the fallback), on
+    the cone cases and on criterion 6 clouds (seeds 0-3, no ties)."""
+    n = 256
+    half = 2.0 * n ** (2.0 / 3.0)
+    pad = n / 2 + 1
+    region = Region(-(half + pad), half + pad, 0, n)
+    grid = cloud_from_points([(0.1 * i, 0.1 * j) for i in range(-12, 13) for j in range(25)])
+    clouds = [grid] + list({id(c): c for c, *_ in CONE_CASES}.values())
+    crit6 = [make_poisson_cloud(seed, 2.0, region) for seed in range(4)]
+    for cl in clouds + crit6:
+        xs, ts = _shuffled(cl, len(cl))
+        got = type(cl)(xs, ts, cl.region)
+        for g, w in zip((got.xs, got.ts, got.u_order, got.u_keys), ref_cloud_order(xs, ts)):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert _has_ties(grid.ts) and _has_ties(grid.ts + grid.xs)
+    for cl in crit6:
+        assert not _has_ties(cl.ts) and not _has_ties(cl.u_keys)
+
+
 def test_compiled_row_falls_back_where_the_cloud_order_disagrees(monkeypatch):
     assert cloud_mod._compiled() is not None
     cl, (x0, t0), U, V = fallback_cloud()
@@ -980,7 +1085,7 @@ def test_compiled_row_matches_python_row_on_acceptance_seeds(n, count):
             reach = ys[np.abs(ys - x0) <= n]
             rows = []
             for kernel in KERNELS:
-                with patience_kernel(kernel):
+                with one_kernel(kernel):
                     rows.append(cloud_mod.row_pass(cl, (x0, 0.0), reach, float(n)))
             for g, w in zip(*rows):
                 assert np.array_equal(g, w)
