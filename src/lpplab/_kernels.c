@@ -11,7 +11,10 @@
    is larger, as np.maximum does on non-NaN doubles, signed zeros
    included; fields are finite, so every reachable state is bit-identical
    to numpy's.  Weights are read through element strides (rs, cs), so a
-   reflected view needs no copy.
+   reflected view needs no copy.  The extremal walk of
+   lattice.geodesic_cells_from_B tests each visited cell's two moves in
+   B's own operand order, as lattice._walk_py does over the whole
+   rectangle, reading B and the weights through their strides.
 
    Scratch and output buffers come from the caller, and the routines keep
    no state, so concurrent calls are safe. */
@@ -184,4 +187,36 @@ int64_t pair_sweep(const double *w, int64_t rows, int64_t cols, int64_t rs, int6
     for (int64_t k = 0; k < size; k++)
         best = MAX(best, last[k]);
     return best > NEG / 2.0;
+}
+
+/* One extremal walk on B = backward values to (i1, j1), from (i, j) with
+   i <= i1, j <= j1; B and w are rows x cols, read through their element
+   strides.  At each cell it tests only the cell's two moves, in B's own
+   operand order: right iff j < j1 and B[i, j + 1] + w[i, j] == B[i, j],
+   down iff i < i1 and B[i + 1, j] + w[i, j] == B[i, j].  It takes the
+   move right_first prefers when both are allowed, and writes the k-th
+   visited cell to out[k] (row) and out[n + k] (column), n the walk's
+   length.  Returns -1 on reaching (i1, j1), else the index of the first
+   cell with no allowed move. */
+int64_t walk(const double *B, int64_t brs, int64_t bcs, const double *w, int64_t wrs,
+             int64_t wcs, int64_t i, int64_t j, int64_t i1, int64_t j1,
+             int64_t right_first, int64_t *out)
+{
+    int64_t n = (i1 - i) + (j1 - j) + 1;
+    for (int64_t k = 0; k < n; k++) {
+        out[k] = i;
+        out[n + k] = j;
+        if (k == n - 1)
+            break;
+        double here = B[i * brs + j * bcs], wc = w[i * wrs + j * wcs];
+        int right = j < j1 && B[i * brs + (j + 1) * bcs] + wc == here;
+        int down = i < i1 && B[(i + 1) * brs + j * bcs] + wc == here;
+        if (!right && !down)
+            return k;
+        if (right && (right_first || !down))
+            j++;
+        else
+            i++;
+    }
+    return -1;
 }

@@ -30,7 +30,7 @@ import numpy as np
 from . import busemann as bz
 from . import classify as cls
 from . import config as cfgmod
-from . import cloud, gaplab, lattice, manifest, oracle, svg
+from . import cloud, gaplab, lattice, manifest, svg
 from .errors import DomainError, ParameterError
 from .model import (Region, ScalingFrame, anchor_layout, environment_for,
                     make_poisson_cloud)
@@ -222,6 +222,7 @@ def run_dim(cfg, out: Path):
 
 
 def run_verify(cfg, out: Path):
+    from . import oracle  # only verify needs it: other runs skip its import
     batch = oracle.tiny_batch(cfg["seed"], cfg["lattice_instances"], cfg["cloud_instances"])
     try:
         report = oracle.verify_engine(batch)
@@ -252,9 +253,20 @@ _CSV_SCHEMA = {
 }
 
 
+def _check_out(out: Path) -> None:
+    """Refuse, before any work, an output path that an existing file
+    blocks: the path itself or its nearest existing ancestor."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ParameterError(f"key out: {path} exists and is not a directory")
+            return
+
+
 def run_experiment(cfg: cfgmod.ExperimentConfig, out_dir=None) -> tuple:
     """Dispatch a validated config; returns (out_path, ok)."""
     out = Path(out_dir if out_dir is not None else cfg["out"])
+    _check_out(out)
     started = time.time()
     cloud.kernel_ran = lattice.kernel_ran = None
     summaries, envs, ok = _RUNNERS[cfg.command](cfg, out)
@@ -284,6 +296,10 @@ def main(argv=None) -> int:
                 else json.dumps({"command": args.command}))
     except OSError as err:
         print(f"config error: cannot read {args.config}: {err.strerror}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as err:
+        print(f"config error: {args.config} is not UTF-8 text: {err.reason} at byte {err.start}",
+              file=sys.stderr)
         return 2
     flags = {"seed": args.seed, "threads": args.threads,
              "out": None if args.out is None else str(args.out)}

@@ -37,7 +37,8 @@ the slab, the stops and the two-row insertion, in one call.  When the
 compiled row finds the slab out of order it says so, and the Python
 parts (``_sorted_cone``, ``_before``, ``_pile_counts``) serve that row.
 ``_kernels.c`` is the package's one C library: it also holds the
-lattice's table and pair sweeps (see ``lattice``), and ``_compiled``
+lattice's table and pair sweeps and its extremal walk (see
+``lattice``), and ``_compiled``
 is its one loader.  The first read-out of either model builds it with
 the local gcc into ``__pycache__/_kernels-<hash>.so`` next to this
 module (the hash covers the source and the build command; a build goes
@@ -206,6 +207,9 @@ def _compiled():
                     lib.pair_sweep.restype = i64
                     lib.pair_sweep.argtypes = [ptr, i64, i64, i64, i64, i64, i64, i64, i64,
                                                i64, i64, ptr, i64]
+                    lib.walk.restype = i64
+                    lib.walk.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, i64, i64, i64,
+                                         i64, ptr]
                     _loaded = lib
                 except Exception:  # any failure: the Python routines serve
                     _loaded = False

@@ -107,11 +107,12 @@ def parse_config(text: str) -> ExperimentConfig:
     mismatches (a JSON boolean is not a number), numbers that are not
     finite floats (NaN, Infinity, an int too large for a float), values
     outside a key's allowed set, below its minimum or not above its
-    bound, list entries of the wrong type, or a missing command.
+    bound, list entries of the wrong type, or a missing command; and on
+    a document that is not JSON or is nested too deeply to parse.
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

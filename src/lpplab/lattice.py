@@ -34,19 +34,20 @@ step, so a step reads only rows the step before wrote or rows never
 written.  Rows left behind go stale and are cleared once, at the end.
 
 Compiled kernel: ``_path_table`` and ``_pair_sweep`` each run a whole
-sweep as one call into the package's C library (``_kernels.c``, loaded
-by ``cloud._compiled`` on first use, never at import; the call releases
-the GIL).  The C sweeps take the operands in numpy's order, the max of
-the predecessors as ``_relax`` takes them, then the weights path by
-path, so every reachable state is bit-identical to numpy's for every
-law (weights are finite, see ``LatticeField``).  The pair sweep
-computes only the live upper triangle j1 < j2 and clears the diagonal;
-the lower triangle is never read, so it is never written and stays NEG.
-It reads each weight at (t - j, j) through the field's strides, a
-reflected view included, and builds no antidiagonal rows.  When the
-library is missing, the numpy sweeps ``_path_table_py`` and
-``_pair_sweep_py`` run instead; they are the reference.  ``kernel_ran``
-names the kernel of the last sweep.
+sweep, and ``geodesic_cells_from_B`` a whole walk, as one call into the
+package's C library (``_kernels.c``, loaded by ``cloud._compiled`` on
+first use, never at import; the call releases the GIL).  The C sweeps
+take the operands in numpy's order, the max of the predecessors as
+``_relax`` takes them, then the weights path by path, so every
+reachable state is bit-identical to numpy's for every law (weights are
+finite, see ``LatticeField``).  The pair sweep computes only the live
+upper triangle j1 < j2 and clears the diagonal; the lower triangle is
+never read, so it is never written and stays NEG.  It reads each weight
+at (t - j, j) through the field's strides, a reflected view included,
+and builds no antidiagonal rows.  When the library is missing, the
+numpy routines ``_path_table_py``, ``_pair_sweep_py`` and ``_walk_py``
+run instead; they are the reference.  ``kernel_ran`` names the kernel
+of the last sweep or walk.
 
 Mirrors come from reflection: backward tables and backward pair sweeps
 are forward sweeps of the field reflected by (i, j) -> (rows-1-i,
@@ -65,13 +66,19 @@ Walks: an extremal geodesic from a to b is walked on B = backward
 values to b (``geodesic_cells_from_B``).  A move from c to its right or
 lower neighbour c' is allowed iff B[c'] + w[c] == B[c], in B's own
 operand order, so the test is the recurrence that built B, bit for
-bit.  Both tests are evaluated in one numpy pass over the rectangle
-from a to b, turned into one Python list of flat steps (the preferred
-allowed move, or 0), and the walk steps through it with plain ints.
-The rectangle suffices: every entry of B right of or below b is dead,
-so no move out of the rectangle is ever allowed, and the walk takes the
-moves a walk over the whole grid would take, failing (InvariantError)
-at the same cell when B is inconsistent inside it.
+bit.  The walk stays in the rectangle from a to b: at each cell it
+tests only that cell's two moves, the right one while j < j(b), the
+down one while i < i(b), and takes the allowed move its side prefers,
+O(T) work for T cells.  The compiled walk reads B and the weights
+through their strides, so the reflected view ``backward_values``
+returns is walked without a copy; ``_walk_py`` builds both moves' masks
+over the rectangle in one numpy pass instead.  The rectangle suffices:
+every entry of B right of or below b is dead, so no move out of the
+rectangle is ever allowed, and the walk takes the moves a walk over the
+whole grid would take, failing (InvariantError) at the same cell when B
+is inconsistent inside it.  Before either kernel runs, start and end
+must be on the grid and B a float64 table of the grid's shape: the
+compiled walk reads B and w by index, with no bounds of its own.
 
 Only values above _VALID (see is_reachable) are meaningful.  Dead
 states hold NEG plus rounding noise from the weights added to them.
@@ -420,10 +427,32 @@ def geodesic_cells(field: LatticeField, start, end, side: str) -> list:
 def geodesic_cells_from_B(field: LatticeField, B: np.ndarray, start, end,
                           side: str) -> list:
     """geodesic_cells on B = backward_values(field, end); see Walks above."""
-    if not field.in_grid(start):
-        raise DomainError(f"start cell {start} outside {field.rows}x{field.cols} grid")
-    if not is_reachable(B[start]):
+    w = field.weights
+    B = np.asarray(B)
+    for role, c in (("start", start), ("end", end)):
+        if not field.in_grid(c):
+            raise DomainError(f"{role} cell {c} outside {field.rows}x{field.cols} grid")
+    if B.shape != w.shape or B.dtype != np.float64:
+        raise DomainError(f"B of shape {B.shape} and type {B.dtype} on a "
+                          f"{field.rows}x{field.cols} float64 grid")
+    (i, j), (i1, j1) = start, end
+    if not is_reachable(B[start]) or i > i1 or j > j1:
         raise DomainError(f"end {end} not reachable from start {start}")
+    lib = _library()
+    if lib is None:
+        return _walk_py(field, B, start, end, side)
+    out = np.empty((2, i1 - i + j1 - j + 1), np.int64)
+    at = lib.walk(B.ctypes.data, *_strides(B), w.ctypes.data, *_strides(w),
+                  *(int(k) for k in (i, j, i1, j1)), int(side == "right"), out.ctypes.data)
+    if at >= 0:
+        raise InvariantError("geodesic walk lost the optimum", field, start=start,
+                             end=end, side=side, at=(int(out[0, at]), int(out[1, at])))
+    return list(zip(*out.tolist()))
+
+
+def _walk_py(field: LatticeField, B: np.ndarray, start, end, side: str) -> list:
+    """The walk of geodesic_cells_from_B in numpy, the reference of the
+    compiled one; the caller has checked start, end and B."""
     (i, j), (i1, j1) = start, end
     Bs = B[i:i1 + 1, j:j1 + 1]
     ws = field.weights[i:i1 + 1, j:j1 + 1]

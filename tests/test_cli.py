@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -220,11 +223,15 @@ def test_cli_config_command_mismatch(tmp_path):
     ({"command": "gap", "halfwidth": float("inf")}, "halfwidth"),
     ({"command": "gap", "rate": float("inf")}, "rate"),
     ({"command": "gap", "rate": 10 ** 400}, "rate"),
+    # raw documents, run as gap: bytes that are not UTF-8, and nesting too deep to parse
+    pytest.param(bytes(range(128, 256)), "UTF-8", id="not-utf8"),
+    pytest.param(b"[" * 100000, "JSON", id="nested-too-deep"),
 ])
 def test_cli_config_error_exits_2_with_one_line(tmp_path, capsys, doc, key):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(doc))
-    rc = cli.main([doc["command"], "--config", str(cfg), "--out", str(tmp_path / "x")])
+    cfg.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    command = "gap" if isinstance(doc, bytes) else doc["command"]
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and err.startswith("config error:")
@@ -287,6 +294,26 @@ def test_parse_keeps_threshold_zero_and_small_halfwidths():
     assert parse_config('{"command": "busemann", "threshold": 0.0}')["threshold"] == 0.0
     assert parse_config('{"command": "gap"}')["halfwidth"] == 2.0
     assert parse_config('{"command": "classify"}')["threshold"] == 1.0
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_cli_out_blocked_by_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "file").write_text("kept")
+    monkeypatch.setattr(cli, "_RUNNERS", {})  # any run would raise KeyError
+    rc = cli.main(["gap", "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("config error: key out:")
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_cli_import_leaves_the_oracle_out():
+    code = "import sys, lpplab.cli; print('lpplab.oracle' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_cli_missing_config_file_exits_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Equivalence gate: the banded sweep against the dense sweeps it replaced
 (once per kernel: compiled and numpy), the compiled lattice sweeps
-against the numpy ones on gap sheets, the rectangle walk against the
-per-cell walk it replaced, the one
+against the numpy ones on gap sheets, the walk against the per-cell
+walk it replaced (once per kernel: compiled and numpy), the one
 patience kernel of the cloud against the three chain kernels it replaced
 (once per kernel: compiled and Python), the compiled kernel against the
 Python one, its build and its fallback, the cloud's one point order
@@ -494,34 +494,81 @@ def _walk_outcome(walk, f, B, start, end, side):
         return ("DomainError",)
 
 
-@pytest.mark.parametrize("f", FIELDS, ids=IDS)
-def test_walks_match_per_cell_reference(f):
-    walks = 0
-    for end in cells(f):
-        B = lattice.backward_values(f, end)
-        for start in cells(f):
-            for side in ("left", "right"):
-                got = _walk_outcome(lattice.geodesic_cells_from_B, f, B, start, end, side)
-                assert got == _walk_outcome(ref_geodesic_cells_from_B, f, B, start, end, side)
-                walks += got[0] != "DomainError"
-    # every start above-left of every end is reachable
-    assert walks == 2 * sum((i + 1) * (j + 1) for i, j in cells(f))
+def _tables(B):
+    """B as backward_values gives it, a reflected view, and as a
+    contiguous copy."""
+    assert B.strides[0] < 0 and B.strides[1] < 0
+    return B, np.ascontiguousarray(B)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
-def test_walks_on_corrupted_tables_fail_at_the_same_cell(f):
+def test_walks_match_per_cell_reference(f, each_kernel):
+    for _ in each_kernel():
+        walks = 0
+        for end in cells(f):
+            for B in _tables(lattice.backward_values(f, end)):
+                for start in cells(f):
+                    for side in ("left", "right"):
+                        got = _walk_outcome(lattice.geodesic_cells_from_B, f, B, start, end, side)
+                        assert got == _walk_outcome(ref_geodesic_cells_from_B, f, B, start, end,
+                                                    side)
+                        walks += got[0] != "DomainError"
+        # every start above-left of every end is reachable
+        assert walks == 4 * sum((i + 1) * (j + 1) for i, j in cells(f))
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_walks_on_corrupted_tables_fail_at_the_same_cell(f, each_kernel):
     start, end = (0, 0), (f.rows - 1, f.cols - 1)
-    honest = lattice.backward_values(f, end)
-    failures = 0
-    for side in ("left", "right"):
-        for c in ref_geodesic_cells_from_B(f, honest, start, end, side):
-            for delta in (-1.0, 1.0):
-                B = honest.copy()
-                B[c] += delta
-                got = _walk_outcome(lattice.geodesic_cells_from_B, f, B, start, end, side)
-                assert got == _walk_outcome(ref_geodesic_cells_from_B, f, B, start, end, side)
-                failures += got[0] == "InvariantError"
-    assert failures > 0
+    for _ in each_kernel():
+        failures = 0
+        for honest in _tables(lattice.backward_values(f, end)):
+            for side in ("left", "right"):
+                for c in ref_geodesic_cells_from_B(f, honest, start, end, side):
+                    for delta in (-1.0, 1.0):
+                        B = honest.copy()
+                        B[c] += delta
+                        got = _walk_outcome(lattice.geodesic_cells_from_B, f, B, start, end, side)
+                        assert got == _walk_outcome(ref_geodesic_cells_from_B, f, B, start, end,
+                                                    side)
+                        failures += got[0] == "InvariantError"
+        assert failures > 0
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_walks_to_an_earlier_end_agree_on_both_kernels(f, each_kernel):
+    """Walks on B to the far corner, stopped at an earlier end: the walk
+    stays in the rectangle from start to end, on either kernel, though B
+    allows moves out of it."""
+    far = (f.rows - 1, f.cols - 1)
+    outcomes = []
+    for _ in each_kernel():
+        outcomes.append([])
+        for B in _tables(lattice.backward_values(f, far)):
+            for start in cells(f):
+                for end in cells(f):
+                    for side in ("left", "right"):
+                        got = _walk_outcome(lattice.geodesic_cells_from_B, f, B, start, end, side)
+                        assert got[0] == "DomainError" or got[0] == "InvariantError" or (
+                            got[0] == start and got[-1] == end)
+                        outcomes[-1].append(got)
+    assert outcomes[0] == outcomes[1]
+    if f.rows > 1 and f.cols > 1:
+        assert sum(got[0] == "InvariantError" for got in outcomes[0]) > 0
+
+
+def test_walks_reject_an_off_grid_end_and_a_table_of_another_shape_or_type(each_kernel):
+    f = FIELDS[1]
+    B = lattice.backward_values(f, (f.rows - 1, f.cols - 1))
+    bad = [(B, (f.rows, f.cols - 1)), (B, (f.rows - 1, f.cols)), (B, (-1, 2)),
+           (B[:, :-1], (f.rows - 1, f.cols - 2)), (B[:-1], (f.rows - 2, f.cols - 1)),
+           (np.pad(B, 1), (f.rows - 1, f.cols - 1)),
+           (B.astype(np.float32), (f.rows - 1, f.cols - 1))]
+    for _ in each_kernel():
+        for table, end in bad:
+            for side in ("left", "right"):
+                with pytest.raises(DomainError):
+                    lattice.geodesic_cells_from_B(f, table, (0, 0), end, side)
 
 
 # ------------------------------------------------- patience kernel references
@@ -782,8 +829,10 @@ def test_compiled_kernel_loads_here():
     cloud_mod._pile_counts(np.zeros(3), 2, [3], [0.0])
     assert cloud_mod.kernel_ran == "compiled"
     f = FIELDS[0]
+    B = lattice.backward_values(f, (4, 4))
     for sweep in (lambda: lattice.forward_values(f, (0, 0)),
-                  lambda: lattice.pair_forward(f, ((0, 0), (0, 0)), 5)):
+                  lambda: lattice.pair_forward(f, ((0, 0), (0, 0)), 5),
+                  lambda: lattice.geodesic_cells_from_B(f, B, (0, 0), (4, 4), "left")):
         lattice.kernel_ran = None
         sweep()
         assert lattice.kernel_ran == "compiled"
@@ -814,6 +863,11 @@ def test_failed_build_falls_back_silently(breakage, monkeypatch, tmp_path, capfd
         _check_pair_results(lattice.pair_forward(f, (c, c), t_max),
                             ref_pair_forward(f, (c, c), t_max), False)
         assert lattice.kernel_ran == "python"
+        B = lattice.backward_values(f, c)
+        for side in ("left", "right"):
+            assert (lattice.geodesic_cells_from_B(f, B, (0, 0), c, side)
+                    == ref_geodesic_cells_from_B(f, B, (0, 0), c, side))
+            assert lattice.kernel_ran == "python"
     assert cloud_mod._loaded is False
     assert capfd.readouterr() == ("", "")
     cache = tmp_path / "cache"
