@@ -11,10 +11,22 @@
    is larger, as np.maximum does on non-NaN doubles, signed zeros
    included; fields are finite, so every reachable state is bit-identical
    to numpy's.  Weights are read through element strides (rs, cs), so a
-   reflected view needs no copy.  The extremal walk of
+   reflected view needs no copy; the pair sweep copies each step's
+   antidiagonal weights into a contiguous scratch row first, so its
+   inner loop vectorises.  The extremal walk of
    lattice.geodesic_cells_from_B tests each visited cell's two moves in
    B's own operand order, as lattice._walk_py does over the whole
    rectangle, reading B and the weights through their strides.
+
+   Random numbers (lpplab.rng): the Philox4x64-10 stream of numpy's
+   Philox bit generator, word for word, turned into doubles in [0, 1) as
+   numpy's Generator.random does.
+
+   Built with -O3 -ffp-contract=off: -O3 vectorises the pair sweep's
+   inner loop, and no multiply-add may be contracted into an FMA, which
+   would round once where numpy rounds twice.  Neither -ffast-math nor
+   -march=native: both could change the bits or the machines the
+   library runs on.
 
    Scratch and output buffers come from the caller, and the routines keep
    no state, so concurrent calls are safe. */
@@ -140,52 +152,71 @@ void path_table(const double *w, int64_t rows, int64_t cols, int64_t rs, int64_t
    padded (cols + 1)^2 state buffers, NEG-filled by the caller: step s
    reads buffer (s - 1) % nbuf and writes buffer s % nbuf, so nbuf = 2
    keeps the last step and nbuf = steps + 1 records every one.  A step
-   writes the live window's upper triangle j1 < j2 and sets its diagonal
-   to NEG; the lower triangle is never read, never written.  order 0 adds
-   the left path's weight first, order 1 the right path's.  Returns 1
-   when a pair state at t_stop is reachable, else 0. */
+   first copies its antidiagonal's weights into the caller's scratch row
+   (cols + 1 doubles, row[b] the weight on column b - 1), so the inner
+   loop reads contiguous memory and vectorises.  It writes the live
+   window's upper triangle j1 < j2 and sets its diagonal to NEG; the
+   lower triangle is never read, never written.  order 0 adds the left
+   path's weight first, order 1 the right path's.  Returns 1 when a pair
+   state at t_stop is reachable, else 0. */
+static void pair_row(const double *restrict stayed, const double *restrict moved,
+                     const double *restrict row, double wa, int64_t a, int64_t hi,
+                     int64_t order, double *restrict out)
+{
+#define PRED(b) MAX(MAX(MAX(stayed[b], stayed[(b) - 1]), moved[b]), moved[(b) - 1])
+    if (order)
+        for (int64_t b = a + 1; b <= hi; b++)
+            out[b] = (PRED(b) + row[b]) + wa;
+    else
+        for (int64_t b = a + 1; b <= hi; b++)
+            out[b] = (PRED(b) + wa) + row[b];
+#undef PRED
+}
+
 int64_t pair_sweep(const double *w, int64_t rows, int64_t cols, int64_t rs, int64_t cs,
                    int64_t i1, int64_t j1, int64_t i2, int64_t j2, int64_t t_stop,
-                   int64_t order, double *states, int64_t nbuf)
+                   int64_t order, double *states, int64_t nbuf, double *row)
 {
-    int64_t W = cols + 1, size = W * W, t = i1 + j1, imin = lmin(i1, i2), lo = 0, s = 0;
+    int64_t W = cols + 1, size = W * W, t = i1 + j1, imin = lmin(i1, i2), lo = 0, hi = 0, s;
+    double *seed;
     if (i1 == i2 && j1 == j2) {
         if (i1 + 1 >= rows || j1 + 1 >= cols)
             return 0;
         t++;
-        states[(j1 + 1) * W + j1 + 2] = 2.0 * w[i1 * rs + j1 * cs]
-            + w[(i1 + 1) * rs + j1 * cs] + w[i1 * rs + (j1 + 1) * cs];
+        seed = states + (j1 + 1) * W + j1 + 2;
+        *seed = 2.0 * w[i1 * rs + j1 * cs] + w[(i1 + 1) * rs + j1 * cs]
+            + w[i1 * rs + (j1 + 1) * cs];
     } else {
-        states[(j1 + 1) * W + j2 + 1] = w[i1 * rs + j1 * cs] + w[i2 * rs + j2 * cs];
+        seed = states + (j1 + 1) * W + j2 + 1;
+        *seed = w[i1 * rs + j1 * cs] + w[i2 * rs + j2 * cs];
     }
     for (s = 1; t + s <= t_stop; s++) {
-        int64_t u = t + s, hi = lmin(cols - 1, u - imin) + 1;
+        int64_t u = t + s;
         const double *prev = states + ((s - 1) % nbuf) * size;
         double *next = states + (s % nbuf) * size;
         lo = lmax(j1, u - rows + 1) + 1;
+        hi = lmin(cols - 1, u - imin) + 1;
         if (lo > hi)
             return 0;
+        for (int64_t b = lo; b <= hi; b++)
+            row[b] = w[(u - b + 1) * rs + (b - 1) * cs];
+        /* the left path stayed on column a or moved from a - 1 */
         for (int64_t a = lo; a <= hi; a++) {
-            /* the left path stayed on column a or moved from a - 1 */
-            const double *stayed = prev + a * W, *moved = prev + (a - 1) * W;
-            double *out = next + a * W;
-            double wa = w[(u - a + 1) * rs + (a - 1) * cs];
-            out[a] = NEG;
-            for (int64_t b = a + 1; b <= hi; b++) {
-                double m = MAX(stayed[b], stayed[b - 1]);
-                m = MAX(m, moved[b]);
-                m = MAX(m, moved[b - 1]);
-                double wb = w[(u - b + 1) * rs + (b - 1) * cs];
-                out[b] = order ? (m + wb) + wa : (m + wa) + wb;
-            }
+            next[a * W + a] = NEG;
+            pair_row(prev + a * W, prev + (a - 1) * W, row, row[a], a, hi, order,
+                     next + a * W);
         }
     }
-    /* the last state: rows below the window may hold stale states */
+    if (s == 1)
+        return *seed > NEG / 2.0;
+    /* the last state: rows below the window may hold stale states, and
+       only the window's upper triangle can be live */
     double *last = states + ((s - 1) % nbuf) * size, best = NEG;
     for (int64_t k = 0; k < lo * W; k++)
         last[k] = NEG;
-    for (int64_t k = 0; k < size; k++)
-        best = MAX(best, last[k]);
+    for (int64_t a = lo; a <= hi; a++)
+        for (int64_t b = a + 1; b <= hi; b++)
+            best = MAX(best, last[a * W + b]);
     return best > NEG / 2.0;
 }
 
@@ -219,4 +250,33 @@ int64_t walk(const double *B, int64_t brs, int64_t bcs, const double *w, int64_t
             i++;
     }
     return -1;
+}
+
+/* n uniforms in [0, 1) from the Philox4x64-10 stream keyed (k0, k1), the
+   words of numpy's Philox(key=[k0, k1]).random(n): the 256-bit counter
+   starts at 0 and is incremented before each block, each block's four
+   words are used in order, and a word x becomes (x >> 11) * 2^-53. */
+void philox_uniforms(uint64_t k0, uint64_t k1, int64_t n, double *out)
+{
+    uint64_t ctr[4] = {0, 0, 0, 0};
+    for (int64_t k = 0; k < n; k += 4) {
+        if (++ctr[0] == 0 && ++ctr[1] == 0 && ++ctr[2] == 0)
+            ++ctr[3];
+        uint64_t x[4] = {ctr[0], ctr[1], ctr[2], ctr[3]}, key[2] = {k0, k1};
+        for (int r = 0; r < 10; r++) {
+            if (r) {
+                key[0] += 0x9E3779B97F4A7C15ULL;
+                key[1] += 0xBB67AE8584CAA73BULL;
+            }
+            unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93ULL * x[0];
+            unsigned __int128 p1 = (unsigned __int128)0xCA5A826395121157ULL * x[2];
+            uint64_t hi0 = (uint64_t)(p0 >> 64), hi1 = (uint64_t)(p1 >> 64);
+            x[0] = hi1 ^ x[1] ^ key[0];
+            x[1] = (uint64_t)p1;
+            x[2] = hi0 ^ x[3] ^ key[1];
+            x[3] = (uint64_t)p0;
+        }
+        for (int64_t i = 0; i < 4 && k + i < n; i++)
+            out[k + i] = (double)(x[i] >> 11) * (1.0 / 9007199254740992.0);
+    }
 }

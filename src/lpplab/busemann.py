@@ -23,17 +23,19 @@ the chart time from which that walk agrees with a reference walk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import cloud as _cloud
-from . import engine
 from . import gaplab
 from . import lattice as _lattice
 from .classify import crossing_tag
 from .errors import DomainError, ParameterError
 from .model import LatticeField, ScalingFrame, reflect
+
+if TYPE_CHECKING:
+    from .engine import Chain
 
 ORIGIN_X = 0  # chart x of the Busemann reference source and of every scan origin
 MIN_CERTIFIED = 64  # certified points a reflected-walk diagnostic needs
@@ -71,7 +73,7 @@ def direction_target(model: LatticeField, theta: float, horizon: int,
     return DirectionTarget(theta, horizon, t0, x, model.cell_at(x, t1))
 
 
-def coalescence_time(a: engine.Chain, b: engine.Chain):
+def coalescence_time(a: Chain, b: Chain):
     """Earliest time after which the chains' node sequences agree.
 
     Requires a common terminal point; returns None when the chains meet
@@ -604,6 +606,7 @@ def excursions(xs: np.ndarray, vs: np.ndarray, step: float,
     A run also ends where consecutive grid points are not ``step`` apart.
     Runs of ``min_len`` values or fewer are dropped.
     """
+    from . import engine  # loaded on first use, see lpplab.__init__
     breaks = np.flatnonzero(np.diff(xs) != step) + 1
     runs = []
     for i, k in engine._runs(vs != 0):

@@ -36,7 +36,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import cloud as _cloud
-from . import engine
 from . import gaplab
 from . import lattice as _lattice
 from .errors import DomainError, ParameterError
@@ -84,6 +83,7 @@ def classify_geometric(model: Model, start, end,
 
 
 def _classify_cloud(model, start, end, threshold):
+    from . import engine  # loaded on first use, see lpplab.__init__
     steps = _cloud.OptimalSteps(model, start, end)
     lw, rw = steps.walk("left"), steps.walk("right")
     left = engine._cloud_chain(model, start, end, steps.idx[lw])
@@ -111,6 +111,7 @@ def _classify_separation(sep, zero, left, right, bridge,
 
 
 def _shape_from_separation(sep, threshold, frame):
+    from . import engine  # loaded on first use, see lpplab.__init__
     n = sep.size
     unit = frame.space_unit if frame is not None else 1.0
     cut = threshold * unit
@@ -340,6 +341,7 @@ def one_sided_diag(model: LatticeField, x: int, y: int,
                    times: Tuple[int, int]) -> OneSidedReport:
     """Does the right member of the rightmost 2-optimizer end on the
     rightmost geodesic, and from when?"""
+    from . import engine  # loaded on first use, see lpplab.__init__
     t0, t1 = times
     a = model.cell_at(int(x), int(t0))
     b = model.cell_at(int(y), int(t1))

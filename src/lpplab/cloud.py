@@ -38,15 +38,20 @@ compiled row finds the slab out of order it says so, and the Python
 parts (``_sorted_cone``, ``_before``, ``_pile_counts``) serve that row.
 ``_kernels.c`` is the package's one C library: it also holds the
 lattice's table and pair sweeps and its extremal walk (see
-``lattice``), and ``_compiled``
-is its one loader.  The first read-out of either model builds it with
-the local gcc into ``__pycache__/_kernels-<hash>.so`` next to this
-module (the hash covers the source and the build command; a build goes
-to a temporary file renamed into place, so concurrent builds are safe)
-and loads it with ``ctypes``, which releases the GIL during each call:
-threads run their row passes and sweeps in parallel.  Nothing is built
-or loaded at import.  When it cannot be built or loaded, the Python
-routines run instead; ``_pile_counts_py`` is the reference.
+``lattice``) and the Philox stream of ``rng``, and ``_compiled`` is
+its one loader.  The first sample or read-out builds it with the local
+gcc into ``__pycache__/_kernels-<hash>.so`` next to this module (the
+hash covers the source and the build command; a build goes to a
+temporary file renamed into place, so concurrent builds are safe) and
+loads it with ``ctypes``, which releases the GIL during each call:
+threads run their row passes and sweeps in parallel.  Only a build
+imports ``subprocess``.  The flags are ``-O3 -ffp-contract=off``:
+``-O3`` vectorises the pair sweep's inner loop, which reads each step's
+weights from one contiguous scratch row, and no multiply-add may be
+contracted into an FMA, so every sum is rounded as numpy rounds it.
+Nothing is built or loaded at import.  When it cannot be built or
+loaded, the Python routines run instead; ``_pile_counts_py`` is the
+reference.
 
 Optimal steps.  ``OptimalSteps`` builds one graph from one
 ``chain_tables`` call: its nodes are the points with F + B - 1 equal to
@@ -161,7 +166,7 @@ def _pile_counts_py(vs, k: int, stops, bounds) -> np.ndarray:
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = _SOURCE.parent / "__pycache__"
-_BUILD = ("gcc", "-O2", "-shared", "-fPIC")
+_BUILD = ("gcc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _loaded = None  # the compiled library; False once it failed to build or load
 _load_lock = threading.Lock()
 kernel_ran = None  # "compiled" or "python": the kernel of the last read-out
@@ -169,11 +174,11 @@ kernel_ran = None  # "compiled" or "python": the kernel of the last read-out
 
 def _build() -> Path:
     """The compiled library in ``_CACHE``, built unless present."""
-    import subprocess
-    import tempfile
     tag = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_BUILD).encode()).hexdigest()
     lib = _CACHE / f"_kernels-{tag[:16]}.so"
     if not lib.exists():
+        import subprocess  # only a build needs them: a cached library loads without
+        import tempfile
         _CACHE.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix="_kernels-", suffix=".tmp", dir=_CACHE)
         os.close(fd)
@@ -206,10 +211,12 @@ def _compiled():
                     lib.path_table.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr, ptr]
                     lib.pair_sweep.restype = i64
                     lib.pair_sweep.argtypes = [ptr, i64, i64, i64, i64, i64, i64, i64, i64,
-                                               i64, i64, ptr, i64]
+                                               i64, i64, ptr, i64, ptr]
                     lib.walk.restype = i64
                     lib.walk.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, i64, i64, i64,
                                          i64, ptr]
+                    lib.philox_uniforms.restype = None
+                    lib.philox_uniforms.argtypes = [ctypes.c_uint64, ctypes.c_uint64, i64, ptr]
                     _loaded = lib
                 except Exception:  # any failure: the Python routines serve
                     _loaded = False

@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import engine
 from . import lattice as _lattice
 from . import cloud as _cloud
 from .errors import DomainError, ParameterError
@@ -28,6 +27,7 @@ from .model import LatticeField, Model, PoissonCloud, ScalingFrame
 def gap_value(model: Model, start, end):
     """2 * passage - disjoint pair value at doubled anchors; None if the
     disjoint problem is infeasible."""
+    from . import engine  # loaded on first use, see lpplab.__init__
     two_l = 2 * engine.passage_value(model, start, end)
     l2 = engine.disjoint2_value(model, (start, start), (end, end))
     if l2 is None:
@@ -338,6 +338,7 @@ def min_formula_residual(model: Model, x, y, z,
         L, L2 = _cloud.row_pass(model, start, grid, float(t1))
         pair = L2[0]
         if y != z:
+            from . import engine  # loaded on first use, see lpplab.__init__
             pair = engine.disjoint2_value(model, (start, start), (ey, ez))
             if pair is None:
                 return None
@@ -452,6 +453,7 @@ def decreasing_decomposition(model: Model, sheet: GapSheet,
     graph of a strictly decreasing function; the violation count
     measures how well the discrete sheet reproduces that.
     """
+    from . import engine  # loaded on first use, see lpplab.__init__
     z = zero_set(sheet)
     t0, t1 = sheet.times
     mid = 0.5 * (t0 + t1)

@@ -42,12 +42,13 @@ take the operands in numpy's order, the max of the predecessors as
 reachable state is bit-identical to numpy's for every law (weights are
 finite, see ``LatticeField``).  The pair sweep computes only the live
 upper triangle j1 < j2 and clears the diagonal; the lower triangle is
-never read, so it is never written and stays NEG.  It reads each weight
-at (t - j, j) through the field's strides, a reflected view included,
-and builds no antidiagonal rows.  When the library is missing, the
-numpy routines ``_path_table_py``, ``_pair_sweep_py`` and ``_walk_py``
-run instead; they are the reference.  ``kernel_ran`` names the kernel
-of the last sweep or walk.
+never read, so it is never written and stays NEG.  Each step copies its
+weights at (t - j, j), read through the field's strides (a reflected
+view included), into one contiguous scratch row, so the inner loop
+vectorises; no table of antidiagonal rows is built.  When the library
+is missing, the numpy routines ``_path_table_py``, ``_pair_sweep_py``
+and ``_walk_py`` run instead; they are the reference.  ``kernel_ran``
+names the kernel of the last sweep or walk.
 
 Mirrors come from reflection: backward tables and backward pair sweeps
 are forward sweeps of the field reflected by (i, j) -> (rows-1-i,
@@ -265,9 +266,11 @@ def _pair_sweep(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
         return []
     steps = t_stop - t + 1
     states = np.full((steps if record else min(steps, 2), cols + 1, cols + 1), NEG)
+    row = np.empty(cols + 1)
     if not lib.pair_sweep(w.ctypes.data, rows, cols, *_strides(w),
                           *(int(k) for k in (i1, j1, i2, j2, t_stop)),
-                          int(order == (1, 0)), states.ctypes.data, len(states)):
+                          int(order == (1, 0)), states.ctypes.data, len(states),
+                          row.ctypes.data):
         return []
     if record:
         return list(zip(range(t, t_stop + 1), states))
@@ -397,19 +400,22 @@ def doubled_values(field: LatticeField, states, t: int, cells) -> np.ndarray:
     S[j, j + 1]; each value is that state + 2 * w[c].  NaN where a
     neighbour of c is off the grid, the state is dead or states is None.
     """
-    if len({i + j for i, j in cells}) > 1:
-        raise DomainError("doubled cells must share a chart time")
-    rows, cols = field.weights.shape
     out = np.full(len(cells), np.nan)
-    for k, (i, j) in enumerate(cells):
-        d = t - (i + j)
-        if d not in (-1, 1):
-            raise DomainError(f"pair states at time {t} are not next to cell {(i, j)}")
-        if states is None or not (0 <= i + d < rows and 0 <= j + d < cols):
-            continue
-        v = states[j + min(d, 0), j + max(d, 0)]
-        if is_reachable(v):
-            out[k] = v + 2.0 * field.weights[i, j]
+    if not len(cells):
+        return out
+    i, j = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    if (i + j != i[0] + j[0]).any():
+        raise DomainError("doubled cells must share a chart time")
+    d = t - int(i[0] + j[0])
+    if d not in (-1, 1):
+        raise DomainError(f"pair states at time {t} are not next to cell {tuple(cells[0])}")
+    if states is None:
+        return out
+    rows, cols = field.weights.shape
+    on = np.flatnonzero((0 <= i + d) & (i + d < rows) & (0 <= j + d) & (j + d < cols))
+    v = states[j[on] + min(d, 0), j[on] + max(d, 0)]
+    on, v = on[v > _VALID], v[v > _VALID]
+    out[on] = v + 2.0 * field.weights[i[on], j[on]]
     return out
 
 

@@ -18,6 +18,7 @@ with the same arguments yields bit-identical environments.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -202,8 +203,8 @@ def make_poisson_cloud(seed: int, rate: float, region: Region) -> PoissonCloud:
     uniform points, sorted by (t, x).  A zero-area region yields the
     empty cloud.
     """
-    if rate <= 0:
-        raise ParameterError(f"rate must be positive, got {rate}")
+    if not (rate > 0 and math.isfinite(rate)):
+        raise ParameterError(f"rate must be finite and positive, got {rate}")
     n = rng.poisson_count(seed, rng.Stream.POISSON_COUNT, rate * region.area)
     u = rng.uniforms(seed, rng.Stream.POISSON_POINTS, 2 * n)
     xs = region.x_lo + (region.x_hi - region.x_lo) * u[:n]

@@ -9,9 +9,20 @@ the key, never a shared generator state.
 
 Streams are identified by small integer ids; the conventions used by the
 rest of the package are listed in ``Stream``.
+
+The stream is compiled: ``uniforms`` fills its array in one call to
+``philox_uniforms`` in the package's C library (``_kernels.c``, loaded by
+``cloud._compiled``), which gives exactly the words of numpy's
+``Philox(key=[seed, stream]).random(n)`` (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011).  ``generator`` is the reference
+and the fallback when the library is missing, so ``numpy.random`` is
+imported only on that path.  Both paths check the seed the same way.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 import numpy as np
 
@@ -26,21 +37,38 @@ class Stream:
     LATTICE_WEIGHTS = 2
 
 
+def _key(seed, stream):
+    """The Philox key (seed, stream) as ints; the seed must be an integer
+    in [0, 2^64)."""
+    try:
+        key = operator.index(seed)
+    except TypeError:
+        raise ParameterError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= key < 2**64:
+        raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return key, int(stream)
+
+
 def generator(seed: int, stream: int) -> np.random.Generator:
     """Return the Philox generator for ``(seed, stream)``.
 
     The key is the pair itself, so distinct (seed, stream) pairs index
     provably disjoint Philox streams.
     """
-    if not 0 <= int(seed) < 2**64:
-        raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    bitgen = np.random.Philox(key=np.array([int(seed), int(stream)], dtype=np.uint64))
+    bitgen = np.random.Philox(key=np.array(_key(seed, stream), dtype=np.uint64))
     return np.random.Generator(bitgen)
 
 
 def uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     """``n`` uniforms in [0, 1) from the (seed, stream) Philox stream."""
-    return generator(seed, stream).random(int(n))
+    seed, stream = _key(seed, stream)
+    from . import cloud  # cloud sits above rng: it imports model, which imports rng
+    lib = cloud._compiled()
+    if lib is None:
+        return generator(seed, stream).random(int(n))
+    out = np.empty(int(n))
+    lib.philox_uniforms(seed, stream, out.size, out.ctypes.data)
+    return out
 
 
 def poisson_count(seed: int, stream: int, mean: float) -> int:
@@ -51,8 +79,8 @@ def poisson_count(seed: int, stream: int, mean: float) -> int:
     rejection-sampler details.  Works in log space so large means do not
     underflow.
     """
-    if mean < 0:
-        raise ParameterError(f"mean must be nonnegative, got {mean}")
+    if not (mean >= 0 and math.isfinite(mean)):
+        raise ParameterError(f"mean must be finite and nonnegative, got {mean}")
     if mean == 0:
         return 0
     u = float(uniforms(seed, stream, 1)[0])

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpplab import cli, manifest, svg
+from lpplab import cli, cloud, manifest, svg
 from lpplab.config import ConfigError, ExperimentConfig, parse_config, round_trip
 
 
@@ -314,6 +314,46 @@ def test_cli_import_leaves_the_oracle_out():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+LAZY = """
+import json, sys
+from lpplab import cli
+print(json.dumps([m for m in ("numpy.random", "lpplab.engine", "lpplab.flow")
+                  if m in sys.modules]))
+rc = cli.main(["gap", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([rc, [m for m in ("numpy.random", "lpplab.engine", "lpplab.flow", "subprocess")
+                       if m in sys.modules]]))
+"""
+
+
+def test_lattice_gap_run_imports_no_numpy_random_and_no_engine(tmp_path):
+    """Importing the CLI loads neither numpy.random nor the engine; a
+    lattice gap run samples its field with the compiled Philox stream
+    and never asks for a geodesic, so it loads neither either, and it
+    loads the cached library without importing subprocess."""
+    assert cloud._compiled() is not None  # the library is built and cached
+    cfg = tmp_path / "gap.json"
+    cfg.write_text(json.dumps({"command": "gap", "model": "geometric", "n": 12,
+                               "grid_points": 6, "seed": 2}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", LAZY, str(cfg), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert json.loads(lines[0]) == []
+    assert json.loads(lines[-1]) == [0, []]
+    assert manifest.read_manifest(tmp_path / "out")["kernels"]["lattice"] == "compiled"
+
+
+def test_engine_names_resolve_from_the_package():
+    import lpplab
+    from lpplab import engine
+    from lpplab import Chain, geodesic, passage_value
+    assert (Chain, geodesic, passage_value) == (engine.Chain, engine.geodesic,
+                                                engine.passage_value)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        lpplab.no_such_name
 
 
 def test_cli_missing_config_file_exits_2(tmp_path, capsys):

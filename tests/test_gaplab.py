@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpplab import (Region, ScalingFrame, cloud_from_points,
                     make_lattice_field, make_poisson_cloud)
@@ -345,6 +347,24 @@ def test_sheet_columns_match_independent_backward_pass():
             assert np.isnan(col[i])
         else:
             assert col[i] == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32), law=st.sampled_from(["geometric", "bernoulli"]),
+       c=st.integers(1, 1000))
+def test_a_constant_added_to_every_weight_leaves_the_gap_sheet_unchanged(seed, law, c):
+    """Every path between anchors at times t0 and t1 has t1 - t0 + 1
+    cells, so L gains c (t1 - t0 + 1) and the doubled pair twice that:
+    on integer fields G = 2 L - L2 is unchanged, entry for entry."""
+    f = make_lattice_field(seed, 20, 20, law, 0.5)
+    shifted = make_lattice_field(0, 20, 20, "explicit", weights=f.weights + c)
+    t0, t1 = 6, 18
+    xs = list(range(-6, 7, 2))
+    ys = [y for y in range(-6, 7) if (y + t1) % 2 == 0]
+    want = gaplab.gap_sheet(f, xs, ys, ScalingFrame(12.0), (t0, t1))
+    got = gaplab.gap_sheet(shifted, xs, ys, ScalingFrame(12.0), (t0, t1))
+    assert np.isfinite(want.values).any()
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_all_ones_sheet_zeros_wherever_defined():

@@ -10,6 +10,7 @@ from lpplab import (DomainError, ParameterError, Region, ScalingFrame,
                     make_lattice_field, make_poisson_cloud,
                     model_from_descriptor, passage_value, reflect, rescale,
                     rotate45)
+from lpplab import cloud, rng
 from lpplab.model import OrderedQuad, reflect_cell
 
 UNIT = Region(0.0, 1.0, 0.0, 1.0)
@@ -83,6 +84,29 @@ def test_invalid_parameters():
         make_lattice_field(0, 2, 2, "nosuchlaw")
     with pytest.raises(ParameterError):
         make_poisson_cloud(0, -1.0, UNIT)
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
+def test_non_finite_rates_and_means_and_non_integral_seeds_are_rejected(kernel, monkeypatch):
+    if kernel == "python":
+        monkeypatch.setattr(cloud, "_compiled", lambda: None)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="^rate must be finite and positive"):
+            make_poisson_cloud(0, bad, UNIT)
+        with pytest.raises(ParameterError, match="^mean must be finite and nonnegative"):
+            rng.poisson_count(0, rng.Stream.POISSON_COUNT, bad)
+    for seed in (1.5, 2.0, np.float64(3.0), "4", None):
+        with pytest.raises(ParameterError, match="^seed must be an integer"):
+            rng.uniforms(seed, 0, 4)
+        with pytest.raises(ParameterError, match="^seed must be an integer"):
+            make_lattice_field(seed, 2, 2, "geometric")
+    for seed in (-1, 2**64):
+        with pytest.raises(ParameterError, match="^seed must be a 64-bit unsigned integer"):
+            rng.uniforms(seed, 0, 4)
+    want = rng.uniforms(5, 2, 7)
+    for seed in (np.int64(5), np.uint64(5), np.int32(5)):
+        assert rng.uniforms(seed, 2, 7).tobytes() == want.tobytes()
+    assert rng.uniforms(np.uint64(2**64 - 1), 2, 3).shape == (3,)
 
 
 def test_descriptor_round_trip():

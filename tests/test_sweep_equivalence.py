@@ -1,6 +1,7 @@
 """Equivalence gate: the banded sweep against the dense sweeps it replaced
 (once per kernel: compiled and numpy), the compiled lattice sweeps
-against the numpy ones on gap sheets, the walk against the per-cell
+against the numpy ones on gap sheets and at every window width, the
+compiled Philox stream against numpy's, the walk against the per-cell
 walk it replaced (once per kernel: compiled and numpy), the one
 patience kernel of the cloud against the three chain kernels it replaced
 (once per kernel: compiled and Python), the compiled kernel against the
@@ -32,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpplab import busemann, classify, cli, engine, flow, gaplab, lattice, svg
+from lpplab import busemann, classify, cli, engine, flow, gaplab, lattice, rng, svg
 from lpplab import cloud as cloud_mod
 from lpplab.config import parse_config
 from lpplab.errors import DomainError, InvariantError
@@ -406,10 +407,12 @@ def test_doubled_values_need_adjacent_states():
     c = (4, 4)
     S, _ = lattice.pair_forward(f, ((0, 0), (0, 0)), 7)
     for t in (6, 8, 10):
-        with pytest.raises(DomainError):
-            lattice.doubled_values(f, S, t, [c])
-    with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=rf"^pair states at time {t} are not next "
+                                              r"to cell \(4, 4\)$"):
+            lattice.doubled_values(f, S, t, [c, (3, 5)])
+    with pytest.raises(DomainError, match="^doubled cells must share a chart time$"):
         lattice.doubled_values(f, S, 7, [c, (4, 3)])
+    assert lattice.doubled_values(f, S, 7, []).shape == (0,)
     assert np.isnan(lattice.doubled_values(f, None, 7, _diag_cells(f, 8))).all()
     assert np.isnan(lattice.doubled_values(f, None, 9, _diag_cells(f, 8))).all()
 
@@ -461,6 +464,37 @@ def test_compiled_pair_sweep_reads_the_weights_directly(monkeypatch):
     R, _ = ref_pair_forward(f, ((0, 0), (0, 0)), f.rows + f.cols - 3)
     assert_same(S, R)
     assert lattice.kernel_ran == "compiled"
+
+
+WINDOW_FIELDS = [make_lattice_field(40 + cols, cols + 2, cols, law)
+                 for cols in range(1, 10) for law in ("geometric", "exponential")]
+
+
+@pytest.mark.parametrize("f", WINDOW_FIELDS,
+                         ids=[f"{f.law}-{f.rows}x{f.cols}" for f in WINDOW_FIELDS])
+def test_pair_sweeps_agree_on_both_kernels_at_every_window_width(f):
+    """Live windows 1 to 9 columns wide, from every start pair: the
+    vectorised inner loop and its remainders, in both operand orders
+    (pair_forward adds the left path's weight first, pair_backward the
+    right one's), recorded and last-step, compiled against numpy."""
+    t_max = f.rows + f.cols - 2
+    runs = []
+    for kernel in KERNELS:
+        with one_kernel(kernel):
+            got = []
+            for pair in start_pairs(f):
+                t = pair[0][0] + pair[0][1]
+                got.append((lattice.pair_forward(f, pair, t_max, record=True), True))
+                got.append((lattice.pair_backward(f, pair, 0, record=True), True))
+                for t_stop in sorted({t + 1, t + 2, t_max - 1, t_max}):
+                    got.append((lattice.pair_forward(f, pair, t_stop), False))
+                for t_stop in sorted({t - 2, t - 1, 1, 0}):
+                    got.append((lattice.pair_backward(f, pair, t_stop), False))
+            assert lattice.kernel_ran == kernel
+            runs.append(got)
+    assert f.rows >= f.cols + 1  # the doubled start at (0, 0) reaches a window of f.cols
+    for (g, record), (w, _) in zip(*runs):
+        _check_pair_results(g, w, record)
 
 
 def test_min_formula_batch_unchanged_by_pair_step():
@@ -822,6 +856,32 @@ def test_compiled_pile_counts_match_python_kernel():
         assert np.array_equal(got, want), (vs, k, stops, bounds)
 
 
+PHILOX_SEEDS = (0, 1, 2, 3, 7, 12345, 2**32, 2**63, 2**64 - 1)
+PHILOX_SIZES = (0, 1, 2, 3, 4, 5, 7, 8, 9, 100, 1001, 27_000)
+
+
+def numpy_philox(seed, stream, n):
+    """The reference stream: numpy's own Philox4x64-10 generator."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(n)
+
+
+def test_compiled_philox_matches_numpy(monkeypatch):
+    def forbidden(seed, stream):
+        raise AssertionError("uniforms used the numpy generator")
+
+    monkeypatch.setattr(rng, "generator", forbidden)
+    assert cloud_mod._compiled() is not None
+    cloud_mod.kernel_ran = lattice.kernel_ran = "untouched"
+    for seed in PHILOX_SEEDS:
+        for stream in (0, 1, 2, 5):
+            for n in PHILOX_SIZES:
+                got = rng.uniforms(seed, stream, n)
+                assert got.dtype == np.float64 and got.shape == (n,)
+                assert got.tobytes() == numpy_philox(seed, stream, n).tobytes(), (seed, stream, n)
+    assert cloud_mod.kernel_ran == lattice.kernel_ran == "untouched"
+
+
 def test_compiled_kernel_loads_here():
     """gcc is part of this project's toolchain: a silent fallback to the
     Python kernels must fail here, not only slow the benchmark."""
@@ -855,6 +915,9 @@ def test_failed_build_falls_back_silently(breakage, monkeypatch, tmp_path, capfd
         got = cloud_mod._pile_counts(vs, k, stops, bounds)
         assert cloud_mod.kernel_ran == "python"
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    for seed, stream, n in ((0, 2, 9), (2**64 - 1, 5, 1001)):
+        assert rng.uniforms(seed, stream, n).tobytes() == numpy_philox(seed, stream, n).tobytes()
+        assert cloud_mod.kernel_ran == "python"
     f = FIELDS[1]
     t_max = f.rows + f.cols - 2
     for c in cells(f)[::5]:
