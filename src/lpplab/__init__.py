@@ -7,8 +7,8 @@ diagnostics on seeded Poisson and lattice environments.
 ``engine`` (and ``flow`` under it) is loaded on first use: its names are
 re-exported here through a module ``__getattr__``, and ``gaplab``,
 ``classify`` and ``busemann`` import it inside the functions that call
-it, so a run that never asks for a geodesic or a disjoint pair, such as
-a gap sheet, does not import it.
+it, so a run that never asks for an engine geodesic or a disjoint pair,
+such as a gap sheet or a lattice classify run, does not import it.
 """
 
 from .model import (DomainError, LatticeField, OrderedQuad, ParameterError,

@@ -32,7 +32,7 @@ from . import gaplab
 from . import lattice as _lattice
 from .classify import crossing_tag
 from .errors import DomainError, ParameterError
-from .model import LatticeField, ScalingFrame, reflect
+from .model import LatticeField, ScalingFrame, _runs, reflect
 
 if TYPE_CHECKING:
     from .engine import Chain
@@ -606,10 +606,9 @@ def excursions(xs: np.ndarray, vs: np.ndarray, step: float,
     A run also ends where consecutive grid points are not ``step`` apart.
     Runs of ``min_len`` values or fewer are dropped.
     """
-    from . import engine  # loaded on first use, see lpplab.__init__
     breaks = np.flatnonzero(np.diff(xs) != step) + 1
     runs = []
-    for i, k in engine._runs(vs != 0):
+    for i, k in _runs(vs != 0):
         cuts = breaks[(breaks > i) & (breaks <= k)] - i
         runs += [r for r in np.split(vs[i:k + 1], cuts) if r.size > min_len]
     return runs

@@ -26,11 +26,23 @@ The zero split never uses the threshold.
 The gap route implements the sheet dictionary: row/column plateau minima
 for the nonzero types, open-quadrant isolation of sheet zeros for the
 zero types.
+
+``agreement_matrix`` runs both routes over an anchor grid in one pass
+per sink: one backward table per sink, and per pair its left and right
+walks, one ``lattice.geodesic_cells_from_B`` call each, because the
+benchmark's tracer counts walks by that call.  The nonzero verdicts of
+the whole sheet come from two window-minimum arrays, and a source's
+forward table is built only for the bridges of a pair with disjoint
+extremal walks.  The run finder it shares with ``engine`` and
+``busemann`` lives in ``model``, so a lattice classify run imports
+neither ``engine`` nor ``flow``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,9 +51,11 @@ from . import cloud as _cloud
 from . import gaplab
 from . import lattice as _lattice
 from .errors import DomainError, ParameterError
-from .model import LatticeField, Model, ScalingFrame
+from .model import LatticeField, Model, ScalingFrame, _runs
 
 TAGS = ("I", "IIa", "IIb", "III", "IV", "Va", "Vb", "other")
+# the nonzero-gap types, indexed by row minimum + 2 * column minimum
+SHAPES = TAGS[:4]
 # fractions of the time span: a separated stretch within MARGIN of an end
 # touches it, and stretches at most MERGE_GAP apart are one stretch
 MARGIN = 0.15
@@ -79,7 +93,7 @@ def classify_geometric(model: Model, start, end,
     B = _lattice.backward_values(model, end)
     if not _lattice.is_reachable(F[end]):
         raise DomainError(f"endpoints {start}->{end} not connected")
-    return _classify_lattice_cached(model, start, end, F, B, threshold, None)
+    return _classify_lattice(model, start, end, B, lambda: F, threshold, None)
 
 
 def _classify_cloud(model, start, end, threshold):
@@ -111,22 +125,21 @@ def _classify_separation(sep, zero, left, right, bridge,
 
 
 def _shape_from_separation(sep, threshold, frame):
-    from . import engine  # loaded on first use, see lpplab.__init__
     n = sep.size
     unit = frame.space_unit if frame is not None else 1.0
     cut = threshold * unit
     apart = sep > cut
     apart[0] = apart[-1] = False
+    if not apart.any():  # most pairs: no run to find
+        return "I", []
     merged = []
     gap_tol = max(1, int(MERGE_GAP * n))
-    for c in engine._runs(apart):
+    for c in _runs(apart):
         if merged and c[0] - merged[-1][1] <= gap_tol:
             merged[-1] = (merged[-1][0], c[1])
         else:
             merged.append(list(c))
     merged = [tuple(c) for c in merged]
-    if not merged:
-        return "I", merged
     m = max(1, int(MARGIN * n))
     touches_start = merged[0][0] <= m
     touches_end = merged[-1][1] >= n - 1 - m
@@ -150,11 +163,35 @@ class GapClassification:
     isolated: Optional[Tuple[bool, bool]] = None
 
 
+def _check_window(window) -> None:
+    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
+        raise ParameterError(f"window must be an integer >= 1 or None, got {window!r}")
+
+
 def _window_minimum(slice_values: np.ndarray, j: int, window: int) -> bool:
     lo = max(0, j - window)
     seg = slice_values[lo:j + window + 1]
     seg = seg[np.isfinite(seg)]
     return seg.size > 0 and slice_values[j] == seg.min()
+
+
+def _window_minima(values: np.ndarray, window: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Window minima of a whole sheet: (rows, cols), where rows[i, j]
+    says whether values[i, j] is the minimum of row i's entries at most
+    ``window`` columns away, and cols[i, j] the same down column j, with
+    non-finite entries read as +inf.  At every finite entry this is
+    _window_minimum of that row or column."""
+    _check_window(window)
+
+    def along_rows(u):
+        low = u.copy()  # the minimum over the window, grown one offset at a time
+        for d in range(1, min(window, u.shape[1] - 1) + 1):  # wider sees the whole row
+            np.minimum(low[:, d:], u[:, :-d], out=low[:, d:])
+            np.minimum(low[:, :-d], u[:, d:], out=low[:, :-d])
+        return u == low
+
+    v = np.where(np.isfinite(values), values, np.inf)
+    return along_rows(v), along_rows(v.T).T
 
 
 def classify_gap(sheet: gaplab.GapSheet, i: int, j: int,
@@ -172,6 +209,8 @@ def classify_gap(sheet: gaplab.GapSheet, i: int, j: int,
     isolation of the zero decides IV / Va / Vb.  Grid-boundary points
     are 'other' (one-sided data cannot witness two-sided minima).
     """
+    if window is not None:
+        _check_window(window)
     nx, ny = sheet.values.shape
     if i in (0, nx - 1) or j in (0, ny - 1):
         return GapClassification("other", None)
@@ -187,7 +226,7 @@ def classify_gap(sheet: gaplab.GapSheet, i: int, j: int,
         else:
             row_min = _window_minimum(row, j, window)
             col_min = _window_minimum(col, i, window)
-        tag = ("I", "IIa", "IIb", "III")[bool(row_min) + 2 * bool(col_min)]
+        tag = SHAPES[bool(row_min) + 2 * bool(col_min)]
         return GapClassification(tag, float(g), row_min, col_min)
     z = zeros if zeros is not None else gaplab.zero_set(sheet)
     iso_mp = gaplab.quadrant_isolated(z, (i, j), "-+", radii)["isolated"]
@@ -230,7 +269,7 @@ class AgreementMatrix:
 
     def subpopulation_agreement(self) -> Tuple[float, int]:
         """Agreement rate and sample count among geometric I, IIa, IIb, III."""
-        idx = [TAGS.index(t) for t in ("I", "IIa", "IIb", "III")]
+        idx = [TAGS.index(t) for t in SHAPES]
         total = int(self.counts[idx, :].sum())
         agree = int(sum(self.counts[k, k] for k in idx))
         return (agree / total if total else float("nan")), total
@@ -253,8 +292,17 @@ def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
                      frame: ScalingFrame, threshold: float = 1.0) -> AgreementMatrix:
     """Run both classifiers over an anchor grid and tally agreement.
 
-    One sheet build amortizes every gap classification; geometric
-    classifications share one backward table per sink.
+    One pass per sink.  Each sink has one backward table, and each source
+    that reaches it has its left and right walks, one
+    ``lattice.geodesic_cells_from_B`` call each: the benchmark's tracer
+    counts walks by those calls, so batching them waits for a benchmark
+    that counts walks another way.  Around the walks nothing runs per
+    pair that a whole sheet or a whole source can do once.  One sheet
+    build serves every gap verdict: a nonzero gap reads the row and
+    column window minima from two arrays computed once per sheet, and a
+    zero gap goes through ``classify_gap``.  A source's forward table is
+    built only when one of its pairs has disjoint extremal walks, the
+    case where the bridges decide.
     """
     t0, t1 = times
     sheet = gaplab.gap_sheet(model, x_grid, y_grid, frame, times)
@@ -264,8 +312,18 @@ def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
     # match the dictionary's spatial scale to the geometric threshold
     spacing = float(x_grid[1] - x_grid[0]) if len(x_grid) > 1 else 1.0
     window = max(1, int(round(threshold * frame.space_unit / spacing)))
+    row_min, col_min = _window_minima(sheet.values, window)
+    kinds = (row_min + 2 * col_min).tolist()  # indices into SHAPES
+    values = sheet.values.tolist()
+    nx, ny = sheet.values.shape
     starts = [model.cell_at(int(x), t0) for x in x_grid]
     fwd = {}
+
+    def forward(i):
+        if i not in fwd:
+            fwd[i] = _lattice.forward_values(model, starts[i])
+        return fwd[i]
+
     for j, y in enumerate(y_grid):
         b = model.cell_at(int(y), t1)
         B = _lattice.backward_values(model, b)
@@ -273,29 +331,36 @@ def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
             a = starts[i]
             if not _lattice.is_reachable(B[a]):
                 continue
-            if i not in fwd:
-                fwd[i] = _lattice.forward_values(model, a)
-            geo = _classify_lattice_cached(model, a, b, fwd[i], B, threshold, frame)
-            gap = classify_gap(sheet, i, j, zeros=zeros, window=window)
-            if gap.tag == "other" and gap.gap is None:
-                continue  # boundary or undefined: no dictionary verdict
-            gap_zero = gap.gap == 0.0
-            out.record(geo.tag, gap.tag, geo.gap_is_zero, gap_zero)
-            out.records.append((int(x), int(y), gap.gap, geo.tag, gap.tag))
+            geo = _classify_lattice(model, a, b, B, partial(forward, i), threshold, frame)
+            g = values[i][j]
+            if 0 < g < math.inf and 0 < i < nx - 1 and 0 < j < ny - 1:
+                gap_tag, gap_value = SHAPES[kinds[i][j]], g
+            else:  # zero, undefined or on the boundary
+                gap = classify_gap(sheet, i, j, zeros=zeros, window=window)
+                if gap.tag == "other" and gap.gap is None:
+                    continue  # boundary or undefined: no dictionary verdict
+                gap_tag, gap_value = gap.tag, gap.gap
+            out.record(geo.tag, gap_tag, geo.gap_is_zero, gap_value == 0.0)
+            out.records.append((int(x), int(y), gap_value, geo.tag, gap_tag))
             if geo.bridges[0] and geo.bridges[1]:
                 out.double_bridges += 1
     return out
 
 
-def _classify_lattice_cached(model, a, b, F, B, threshold, frame):
-    total = F[b]
+def _classify_lattice(model, a, b, B, forward, threshold, frame):
+    """classify_geometric of a -> b on B = backward_values(model, b);
+    forward() gives forward_values(model, a), asked for only when the
+    extremal walks are disjoint and the bridges decide."""
     cl = _lattice.geodesic_cells_from_B(model, B, a, b, "left")
     cr = _lattice.geodesic_cells_from_B(model, B, a, b, "right")
-    sep = 2.0 * (np.array([j for _, j in cr]) - np.array([j for _, j in cl]))
+    sep = 2.0 * np.array([jr - jl for (_, jr), (_, jl) in zip(cr, cl)])
     zero = bool(np.all(sep[1:-1] > 0)) if sep.size > 2 else False
-    return _classify_separation(
-        sep, zero, cl, cr, lambda p, q: _lattice.bridge_exists(model, p, q, F, B, total),
-        threshold, frame)
+
+    def bridge(p, q):
+        F = forward()
+        return _lattice.bridge_exists(model, p, q, F, B, F[b])
+
+    return _classify_separation(sep, zero, cl, cr, bridge, threshold, frame)
 
 
 @dataclass

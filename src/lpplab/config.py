@@ -28,8 +28,8 @@ MODELS = ("poisson",) + tuple(law for law in _LAWS if law != "explicit")
 
 class Key(NamedTuple):
     """One config key: its type, default (None means required), allowed
-    values, smallest allowed number, the number it must exceed, and the
-    Key of each list entry."""
+    values, smallest allowed number (for a list, its fewest entries), the
+    number it must exceed, and the Key of each list entry."""
 
     type: type
     default: Any
@@ -63,7 +63,7 @@ _SCHEMAS: Dict[str, Dict[str, Key]] = {
     "gap": {**_REPLICATED, "grid_points": Key(int, 32, minimum=1)},
     "classify": {
         "law_param": Key(float, 0.5),
-        "n_list": Key(list, [16, 32], item=Key(int, None, minimum=2)),
+        "n_list": Key(list, [16, 32], minimum=1, item=Key(int, None, minimum=2)),
         "halfwidth": _HALFWIDTH,
         "threshold": _THRESHOLD,
         "seeds_per_n": Key(int, 1, minimum=1),
@@ -149,7 +149,11 @@ def _checked(key: str, value, spec: Key):
         raise ConfigError(f"key {key}: {value} is not a finite number")
     if spec.choices and value not in spec.choices:
         raise ConfigError(f"key {key}: {value!r} is not one of {spec.choices}")
-    if spec.minimum is not None and value < spec.minimum:
+    if spec.type is list:
+        if spec.minimum is not None and len(value) < spec.minimum:
+            raise ConfigError(f"key {key}: {len(value)} entries, below the minimum "
+                              f"{spec.minimum}")
+    elif spec.minimum is not None and value < spec.minimum:
         raise ConfigError(f"key {key}: {value} is below the minimum {spec.minimum}")
     if spec.above is not None and not value > spec.above:
         raise ConfigError(f"key {key}: {value} must be above {spec.above}")

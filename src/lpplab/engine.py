@@ -34,7 +34,7 @@ from . import cloud as _cloud
 from . import flow as _flow
 from . import lattice as _lattice
 from .model import (DomainError, LatticeField, Model, PoissonCloud,
-                    causal_leq, _xy)
+                    causal_leq, _runs, _xy)
 
 
 @dataclass
@@ -385,12 +385,6 @@ def overlap(a: Chain, b: Chain) -> OverlapInterval:
     grid = _probe_grid(a, b)
     eq = a.position(grid) == b.position(grid)
     return OverlapInterval([(float(grid[i]), float(grid[k])) for i, k in _runs(eq)])
-
-
-def _runs(mask) -> List[Tuple[int, int]]:
-    """(first, last) indices of each maximal run of True in mask."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
-    return [(int(i), int(k) - 1) for i, k in zip(edges[0::2], edges[1::2])]
 
 
 def _check_pair_order(model, pair) -> None:

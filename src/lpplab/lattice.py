@@ -90,6 +90,7 @@ integer-law values stay exact (they are far below 2^53).
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 
 import numpy as np
@@ -434,26 +435,32 @@ def geodesic_cells_from_B(field: LatticeField, B: np.ndarray, start, end,
                           side: str) -> list:
     """geodesic_cells on B = backward_values(field, end); see Walks above."""
     w = field.weights
-    B = np.asarray(B)
-    for role, c in (("start", start), ("end", end)):
-        if not field.in_grid(c):
-            raise DomainError(f"{role} cell {c} outside {field.rows}x{field.cols} grid")
+    if not isinstance(B, np.ndarray):
+        B = np.asarray(B)
+    rows, cols = w.shape
+    (i, j), (i1, j1) = start, end
+    # bounds and strides inline: a classify run makes thousands of walks
+    for role, c, r, k in (("start", start, i, j), ("end", end, i1, j1)):
+        if not (0 <= r < rows and 0 <= k < cols):
+            raise DomainError(f"{role} cell {c} outside {rows}x{cols} grid")
     if B.shape != w.shape or B.dtype != np.float64:
         raise DomainError(f"B of shape {B.shape} and type {B.dtype} on a "
-                          f"{field.rows}x{field.cols} float64 grid")
-    (i, j), (i1, j1) = start, end
+                          f"{rows}x{cols} float64 grid")
     if not is_reachable(B[start]) or i > i1 or j > j1:
         raise DomainError(f"end {end} not reachable from start {start}")
     lib = _library()
     if lib is None:
         return _walk_py(field, B, start, end, side)
-    out = np.empty((2, i1 - i + j1 - j + 1), np.int64)
-    at = lib.walk(B.ctypes.data, *_strides(B), w.ctypes.data, *_strides(w),
-                  *(int(k) for k in (i, j, i1, j1)), int(side == "right"), out.ctypes.data)
+    n = i1 - i + j1 - j + 1
+    out = (ctypes.c_int64 * (2 * n))()  # the rows, then the columns
+    (bi, bj), (wi, wj) = B.strides, w.strides
+    at = lib.walk(B.ctypes.data, bi // 8, bj // 8, w.ctypes.data, wi // 8, wj // 8,
+                  int(i), int(j), int(i1), int(j1), side == "right", out)
+    cells = out[:]
     if at >= 0:
         raise InvariantError("geodesic walk lost the optimum", field, start=start,
-                             end=end, side=side, at=(int(out[0, at]), int(out[1, at])))
-    return list(zip(*out.tolist()))
+                             end=end, side=side, at=(cells[at], cells[n + at]))
+    return list(zip(cells[:n], cells[n:]))
 
 
 def _walk_py(field: LatticeField, B: np.ndarray, start, end, side: str) -> list:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -115,6 +115,12 @@ def _xy(p) -> tuple:
         return (p.x, p.t)
     x, t = p
     return (float(x), float(t))
+
+
+def _runs(mask) -> List[Tuple[int, int]]:
+    """(first, last) indices of each maximal run of True in mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return [(int(i), int(k) - 1) for i, k in zip(edges[0::2], edges[1::2])]
 
 
 def _sort_order(key: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:

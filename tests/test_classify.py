@@ -4,6 +4,7 @@ import pytest
 from lpplab import (Region, ScalingFrame, cloud_from_points, geodesic,
                     make_lattice_field, make_poisson_cloud)
 from lpplab import classify, cloud, gaplab, oracle
+from lpplab.errors import ParameterError
 from lpplab.model import reflect
 
 
@@ -141,6 +142,29 @@ def test_gap_dictionary_nonzero_types():
     assert classify.classify_gap(sheet, 3, 3).tag == "I"
     # boundary -> other
     assert classify.classify_gap(sheet, 0, 2).tag == "other"
+
+
+@pytest.mark.parametrize("window", [0, -1, -3, 1.5, 2.0, True, "2", np.int64(0)],
+                         ids=repr)
+def test_window_must_be_an_integer_of_at_least_one(window):
+    # a negative window once gave an empty segment: every point silently
+    # read as "not a minimum"
+    sheet = synthetic_sheet(np.arange(25.0).reshape(5, 5) + 1)
+    with pytest.raises(ParameterError, match="window must be an integer >= 1"):
+        classify.classify_gap(sheet, 2, 2, window=window)
+    with pytest.raises(ParameterError, match="window must be an integer >= 1"):
+        classify._window_minima(sheet.values, window)
+
+
+def test_window_accepts_integers_of_at_least_one_and_none():
+    base = np.array([[9, 9, 9, 9, 9], [9, 5, 4, 5, 9], [9, 4, 3, 6, 9],
+                     [9, 5, 6, 9, 9], [9, 9, 9, 9, 9]], dtype=float)
+    sheet = synthetic_sheet(base)
+    for window in (None, 1, np.int64(2), 7):
+        assert classify.classify_gap(sheet, 2, 2, window=window).tag == "III"
+        if window is not None:
+            rows, cols = classify._window_minima(base, window)
+            assert rows[2, 2] and cols[2, 2]
 
 
 def test_gap_dictionary_zero_types():

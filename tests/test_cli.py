@@ -207,6 +207,7 @@ def test_cli_config_command_mismatch(tmp_path):
     ({"command": "gap", "n": -4}, "n"),
     ({"command": "gap", "grid_points": 0}, "grid_points"),
     ({"command": "classify", "n_list": ["a"]}, "n_list"),
+    ({"command": "classify", "n_list": []}, "n_list"),
     ({"command": "classify", "threads": 2}, "threads"),
     ({"command": "busemann", "replicates": 2}, "replicates"),
     ({"command": "verify", "threads": 2}, "threads"),
@@ -321,7 +322,7 @@ import json, sys
 from lpplab import cli
 print(json.dumps([m for m in ("numpy.random", "lpplab.engine", "lpplab.flow")
                   if m in sys.modules]))
-rc = cli.main(["gap", "--config", sys.argv[1], "--out", sys.argv[2]])
+rc = cli.main([sys.argv[3], "--config", sys.argv[1], "--out", sys.argv[2]])
 print(json.dumps([rc, [m for m in ("numpy.random", "lpplab.engine", "lpplab.flow", "subprocess")
                        if m in sys.modules]]))
 """
@@ -337,13 +338,31 @@ def test_lattice_gap_run_imports_no_numpy_random_and_no_engine(tmp_path):
     cfg.write_text(json.dumps({"command": "gap", "model": "geometric", "n": 12,
                                "grid_points": 6, "seed": 2}))
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", LAZY, str(cfg), str(tmp_path / "out")],
+    done = subprocess.run([sys.executable, "-c", LAZY, str(cfg), str(tmp_path / "out"), "gap"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert json.loads(lines[0]) == []
     assert json.loads(lines[-1]) == [0, []]
     assert manifest.read_manifest(tmp_path / "out")["kernels"]["lattice"] == "compiled"
+
+
+def test_lattice_classify_run_imports_no_engine(tmp_path):
+    """A lattice classify run walks its geodesics in ``lattice`` and finds
+    the separated stretches with ``model._runs``, so it loads neither the
+    engine nor the flow.  At threshold 0 some pairs have separated
+    stretches, so the run finder is reached."""
+    assert cloud._compiled() is not None
+    cfg = tmp_path / "classify.json"
+    cfg.write_text(json.dumps({"command": "classify", "n_list": [12], "threshold": 0.0,
+                               "seed": 2}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", LAZY, str(cfg), str(tmp_path / "out"),
+                           "classify"], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
+    records = (tmp_path / "out" / "records_n12.csv").read_text().splitlines()[1:]
+    assert {"IIa", "IIb"} <= {line.split(",")[3] for line in records}
 
 
 def test_engine_names_resolve_from_the_package():

@@ -11,8 +11,10 @@ compiled row against the Python
 row, the one merge read-out against the four loops it replaced, the one
 chain track and probe grid against the chain comparisons they replaced,
 the one optimal-step graph of the cloud against the level scan and
-successor loop it replaced, and the heatmap and CSV writers against the
-per-cell loops they replaced.
+successor loop it replaced, the one pass per sink of the agreement
+matrix and its sheet-wide window minima against the per-pair loop and
+per-point minima they replaced, and the heatmap and CSV writers against
+the per-cell loops they replaced.
 
 The reference kernels below are the earlier implementations, kept
 here verbatim as the specification.  Dead states are only meaningful as
@@ -38,8 +40,9 @@ from lpplab import cloud as cloud_mod
 from lpplab.config import parse_config
 from lpplab.errors import DomainError, InvariantError
 from lpplab.lattice import NEG, _VALID
-from lpplab.model import (LatticeField, Region, ScalingFrame, _xy, causal_leq,
-                          cloud_from_points, make_lattice_field, make_poisson_cloud)
+from lpplab.model import (LatticeField, Region, ScalingFrame, _xy, anchor_layout, causal_leq,
+                          cloud_from_points, environment_for, make_lattice_field,
+                          make_poisson_cloud)
 
 
 # ---------------------------------------------------------------- reference
@@ -1614,11 +1617,177 @@ def test_shape_runs_match_old_scan_on_random_separations():
                     == ref_shape_from_separation(sep, threshold, frame))
 
 
+# ------------------------------------------- agreement matrix references
+# The per-pair loop of classify.agreement_matrix before one pass per sink:
+# a forward table for every source that reaches a sink, classify_gap for
+# every pair, and the run finder for every separation.
+
+def ref_classify_lattice_cached(model, a, b, F, B, threshold, frame):
+    total = F[b]
+    cl = lattice.geodesic_cells_from_B(model, B, a, b, "left")
+    cr = lattice.geodesic_cells_from_B(model, B, a, b, "right")
+    sep = 2.0 * (np.array([j for _, j in cr]) - np.array([j for _, j in cl]))
+    zero = bool(np.all(sep[1:-1] > 0)) if sep.size > 2 else False
+    if zero:
+        lr = lattice.bridge_exists(model, cl, cr, F, B, total)
+        rl = lattice.bridge_exists(model, cr, cl, F, B, total)
+        tag = classify.crossing_tag(lr, rl)
+    else:
+        lr = rl = False
+        tag, _ = ref_shape_from_separation(sep, threshold, frame)
+    return tag, zero, (lr, rl)
+
+
+def ref_agreement_matrix(model, x_grid, y_grid, times, frame, threshold=1.0):
+    """The old loop, and the sources with a pair whose extremal walks are
+    disjoint: the sources whose forward table the bridges need."""
+    t0, t1 = times
+    sheet = gaplab.gap_sheet(model, x_grid, y_grid, frame, times)
+    zeros = gaplab.zero_set(sheet)
+    out = classify.AgreementMatrix(meta={"n": frame.n, "threshold": threshold,
+                                         "times": list(times)})
+    spacing = float(x_grid[1] - x_grid[0]) if len(x_grid) > 1 else 1.0
+    window = max(1, int(round(threshold * frame.space_unit / spacing)))
+    starts = [model.cell_at(int(x), t0) for x in x_grid]
+    fwd, bridged = {}, set()
+    for j, y in enumerate(y_grid):
+        b = model.cell_at(int(y), t1)
+        B = lattice.backward_values(model, b)
+        for i, x in enumerate(x_grid):
+            a = starts[i]
+            if not lattice.is_reachable(B[a]):
+                continue
+            if i not in fwd:
+                fwd[i] = lattice.forward_values(model, a)
+            geo_tag, geo_zero, bridges = ref_classify_lattice_cached(
+                model, a, b, fwd[i], B, threshold, frame)
+            if geo_zero:
+                bridged.add(a)
+            gap = classify.classify_gap(sheet, i, j, zeros=zeros, window=window)
+            if gap.tag == "other" and gap.gap is None:
+                continue
+            gap_zero = gap.gap == 0.0
+            out.record(geo_tag, gap.tag, geo_zero, gap_zero)
+            out.records.append((int(x), int(y), gap.gap, geo_tag, gap.tag))
+            if bridges[0] and bridges[1]:
+                out.double_bridges += 1
+    return out, bridged
+
+
+def _anchor_grid(n, half, t0):
+    t1 = t0 + n
+    xs = [x for x in range(-half, half + 1, 2) if (x + t0) % 2 == 0]
+    ys = [y for y in range(-half, half + 1, 2) if (y + t1) % 2 == 0]
+    return xs, ys, (t0, t1)
+
+
+def agreement_cases():
+    """Bernoulli lattices, full of zero gaps, double bridges and all three
+    crossing types; a geometric one with fewer ties; and the size of a
+    classify run at n = 64."""
+    for seed in range(4):
+        yield make_lattice_field(seed, 30, 30, "bernoulli", 0.2), 12, _anchor_grid(12, 8, 8)
+        yield make_lattice_field(seed, 20, 20, "bernoulli", 0.3), 4, _anchor_grid(4, 6, 6)
+    yield make_lattice_field(0, 24, 24, "geometric", 0.5), 8, _anchor_grid(8, 6, 6)
+    n, a, t0 = 64, *anchor_layout(64, 2.0)
+    xs, ys = cli._lattice_grids(n, 2.0, 10 ** 9, t0)
+    yield environment_for(3, "geometric", t0, n, -a, a, 0.5), n, (xs, ys, (t0, t0 + n))
+
+
+def test_agreement_matrix_matches_per_pair_loop(monkeypatch):
+    built = []
+    forward = lattice.forward_values
+    monkeypatch.setattr(lattice, "forward_values",
+                        lambda model, a: built.append(a) or forward(model, a))
+    seen = {"zeros": 0, "double": 0, "tags": set()}
+    for f, n, (xs, ys, times) in agreement_cases():
+        frame = ScalingFrame(float(n))
+        for threshold in (0.0, 0.5, 1.0):
+            want, bridged = ref_agreement_matrix(f, xs, ys, times, frame, threshold)
+            built.clear()
+            gaplab.gap_sheet(f, xs, ys, frame, times)
+            sheet_tables = len(built)
+            built.clear()
+            got = classify.agreement_matrix(f, xs, ys, times, frame, threshold)
+            assert got.counts.dtype == want.counts.dtype
+            assert np.array_equal(got.counts, want.counts)
+            assert got.records == want.records
+            assert [type(r[2]) for r in got.records] == [type(r[2]) for r in want.records]
+            assert got.records_csv() == want.records_csv()
+            assert (got.samples, got.zero_split_disagreements, got.double_bridges) == (
+                want.samples, want.zero_split_disagreements, want.double_bridges)
+            assert got.meta == want.meta
+            # after the sheet's own tables, one table per source whose
+            # bridges were asked for, and no other
+            assert len(built) == sheet_tables + len(bridged)
+            assert sorted(built[sheet_tables:]) == sorted(bridged)
+            seen["zeros"] += sum(r[2] == 0.0 for r in got.records)
+            seen["double"] += got.double_bridges
+            seen["tags"] |= {r[3] for r in got.records}
+    assert seen["zeros"] > 0 and seen["double"] > 0
+    assert set(classify.TAGS) <= seen["tags"]
+
+
+def test_agreement_matrix_matches_per_pair_loop_on_odd_sheet_values(monkeypatch):
+    """Lattice sheets hold no infinite gap, but the pass must still read
+    one as classify_gap does: the planted +-inf and NaN entries go
+    through classify_gap, and the finite entries next to them still read
+    their window minima."""
+    build = gaplab.gap_sheet
+
+    def planted(*args):
+        sheet = build(*args)
+        v = sheet.values
+        rng = np.random.default_rng(v.size)
+        for bad in (np.inf, -np.inf, np.nan):
+            v[rng.random(v.shape) < 0.08] = bad
+        return sheet
+
+    monkeypatch.setattr(gaplab, "gap_sheet", planted)
+    f = make_lattice_field(1, 24, 24, "geometric", 0.5)
+    xs, ys, times = _anchor_grid(8, 6, 6)
+    frame = ScalingFrame(8.0)
+    for threshold in (0.0, 0.5, 1.0):
+        want, _ = ref_agreement_matrix(f, xs, ys, times, frame, threshold)
+        got = classify.agreement_matrix(f, xs, ys, times, frame, threshold)
+        assert np.array_equal(got.counts, want.counts)
+        assert got.records == want.records
+        assert (got.samples, got.zero_split_disagreements, got.double_bridges) == (
+            want.samples, want.zero_split_disagreements, want.double_bridges)
+
+
+def window_sheets():
+    """Integer sheets full of ties, with NaN and +-inf entries, thin
+    sheets of 1-3 columns (and rows), and a sheet with no finite entry."""
+    rng = np.random.default_rng(19)
+    for shape in [(1, 1), (1, 3), (3, 1), (7, 1), (9, 2), (2, 9), (8, 3), (12, 12), (6, 17)]:
+        for _ in range(4):
+            v = rng.integers(0, 4, shape).astype(np.float64)
+            v[rng.random(shape) < 0.2] = np.nan
+            v[rng.random(shape) < 0.05] = np.inf
+            v[rng.random(shape) < 0.05] = -np.inf
+            yield v
+    yield np.full((4, 3), np.nan)
+
+
+def test_window_minima_match_per_point_minimum():
+    checked = 0
+    for v in window_sheets():
+        for window in range(1, 7):
+            rows, cols = classify._window_minima(v, window)
+            assert rows.shape == cols.shape == v.shape and rows.dtype == cols.dtype == bool
+            for i, j in zip(*np.nonzero(np.isfinite(v))):
+                assert rows[i, j] == classify._window_minimum(v[i], j, window)
+                assert cols[i, j] == classify._window_minimum(v[:, j], i, window)
+                checked += 1
+    assert checked > 0
+
+
 # --------------------------------------------- optimal-step graph references
 # The level scan of cloud.extremal_chain and the successor loop of
 # engine._cloud_network, each with its own optimal-step test, before one
 # graph (cloud.OptimalSteps) served both; and the stateful run loop of
-# busemann.excursions before engine._runs served it.
+# busemann.excursions before model._runs served it.
 
 def ref_extremal_chain(cloud, start, end, side):
     idx, F, B, total = cloud_mod.chain_tables(cloud, start, end)
