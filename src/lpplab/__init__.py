@@ -9,6 +9,8 @@ re-exported here through a module ``__getattr__``, and ``gaplab``,
 ``classify`` and ``busemann`` import it inside the functions that call
 it, so a run that never asks for an engine geodesic or a disjoint pair,
 such as a gap sheet or a lattice classify run, does not import it.
+``cli`` binds ``classify`` and ``busemann`` here as lazy modules, run on
+first attribute access, so a gap run never runs them.
 """
 
 from .model import (DomainError, LatticeField, OrderedQuad, ParameterError,

@@ -31,9 +31,10 @@ zero types.
 per sink: one backward table per sink, and per pair its left and right
 walks, one ``lattice.geodesic_cells_from_B`` call each, because the
 benchmark's tracer counts walks by that call.  The nonzero verdicts of
-the whole sheet come from two window-minimum arrays, and a source's
-forward table is built only for the bridges of a pair with disjoint
-extremal walks.  The run finder it shares with ``engine`` and
+the whole sheet come from two window-minimum arrays; a pair is walked
+only when the sheet gives it a verdict, and a source's forward table is
+built only for the bridges of a recorded pair with disjoint extremal
+walks.  The run finder it shares with ``engine`` and
 ``busemann`` lives in ``model``, so a lattice classify run imports
 neither ``engine`` nor ``flow``.
 """
@@ -207,14 +208,18 @@ def classify_gap(sheet: gaplab.GapSheet, i: int, j: int,
     the scale-matched surrogate used when comparing against geometric
     classification at a separation threshold.  Zero gap: open-quadrant
     isolation of the zero decides IV / Va / Vb.  Grid-boundary points
-    are 'other' (one-sided data cannot witness two-sided minima).
+    are 'other' (one-sided data cannot witness two-sided minima).  A
+    finite negative gap, anywhere on the sheet, raises DomainError
+    naming the point and the value.
     """
     if window is not None:
         _check_window(window)
     nx, ny = sheet.values.shape
+    g = sheet.values[i, j]
+    if -math.inf < g < 0:
+        raise DomainError(f"gap at ({i}, {j}) is negative: {float(g)!r}")
     if i in (0, nx - 1) or j in (0, ny - 1):
         return GapClassification("other", None)
-    g = sheet.values[i, j]
     if not np.isfinite(g):
         return GapClassification("other", None)
     if g > 0:
@@ -299,10 +304,13 @@ def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
     that counts walks another way.  Around the walks nothing runs per
     pair that a whole sheet or a whole source can do once.  One sheet
     build serves every gap verdict: a nonzero gap reads the row and
-    column window minima from two arrays computed once per sheet, and a
-    zero gap goes through ``classify_gap``.  A source's forward table is
-    built only when one of its pairs has disjoint extremal walks, the
-    case where the bridges decide.
+    column window minima from two arrays computed once per sheet, and
+    every other entry goes through ``classify_gap``.  A pair is walked
+    only once it has a dictionary verdict: a boundary pair or a
+    non-finite gap has none and is neither walked nor recorded.  A
+    source's forward table is built only when one of its recorded pairs
+    has disjoint extremal walks, the case where the bridges decide.  A
+    negative gap raises ``DomainError``.
     """
     t0, t1 = times
     sheet = gaplab.gap_sheet(model, x_grid, y_grid, frame, times)
@@ -331,15 +339,15 @@ def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
             a = starts[i]
             if not _lattice.is_reachable(B[a]):
                 continue
-            geo = _classify_lattice(model, a, b, B, partial(forward, i), threshold, frame)
             g = values[i][j]
             if 0 < g < math.inf and 0 < i < nx - 1 and 0 < j < ny - 1:
                 gap_tag, gap_value = SHAPES[kinds[i][j]], g
             else:  # zero, undefined or on the boundary
                 gap = classify_gap(sheet, i, j, zeros=zeros, window=window)
                 if gap.tag == "other" and gap.gap is None:
-                    continue  # boundary or undefined: no dictionary verdict
+                    continue  # boundary or undefined: no verdict, no walks
                 gap_tag, gap_value = gap.tag, gap.gap
+            geo = _classify_lattice(model, a, b, B, partial(forward, i), threshold, frame)
             out.record(geo.tag, gap_tag, geo.gap_is_zero, gap_value == 0.0)
             out.records.append((int(x), int(y), gap_value, geo.tag, gap_tag))
             if geo.bridges[0] and geo.bridges[1]:

@@ -13,27 +13,62 @@ error, or a parameter or domain error raised by the run, exits with
 status 2 and one line on stderr.  The manifest records which kernel
 ran, for the cloud's patience kernel and for the lattice sweeps
 (``kernels``).
+
+Start-up runs only what the command needs.  ``engine`` (and ``flow``)
+and ``oracle`` are imported inside the functions that use them.
+``classify`` and ``busemann`` are lazy modules: importing this module
+puts them in ``sys.modules`` and binds them on the package, but their
+code runs only on first attribute access, in ``run_classify`` (which
+runs ``classify``) or ``run_busemann`` (which runs both), so a ``gap``,
+``sample`` or ``dim`` run never runs either.  They are lazy modules
+rather than function-level imports because the benchmark's tracer looks
+them up in ``sys.modules`` right after importing this module and wraps
+their functions, which runs them; once the tracer imports them itself,
+they can become plain function-level imports.  ``concurrent.futures``
+is imported only when a run makes a pool of two or more workers.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import busemann as bz
-from . import classify as cls
 from . import config as cfgmod
 from . import cloud, gaplab, lattice, manifest, svg
 from .errors import DomainError, ParameterError
 from .model import (Region, ScalingFrame, anchor_layout, environment_for,
                     make_poisson_cloud)
+
+
+def _lazy(name: str):
+    """The submodule lpplab.<name>, in sys.modules and bound on the package
+    as an import binds it, but executed only on its first attribute
+    access (the LazyLoader recipe of the importlib docs).  A module that
+    is already imported is returned as it is."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# first touched on the main thread, in run_classify and run_busemann: a
+# LazyLoader load is not thread-safe
+bz = _lazy("busemann")
+cls = _lazy("classify")
 
 
 def _fanout(threads: int, n: int, fn):
@@ -42,6 +77,7 @@ def _fanout(threads: int, n: int, fn):
     workers = min(threads, n, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(k) for k in range(n)]
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n)))
 

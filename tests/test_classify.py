@@ -4,7 +4,7 @@ import pytest
 from lpplab import (Region, ScalingFrame, cloud_from_points, geodesic,
                     make_lattice_field, make_poisson_cloud)
 from lpplab import classify, cloud, gaplab, oracle
-from lpplab.errors import ParameterError
+from lpplab.errors import DomainError, ParameterError
 from lpplab.model import reflect
 
 
@@ -193,6 +193,32 @@ def grid_for(model, n, half, t0):
     xs = [x for x in range(-half, half + 1, 2) if (x + t0) % 2 == 0]
     ys = [y for y in range(-half, half + 1, 2) if (y + t1) % 2 == 0]
     return xs, ys, (t0, t1)
+
+
+def test_a_negative_gap_names_itself(monkeypatch):
+    """A lattice sheet holds no negative gap.  One planted there is named
+    with its point and value, by classify_gap (inside the sheet and on
+    its boundary) and by agreement_matrix, instead of failing the zero
+    branch's isolation check."""
+    f = make_lattice_field(2, 40, 40, "geometric", 0.5)
+    xs, ys, times = grid_for(f, 16, 8, t0=8)
+    frame = ScalingFrame(16.0)
+    build = gaplab.gap_sheet
+    sheet = build(f, xs, ys, frame, times)
+    assert (sheet.values[np.isfinite(sheet.values)] >= 0).all()
+    for i, j in ((3, 2), (0, 2)):
+        planted = build(f, xs, ys, frame, times)
+        planted.values[i, j] = -1.0
+        want = rf"^gap at \({i}, {j}\) is negative: -1\.0$"
+        for window in (None, 1):
+            with pytest.raises(DomainError, match=want):
+                classify.classify_gap(planted, i, j, window=window)
+        monkeypatch.setattr(gaplab, "gap_sheet", lambda *args: planted)
+        with pytest.raises(DomainError, match=want):
+            classify.agreement_matrix(f, xs, ys, times, frame)
+    # -inf is not a finite gap: it still reads as no verdict
+    sheet.values[3, 2] = -np.inf
+    assert classify.classify_gap(sheet, 3, 2).tag == "other"
 
 
 def test_agreement_matrix_zero_split_is_exact():

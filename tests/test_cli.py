@@ -112,7 +112,7 @@ def test_fanout_pool_is_capped(threads, n, cpus, want, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert cli._fanout(threads, n, lambda k: k * k) == [k * k for k in range(n)]
     assert pools == ([] if want is None else [want])
@@ -318,21 +318,30 @@ def test_cli_import_leaves_the_oracle_out():
 
 
 LAZY = """
-import json, sys
+import json, sys, types
 from lpplab import cli
-print(json.dumps([m for m in ("numpy.random", "lpplab.engine", "lpplab.flow")
-                  if m in sys.modules]))
+
+def state():
+    # the modules imported, and the lazy modules run: type() does not run
+    # a lazy module, an attribute access does
+    return [[m for m in ("numpy.random", "lpplab.engine", "lpplab.flow", "subprocess",
+                         "concurrent.futures") if m in sys.modules],
+            [m for m in ("lpplab.busemann", "lpplab.classify")
+             if type(sys.modules[m]) is types.ModuleType]]
+
+print(json.dumps(state()))
 rc = cli.main([sys.argv[3], "--config", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps([rc, [m for m in ("numpy.random", "lpplab.engine", "lpplab.flow", "subprocess")
-                       if m in sys.modules]]))
+print(json.dumps([rc, state()]))
 """
 
 
 def test_lattice_gap_run_imports_no_numpy_random_and_no_engine(tmp_path):
-    """Importing the CLI loads neither numpy.random nor the engine; a
-    lattice gap run samples its field with the compiled Philox stream
-    and never asks for a geodesic, so it loads neither either, and it
-    loads the cached library without importing subprocess."""
+    """Importing the CLI loads neither numpy.random, the engine nor the
+    thread pool, and runs neither classify nor busemann; a lattice gap
+    run samples its field with the compiled Philox stream, never asks
+    for a geodesic and makes no pool, so it loads and runs none of them
+    either, and it loads the cached library without importing
+    subprocess."""
     assert cloud._compiled() is not None  # the library is built and cached
     cfg = tmp_path / "gap.json"
     cfg.write_text(json.dumps({"command": "gap", "model": "geometric", "n": 12,
@@ -342,16 +351,17 @@ def test_lattice_gap_run_imports_no_numpy_random_and_no_engine(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert json.loads(lines[0]) == []
-    assert json.loads(lines[-1]) == [0, []]
+    assert json.loads(lines[0]) == [[], []]
+    assert json.loads(lines[-1]) == [0, [[], []]]
     assert manifest.read_manifest(tmp_path / "out")["kernels"]["lattice"] == "compiled"
 
 
 def test_lattice_classify_run_imports_no_engine(tmp_path):
     """A lattice classify run walks its geodesics in ``lattice`` and finds
     the separated stretches with ``model._runs``, so it loads neither the
-    engine nor the flow.  At threshold 0 some pairs have separated
-    stretches, so the run finder is reached."""
+    engine nor the flow, makes no pool, and runs classify but not
+    busemann.  At threshold 0 some pairs have separated stretches, so
+    the run finder is reached."""
     assert cloud._compiled() is not None
     cfg = tmp_path / "classify.json"
     cfg.write_text(json.dumps({"command": "classify", "n_list": [12], "threshold": 0.0,
@@ -360,9 +370,50 @@ def test_lattice_classify_run_imports_no_engine(tmp_path):
     done = subprocess.run([sys.executable, "-c", LAZY, str(cfg), str(tmp_path / "out"),
                            "classify"], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, [[], ["lpplab.classify"]]]
     records = (tmp_path / "out" / "records_n12.csv").read_text().splitlines()[1:]
     assert {"IIa", "IIb"} <= {line.split(",")[3] for line in records}
+
+
+REUSE = """
+import sys, types
+if sys.argv[1] == "early":
+    import lpplab.classify
+    early = sys.modules["lpplab.classify"]
+import lpplab
+from lpplab import cli
+if sys.argv[1] == "early":  # imported before the CLI: reused, not replaced
+    assert sys.modules["lpplab.classify"] is early is lpplab.classify is cli.cls
+    assert type(early) is types.ModuleType
+else:
+    assert type(sys.modules["lpplab.classify"]) is not types.ModuleType
+assert type(sys.modules["lpplab.busemann"]) is not types.ModuleType
+assert lpplab.classify is sys.modules["lpplab.classify"] is cli.cls
+assert lpplab.classify.crossing_tag(True, False) == "Va"
+assert type(lpplab.classify) is types.ModuleType
+assert lpplab.busemann is sys.modules["lpplab.busemann"] is cli.bz
+from lpplab import busemann
+import lpplab.busemann as again
+assert busemann is again is lpplab.busemann
+assert busemann.crossing_tag is lpplab.classify.crossing_tag
+assert callable(busemann.busemann_profile) and type(busemann) is types.ModuleType
+from lpplab.classify import agreement_matrix
+assert agreement_matrix is cli.cls.agreement_matrix
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("order", ["early", "late"])
+def test_lazy_modules_work_and_reuse_an_earlier_import(order):
+    """After importing the CLI, lpplab.classify and lpplab.busemann, by
+    attribute, by ``from lpplab import`` and by ``import``, are the one
+    module object each, and they work; a module imported before the CLI
+    is kept as it is."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", REUSE, order], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 def test_engine_names_resolve_from_the_package():

@@ -1639,8 +1639,8 @@ def ref_classify_lattice_cached(model, a, b, F, B, threshold, frame):
 
 
 def ref_agreement_matrix(model, x_grid, y_grid, times, frame, threshold=1.0):
-    """The old loop, and the sources with a pair whose extremal walks are
-    disjoint: the sources whose forward table the bridges need."""
+    """The old loop, and the sources with a recorded pair whose extremal
+    walks are disjoint: the sources whose forward table the bridges need."""
     t0, t1 = times
     sheet = gaplab.gap_sheet(model, x_grid, y_grid, frame, times)
     zeros = gaplab.zero_set(sheet)
@@ -1661,11 +1661,11 @@ def ref_agreement_matrix(model, x_grid, y_grid, times, frame, threshold=1.0):
                 fwd[i] = lattice.forward_values(model, a)
             geo_tag, geo_zero, bridges = ref_classify_lattice_cached(
                 model, a, b, fwd[i], B, threshold, frame)
-            if geo_zero:
-                bridged.add(a)
             gap = classify.classify_gap(sheet, i, j, zeros=zeros, window=window)
             if gap.tag == "other" and gap.gap is None:
                 continue
+            if geo_zero:  # a pair without a verdict is not walked, so not bridged
+                bridged.add(a)
             gap_zero = gap.gap == 0.0
             out.record(geo_tag, gap.tag, geo_zero, gap_zero)
             out.records.append((int(x), int(y), gap.gap, geo_tag, gap.tag))
@@ -1695,20 +1695,29 @@ def agreement_cases():
 
 
 def test_agreement_matrix_matches_per_pair_loop(monkeypatch):
-    built = []
-    forward = lattice.forward_values
+    built, walks = [], []
+    forward, walk = lattice.forward_values, lattice.geodesic_cells_from_B
     monkeypatch.setattr(lattice, "forward_values",
                         lambda model, a: built.append(a) or forward(model, a))
+    monkeypatch.setattr(lattice, "geodesic_cells_from_B",
+                        lambda *args: walks.append(1) or walk(*args))
+    skipped = 0
     seen = {"zeros": 0, "double": 0, "tags": set()}
     for f, n, (xs, ys, times) in agreement_cases():
         frame = ScalingFrame(float(n))
         for threshold in (0.0, 0.5, 1.0):
+            walks.clear()
             want, bridged = ref_agreement_matrix(f, xs, ys, times, frame, threshold)
+            walked = len(walks)  # two per reachable pair
             built.clear()
             gaplab.gap_sheet(f, xs, ys, frame, times)
             sheet_tables = len(built)
             built.clear()
+            walks.clear()
             got = classify.agreement_matrix(f, xs, ys, times, frame, threshold)
+            # two walks per recorded pair: a pair without a verdict is not walked
+            assert len(walks) == 2 * len(got.records)
+            skipped += walked - len(walks)
             assert got.counts.dtype == want.counts.dtype
             assert np.array_equal(got.counts, want.counts)
             assert got.records == want.records
@@ -1724,7 +1733,7 @@ def test_agreement_matrix_matches_per_pair_loop(monkeypatch):
             seen["zeros"] += sum(r[2] == 0.0 for r in got.records)
             seen["double"] += got.double_bridges
             seen["tags"] |= {r[3] for r in got.records}
-    assert seen["zeros"] > 0 and seen["double"] > 0
+    assert seen["zeros"] > 0 and seen["double"] > 0 and skipped > 0
     assert set(classify.TAGS) <= seen["tags"]
 
 
