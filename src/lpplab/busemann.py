@@ -210,6 +210,14 @@ class ExceptionalDirection:
     witness_right_cols: np.ndarray
 
 
+def check_window(theta_window: Tuple[float, float]) -> Tuple[float, float]:
+    """The direction window (lo, hi), checked to satisfy -1 < lo < hi < 1."""
+    lo, hi = theta_window
+    if not (-1.0 < lo < hi < 1.0):
+        raise ParameterError(f"window {theta_window} must sit inside the cone")
+    return lo, hi
+
+
 def exceptional_scan(model: LatticeField, theta_window: Tuple[float, float],
                      horizon: int, t0: int = 0, threshold: float = 1.0,
                      coarse: int = 8) -> List[ExceptionalDirection]:
@@ -221,9 +229,7 @@ def exceptional_scan(model: LatticeField, theta_window: Tuple[float, float],
     adjacent target columns.  Witnesses are the rightmost geodesic to the
     below-column and the leftmost geodesic to the above-column.
     """
-    lo, hi = theta_window
-    if not (-1.0 < lo < hi < 1.0):
-        raise ParameterError(f"window {theta_window} must sit inside the cone")
+    lo, hi = check_window(theta_window)
     t1 = t0 + horizon
     mid = t0 + horizon // 2
     mid_index = mid - t0

@@ -12,7 +12,7 @@ other commands run one experiment and reject both keys.  A config
 error, or a parameter or domain error raised by the run, exits with
 status 2 and one line on stderr.  The manifest records which kernel
 ran, for the cloud's patience kernel and for the lattice sweeps
-(``kernels``).
+(``kernels``), as ``_native.kernel_ran`` holds it after the run.
 
 Start-up runs only what the command needs.  ``engine`` (and ``flow``)
 and ``oracle`` are imported inside the functions that use them.
@@ -40,8 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from . import config as cfgmod
-from . import cloud, gaplab, lattice, manifest, svg
+from . import gaplab, manifest, svg
 from .errors import DomainError, ParameterError
 from .model import (Region, ScalingFrame, anchor_layout, environment_for,
                     make_poisson_cloud)
@@ -205,13 +206,13 @@ def run_classify(cfg, out: Path):
 
 def run_busemann(cfg, out: Path):
     n = cfg["n"]
+    window = bz.check_window((cfg["theta_lo"], cfg["theta_hi"]))  # before any field
     a, t0 = anchor_layout(n, 2.0)
-    reach = int(max(1.0, abs(cfg["theta_lo"]), abs(cfg["theta_hi"])) * 2 * n) + a
+    reach = 2 * n + a  # the cone's edge at the last horizon, 2n
     env = environment_for(cfg["seed"], "geometric", t0, 2 * n, -reach, reach,
                           cfg["law_param"])
     horizons = (n, 2 * n)
-    dirs = bz.exceptional_scan(env, (cfg["theta_lo"], cfg["theta_hi"]), n,
-                               t0=t0, threshold=cfg["threshold"])
+    dirs = bz.exceptional_scan(env, window, n, t0=t0, threshold=cfg["threshold"])
     dirs = dirs[:cfg["directions"]]
     xs_all = [x for x in range(-a, a + 1) if (x + t0) % 2 == 0]
     stride = max(1, len(xs_all) // cfg["grid_points"])
@@ -304,15 +305,14 @@ def run_experiment(cfg: cfgmod.ExperimentConfig, out_dir=None) -> tuple:
     out = Path(out_dir if out_dir is not None else cfg["out"])
     _check_out(out)
     started = time.time()
-    cloud.kernel_ran = lattice.kernel_ran = None
+    _native.kernel_ran.update(patience=None, lattice=None)
     summaries, envs, ok = _RUNNERS[cfg.command](cfg, out)
     out.mkdir(parents=True, exist_ok=True)  # a run may write no artifact
     manifest.write_manifest(out, json.loads(cfg.to_json()), summaries, envs,
                             wall_clock_s=time.time() - started,
                             schema={"csv_columns": _CSV_SCHEMA,
                                     "version": manifest.SCHEMA_VERSION},
-                            kernels={"patience": cloud.kernel_ran,
-                                     "lattice": lattice.kernel_ran})
+                            kernels=dict(_native.kernel_ran))
     return out, ok
 
 

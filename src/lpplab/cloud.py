@@ -32,26 +32,11 @@ fails, the kept points are sorted.
 
 The kernel is compiled: ``_kernels.c`` holds the same insertion in C,
 comparing doubles as Python compares floats, so both give identical
-counts, and a whole row pass: the keys, the mask and the order check on
-the slab, the stops and the two-row insertion, in one call.  When the
-compiled row finds the slab out of order it says so, and the Python
-parts (``_sorted_cone``, ``_before``, ``_pile_counts``) serve that row.
-``_kernels.c`` is the package's one C library: it also holds the
-lattice's table and pair sweeps and its extremal walk (see
-``lattice``) and the Philox stream of ``rng``, and ``_compiled`` is
-its one loader.  The first sample or read-out builds it with the local
-gcc into ``__pycache__/_kernels-<hash>.so`` next to this module (the
-hash covers the source and the build command; a build goes to a
-temporary file renamed into place, so concurrent builds are safe) and
-loads it with ``ctypes``, which releases the GIL during each call:
-threads run their row passes and sweeps in parallel.  Only a build
-imports ``subprocess``.  The flags are ``-O3 -ffp-contract=off``:
-``-O3`` vectorises the pair sweep's inner loop, which reads each step's
-weights from one contiguous scratch row, and no multiply-add may be
-contracted into an FMA, so every sum is rounded as numpy rounds it.
-Nothing is built or loaded at import.  When it cannot be built or
-loaded, the Python routines run instead; ``_pile_counts_py`` is the
-reference.
+counts, and a whole row pass (keys, mask and order check on the slab,
+stops, two-row insertion) in one call.  When the compiled row finds the
+slab out of order, the Python parts (``_sorted_cone``, ``_before``,
+``_pile_counts``) serve that row.  Without the library (see ``_native``)
+the Python routines run; ``_pile_counts_py`` is the reference.
 
 Optimal steps.  ``OptimalSteps`` builds one graph from one
 ``chain_tables`` call: its nodes are the points with F + B - 1 equal to
@@ -67,17 +52,13 @@ dropped from the chain problem.
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
-import os
-import threading
 from bisect import bisect_right
 from itertools import accumulate
 from math import inf
-from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .errors import InvariantError
 from .model import DomainError, PoissonCloud, causal_leq, _xy
 
@@ -164,65 +145,6 @@ def _pile_counts_py(vs, k: int, stops, bounds) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(len(out), k)
 
 
-_SOURCE = Path(__file__).with_name("_kernels.c")
-_CACHE = _SOURCE.parent / "__pycache__"
-_BUILD = ("gcc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
-_loaded = None  # the compiled library; False once it failed to build or load
-_load_lock = threading.Lock()
-kernel_ran = None  # "compiled" or "python": the kernel of the last read-out
-
-
-def _build() -> Path:
-    """The compiled library in ``_CACHE``, built unless present."""
-    tag = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_BUILD).encode()).hexdigest()
-    lib = _CACHE / f"_kernels-{tag[:16]}.so"
-    if not lib.exists():
-        import subprocess  # only a build needs them: a cached library loads without
-        import tempfile
-        _CACHE.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix="_kernels-", suffix=".tmp", dir=_CACHE)
-        os.close(fd)
-        try:
-            subprocess.run([*_BUILD, "-o", tmp, str(_SOURCE)], check=True,
-                           capture_output=True, timeout=120)
-            os.replace(tmp, lib)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    return lib
-
-
-def _compiled():
-    """The compiled library, built and loaded on first use; None when that
-    failed."""
-    global _loaded
-    if _loaded is None:
-        with _load_lock:
-            if _loaded is None:
-                try:
-                    lib = ctypes.CDLL(str(_build()))
-                    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-                    lib.pile_counts.restype = None
-                    lib.pile_counts.argtypes = [ptr, i64, i64, ptr, ptr, i64, ptr, ptr, ptr]
-                    lib.row_pass.restype = i64
-                    lib.row_pass.argtypes = [ptr, ptr, ptr, i64, f64, f64, f64, f64,
-                                             ptr, ptr, i64, ptr, ptr]
-                    lib.path_table.restype = None
-                    lib.path_table.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr, ptr]
-                    lib.pair_sweep.restype = i64
-                    lib.pair_sweep.argtypes = [ptr, i64, i64, i64, i64, i64, i64, i64, i64,
-                                               i64, i64, ptr, i64, ptr]
-                    lib.walk.restype = i64
-                    lib.walk.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, i64, i64, i64,
-                                         i64, ptr]
-                    lib.philox_uniforms.restype = None
-                    lib.philox_uniforms.argtypes = [ctypes.c_uint64, ctypes.c_uint64, i64, ptr]
-                    _loaded = lib
-                except Exception:  # any failure: the Python routines serve
-                    _loaded = False
-    return _loaded or None
-
-
 def _pile_counts(vs, k: int, stops, bounds) -> np.ndarray:
     """The patience kernel: one k-row insertion over the floats ``vs``.
 
@@ -231,12 +153,9 @@ def _pile_counts(vs, k: int, stops, bounds) -> np.ndarray:
     the first stops[m] values are inserted.  A value bumped out of row k
     is dropped.
     """
-    global kernel_ran
-    lib = _compiled()
+    lib = _native.library("patience")
     if lib is None:
-        kernel_ran = "python"
         return _pile_counts_py(vs, k, stops, bounds)
-    kernel_ran = "compiled"
     vs = np.ascontiguousarray(vs, dtype=np.float64)
     stops = np.ascontiguousarray(stops, dtype=np.int64)
     bounds = np.ascontiguousarray(bounds, dtype=np.float64)
@@ -315,8 +234,7 @@ def _row_counts(cloud: PoissonCloud, sx, st, U, V, tu, tv) -> np.ndarray:
     """Two pile rows' counts at the targets (tu, tv), sorted by (u, v),
     from the source (sx, st): the compiled row in one call, or its
     Python parts when it is missing or finds the slab out of order."""
-    global kernel_ran
-    lib = _compiled()
+    lib = _native.library("patience")
     if lib is not None:
         slab = _slab(cloud, sx, st, U)
         rows = np.empty(2 * slab.size, dtype=np.float64)
@@ -324,7 +242,6 @@ def _row_counts(cloud: PoissonCloud, sx, st, U, V, tu, tv) -> np.ndarray:
         if not lib.row_pass(cloud.xs.ctypes.data, cloud.ts.ctypes.data, slab.ctypes.data,
                             slab.size, sx, st, U, V, tu.ctypes.data, tv.ctypes.data, tu.size,
                             rows.ctypes.data, out.ctypes.data):
-            kernel_ran = "compiled"
             return out
     idx, pu, pv = _sorted_cone(cloud, (sx, st), U, V)
     return _pile_counts(pv, 2, _before(pu, pv, tu, tv), tv)

@@ -35,7 +35,7 @@ written.  Rows left behind go stale and are cleared once, at the end.
 
 Compiled kernel: ``_path_table`` and ``_pair_sweep`` each run a whole
 sweep, and ``geodesic_cells_from_B`` a whole walk, as one call into the
-package's C library (``_kernels.c``, loaded by ``cloud._compiled`` on
+package's C library (``_kernels.c``, built and loaded by ``_native`` on
 first use, never at import; the call releases the GIL).  The C sweeps
 take the operands in numpy's order, the max of the predecessors as
 ``_relax`` takes them, then the weights path by path, so every
@@ -47,8 +47,8 @@ weights at (t - j, j), read through the field's strides (a reflected
 view included), into one contiguous scratch row, so the inner loop
 vectorises; no table of antidiagonal rows is built.  When the library
 is missing, the numpy routines ``_path_table_py``, ``_pair_sweep_py``
-and ``_walk_py`` run instead; they are the reference.  ``kernel_ran``
-names the kernel of the last sweep or walk.
+and ``_walk_py`` run instead; they are the reference.  ``_native``
+records the kernel of the last sweep or walk.
 
 Mirrors come from reflection: backward tables and backward pair sweeps
 are forward sweeps of the field reflected by (i, j) -> (rows-1-i,
@@ -95,7 +95,7 @@ import itertools
 
 import numpy as np
 
-from . import cloud
+from . import _native
 from .errors import InvariantError
 from .model import DomainError, LatticeField, reflect_cell
 
@@ -103,7 +103,6 @@ NEG = -1.0e18
 _VALID = NEG / 2.0
 _SHIFTS = (slice(1, None), slice(None, -1))  # index stayed, index moved up
 _BORDER = ((1, 0), (1, 0))  # np.pad widths: one border row and column in front
-kernel_ran = None  # "compiled" or "python": the kernel of the last table or pair sweep
 
 
 def is_reachable(value: float) -> bool:
@@ -124,15 +123,6 @@ def _relax(out: np.ndarray, prev: np.ndarray, weights) -> None:
         out += w.reshape((-1,) + (1,) * (out.ndim - 1 - axis))
 
 
-def _library():
-    """The compiled library, or None when the numpy sweeps must serve;
-    records which kernel runs in ``kernel_ran``."""
-    global kernel_ran
-    lib = cloud._compiled()
-    kernel_ran = "python" if lib is None else "compiled"
-    return lib
-
-
 def _strides(w: np.ndarray):
     """w's row and column strides in elements (negative for a reflection)."""
     return w.strides[0] // w.itemsize, w.strides[1] // w.itemsize
@@ -145,7 +135,7 @@ def _path_table(w: np.ndarray, corner, seeds=None) -> np.ndarray:
     (NEG where unseeded) every cell takes max(seed, swept value); the
     corner must then lie weakly above-left of every seeded cell.
     """
-    lib = _library()
+    lib = _native.library("lattice")
     if lib is None:
         return _path_table_py(w, corner, seeds)
     rows, cols = w.shape
@@ -257,7 +247,7 @@ def _pair_sweep(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
     record and only the last one without; [] if no pair is feasible.
     ``order`` is the axis order in which the paths' weights are added.
     """
-    lib = _library()
+    lib = _native.library("lattice")
     if lib is None:
         return _pair_sweep_py(w, start_pair, t_stop, record, order)
     rows, cols = w.shape
@@ -448,7 +438,7 @@ def geodesic_cells_from_B(field: LatticeField, B: np.ndarray, start, end,
                           f"{rows}x{cols} float64 grid")
     if not is_reachable(B[start]) or i > i1 or j > j1:
         raise DomainError(f"end {end} not reachable from start {start}")
-    lib = _library()
+    lib = _native.library("lattice")
     if lib is None:
         return _walk_py(field, B, start, end, side)
     n = i1 - i + j1 - j + 1

@@ -12,7 +12,7 @@ rest of the package are listed in ``Stream``.
 
 The stream is compiled: ``uniforms`` fills its array in one call to
 ``philox_uniforms`` in the package's C library (``_kernels.c``, loaded by
-``cloud._compiled``), which gives exactly the words of numpy's
+``_native``), which gives exactly the words of numpy's
 ``Philox(key=[seed, stream]).random(n)`` (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011).  ``generator`` is the reference
 and the fallback when the library is missing, so ``numpy.random`` is
@@ -26,6 +26,7 @@ import operator
 
 import numpy as np
 
+from . import _native
 from .errors import ParameterError
 
 
@@ -62,8 +63,7 @@ def generator(seed: int, stream: int) -> np.random.Generator:
 def uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     """``n`` uniforms in [0, 1) from the (seed, stream) Philox stream."""
     seed, stream = _key(seed, stream)
-    from . import cloud  # cloud sits above rng: it imports model, which imports rng
-    lib = cloud._compiled()
+    lib = _native.library()
     if lib is None:
         return generator(seed, stream).random(int(n))
     out = np.empty(int(n))

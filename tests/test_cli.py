@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpplab import cli, cloud, manifest, svg
+from lpplab import _native, cli, manifest, svg
 from lpplab.config import ConfigError, ExperimentConfig, parse_config, round_trip
 
 
@@ -82,7 +83,7 @@ def test_manifest_records_the_patience_kernel(tmp_path, monkeypatch):
 
     assert kernel(poisson, "compiled") == {"patience": "compiled", "lattice": None}
     assert kernel(lattice, "lattice") == {"patience": None, "lattice": "compiled"}
-    monkeypatch.setattr(cli.cloud, "_compiled", lambda: None)
+    monkeypatch.setattr(_native, "_loaded", False)
     assert kernel(poisson, "python") == {"patience": "python", "lattice": None}
     assert kernel(lattice, "lattice_python") == {"patience": None, "lattice": "python"}
     for a, b in (("compiled", "python"), ("lattice", "lattice_python")):
@@ -249,6 +250,26 @@ def test_threads_flag_exits_2_where_nothing_fans_out(tmp_path, capsys, command):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("window", [{"theta_hi": 1000.0}, {"theta_lo": -5.0},
+                                    {"theta_lo": 0.25, "theta_hi": 0.25},
+                                    {"theta_lo": 0.5, "theta_hi": -0.5}])
+def test_busemann_window_outside_the_cone_exits_2_before_any_field(tmp_path, capsys,
+                                                                   monkeypatch, window):
+    """The direction window is checked before the field is built: at
+    theta_hi 1000 the field would span 2 * 1000 * n columns."""
+    def forbidden(*args):
+        raise AssertionError("the field was built before the window was checked")
+
+    monkeypatch.setattr(cli, "environment_for", forbidden)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"command": "busemann", **window}))
+    rc = cli.main(["busemann", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("config error: window")
+    assert not (tmp_path / "x").exists()
+
+
 # tiny runs that together reach every branch reading a key: sample, gap
 # and dim once per environment family
 _TINY_RUNS = [
@@ -342,7 +363,7 @@ def test_lattice_gap_run_imports_no_numpy_random_and_no_engine(tmp_path):
     for a geodesic and makes no pool, so it loads and runs none of them
     either, and it loads the cached library without importing
     subprocess."""
-    assert cloud._compiled() is not None  # the library is built and cached
+    assert _native.library() is not None  # the library is built and cached
     cfg = tmp_path / "gap.json"
     cfg.write_text(json.dumps({"command": "gap", "model": "geometric", "n": 12,
                                "grid_points": 6, "seed": 2}))
@@ -362,7 +383,7 @@ def test_lattice_classify_run_imports_no_engine(tmp_path):
     engine nor the flow, makes no pool, and runs classify but not
     busemann.  At threshold 0 some pairs have separated stretches, so
     the run finder is reached."""
-    assert cloud._compiled() is not None
+    assert _native.library() is not None
     cfg = tmp_path / "classify.json"
     cfg.write_text(json.dumps({"command": "classify", "n_list": [12], "threshold": 0.0,
                                "seed": 2}))
@@ -373,6 +394,68 @@ def test_lattice_classify_run_imports_no_engine(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == [0, [[], ["lpplab.classify"]]]
     records = (tmp_path / "out" / "records_n12.csv").read_text().splitlines()[1:]
     assert {"IIa", "IIb"} <= {line.split(",")[3] for line in records}
+
+
+LAYERS = """
+import json, sys
+from lpplab import _native, lattice, make_lattice_field, rng
+u = rng.uniforms(5, 0, 9)
+f = make_lattice_field(3, 6, 7, "geometric")
+B = lattice.backward_values(f, (5, 6))
+ran = []
+for sweep in (lambda: lattice.forward_values(f, (0, 0)),
+              lambda: lattice.pair_forward(f, ((0, 0), (0, 0)), 6),
+              lambda: lattice.geodesic_cells_from_B(f, B, (0, 0), (5, 6), "left")):
+    _native.kernel_ran["lattice"] = None
+    sweep()
+    ran.append(_native.kernel_ran["lattice"])
+print(json.dumps([ran, _native.kernel_ran["patience"], "numpy.random" in sys.modules,
+                  sorted(m for m in sys.modules if m.startswith("lpplab"))]))
+"""
+
+
+def test_rng_and_lattice_run_compiled_without_the_cloud():
+    """In a fresh interpreter the Philox stream (no numpy.random), a
+    table, a pair sweep and a walk all run on the compiled library and
+    never import ``cloud``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", LAYERS], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        ["compiled"] * 3, None, False,
+        ["lpplab", "lpplab._native", "lpplab.errors", "lpplab.lattice", "lpplab.model",
+         "lpplab.rng"]]
+
+
+def lpplab_imports(name):
+    """The lpplab modules the source of lpplab.<name> imports, anywhere in it."""
+    tree = ast.parse((Path(cli.__file__).parent / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.split(".")[0] == "lpplab"}
+        elif isinstance(node, ast.ImportFrom):
+            base = "lpplab" if node.level else node.module
+            module = node.module if node.level else None
+            if node.level and module:
+                found.add(f"lpplab.{module}")
+            elif base == "lpplab":
+                found |= {f"lpplab.{a.name}" for a in node.names}
+            elif base and base.startswith("lpplab."):
+                found.add(base)
+    return found
+
+
+def test_only_native_owns_the_library():
+    """``_native`` imports no lpplab module, and ``lattice`` and ``rng``
+    reach the library through it, not through ``cloud``."""
+    assert lpplab_imports("_native") == set()
+    for name in ("cloud", "lattice", "rng"):
+        assert "lpplab._native" in lpplab_imports(name)
+    assert "lpplab.cloud" not in lpplab_imports("lattice")
+    assert "lpplab.cloud" not in lpplab_imports("rng")
+    assert "lpplab.cloud" in lpplab_imports("gaplab")  # the check sees a cloud import
 
 
 REUSE = """

@@ -35,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpplab import busemann, classify, cli, engine, flow, gaplab, lattice, rng, svg
+from lpplab import _native, busemann, classify, cli, engine, flow, gaplab, lattice, rng, svg
 from lpplab import cloud as cloud_mod
 from lpplab.config import parse_config
 from lpplab.errors import DomainError, InvariantError
@@ -273,13 +273,13 @@ KERNELS = ("compiled", "python")
 def one_kernel(name):
     """Serve the chain read-outs and lattice sweeps from one kernel: the
     compiled library or the Python (numpy) routines."""
-    saved = cloud_mod._compiled
+    saved = _native._loaded
     if name == "python":
-        cloud_mod._compiled = lambda: None
+        _native._loaded = False
     try:
         yield
     finally:
-        cloud_mod._compiled = saved
+        _native._loaded = saved
 
 
 @pytest.fixture
@@ -287,7 +287,7 @@ def each_kernel(monkeypatch):
     """``for _ in each_kernel():`` runs a test body once per kernel."""
     def each():
         yield "compiled"
-        monkeypatch.setattr(cloud_mod, "_compiled", lambda: None)
+        monkeypatch.setattr(_native, "_loaded", False)
         yield "python"
     return each
 
@@ -445,12 +445,12 @@ def _lattice_gap_sheet(model, seed):
                          + [("exponential", 0)])
 def test_compiled_sweeps_give_the_numpy_gap_sheets(model, seed):
     """The lattice_gap sheets, from the compiled sweeps and from numpy."""
-    assert cloud_mod._compiled() is not None
+    assert _native.library() is not None
     sheets = []
     for kernel in KERNELS:
         with one_kernel(kernel):
             sheets.append(_lattice_gap_sheet(model, seed))
-            assert lattice.kernel_ran == kernel
+            assert _native.kernel_ran["lattice"] == kernel
     got, want = sheets
     assert np.isfinite(want.values).any()
     assert got.values.tobytes() == want.values.tobytes()
@@ -466,7 +466,7 @@ def test_compiled_pair_sweep_reads_the_weights_directly(monkeypatch):
     S, _ = lattice.pair_forward(f, ((0, 0), (0, 0)), f.rows + f.cols - 3)
     R, _ = ref_pair_forward(f, ((0, 0), (0, 0)), f.rows + f.cols - 3)
     assert_same(S, R)
-    assert lattice.kernel_ran == "compiled"
+    assert _native.kernel_ran["lattice"] == "compiled"
 
 
 WINDOW_FIELDS = [make_lattice_field(40 + cols, cols + 2, cols, law)
@@ -493,7 +493,7 @@ def test_pair_sweeps_agree_on_both_kernels_at_every_window_width(f):
                     got.append((lattice.pair_forward(f, pair, t_stop), False))
                 for t_stop in sorted({t - 2, t - 1, 1, 0}):
                     got.append((lattice.pair_backward(f, pair, t_stop), False))
-            assert lattice.kernel_ran == kernel
+            assert _native.kernel_ran["lattice"] == kernel
             runs.append(got)
     assert f.rows >= f.cols + 1  # the doubled start at (0, 0) reaches a window of f.cols
     for (g, record), (w, _) in zip(*runs):
@@ -850,7 +850,7 @@ def pile_inputs(count, seed):
 
 
 def test_compiled_pile_counts_match_python_kernel():
-    assert cloud_mod._compiled() is not None
+    assert _native.library() is not None
     for vs, k, stops, bounds in pile_inputs(1000, 2):
         got = cloud_mod._pile_counts(vs, k, stops, bounds)
         want = cloud_mod._pile_counts_py(vs, k, stops, bounds)
@@ -874,67 +874,67 @@ def test_compiled_philox_matches_numpy(monkeypatch):
         raise AssertionError("uniforms used the numpy generator")
 
     monkeypatch.setattr(rng, "generator", forbidden)
-    assert cloud_mod._compiled() is not None
-    cloud_mod.kernel_ran = lattice.kernel_ran = "untouched"
+    assert _native.library() is not None
+    monkeypatch.setattr(_native, "kernel_ran", {"patience": "untouched", "lattice": "untouched"})
     for seed in PHILOX_SEEDS:
         for stream in (0, 1, 2, 5):
             for n in PHILOX_SIZES:
                 got = rng.uniforms(seed, stream, n)
                 assert got.dtype == np.float64 and got.shape == (n,)
                 assert got.tobytes() == numpy_philox(seed, stream, n).tobytes(), (seed, stream, n)
-    assert cloud_mod.kernel_ran == lattice.kernel_ran == "untouched"
+    assert _native.kernel_ran == {"patience": "untouched", "lattice": "untouched"}
 
 
 def test_compiled_kernel_loads_here():
     """gcc is part of this project's toolchain: a silent fallback to the
     Python kernels must fail here, not only slow the benchmark."""
-    assert cloud_mod._compiled() is not None
+    assert _native.library() is not None
     cloud_mod._pile_counts(np.zeros(3), 2, [3], [0.0])
-    assert cloud_mod.kernel_ran == "compiled"
+    assert _native.kernel_ran["patience"] == "compiled"
     f = FIELDS[0]
     B = lattice.backward_values(f, (4, 4))
     for sweep in (lambda: lattice.forward_values(f, (0, 0)),
                   lambda: lattice.pair_forward(f, ((0, 0), (0, 0)), 5),
                   lambda: lattice.geodesic_cells_from_B(f, B, (0, 0), (4, 4), "left")):
-        lattice.kernel_ran = None
+        _native.kernel_ran["lattice"] = None
         sweep()
-        assert lattice.kernel_ran == "compiled"
+        assert _native.kernel_ran["lattice"] == "compiled"
 
 
 @pytest.mark.parametrize("breakage", ["missing compiler", "compile error", "unwritable cache"])
 def test_failed_build_falls_back_silently(breakage, monkeypatch, tmp_path, capfd):
-    build = cloud_mod._BUILD
-    monkeypatch.setattr(cloud_mod, "_loaded", None)
-    monkeypatch.setattr(cloud_mod, "_CACHE", tmp_path / "cache")
+    build = _native._BUILD
+    monkeypatch.setattr(_native, "_loaded", None)
+    monkeypatch.setattr(_native, "_CACHE", tmp_path / "cache")
     if breakage == "missing compiler":
-        monkeypatch.setattr(cloud_mod, "_BUILD", (str(tmp_path / "no-cc"),) + build[1:])
+        monkeypatch.setattr(_native, "_BUILD", (str(tmp_path / "no-cc"),) + build[1:])
     elif breakage == "compile error":
-        monkeypatch.setattr(cloud_mod, "_BUILD", build + ("-Dpile_counts=",))
+        monkeypatch.setattr(_native, "_BUILD", build + ("-Dpile_counts=",))
     else:
         (tmp_path / "file").write_text("")
-        monkeypatch.setattr(cloud_mod, "_CACHE", tmp_path / "file" / "cache")
+        monkeypatch.setattr(_native, "_CACHE", tmp_path / "file" / "cache")
     for vs, k, stops, bounds in pile_inputs(50, 3):
         want = cloud_mod._pile_counts_py(vs, k, stops, bounds)
         got = cloud_mod._pile_counts(vs, k, stops, bounds)
-        assert cloud_mod.kernel_ran == "python"
+        assert _native.kernel_ran["patience"] == "python"
         assert got.dtype == want.dtype and np.array_equal(got, want)
     for seed, stream, n in ((0, 2, 9), (2**64 - 1, 5, 1001)):
         assert rng.uniforms(seed, stream, n).tobytes() == numpy_philox(seed, stream, n).tobytes()
-        assert cloud_mod.kernel_ran == "python"
+        assert _native.kernel_ran["patience"] == "python"
     f = FIELDS[1]
     t_max = f.rows + f.cols - 2
     for c in cells(f)[::5]:
         assert_same(lattice.forward_values(f, c), ref_forward_values(f, c))
-        assert lattice.kernel_ran == "python"
+        assert _native.kernel_ran["lattice"] == "python"
         _check_pair_results(lattice.pair_forward(f, (c, c), t_max),
                             ref_pair_forward(f, (c, c), t_max), False)
-        assert lattice.kernel_ran == "python"
+        assert _native.kernel_ran["lattice"] == "python"
         B = lattice.backward_values(f, c)
         for side in ("left", "right"):
             assert (lattice.geodesic_cells_from_B(f, B, (0, 0), c, side)
                     == ref_geodesic_cells_from_B(f, B, (0, 0), c, side))
-            assert lattice.kernel_ran == "python"
-    assert cloud_mod._loaded is False
+            assert _native.kernel_ran["lattice"] == "python"
+    assert _native._loaded is False
     assert capfd.readouterr() == ("", "")
     cache = tmp_path / "cache"
     assert not cache.exists() or list(cache.iterdir()) == []
@@ -943,14 +943,14 @@ def test_failed_build_falls_back_silently(breakage, monkeypatch, tmp_path, capfd
 BUILDER = """
 import sys, time
 from pathlib import Path
-from lpplab import cloud
-cloud._CACHE, me, other = (Path(arg) for arg in sys.argv[1:])
+from lpplab import _native
+_native._CACHE, me, other = (Path(arg) for arg in sys.argv[1:])
 me.touch()
 deadline = time.monotonic() + 60
 while not other.exists() and time.monotonic() < deadline:
     time.sleep(0.001)
-fn = cloud._compiled()
-print(cloud._build(), fn is not None)
+fn = _native.library()
+print(_native._build(), fn is not None)
 """
 
 
@@ -1153,7 +1153,7 @@ def test_cloud_sorts_match_lexsort():
 
 
 def test_compiled_row_falls_back_where_the_cloud_order_disagrees(monkeypatch):
-    assert cloud_mod._compiled() is not None
+    assert _native.library() is not None
     cl, (x0, t0), U, V = fallback_cloud()
     ys = np.linspace(x0 - 12, x0 + 12, 9)
     cone = cloud_mod._sorted_cone
