@@ -17,12 +17,14 @@ the leftmost/rightmost semi-infinite geodesics in that direction.
 Coalescence: ``lattice._merge_index`` is the one read-out of where two
 walks agree.  Certificates take it through ``_join_time``, the one
 walk-and-merge: walk a source to a sink on a backward table, and return
-the chart time from which that walk agrees with a reference walk.
+the chart time from which that walk agrees with a reference walk.  A
+column walk is ``walk[:, 1]`` of the kernel's (n, 2) cell array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +32,7 @@ import numpy as np
 from . import cloud as _cloud
 from . import gaplab
 from . import lattice as _lattice
-from .classify import crossing_tag
+from .classify import check_resolution, crossing_tag
 from .errors import DomainError, ParameterError
 from .model import LatticeField, ScalingFrame, _runs, reflect
 
@@ -92,24 +94,19 @@ def coalescence_time(a: Chain, b: Chain):
     return pa[len(pa) - n + k][1]
 
 
-def _col_sequence(model: LatticeField, B: np.ndarray, start_cell, end_cell, side: str):
-    cells = _lattice.geodesic_cells_from_B(model, B, start_cell, end_cell, side)
-    return np.array([j for _, j in cells], dtype=np.int64)
-
-
 def _walk_to(model: LatticeField, origin, c: int, t1: int, side: str):
     """Backward table to the cell at chart (c, t1) and the column walk of
     the ``side`` geodesic from origin to it."""
     end = model.cell_at(c, t1)
     B = _lattice.backward_values(model, end)
-    return B, _col_sequence(model, B, origin, end, side)
+    return B, _lattice.geodesic_cells_from_B(model, B, origin, end, side)[:, 1]
 
 
 def _join_time(model: LatticeField, B: np.ndarray, start, end, side: str,
                ref_cols: np.ndarray) -> int:
     """Chart time from which the ``side`` geodesic start -> end on B agrees
     with ref_cols, a column walk of the same span."""
-    cols = _col_sequence(model, B, start, end, side)
+    cols = _lattice.geodesic_cells_from_B(model, B, start, end, side)[:, 1]
     return start[0] + start[1] + _lattice._merge_index(cols, ref_cols)
 
 
@@ -154,7 +151,7 @@ def busemann_profile(model: LatticeField, theta: float, x_grid: Sequence[int],
         ref_cell = model.cell_at(ORIGIN_X, t0)
         if not _lattice.is_reachable(B[ref_cell]):
             raise DomainError("reference source cannot reach the target")
-        ref_cols = _col_sequence(model, B, ref_cell, tgt.cell, side)
+        ref_cols = _lattice.geodesic_cells_from_B(model, B, ref_cell, tgt.cell, side)[:, 1]
         for k, x in enumerate(xs):
             a = model.cell_at(int(x), t0)
             if not _lattice.is_reachable(B[a]):
@@ -228,8 +225,10 @@ def exceptional_scan(model: LatticeField, theta_window: Tuple[float, float],
     threshold * horizon^(2/3) are refined by binary search down to
     adjacent target columns.  Witnesses are the rightmost geodesic to the
     below-column and the leftmost geodesic to the above-column.
+    ``coarse`` is the first scan's step in target columns.
     """
     lo, hi = check_window(theta_window)
+    check_resolution(threshold, coarse)
     t1 = t0 + horizon
     mid = t0 + horizon // 2
     mid_index = mid - t0
@@ -239,15 +238,13 @@ def exceptional_scan(model: LatticeField, theta_window: Tuple[float, float],
     if c_lo >= c_hi:
         raise DomainError("scan window falls outside the grid")
     cut = threshold * float(horizon) ** (2.0 / 3.0)
-    walks: Dict[int, np.ndarray] = {}
 
     def mid_x(cols: np.ndarray) -> int:
         return int(2 * cols[mid_index] - (origin[0] + origin[1] + mid_index))
 
+    @cache
     def right_walk(c: int) -> np.ndarray:
-        if c not in walks:
-            walks[c] = _walk_to(model, origin, c, t1, "right")[1]
-        return walks[c]
+        return _walk_to(model, origin, c, t1, "right")[1]
 
     def pos(c: int) -> int:
         return mid_x(right_walk(c))
@@ -330,7 +327,7 @@ class BusemannGapProfile:
 
 
 def _local_witnesses(model: LatticeField, direction: ExceptionalDirection,
-                     horizon: int, t0: int, span: Optional[int] = None):
+                     horizon: int, t0: int):
     """Continue the direction's witness families to another horizon.
 
     The far witness targets bracket the same bifurcation: the below
@@ -342,8 +339,7 @@ def _local_witnesses(model: LatticeField, direction: ExceptionalDirection,
     """
     t1 = t0 + horizon
     center = _parity_round(direction.theta * horizon, t1)
-    if span is None:
-        span = 2 * max(2, int(float(horizon) ** (2.0 / 3.0)))
+    span = 2 * max(2, int(float(horizon) ** (2.0 / 3.0)))
     lo, hi = _grid_columns(model, t1, center - span, center + span)
     origin = model.cell_at(ORIGIN_X, t0)
     # track each family at the scan's mid time, where the two bundles are
@@ -497,7 +493,7 @@ def _semi_inf_geometric(model, direction, x, profile):
     # both chains span t0..t1: the last index of their common stem
     split = len(cl_cells) - 1 - _lattice._merge_index(cl_cells[::-1], cr_cells[::-1])
     if split > 0:
-        split_cell = cl_cells[split]
+        split_cell = tuple(cl_cells[split])
         bubble = gaplab.gap_value(model, a, split_cell)
         return "III-inf" if bubble == 0 else "IIa-inf"
     F = _lattice.forward_values(model, a)

@@ -21,7 +21,7 @@ spatial resolution: separations of at most ``threshold`` are treated
 as coincidence (in spatial units for ``classify_geometric``, in units of
 the frame, one correlation length n^(2/3), for ``agreement_matrix``).
 threshold=0 recovers the literal reading used for small exact tests.
-The zero split never uses the threshold.
+The zero split never uses the threshold, which must be finite and >= 0.
 
 The gap route implements the sheet dictionary: row/column plateau minima
 for the nonzero types, open-quadrant isolation of sheet zeros for the
@@ -30,7 +30,8 @@ zero types.
 ``agreement_matrix`` runs both routes over an anchor grid in one pass
 per sink: one backward table per sink, and per pair its left and right
 walks, one ``lattice.geodesic_cells_from_B`` call each, because the
-benchmark's tracer counts walks by that call.  The nonzero verdicts of
+benchmark's tracer counts walks by that call.  The separation is the
+difference of the two walks' column arrays.  The nonzero verdicts of
 the whole sheet come from two window-minimum arrays; a pair is walked
 only when the sheet gives it a verdict, and a source's forward table is
 built only for the bridges of a recorded pair with disjoint extremal
@@ -42,8 +43,9 @@ neither ``engine`` nor ``flow``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
+from functools import cache, partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,6 +73,17 @@ def crossing_tag(a: bool, b: bool, suffix: str = "") -> str:
     return "other" if tag is None else tag + suffix
 
 
+def check_resolution(threshold=0.0, coarse=1, window=1) -> None:
+    """ParameterError naming the value unless threshold is a finite number
+    >= 0 and coarse (``exceptional_scan``) and window are integers >= 1."""
+    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) \
+            or not 0 <= threshold < math.inf:
+        raise ParameterError(f"threshold must be a finite number >= 0, got {threshold!r}")
+    for name, k in (("coarse", coarse), ("window", window)):
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise ParameterError(f"{name} must be an integer >= 1, got {k!r}")
+
+
 @dataclass
 class GeometricClassification:
     tag: str
@@ -88,6 +101,7 @@ def classify_geometric(model: Model, start, end,
     whether a separated stretch touches an endpoint and merge stretches
     split by microscopic coincidences.
     """
+    check_resolution(threshold)
     if not isinstance(model, LatticeField):
         return _classify_cloud(model, start, end, threshold)
     F = _lattice.forward_values(model, start)
@@ -164,11 +178,6 @@ class GapClassification:
     isolated: Optional[Tuple[bool, bool]] = None
 
 
-def _check_window(window) -> None:
-    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
-        raise ParameterError(f"window must be an integer >= 1 or None, got {window!r}")
-
-
 def _window_minimum(slice_values: np.ndarray, j: int, window: int) -> bool:
     lo = max(0, j - window)
     seg = slice_values[lo:j + window + 1]
@@ -182,7 +191,7 @@ def _window_minima(values: np.ndarray, window: int) -> Tuple[np.ndarray, np.ndar
     ``window`` columns away, and cols[i, j] the same down column j, with
     non-finite entries read as +inf.  At every finite entry this is
     _window_minimum of that row or column."""
-    _check_window(window)
+    check_resolution(window=window)
 
     def along_rows(u):
         low = u.copy()  # the minimum over the window, grown one offset at a time
@@ -213,7 +222,7 @@ def classify_gap(sheet: gaplab.GapSheet, i: int, j: int,
     naming the point and the value.
     """
     if window is not None:
-        _check_window(window)
+        check_resolution(window=window)
     nx, ny = sheet.values.shape
     g = sheet.values[i, j]
     if -math.inf < g < 0:
@@ -312,6 +321,7 @@ def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
     has disjoint extremal walks, the case where the bridges decide.  A
     negative gap raises ``DomainError``.
     """
+    check_resolution(threshold)
     t0, t1 = times
     sheet = gaplab.gap_sheet(model, x_grid, y_grid, frame, times)
     zeros = gaplab.zero_set(sheet)
@@ -325,12 +335,10 @@ def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
     values = sheet.values.tolist()
     nx, ny = sheet.values.shape
     starts = [model.cell_at(int(x), t0) for x in x_grid]
-    fwd = {}
 
+    @cache
     def forward(i):
-        if i not in fwd:
-            fwd[i] = _lattice.forward_values(model, starts[i])
-        return fwd[i]
+        return _lattice.forward_values(model, starts[i])
 
     for j, y in enumerate(y_grid):
         b = model.cell_at(int(y), t1)
@@ -361,7 +369,7 @@ def _classify_lattice(model, a, b, B, forward, threshold, frame):
     extremal walks are disjoint and the bridges decide."""
     cl = _lattice.geodesic_cells_from_B(model, B, a, b, "left")
     cr = _lattice.geodesic_cells_from_B(model, B, a, b, "right")
-    sep = 2.0 * np.array([jr - jl for (_, jr), (_, jl) in zip(cr, cl)])
+    sep = 2.0 * (cr[:, 1] - cl[:, 1])
     zero = bool(np.all(sep[1:-1] > 0)) if sep.size > 2 else False
 
     def bridge(p, q):

@@ -173,9 +173,11 @@ def _cloud_chain(model: PoissonCloud, start, end, idx) -> Chain:
 
 
 def _lattice_chain(model: LatticeField, start, end, cells) -> Chain:
-    """A lattice chain through cells, valued as an int on integer fields."""
-    value = float(sum(model.weights[c] for c in cells))
-    return Chain("lattice", start, end, cells,
+    """A lattice chain through cells (a walk's (n, 2) array or a cell list) as
+    (row, column) tuples of ints, valued as an int on integer fields."""
+    nodes = [tuple(c) for c in np.asarray(cells).tolist()]
+    value = float(sum(model.weights[c] for c in nodes))
+    return Chain("lattice", start, end, nodes,
                  int(round(value)) if model.integer_valued else value)
 
 

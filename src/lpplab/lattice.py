@@ -79,7 +79,11 @@ rectangle is ever allowed, and the walk takes the moves a walk over the
 whole grid would take, failing (InvariantError) at the same cell when B
 is inconsistent inside it.  Before either kernel runs, start and end
 must be on the grid and B a float64 table of the grid's shape: the
-compiled walk reads B and w by index, with no bounds of its own.
+compiled walk reads B and w by index, with no bounds of its own.  A
+walk is an (n, 2) int64 array of (row, column), one cell per chart
+time: the transpose of the compiled walk's own (2, n) buffer, and
+``_walk_py``'s result.  Callers read it as it is; only
+``engine._lattice_chain`` turns a walk into (row, column) tuples.
 
 Only values above _VALID (see is_reachable) are meaningful.  Dead
 states hold NEG plus rounding noise from the weights added to them.
@@ -90,7 +94,6 @@ integer-law values stay exact (they are far below 2^53).
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 
 import numpy as np
@@ -223,12 +226,12 @@ def profile(field: LatticeField, start, chart_time: int) -> dict:
     return out
 
 
-def _antidiagonals(w: np.ndarray) -> np.ndarray:
-    """out[t, j + 1] = w[t - j, j]: antidiagonals as padded rows, 0 off-grid."""
+def _antidiagonal(w: np.ndarray, t: int) -> np.ndarray:
+    """out[j + 1] = w[t - j, j]: antidiagonal t as a padded row, 0 off-grid."""
     rows, cols = w.shape
-    out = np.zeros((rows + cols - 1, cols + 1))
-    i, j = np.indices(w.shape)
-    out[i + j, j + 1] = w
+    j = np.arange(max(0, t - rows + 1), min(cols - 1, t) + 1)
+    out = np.zeros(cols + 1)
+    out[j + 1] = w[t - j, j]
     return out
 
 
@@ -283,7 +286,6 @@ def _pair_sweep_py(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
         cur[j1 + 1, j2 + 1] = w[i1, j1] + w[i2, j2]
     if t_stop < t:
         return []
-    diags = _antidiagonals(w)
     trail = [(t, cur)]
     spare = np.full_like(cur, NEG)
     lo = 0
@@ -293,7 +295,7 @@ def _pair_sweep_py(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
         if lo > hi:
             return []
         nxt = np.full_like(cur, NEG) if record else spare
-        _pair_step(cur, nxt, diags[t], lo, hi, order)
+        _pair_step(cur, nxt, _antidiagonal(w, t), lo, hi, order)
         if not record:
             trail.clear()
         trail.append((t, nxt))
@@ -359,7 +361,7 @@ def pair_step(field: LatticeField, states: np.ndarray, t: int) -> np.ndarray:
     nxt = np.full_like(cur, NEG)
     lo, hi = max(0, t - rows + 1), min(cols - 1, t)
     if lo <= hi:
-        _pair_step(cur, nxt, _antidiagonals(field.weights)[t], lo + 1, hi + 1, (0, 1))
+        _pair_step(cur, nxt, _antidiagonal(field.weights, t), lo + 1, hi + 1, (0, 1))
     return nxt[1:, 1:]
 
 
@@ -410,20 +412,18 @@ def doubled_values(field: LatticeField, states, t: int, cells) -> np.ndarray:
     return out
 
 
-def geodesic_cells(field: LatticeField, start, end, side: str) -> list:
-    """Extremal geodesic as a cell list.
-
+def geodesic_cells(field: LatticeField, start, end, side: str) -> np.ndarray:
+    """Extremal geodesic as an (n, 2) int64 array of (row, column) cells:
     side='left' prefers down moves (smaller chart x at every time),
-    side='right' prefers right moves.  The greedy walk stays optimal by
-    construction: a move to c' is allowed iff B[c'] = B[c] - w[c].
-    """
+    side='right' prefers right moves; see Walks above."""
     B = backward_values(field, end)
     return geodesic_cells_from_B(field, B, start, end, side)
 
 
 def geodesic_cells_from_B(field: LatticeField, B: np.ndarray, start, end,
-                          side: str) -> list:
-    """geodesic_cells on B = backward_values(field, end); see Walks above."""
+                          side: str) -> np.ndarray:
+    """geodesic_cells on B = backward_values(field, end): an (n, 2) int64
+    array of (row, column), one cell per chart time; see Walks above."""
     w = field.weights
     if not isinstance(B, np.ndarray):
         B = np.asarray(B)
@@ -441,27 +441,24 @@ def geodesic_cells_from_B(field: LatticeField, B: np.ndarray, start, end,
     lib = _native.library("lattice")
     if lib is None:
         return _walk_py(field, B, start, end, side)
-    n = i1 - i + j1 - j + 1
-    out = (ctypes.c_int64 * (2 * n))()  # the rows, then the columns
+    out = np.empty((2, i1 - i + j1 - j + 1), dtype=np.int64)  # the rows, then the columns
     (bi, bj), (wi, wj) = B.strides, w.strides
     at = lib.walk(B.ctypes.data, bi // 8, bj // 8, w.ctypes.data, wi // 8, wj // 8,
-                  int(i), int(j), int(i1), int(j1), side == "right", out)
-    cells = out[:]
+                  int(i), int(j), int(i1), int(j1), side == "right", out.ctypes.data)
     if at >= 0:
         raise InvariantError("geodesic walk lost the optimum", field, start=start,
-                             end=end, side=side, at=(cells[at], cells[n + at]))
-    return list(zip(cells[:n], cells[n:]))
+                             end=end, side=side, at=(int(out[0, at]), int(out[1, at])))
+    return out.T
 
 
-def _walk_py(field: LatticeField, B: np.ndarray, start, end, side: str) -> list:
+def _walk_py(field: LatticeField, B: np.ndarray, start, end, side: str) -> np.ndarray:
     """The walk of geodesic_cells_from_B in numpy, the reference of the
     compiled one; the caller has checked start, end and B."""
     (i, j), (i1, j1) = start, end
     Bs = B[i:i1 + 1, j:j1 + 1]
     ws = field.weights[i:i1 + 1, j:j1 + 1]
     # B was computed as max(children) + w, so test in the same order
-    right = np.zeros(Bs.shape, dtype=bool)
-    down = np.zeros(Bs.shape, dtype=bool)
+    right, down = np.zeros((2, *Bs.shape), dtype=bool)
     right[:, :-1] = Bs[:, 1:] + ws[:, :-1] == Bs[:, :-1]
     down[:-1] = Bs[1:] + ws[:-1] == Bs[:-1]
     # flat index step of the preferred allowed move: 1 right, width down, 0 none
@@ -471,33 +468,31 @@ def _walk_py(field: LatticeField, B: np.ndarray, start, end, side: str) -> list:
     else:
         step = np.where(down, width, np.where(right, 1, 0))
     step = step.ravel().tolist()
-    k, last, cells = 0, Bs.size - 1, [start]
-    while k != last:
-        d = step[k]
-        if not d:
+    ks = [0]  # flat indices of the cells walked, one per chart time
+    for _ in range(i1 - i + j1 - j):
+        if not step[ks[-1]]:
+            r, c = divmod(ks[-1], width)
             raise InvariantError("geodesic walk lost the optimum", field,
-                                 start=start, end=end, side=side, at=(i, j))
-        if d == width:  # a one-column rectangle has no right move
-            i += 1
-        else:
-            j += 1
-        k += d
-        cells.append((i, j))
-    return cells
+                                 start=start, end=end, side=side, at=(i + r, j + c))
+        ks.append(ks[-1] + step[ks[-1]])
+    k = np.array(ks, dtype=np.int64)
+    return np.column_stack((k // width + i, k % width + j))
 
 
 def _merge_index(a, b) -> int:
     """Smallest k with a[k:] == b[k:], for two sequences of one length:
-    the index from which two walks agree (len(a) when their ends differ)."""
-    k = len(a)
-    while k > 0 and a[k - 1] == b[k - 1]:
-        k -= 1
-    return k
+    the index from which two walks agree (len(a) when their ends differ),
+    of columns, or of cells or (x, t) nodes compared whole."""
+    differ = np.asarray(a) != np.asarray(b)
+    if differ.ndim > 1:
+        differ = differ.any(axis=1)
+    last = np.flatnonzero(differ)
+    return int(last[-1]) + 1 if last.size else 0
 
 
 def bridge_exists(field: LatticeField, from_cells, to_cells,
                   F: np.ndarray, B: np.ndarray, total: float) -> bool:
-    """Is there an optimal connector from one geodesic to another?
+    """Is there an optimal connector from one walk (cells as an array or list) to another?
 
     True iff some p in from_cells and q in to_cells (both interior,
     p strictly before q) satisfy
@@ -505,16 +500,14 @@ def bridge_exists(field: LatticeField, from_cells, to_cells,
     """
     w = field.weights
     seeds = np.full(w.shape, NEG)
-    for c in from_cells[1:-1]:
-        seeds[c] = F[c]
+    p = tuple(np.asarray(from_cells)[1:-1].T)  # the interior cells as (rows, cols)
+    seeds[p] = F[p]
     if not np.any(seeds > _VALID):
         return False
     A = seeded_forward(field, seeds)
-    for q in to_cells[1:-1]:
-        aq = A[q]
-        if is_reachable(aq) and aq > seeds[q] and aq + B[q] - w[q] == total:
-            return True
-    return False
+    q = tuple(np.asarray(to_cells)[1:-1].T)
+    aq = A[q]
+    return bool(np.any((aq > _VALID) & (aq > seeds[q]) & (aq + B[q] - w[q] == total)))
 
 
 def optimizer_pair(field: LatticeField, start_pair, end_pair, side: str):

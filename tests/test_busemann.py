@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,30 @@ def test_exceptional_scan_contract_sorted_and_witnessed():
         xl = 2 * d.witness_left_cols[mid] - (d.mid_time)
         xr = 2 * d.witness_right_cols[mid] - (d.mid_time)
         assert xl < xr
+
+
+@pytest.mark.parametrize("threshold, coarse, bad", [
+    (-1.0, 8, "threshold"), (np.nan, 8, "threshold"), (np.inf, 8, "threshold"),
+    (None, 8, "threshold"), (0.5, 0, "coarse"), (0.5, -1, "coarse"), (0.5, 2.0, "coarse"),
+    (0.5, True, "coarse"), (0.5, "8", "coarse")], ids=repr)
+def test_exceptional_scan_checks_threshold_and_coarse(threshold, coarse, bad):
+    """Unchecked, threshold -1 found 2 directions on this field where 0.5
+    finds 1, coarse 0 failed in range() and coarse -1 with an IndexError."""
+    f = tiny_env(7)
+    value = threshold if bad == "threshold" else coarse
+    kind = "a finite number >= 0" if bad == "threshold" else "an integer >= 1"
+    with pytest.raises(ParameterError,
+                       match=f"^{bad} must be {kind}, got {re.escape(repr(value))}$"):
+        bz.exceptional_scan(f, (-0.6, 0.6), H, t0=T0, threshold=threshold, coarse=coarse)
+
+
+def test_exceptional_scan_accepts_threshold_zero_and_coarse_one():
+    f = tiny_env(7)
+    want = bz.exceptional_scan(f, (-0.6, 0.6), H, t0=T0, threshold=0.5)
+    assert len(want) == 1
+    got = bz.exceptional_scan(f, (-0.6, 0.6), H, t0=T0, threshold=0.5, coarse=np.int64(1))
+    assert [d.theta for d in got] == [d.theta for d in want]
+    assert len(bz.exceptional_scan(f, (-0.6, 0.6), H, t0=T0, threshold=0)) >= 1
 
 
 def test_exceptional_scan_constant_map_empty():

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from lpplab import (Region, ScalingFrame, cloud_from_points, geodesic,
                     make_lattice_field, make_poisson_cloud)
-from lpplab import classify, cloud, gaplab, oracle
+from lpplab import classify, cli, cloud, gaplab, oracle
 from lpplab.errors import DomainError, ParameterError
-from lpplab.model import reflect
+from lpplab.model import anchor_layout, environment_for, reflect
 
 
 def field(mat):
@@ -193,6 +195,29 @@ def grid_for(model, n, half, t0):
     xs = [x for x in range(-half, half + 1, 2) if (x + t0) % 2 == 0]
     ys = [y for y in range(-half, half + 1, 2) if (y + t1) % 2 == 0]
     return xs, ys, (t0, t1)
+
+
+@pytest.mark.parametrize("threshold", [-1.0, -1e-9, np.nan, np.inf, -np.inf, True, "1", None],
+                         ids=repr)
+def test_threshold_must_be_finite_and_at_least_zero(threshold):
+    """Unchecked, a threshold of -1 read all 25 records of the n = 16
+    classify layout as "other" and a IIb pair as "other", and NaN read the
+    pair as "I" and failed the matrix with a bare ValueError."""
+    want = f"^threshold must be a finite number >= 0, got {re.escape(repr(threshold))}$"
+    with pytest.raises(ParameterError, match=want):
+        classify.classify_geometric(reflect(IIA), (0, 0), (2, 2), threshold=threshold)
+    n = 16
+    a, t0 = anchor_layout(n, 2.0)
+    xs, ys = cli._lattice_grids(n, 2.0, 10 ** 9, t0)
+    f = environment_for(0, "geometric", t0, n, -a, a, 0.5)
+    with pytest.raises(ParameterError, match=want):
+        classify.agreement_matrix(f, xs, ys, (t0, t0 + n), ScalingFrame(float(n)), threshold)
+
+
+def test_threshold_accepts_finite_numbers_of_at_least_zero():
+    for threshold in (0, 0.0, np.int64(0), np.float64(0.0)):
+        assert classify.classify_geometric(reflect(IIA), (0, 0), (2, 2), threshold).tag == "IIb"
+    assert classify.classify_geometric(reflect(IIA), (0, 0), (2, 2), 10 ** 6).tag == "I"
 
 
 def test_a_negative_gap_names_itself(monkeypatch):

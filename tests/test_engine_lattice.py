@@ -359,10 +359,13 @@ def test_corrupted_backward_table_raises_replayable_invariant_error():
     replay = json.loads(err.value.replay)
     assert replay["start"] == [0, 0] and replay["end"] == [5, 5]
     assert replay["side"] == "left"
+    assert replay["at"] == [0, 0]  # JSON ints: both moves out of the start are lost
     again = model_from_descriptor(replay["model"])
     np.testing.assert_array_equal(again.weights, f.weights)
     # the replayed instance with an honest table walks fine
-    assert lattice.geodesic_cells(again, start, end, "left")[-1] == end
+    walk = lattice.geodesic_cells(again, start, end, "left")
+    assert walk.dtype == np.int64 and walk.shape == (11, 2)
+    assert walk[0].tolist() == [0, 0] and walk[-1].tolist() == [5, 5]
 
 
 def test_walk_from_a_start_off_the_grid_raises_domain_error():

@@ -22,6 +22,7 @@ here verbatim as the specification.  Dead states are only meaningful as
 comparing; every reachable entry must be bit-identical.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -458,10 +459,10 @@ def test_compiled_sweeps_give_the_numpy_gap_sheets(model, seed):
 
 
 def test_compiled_pair_sweep_reads_the_weights_directly(monkeypatch):
-    def forbidden(w):
-        raise AssertionError("the compiled sweep built the antidiagonals")
+    def forbidden(w, t):
+        raise AssertionError("the compiled sweep built an antidiagonal")
 
-    monkeypatch.setattr(lattice, "_antidiagonals", forbidden)
+    monkeypatch.setattr(lattice, "_antidiagonal", forbidden)
     f = FIELDS[1]
     S, _ = lattice.pair_forward(f, ((0, 0), (0, 0)), f.rows + f.cols - 3)
     R, _ = ref_pair_forward(f, ((0, 0), (0, 0)), f.rows + f.cols - 3)
@@ -521,14 +522,25 @@ def test_min_formula_batch_unchanged_by_pair_step():
         assert v == want
 
 
+def walk_list(walk, start, end):
+    """A lattice walk from start to end as a list of (row, column) tuples,
+    after checking that it is the (n, 2) int64 array both kernels return,
+    n the walk's number of chart times."""
+    n = end[0] - start[0] + end[1] - start[1] + 1
+    assert type(walk) is np.ndarray and walk.dtype == np.int64 and walk.shape == (n, 2)
+    return [tuple(c) for c in walk.tolist()]
+
+
 def _walk_outcome(walk, f, B, start, end, side):
-    """The cell list, or the kind of error with the InvariantError replay."""
+    """The cell list, or the kind of error with the InvariantError replay;
+    a lattice walk's array is read through walk_list."""
     try:
-        return walk(f, B, start, end, side)
+        cells = walk(f, B, start, end, side)
     except InvariantError as err:
         return ("InvariantError", err.replay)
     except DomainError:
         return ("DomainError",)
+    return cells if walk is ref_geodesic_cells_from_B else walk_list(cells, start, end)
 
 
 def _tables(B):
@@ -931,7 +943,7 @@ def test_failed_build_falls_back_silently(breakage, monkeypatch, tmp_path, capfd
         assert _native.kernel_ran["lattice"] == "python"
         B = lattice.backward_values(f, c)
         for side in ("left", "right"):
-            assert (lattice.geodesic_cells_from_B(f, B, (0, 0), c, side)
+            assert (walk_list(lattice.geodesic_cells_from_B(f, B, (0, 0), c, side), (0, 0), c)
                     == ref_geodesic_cells_from_B(f, B, (0, 0), c, side))
             assert _native.kernel_ran["lattice"] == "python"
     assert _native._loaded is False
@@ -1260,9 +1272,26 @@ def ref_stem_split(cl_cells, cr_cells):
     return split
 
 
+def ref_bridge_exists(field, from_cells, to_cells, F, B, total):
+    """lattice.bridge_exists with its per-cell seeding and testing loops."""
+    w = field.weights
+    seeds = np.full(w.shape, NEG)
+    for c in from_cells[1:-1]:
+        seeds[c] = F[c]
+    if not np.any(seeds > _VALID):
+        return False
+    A = lattice.seeded_forward(field, seeds)
+    for q in to_cells[1:-1]:
+        aq = A[q]
+        if lattice.is_reachable(aq) and aq > seeds[q] and aq + B[q] - w[q] == total:
+            return True
+    return False
+
+
 @pytest.fixture(scope="module", params=FIELDS, ids=IDS)
 def field_walks(request):
-    """A field and {(start, end, side): cells} for every reachable start, end and side."""
+    """A field and {(start, end, side): the walk's (n, 2) array} for every
+    reachable start, end and side."""
     f, walks = request.param, {}
     for end in cells(f):
         B = lattice.backward_values(f, end)
@@ -1287,14 +1316,20 @@ def test_merge_index_matches_suffix_scans(field_walks):
     for group in _groups(walks, lambda k: (k[0][0] + k[0][1], k[1])):
         end = group[0][0][1]
         B = lattice.backward_values(f, end)
-        ref = np.array([j for _, j in group[0][1]], dtype=np.int64)
-        for m, ((start, _, side), ca) in enumerate(group):
+        lists = [walk_list(wa, start, end) for (start, _, _), wa in group]
+        ref = np.array([j for _, j in lists[0]], dtype=np.int64)
+        for m, ((start, _, side), wa) in enumerate(group):
             t0 = start[0] + start[1]
+            ca = lists[m]
             cols_a = np.array([j for _, j in ca], dtype=np.int64)
-            for _, cb in group[m:]:
+            # cells, not columns: the same walk shifted by one row or column
+            for shift in ((1, 0), (0, 1)):
+                assert lattice._merge_index(wa, wa + shift) == len(ca)
+            for (_, wb), cb in zip(group[m:], lists[m:]):
                 cols_b = np.array([j for _, j in cb], dtype=np.int64)
                 k = lattice._merge_index(cols_a, cols_b)
                 assert k == lattice._merge_index(cols_b, cols_a) == lattice._merge_index(ca, cb)
+                assert k == lattice._merge_index(wa, wb) == lattice._merge_index(wb, wa)
                 assert t0 + k == ref_merge_time(cols_a, cols_b, t0)
                 assert k == ref_one_sided_scan(list(cols_a), list(cols_b))
                 seen.add("identical" if k == 0 else "terminal" if k == len(ca) - 1 else "merged")
@@ -1309,12 +1344,16 @@ def test_merge_index_matches_stem_scan(field_walks):
     """Walks from one start to ends of one chart time: every pair, itself included."""
     f, walks = field_walks
     for group in _groups(walks, lambda k: (k[0], k[1][0] + k[1][1])):
-        for m, (_, ca) in enumerate(group):
-            for _, cb in group[m:]:
+        lists = [walk_list(wa, start, end) for (start, end, _), wa in group]
+        for m, (_, wa) in enumerate(group):
+            ca = lists[m]
+            for (_, wb), cb in zip(group[m:], lists[m:]):
                 split = len(ca) - 1 - lattice._merge_index(ca[::-1], cb[::-1])
                 assert split == ref_stem_split(ca, cb)
+                assert split == len(wa) - 1 - lattice._merge_index(wa[::-1], wb[::-1])
                 # forwards, walks to two ends agree from no index: the length
                 assert lattice._merge_index(ca, cb) == ref_one_sided_scan(ca, cb)
+                assert lattice._merge_index(wa, wb) == ref_one_sided_scan(ca, cb)
 
 
 def test_coalescence_time_matches_suffix_scan(field_walks):
@@ -1323,7 +1362,8 @@ def test_coalescence_time_matches_suffix_scan(field_walks):
     rng = np.random.default_rng(f.rows * 17 + f.cols)
     kinds = set()
     for group in _groups(walks, lambda k: k[1]):
-        chains = [engine.Chain("lattice", s, e, c, 0) for (s, e, _), c in group]
+        chains = [engine.Chain("lattice", s, e, walk_list(w, s, e), 0)
+                  for (s, e, _), w in group]
         picks = [(a, a) for a in chains] + [
             (chains[p], chains[q]) for p, q in rng.integers(0, len(chains), (4 * len(chains), 2))]
         for a, b in picks:
@@ -1332,6 +1372,29 @@ def test_coalescence_time_matches_suffix_scan(field_walks):
             kinds.add((len(a.nodes) == len(b.nodes), a.nodes == b.nodes, got is None))
     if min(f.rows, f.cols) > 1:
         assert {(True, True, False), (True, False, True), (False, False, False)} <= kinds
+
+
+def test_bridge_exists_matches_per_cell_loops(field_walks):
+    """The left and right walks of every start and end, each pair in both
+    directions (a walk with itself included), as lists and as the walks'
+    own arrays."""
+    f, walks = field_walks
+    seen = set()
+    for (start, end, side), wa in walks.items():
+        if side != "left":
+            continue
+        F = lattice.forward_values(f, start)
+        B = lattice.backward_values(f, end)
+        wb = walks[start, end, "right"]
+        both = ((walk_list(wa, start, end), wa), (walk_list(wb, start, end), wb))
+        for (p, wp), (q, wq) in itertools.product(both, repeat=2):
+            want = ref_bridge_exists(f, p, q, F, B, F[end])
+            assert lattice.bridge_exists(f, p, q, F, B, F[end]) is want
+            assert lattice.bridge_exists(f, wp, wq, F, B, F[end]) is want
+            seen.add((len(p) > 2, want))
+    assert (False, False) in seen  # walks of one or two cells: no interior, no bridge
+    if f.integer_valued and min(f.rows, f.cols) > 2:  # ties make bridges
+        assert {(True, False), (True, True)} <= seen
 
 
 def test_coalescence_time_matches_suffix_scan_on_clouds():
