@@ -122,10 +122,6 @@ class BusemannProfile:
     coal_times: np.ndarray      # float, NaN when not coalesced
     certified: np.ndarray       # bool per x
 
-    def certified_values(self) -> Dict[int, float]:
-        return {int(x): float(v) for x, v, c in
-                zip(self.x_grid, self.values[0], self.certified) if c}
-
     def to_csv(self) -> str:
         lines = ["theta,x,value,certified,coalescence_time"]
         for k, x in enumerate(self.x_grid):
@@ -421,7 +417,7 @@ def busemann_gap(model: LatticeField, direction: ExceptionalDirection,
         # runs with a doubled end and the profile reduces to gap values
         BL = B_far_l if h == h_far else _lattice.backward_values(model, pl)
         BR = B_far_r if h == h_far else _lattice.backward_values(model, pr)
-        S, _ = _lattice.pair_backward(model, (pl, pr), t0 + 1)
+        S = _lattice.pair_backward(model, (pl, pr), t0 + 1)
         pairs = _lattice.doubled_values(model, S, t0 + 1, starts)
         for k, a in enumerate(starts):
             if not (_lattice.is_reachable(BL[a]) and _lattice.is_reachable(BR[a])) \
@@ -517,9 +513,9 @@ def two_path_busemann(model: LatticeField, theta1: float, theta2: float,
     pair = _lattice.disjoint2_value(model, (a, a), (p1, p2))
     if pair is None:
         return None
-    F1 = _lattice.backward_values(model, p1)
-    F2 = _lattice.backward_values(model, p2)
-    return float(pair - F1[ref] - F2[ref])
+    B1 = _lattice.backward_values(model, p1)
+    B2 = _lattice.backward_values(model, p2)
+    return float(pair - B1[ref] - B2[ref])
 
 
 def horizon_identity_residual(model: LatticeField, direction: ExceptionalDirection,

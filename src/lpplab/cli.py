@@ -287,6 +287,9 @@ _CSV_SCHEMA = {
     "gap_profile": ["theta", "x", "value", "certified"],
     "dim": ["replicate", "zeros", "estimate", "r2"],
     "stats": ["replicate", "key", "value"],
+    # classify.TAGS, spelled out: reading them would load classify on every run
+    "matrix": ["geometric\\gap", "I", "IIa", "IIb", "III", "IV", "Va", "Vb", "other"],
+    "records": ["x", "y", "G", "geometric", "gap"],
 }
 
 

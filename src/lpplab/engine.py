@@ -125,10 +125,6 @@ class GeodesicNetwork:
 class OverlapInterval:
     intervals: List[Tuple[float, float]] = dataclass_field(default_factory=list)
 
-    @property
-    def total_length(self) -> float:
-        return float(sum(b - a for a, b in self.intervals))
-
 
 def passage_value(model: Model, start, end) -> float:
     """Exact maximum over monotone paths / causal chains."""
@@ -188,13 +184,12 @@ def disjoint2_value(model: Model, start_pair, end_pair):
     shared by both paths and their weights count once per path (lattice);
     cloud anchors carry no weight and disjointness means no shared point.
     """
-    _check_pair_order(model, start_pair)
-    _check_pair_order(model, end_pair)
     if isinstance(model, LatticeField):
         v = _lattice.disjoint2_value(model, start_pair, end_pair)
         if v is None:
             return None
         return int(round(v)) if model.integer_valued else v
+    _check_pair_order(start_pair, end_pair)
     s1, s2 = start_pair
     e1, e2 = end_pair
     if tuple(_xy(s1)) == tuple(_xy(s2)) and tuple(_xy(e1)) == tuple(_xy(e2)):
@@ -234,8 +229,6 @@ def optimizer2(model: Model, start_pair, end_pair, side: str = "right"):
     """
     if side not in ("left", "right"):
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    _check_pair_order(model, start_pair)
-    _check_pair_order(model, end_pair)
     if isinstance(model, LatticeField):
         res = _lattice.optimizer_pair(model, start_pair, end_pair, side)
         if res is None:
@@ -245,6 +238,7 @@ def optimizer2(model: Model, start_pair, end_pair, side: str = "right"):
             value = int(round(value))
         return DisjointPair(_lattice_chain(model, cells1[0], cells1[-1], cells1),
                             _lattice_chain(model, cells2[0], cells2[-1], cells2), value)
+    _check_pair_order(start_pair, end_pair)
     res = _flow.disjoint_pair(model, start_pair, end_pair)
     if res is None:
         return None
@@ -389,16 +383,12 @@ def overlap(a: Chain, b: Chain) -> OverlapInterval:
     return OverlapInterval([(float(grid[i]), float(grid[k])) for i, k in _runs(eq)])
 
 
-def _check_pair_order(model, pair) -> None:
-    p1, p2 = pair
-    if isinstance(model, LatticeField):
-        t1, t2 = p1[0] + p1[1], p2[0] + p2[1]
-        if t1 != t2:
-            raise DomainError("pair members must share a chart time")
-        x1, x2 = p1[1] - p1[0], p2[1] - p2[0]
-    else:
+def _check_pair_order(*pairs) -> None:
+    """Cloud anchor pairs: one time each, weakly ordered left to right
+    (lattice pairs are checked in lattice)."""
+    for p1, p2 in pairs:
         (x1, t1), (x2, t2) = _xy(p1), _xy(p2)
         if t1 != t2:
             raise DomainError("pair members must share a time")
-    if x1 > x2:
-        raise DomainError("pair members must be weakly ordered left to right")
+        if x1 > x2:
+            raise DomainError("pair members must be weakly ordered left to right")

@@ -36,14 +36,13 @@ def gap_value(model: Model, start, end):
 
 
 def _lattice_row(model: LatticeField, a, cells):
-    """(L, L2, S) from source a to the cells of one chart time t1: passage
-    values, doubled-anchor pair values (NaN where infeasible) and the pair
-    states at t1 - 1 (None if no pair is feasible).  One forward table
-    and one pair sweep serve the row."""
+    """(L, L2) from source a to the cells of one chart time: passage values
+    and doubled-anchor pair values (NaN where infeasible).  One forward
+    table and one pair sweep, to the time before the cells, serve the row."""
     t = cells[0][0] + cells[0][1] - 1
     F = _lattice.forward_values(model, a)
-    S, _ = _lattice.pair_forward(model, (a, a), t)
-    return np.array([F[c] for c in cells]), _lattice.doubled_values(model, S, t, cells), S
+    S = _lattice.pair_forward(model, (a, a), t)
+    return np.array([F[c] for c in cells]), _lattice.doubled_values(model, S, t, cells)
 
 
 @dataclass
@@ -99,7 +98,7 @@ def gap_sheet(model: Model, x_grid: Sequence, y_grid: Sequence,
     if isinstance(model, LatticeField):
         cells = [model.cell_at(int(y), int(t1)) for y in ys]
         for i, x in enumerate(xs if cells else ()):  # no sinks, no sweep
-            L, L2, _ = _lattice_row(model, model.cell_at(int(x), int(t0)), cells)
+            L, L2 = _lattice_row(model, model.cell_at(int(x), int(t0)), cells)
             values[i] = 2.0 * L - L2
     elif isinstance(model, PoissonCloud):
         dt = t1 - t0
@@ -240,7 +239,9 @@ def quadrant_isolated(z: ZeroSet, anchor: Tuple[int, int], quadrant: str,
         raise ParameterError(f"quadrant must be '-+' or '+-', got {quadrant!r}")
     if anchor not in z.indices:
         raise DomainError(f"anchor {anchor} is not a zero of the sheet")
-    radii = [0.25, 0.5, 1.0] if radii is None else sorted(radii)
+    radii = [0.25, 0.5, 1.0] if radii is None else sorted(_positive("radius", radii))
+    if not radii:
+        raise ParameterError(f"radii must be nonempty, got {radii}")
     k = z.indices.index(anchor)
     s = z.frame.space_unit
     dx = (z.xs - z.xs[k]) / s
@@ -255,6 +256,14 @@ def quadrant_isolated(z: ZeroSet, anchor: Tuple[int, int], quadrant: str,
         report[r] = not bool(np.any(in_quad & (dist <= r)))
     report["isolated"] = report[radii[0]]
     return report
+
+
+def _positive(name: str, values):
+    """values, after checking that each is finite and > 0."""
+    for v in values:
+        if not 0 < v < np.inf:
+            raise ParameterError(f"{name} must be finite and > 0, got {v}")
+    return values
 
 
 @dataclass
@@ -293,7 +302,7 @@ def box_dimension(points, scales: Sequence[float]) -> BoxDimension:
         raise ParameterError("box_dimension needs a nonempty point set")
     if len(scales) < 2:
         raise ParameterError("box_dimension needs at least 2 scales")
-    counts = box_counts(points, scales)
+    counts = box_counts(points, _positive("scale", scales))
     if all(c == 1 for c in counts):
         return BoxDimension(0.0, 1.0, list(scales), counts,
                             warning="all points share one box at every scale")
@@ -326,7 +335,7 @@ def min_formula_residual(model: Model, x, y, z,
         raise ParameterError("need y <= z")
     if isinstance(model, LatticeField):
         grid, cells, L, L2, S2 = _lattice_min_formula(model, x, (int(y), int(z)), times)
-        if not np.all(np.isfinite(L2)):
+        if not np.all(np.isfinite(L2)) or (y != z and S2 is None):
             return None
         pair = L2[0] if y == z else S2[cells[0][1], cells[-1][1]]
         if not _lattice.is_reachable(pair):
@@ -353,12 +362,14 @@ def _lattice_min_formula(model: LatticeField, x, ys: Sequence[int],
                          times: Tuple[float, float]):
     """(ws, cells, L, L2, S2) on the parity grid ws from ys[0] to ys[-1] at
     t1: the gap row from source x, and the pair states at t1 (None if no
-    pair is feasible) one pair_step past the row's sweep."""
+    pair is feasible).  S2 comes from a second pair sweep from x, to t1;
+    the row's own sweep stops at t1 - 1, where the doubled ends are read."""
     t0, t1 = int(times[0]), int(times[1])
     ws = list(range(ys[0], ys[-1] + 1, 2))
     cells = [model.cell_at(w, t1) for w in ws]
-    L, L2, S = _lattice_row(model, model.cell_at(int(x), t0), cells)
-    return ws, cells, L, L2, None if S is None else _lattice.pair_step(model, S, t1)
+    a = model.cell_at(int(x), t0)
+    L, L2 = _lattice_row(model, a, cells)
+    return ws, cells, L, L2, _lattice.pair_forward(model, (a, a), t1)
 
 
 def min_formula_residuals_batch(model: LatticeField, x: int, ys: Sequence[int],

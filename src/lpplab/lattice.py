@@ -63,6 +63,18 @@ with the two paths on c's neighbours, plus c's weight once per path
 step before c (forward states, a doubled end) above and left of c, one
 step after c (backward states, a doubled start) below and right of c.
 
+Pair API: every pair value is read from the states of one sweep.
+``pair_forward`` and ``pair_backward`` return the full pair states at
+t_stop, or None when no pair is feasible there; with record=True they
+return the trail [(t, states), ...] of every step instead, [] when
+infeasible.  ``disjoint2_value`` reads a forward sweep and
+``optimizer_pair`` walks a recorded backward one.  Each pair is checked
+once, by ``_check_pair``: both cells on the grid, at one chart time,
+and doubled or ordered left to right, else DomainError.  A sweep checks
+the pair it starts from; ``disjoint2_value`` checks its end pair and
+``optimizer_pair`` its start pair, so a direct call is checked as fully
+as one through ``engine``, which leaves lattice pairs to this check.
+
 Walks: an extremal geodesic from a to b is walked on B = backward
 values to b (``geodesic_cells_from_B``).  A move from c to its right or
 lower neighbour c' is allowed iff B[c'] + w[c] == B[c], in B's own
@@ -235,14 +247,6 @@ def _antidiagonal(w: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def _pair_step(cur, nxt, w_t, lo, hi, order) -> None:
-    """Advance padded pair states cur (t - 1) -> nxt (t) on [lo, hi]^2."""
-    out = nxt[lo:hi + 1, lo:hi + 1]
-    _relax(out, cur[lo - 1:hi + 1, lo - 1:hi + 1],
-           [(axis, w_t[lo:hi + 1]) for axis in order])
-    np.fill_diagonal(out, NEG)
-
-
 def _pair_sweep(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
     """Two-path sweep on weights w from an ordered start pair to t_stop.
 
@@ -295,7 +299,9 @@ def _pair_sweep_py(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
         if lo > hi:
             return []
         nxt = np.full_like(cur, NEG) if record else spare
-        _pair_step(cur, nxt, _antidiagonal(w, t), lo, hi, order)
+        out, w_t = nxt[lo:hi + 1, lo:hi + 1], _antidiagonal(w, t)[lo:hi + 1]
+        _relax(out, cur[lo - 1:hi + 1, lo - 1:hi + 1], [(axis, w_t) for axis in order])
+        np.fill_diagonal(out, NEG)
         if not record:
             trail.clear()
         trail.append((t, nxt))
@@ -317,25 +323,20 @@ def _check_pair(field: LatticeField, pair, role: str) -> None:
         raise DomainError(f"{role} pair must be ordered left to right")
 
 
-def _pair_result(trail, t_stop: int, record: bool):
-    if record:
-        return [S for _, S in trail], [t for t, _ in trail]
-    return (trail[-1][1], t_stop) if trail else (None, t_stop)
-
-
 def pair_forward(field: LatticeField, start_pair, t_stop: int,
                  record: bool = False):
     """Sweep the two-path DP from a start pair up to chart time t_stop.
 
     start_pair is (a, a) for a doubled start or (a1, a2) with a1 left of
-    a2 at the same chart time.  Returns (states, t) where states[j1, j2]
-    is the best pair value with paths currently at columns j1 < j2 of
-    antidiagonal t = t_stop, or (None, t) if no pair is feasible.  With
-    record=True returns (list_of_states, times) for backtracking.
+    a2 at the same chart time.  Returns the states at t_stop, S[j1, j2]
+    the best pair value with the paths at columns j1 < j2 of antidiagonal
+    t_stop, or None if no pair is feasible.  With record=True returns the
+    trail [(t, states), ...] of every step up to t_stop, [] if infeasible.
     """
     _check_pair(field, start_pair, "start")
-    trail = _pair_sweep(field.weights, start_pair, t_stop, record, (0, 1))
-    return _pair_result([(t, S[1:, 1:]) for t, S in trail], t_stop, record)
+    trail = [(t, S[1:, 1:]) for t, S in
+             _pair_sweep(field.weights, start_pair, t_stop, record, (0, 1))]
+    return trail if record else (trail[-1][1] if trail else None)
 
 
 def pair_backward(field: LatticeField, end_pair, t_stop: int,
@@ -344,25 +345,15 @@ def pair_backward(field: LatticeField, end_pair, t_stop: int,
 
     The forward sweep of the reflected field, from the reflected end pair
     (whose paths trade sides); states and times are reflected back.
+    Returns the states at t_stop or None, and with record=True the trail
+    [(t, states), ...] from the end pair's time down to t_stop.
     """
     _check_pair(field, end_pair, "end")
     t_max = field.rows + field.cols - 2
     flipped = [reflect_cell(field, c) for c in end_pair[::-1]]
-    trail = _pair_sweep(field.weights[::-1, ::-1], flipped, t_max - t_stop,
-                        record, (1, 0))
-    return _pair_result([(t_max - t, S[:0:-1, :0:-1].T) for t, S in trail],
-                        t_stop, record)
-
-
-def pair_step(field: LatticeField, states: np.ndarray, t: int) -> np.ndarray:
-    """Advance full pair states from chart time t - 1 to t by one step."""
-    rows, cols = field.weights.shape
-    cur = np.pad(states, _BORDER, constant_values=NEG)
-    nxt = np.full_like(cur, NEG)
-    lo, hi = max(0, t - rows + 1), min(cols - 1, t)
-    if lo <= hi:
-        _pair_step(cur, nxt, _antidiagonal(field.weights, t), lo + 1, hi + 1, (0, 1))
-    return nxt[1:, 1:]
+    trail = [(t_max - t, S[:0:-1, :0:-1].T) for t, S in
+             _pair_sweep(field.weights[::-1, ::-1], flipped, t_max - t_stop, record, (1, 0))]
+    return trail if record else (trail[-1][1] if trail else None)
 
 
 def disjoint2_value(field: LatticeField, start_pair, end_pair):
@@ -370,13 +361,15 @@ def disjoint2_value(field: LatticeField, start_pair, end_pair):
 
     Paths may share only doubled endpoints; each path includes both of
     its endpoint weights, so a doubled endpoint weight is counted twice.
+    One forward pair sweep from start_pair serves: a distinct end pair is
+    read from the states at its chart time, a doubled end from the
+    states one step before it (doubled_values).  Raises DomainError for
+    a pair off the grid, at two chart times or out of order.
     """
+    _check_pair(field, end_pair, "end")  # pair_forward checks start_pair
     b1, b2 = end_pair
-    for c in (*start_pair, *end_pair):
-        if not field.in_grid(c):
-            raise DomainError(f"cell {c} outside grid")
     t = b1[0] + b1[1] - (b1 == b2)
-    S, _ = pair_forward(field, start_pair, t)
+    S = pair_forward(field, start_pair, t)
     if b1 == b2:
         v = doubled_values(field, S, t, [b1])[0]
         return None if np.isnan(v) else float(v)
@@ -518,16 +511,16 @@ def optimizer_pair(field: LatticeField, start_pair, end_pair, side: str):
     a lattice under the componentwise order, so the greedy join/meet
     stays optimal).  Returns (cells1, cells2, value) or None.
     """
+    _check_pair(field, start_pair, "start")  # pair_backward checks end_pair
     a1, a2 = start_pair
     b1, b2 = end_pair
     t0 = a1[0] + a1[1]
     w = field.weights
-    trail, times = pair_backward(field, end_pair, t0 + (1 if a1 == a2 else 0),
-                                 record=True)
+    trail = pair_backward(field, end_pair, t0 + (a1 == a2), record=True)
     if not trail:
         return None
-    states = dict(zip(times, trail))  # swept down to exactly t0 (+1 if doubled)
-    t_last = max(times)
+    states = dict(trail)  # swept down to exactly t0 (+1 if doubled)
+    t_last = max(states)
     if a1 == a2:
         i, j = a1
         value = float(doubled_values(field, states[t0 + 1], t0 + 1, [a1])[0])

@@ -304,6 +304,20 @@ def test_every_accepted_key_is_read(tmp_path, monkeypatch, command):
     assert read == accepted
 
 
+def test_every_csv_header_is_in_the_manifest_schema(tmp_path):
+    """Every command's CSV artifacts have a header that the manifest's
+    schema lists (classify's matrix and records were once missing)."""
+    headers = set()
+    for k, doc in enumerate(_TINY_RUNS):
+        out, _ = cli.run_experiment(parse_config(json.dumps({**doc, "out": str(tmp_path / str(k))})))
+        columns = json.loads((out / "manifest.json").read_text())["schema"]["csv_columns"]
+        for path in sorted(out.rglob("*.csv")):
+            header = path.read_text().split("\n", 1)[0].split(",")
+            assert header in columns.values(), f"{doc['command']} {path.name}: {header}"
+            headers.add(tuple(header))
+    assert len(headers) == len(columns)  # the tiny runs write every kind
+
+
 def test_parse_rejects_bool_for_numbers():
     for doc in ('{"command": "gap", "n": true}', '{"command": "gap", "rate": false}'):
         with pytest.raises(ConfigError):

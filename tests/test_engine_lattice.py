@@ -402,9 +402,10 @@ def test_corrupted_pair_trail_raises_replayable_invariant_error(monkeypatch):
     honest = lattice.pair_backward
 
     def corrupted(*args, **kwargs):
-        trail, times = honest(*args, **kwargs)
-        trail[1] = trail[1] - 1.0  # every state one time after the start is off by one
-        return trail, times
+        trail = honest(*args, **kwargs)
+        t, S = trail[1]
+        trail[1] = t, S - 1.0  # every state one time after the start is off by one
+        return trail
 
     monkeypatch.setattr(lattice, "pair_backward", corrupted)
     with pytest.raises(InvariantError) as err:
@@ -413,3 +414,35 @@ def test_corrupted_pair_trail_raises_replayable_invariant_error(monkeypatch):
     assert replay["start_pair"] == [[0, 0], [0, 0]]
     assert replay["end_pair"] == [[4, 4], [4, 4]]
     assert replay["model"]["seed"] == 5
+
+
+# bad pairs on a 6x6 grid, each with the error's wording after its role
+_BAD_PAIRS = [
+    (((2, 3), (1, 5)), "pair must share a chart time"),
+    (((0, 2), (1, 0)), "pair must share a chart time"),
+    (((1, 3), (3, 1)), "pair must be ordered left to right"),
+    (((2, 4), (0, 6)), r"cell \(0, 6\) outside grid"),
+]
+
+
+def test_every_lattice_pair_path_checks_each_pair():
+    """Direct calls check their pairs as engine calls do: a start or end
+    pair at two chart times, out of order or off the grid raises.  Unchecked,
+    disjoint2_value read an end pair at two chart times from the states of
+    one of them (8.0 here), and optimizer_pair answered None for a bad
+    start pair."""
+    from lpplab import lattice
+    f = make_lattice_field(1, 6, 6, "geometric", 0.5)
+    a, b = (0, 0), (5, 5)
+    for bad, said in _BAD_PAIRS:
+        calls = [("start", lambda: lattice.disjoint2_value(f, bad, (b, b))),
+                 ("end", lambda: lattice.disjoint2_value(f, (a, a), bad)),
+                 ("start", lambda: lattice.optimizer_pair(f, bad, (b, b), "left")),
+                 ("end", lambda: lattice.optimizer_pair(f, (a, a), bad, "left")),
+                 ("start", lambda: lattice.pair_forward(f, bad, 10)),
+                 ("end", lambda: lattice.pair_backward(f, bad, 0))]
+        for role, call in calls:
+            with pytest.raises(DomainError, match=f"^{role} {said}$"):
+                call()
+    assert lattice.disjoint2_value(f, (a, a), (b, b)) is not None
+    assert lattice.optimizer_pair(f, (a, a), (b, b), "left") is not None

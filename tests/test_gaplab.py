@@ -179,6 +179,42 @@ def test_quadrant_isolated_matches_brute_scan():
             assert rep["isolated"] == brute
 
 
+def test_quadrant_isolation_needs_a_radius():
+    # an empty list once raised IndexError, also through classify_gap
+    from lpplab import classify
+    z = synthetic_zero_set([(0.0, 0.0)])
+    with pytest.raises(ParameterError, match=r"^radii must be nonempty, got \[\]$"):
+        gaplab.quadrant_isolated(z, (0, 0), "-+", radii=[])
+    v = np.full((3, 3), 5.0)
+    v[1, 1] = 0.0
+    sheet = gaplab.GapSheet(np.arange(3.0), np.arange(3.0), v, FRAME, (0.0, 1.0), True)
+    with pytest.raises(ParameterError, match="^radii must be nonempty"):
+        classify.classify_gap(sheet, 1, 1, radii=[])
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+def test_quadrant_isolation_rejects_a_radius_that_is_not_finite(radius):
+    # a NaN radius once reported the anchor isolated
+    z = synthetic_zero_set([(0.0, 0.0), (-0.1, 0.1)])
+    with pytest.raises(ParameterError, match=rf"^radius must be finite and > 0, got {radius}$"):
+        gaplab.quadrant_isolated(z, (0, 0), "-+", radii=[0.5, radius])
+
+
+@pytest.mark.parametrize("radius", [-0.5, 0.0])
+def test_quadrant_isolation_rejects_a_radius_that_is_not_positive(radius):
+    # a negative radius once reported the anchor isolated
+    z = synthetic_zero_set([(0.0, 0.0), (-0.1, 0.1)])
+    with pytest.raises(ParameterError, match=rf"^radius must be finite and > 0, got {radius}$"):
+        gaplab.quadrant_isolated(z, (0, 0), "-+", radii=[radius, 0.5])
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.25, float("nan"), float("inf")])
+def test_box_dimension_rejects_a_scale_that_is_not_finite_and_positive(scale):
+    # a zero scale once ended in numpy's LinAlgError after divide-by-zero warnings
+    with pytest.raises(ParameterError, match=rf"^scale must be finite and > 0, got {scale}$"):
+        gaplab.box_dimension(np.array([0.1, 0.6]), [0.5, scale])
+
+
 def test_box_dimension_full_grid():
     pts = np.arange(0.0, 1.0, 2.0 ** -12)
     scales = [2.0 ** -k for k in range(2, 9)]
@@ -235,11 +271,13 @@ def test_each_pair_question_costs_one_sweep(monkeypatch):
     monkeypatch.setattr(lattice, "_pair_sweep",
                         lambda *args: calls.append(1) or sweep(*args))
     f = make_lattice_field(4, 30, 30, "geometric", 0.5)
+    # one sweep per chart time read: to t1 - 1 for the doubled ends of the
+    # row, to t1 for the pair of distinct ends
     assert gaplab.min_formula_residual(f, 0, -4, 4, times=(4, 20)) is not None
-    assert len(calls) == 1
+    assert len(calls) == 2
     calls.clear()
     classify.right_min_identity(f, 0, 0, 2, times=(4, 20))
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_min_formula_batch_without_a_pair_is_empty():
@@ -321,7 +359,7 @@ def doubled_col_values(field, end_pair, start_cells):
     end pair, all from a single backward pair sweep."""
     from lpplab.lattice import is_reachable, pair_backward
     t0 = start_cells[0][0] + start_cells[0][1]
-    S, _ = pair_backward(field, end_pair, t0 + 1)
+    S = pair_backward(field, end_pair, t0 + 1)
     out = np.full(len(start_cells), np.nan)
     for k, (i, j) in enumerate(start_cells):
         if S is not None and i + 1 < field.rows and j + 1 < field.cols \

@@ -153,15 +153,14 @@ def ref_pair_forward(field, start_pair, t_stop, record=False):
         t_init = t0
         S[a1[1], a2[1]] = field.weights[a1] + field.weights[a2]
     if t_stop < t_init:
-        return (None, t_stop) if not record else ([], [])
-    trail, times = [S], [t_init]
+        return [] if record else None
+    trail = [(t_init, S)]
     for t in range(t_init + 1, t_stop + 1):
         S = sweep.step(S, t, forward=True)
-        trail.append(S)
-        times.append(t)
+        trail.append((t, S))
     if not lattice.is_reachable(float(S.max())):
-        return (None, t_stop) if not record else ([], [])
-    return (trail, times) if record else (S, t_stop)
+        return [] if record else None
+    return trail if record else S
 
 
 def ref_pair_backward(field, end_pair, t_stop, record=False):
@@ -179,15 +178,14 @@ def ref_pair_backward(field, end_pair, t_stop, record=False):
         t_init = t1
         S[b1[1], b2[1]] = field.weights[b1] + field.weights[b2]
     if t_stop > t_init:
-        return (None, t_stop) if not record else ([], [])
-    trail, times = [S], [t_init]
+        return [] if record else None
+    trail = [(t_init, S)]
     for t in range(t_init - 1, t_stop - 1, -1):
         S = sweep.step(S, t, forward=False)
-        trail.append(S)
-        times.append(t)
+        trail.append((t, S))
     if not lattice.is_reachable(float(S.max())):
-        return (None, t_stop) if not record else ([], [])
-    return (trail, times) if record else (S, t_stop)
+        return [] if record else None
+    return trail if record else S
 
 
 def ref_geodesic_cells_from_B(field, B, start, end, side):
@@ -322,17 +320,14 @@ def test_seeded_forward_matches_dense_reference(f, each_kernel):
 
 def _check_pair_results(got, want, record):
     if record:
-        (g_trail, g_times), (w_trail, w_times) = got, want
-        assert g_times == w_times
-        assert len(g_trail) == len(w_trail)
-        for g, w in zip(g_trail, w_trail):
+        assert [t for t, _ in got] == [t for t, _ in want]
+        assert len(got) == len(want)
+        for (_, g), (_, w) in zip(got, want):
             assert_same(g, w)
     else:
-        (g, gt), (w, wt) = got, want
-        assert gt == wt
-        assert (g is None) == (w is None)
-        if w is not None:
-            assert_same(g, w)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert_same(got, want)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
@@ -360,18 +355,6 @@ def test_pair_backward_matches_dense_reference(f, each_kernel):
                                 ref_pair_backward(f, pair, 0, record=True), True)
 
 
-@pytest.mark.parametrize("f", FIELDS, ids=IDS)
-def test_pair_step_matches_dense_reference(f):
-    step = RefPairSweep(f)
-    for c in cells(f):
-        for t_stop in range(c[0] + c[1] + 1, f.rows + f.cols - 2):
-            S, _ = lattice.pair_forward(f, (c, c), t_stop)
-            if S is None:
-                continue
-            assert_same(lattice.pair_step(f, S, t_stop + 1),
-                        step.step(S, t_stop + 1, forward=True))
-
-
 def _diag_cells(f, t):
     return [(t - j, j) for j in range(f.cols) if 0 <= t - j < f.rows]
 
@@ -394,14 +377,14 @@ def test_doubled_values_match_dense_reference(f):
         t0 = pair[0][0] + pair[0][1]
         for t in sorted({t0, t0 + 1, t0 + 2, t_max - 1}):
             if t + 1 <= t_max:  # forward states, doubled end at t + 1
-                S, _ = lattice.pair_forward(f, pair, t)
-                R, _ = ref_pair_forward(f, pair, t)
+                S = lattice.pair_forward(f, pair, t)
+                R = ref_pair_forward(f, pair, t)
                 got = lattice.doubled_values(f, S, t, _diag_cells(f, t + 1))
                 assert got.tobytes() == _want_doubled(f, R, t + 1, -1).tobytes()
         for t in sorted({t0, t0 - 1, t0 - 2, 1}):
             if t - 1 >= 0:  # backward states, doubled start at t - 1
-                S, _ = lattice.pair_backward(f, pair, t)
-                R, _ = ref_pair_backward(f, pair, t)
+                S = lattice.pair_backward(f, pair, t)
+                R = ref_pair_backward(f, pair, t)
                 got = lattice.doubled_values(f, S, t, _diag_cells(f, t - 1))
                 assert got.tobytes() == _want_doubled(f, R, t - 1, 1).tobytes()
 
@@ -409,7 +392,7 @@ def test_doubled_values_match_dense_reference(f):
 def test_doubled_values_need_adjacent_states():
     f = FIELDS[0]
     c = (4, 4)
-    S, _ = lattice.pair_forward(f, ((0, 0), (0, 0)), 7)
+    S = lattice.pair_forward(f, ((0, 0), (0, 0)), 7)
     for t in (6, 8, 10):
         with pytest.raises(DomainError, match=rf"^pair states at time {t} are not next "
                                               r"to cell \(4, 4\)$"):
@@ -428,11 +411,11 @@ def test_acceptance_size_sweeps_match_dense_reference(each_kernel):
     b1, b2 = f.cell_at(-4, 100), f.cell_at(6, 100)
     for _ in each_kernel():
         assert_same(lattice.forward_values(f, a), ref_forward_values(f, a))
-        S, _ = lattice.pair_forward(f, (a, a), 100)
-        R, _ = ref_pair_forward(f, (a, a), 100)
+        S = lattice.pair_forward(f, (a, a), 100)
+        R = ref_pair_forward(f, (a, a), 100)
         assert_same(S, R)
-        S, _ = lattice.pair_backward(f, (b1, b2), 31)
-        R, _ = ref_pair_backward(f, (b1, b2), 31)
+        S = lattice.pair_backward(f, (b1, b2), 31)
+        R = ref_pair_backward(f, (b1, b2), 31)
         assert_same(S, R)
 
 
@@ -464,8 +447,8 @@ def test_compiled_pair_sweep_reads_the_weights_directly(monkeypatch):
 
     monkeypatch.setattr(lattice, "_antidiagonal", forbidden)
     f = FIELDS[1]
-    S, _ = lattice.pair_forward(f, ((0, 0), (0, 0)), f.rows + f.cols - 3)
-    R, _ = ref_pair_forward(f, ((0, 0), (0, 0)), f.rows + f.cols - 3)
+    S = lattice.pair_forward(f, ((0, 0), (0, 0)), f.rows + f.cols - 3)
+    R = ref_pair_forward(f, ((0, 0), (0, 0)), f.rows + f.cols - 3)
     assert_same(S, R)
     assert _native.kernel_ran["lattice"] == "compiled"
 
@@ -508,7 +491,7 @@ def test_min_formula_batch_unchanged_by_pair_step():
     got = gaplab.min_formula_residuals_batch(f, 0, ys, (t0, t1))
     a = f.cell_at(0, t0)
     F = ref_forward_values(f, a)
-    S1, _ = ref_pair_forward(f, (a, a), t1 - 1)
+    S1 = ref_pair_forward(f, (a, a), t1 - 1)
     S2 = RefPairSweep(f).step(S1, t1, forward=True)
     cells_ = [f.cell_at(w, t1) for w in ys]
     L = np.array([F[c] for c in cells_])
