@@ -2,7 +2,8 @@
 
    Cloud (lpplab.cloud): the same k-row insertion as cloud._pile_counts_py,
    and the whole row pass of cloud._sorted_cone, cloud._before and that
-   insertion, comparing doubles exactly as Python does.
+   insertion, comparing doubles exactly as Python does.  Every pile
+   search is branch-free (see upper): its index is bisect_right's.
 
    Lattice (lpplab.lattice): the single-path table of lattice._path_table_py
    and the pair sweep of lattice._pair_sweep_py, in numpy's operand order:
@@ -35,18 +36,27 @@
 #define NEG (-1.0e18)
 #define MAX(a, b) ((a) > (b) ? (a) : (b))
 
-/* bisect_right: the first index whose value is > x */
+/* bisect_right: the first index whose value is > x, by a branch-free
+   search (Khuong & Morin's layout study).  Each step keeps the half that
+   holds that index with a conditional select, which the compiler turns
+   into a cmov, so no branch waits on a comparison the CPU cannot
+   predict.  The predicate x < row[i] is the bisection's, and on a sorted
+   row (the inserted values hold no NaN) it is false up to the index and
+   true from it on, so the index is the bisection's: base never passes
+   it, base + len never falls short of it, and the last step reads it
+   off *base.  A NaN x compares false everywhere and gives len, as
+   bisect_right does. */
 static int64_t upper(const double *row, int64_t len, double x)
 {
-    int64_t lo = 0, hi = len;
-    while (lo < hi) {
-        int64_t mid = lo + (hi - lo) / 2;
-        if (x < row[mid])
-            hi = mid;
-        else
-            lo = mid + 1;
+    const double *base = row;
+    if (len == 0)
+        return 0;
+    while (len > 1) {
+        int64_t half = len / 2;
+        base = (x < base[half]) ? base : base + half;
+        len -= half;
     }
-    return lo;
+    return (base - row) + !(x < *base);
 }
 
 /* insert one value into k rows of capacity n; out of row k it is dropped */

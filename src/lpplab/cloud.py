@@ -33,8 +33,11 @@ fails, the kept points are sorted.
 The kernel is compiled: ``_kernels.c`` holds the same insertion in C,
 comparing doubles as Python compares floats, so both give identical
 counts, and a whole row pass (keys, mask and order check on the slab,
-stops, two-row insertion) in one call.  When the compiled row finds the
-slab out of order, the Python parts (``_sorted_cone``, ``_before``,
+stops, two-row insertion) in one call.  Its pile search is branch-free:
+it halves the range with a conditional select on the same predicate
+x < row[i], so it returns ``bisect_right``'s index and leaves the CPU no
+comparison outcome to mispredict.  When the compiled row finds the slab
+out of order, the Python parts (``_sorted_cone``, ``_before``,
 ``_pile_counts``) serve that row.  Without the library (see ``_native``)
 the Python routines run; ``_pile_counts_py`` is the reference.
 
@@ -60,7 +63,7 @@ import numpy as np
 
 from . import _native
 from .errors import InvariantError
-from .model import DomainError, PoissonCloud, causal_leq, _xy
+from .model import DomainError, PoissonCloud, causal_leq, check_side, _xy
 
 
 def _slab(cloud: PoissonCloud, x0: float, t0: float, U: float) -> np.ndarray:
@@ -148,10 +151,12 @@ def _pile_counts_py(vs, k: int, stops, bounds) -> np.ndarray:
 def _pile_counts(vs, k: int, stops, bounds) -> np.ndarray:
     """The patience kernel: one k-row insertion over the floats ``vs``.
 
-    ``stops`` is nondecreasing in [0, len(vs)].  Row m of the result
-    holds, for each pile row, how many of its tops are <= bounds[m] once
-    the first stops[m] values are inserted.  A value bumped out of row k
-    is dropped.
+    ``vs`` holds no NaN (every caller passes keys the cone mask kept), so
+    each pile row stays sorted, the condition under which the compiled
+    search returns ``bisect_right``'s index.  ``stops`` is nondecreasing
+    in [0, len(vs)].  Row m of the result holds, for each pile row, how
+    many of its tops are <= bounds[m] once the first stops[m] values are
+    inserted.  A value bumped out of row k is dropped.
     """
     lib = _native.library("patience")
     if lib is None:
@@ -303,6 +308,7 @@ class OptimalSteps:
         pointwise-extremal chain always makes this local choice).  Ties
         in slope go to the earlier point.
         """
+        check_side(side)
         sign = 1.0 if side == "left" else -1.0
         chain, a = [], self.source
         while True:
@@ -333,5 +339,6 @@ class OptimalSteps:
 
 def extremal_chain(cloud: PoissonCloud, start, end, side: str) -> list:
     """Point indices of the pointwise-extremal maximal chain."""
+    check_side(side)
     steps = OptimalSteps(cloud, start, end)
     return steps.idx[steps.walk(side)].tolist()

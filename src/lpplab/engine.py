@@ -34,7 +34,7 @@ from . import cloud as _cloud
 from . import flow as _flow
 from . import lattice as _lattice
 from .model import (DomainError, LatticeField, Model, PoissonCloud,
-                    causal_leq, _runs, _xy)
+                    causal_leq, check_side, _runs, _xy)
 
 
 @dataclass
@@ -155,8 +155,6 @@ def passage_profile(model: Model, start, time, target_xs=None):
 def geodesic(model: Model, start, end, side: str = "left") -> Chain:
     """Extremal geodesic; 'left'/'right' take the pointwise spatial
     minimum/maximum over all optimal chains."""
-    if side not in ("left", "right"):
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
     if isinstance(model, LatticeField):
         return _lattice_chain(model, start, end, _lattice.geodesic_cells(model, start, end, side))
     return _cloud_chain(model, start, end, _cloud.extremal_chain(model, start, end, side))
@@ -227,8 +225,7 @@ def optimizer2(model: Model, start_pair, end_pair, side: str = "right"):
     above the upper envelope.  Both chains are causal and ordered, and
     together they hold the flow's points.
     """
-    if side not in ("left", "right"):
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+    check_side(side)
     if isinstance(model, LatticeField):
         res = _lattice.optimizer_pair(model, start_pair, end_pair, side)
         if res is None:

@@ -112,7 +112,7 @@ import numpy as np
 
 from . import _native
 from .errors import InvariantError
-from .model import DomainError, LatticeField, reflect_cell
+from .model import DomainError, LatticeField, check_side, reflect_cell
 
 NEG = -1.0e18
 _VALID = NEG / 2.0
@@ -409,6 +409,7 @@ def geodesic_cells(field: LatticeField, start, end, side: str) -> np.ndarray:
     """Extremal geodesic as an (n, 2) int64 array of (row, column) cells:
     side='left' prefers down moves (smaller chart x at every time),
     side='right' prefers right moves; see Walks above."""
+    check_side(side)
     B = backward_values(field, end)
     return geodesic_cells_from_B(field, B, start, end, side)
 
@@ -417,6 +418,7 @@ def geodesic_cells_from_B(field: LatticeField, B: np.ndarray, start, end,
                           side: str) -> np.ndarray:
     """geodesic_cells on B = backward_values(field, end): an (n, 2) int64
     array of (row, column), one cell per chart time; see Walks above."""
+    check_side(side)
     w = field.weights
     if not isinstance(B, np.ndarray):
         B = np.asarray(B)
@@ -511,6 +513,7 @@ def optimizer_pair(field: LatticeField, start_pair, end_pair, side: str):
     a lattice under the componentwise order, so the greedy join/meet
     stays optimal).  Returns (cells1, cells2, value) or None.
     """
+    check_side(side)
     _check_pair(field, start_pair, "start")  # pair_backward checks end_pair
     a1, a2 = start_pair
     b1, b2 = end_pair

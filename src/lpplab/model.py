@@ -117,6 +117,12 @@ def _xy(p) -> tuple:
     return (float(x), float(t))
 
 
+def check_side(side) -> None:
+    """An extremal side is 'left' or 'right'; anything else raises."""
+    if side not in ("left", "right"):
+        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
+
+
 def _runs(mask) -> List[Tuple[int, int]]:
     """(first, last) indices of each maximal run of True in mask."""
     edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))

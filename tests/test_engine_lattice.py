@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,32 @@ def test_optimizer2_rejects_an_unknown_side():
             with pytest.raises(DomainError, match="side must be"):
                 optimizer2(model, starts, ends, side=side)
         assert optimizer2(model, starts, ends, side="left") is not None
+
+
+def test_every_extremal_entry_point_rejects_an_unknown_side():
+    # each module's own entry points, not only engine's: busemann and
+    # classify call lattice directly
+    from lpplab import cloud, cloud_from_points, engine, lattice
+    f = make_lattice_field(1, 6, 6, "geometric", 0.5)
+    B = backward_values(f, (5, 5))
+    cl = cloud_from_points([(0.0, 0.5), (0.25, 1.0), (-0.25, 1.0)])
+    start, end = (0.0, 0.0), (0.0, 2.0)
+    steps = cloud.OptimalSteps(cl, start, end)
+    calls = {"geodesic_cells": lambda s: lattice.geodesic_cells(f, (0, 0), (5, 5), s),
+             "geodesic_cells_from_B": lambda s: lattice.geodesic_cells_from_B(
+                 f, B, (0, 0), (5, 5), s),
+             "optimizer_pair": lambda s: lattice.optimizer_pair(
+                 f, ((0, 0), (0, 0)), ((5, 5), (5, 5)), s),
+             "OptimalSteps.walk": steps.walk,
+             "extremal_chain": lambda s: cloud.extremal_chain(cl, start, end, s),
+             "engine.geodesic, lattice": lambda s: engine.geodesic(f, (0, 0), (5, 5), s),
+             "engine.geodesic, cloud": lambda s: engine.geodesic(cl, start, end, s)}
+    for name, call in calls.items():
+        for side in ("middle", "", None, "Left"):
+            message = f"side must be 'left' or 'right', got {side!r}"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                call(side)
+        assert call("left") is not None and call("right") is not None, name
 
 
 def test_optimizer2_value_always_matches_disjoint2():

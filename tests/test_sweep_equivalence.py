@@ -854,6 +854,44 @@ def test_compiled_pile_counts_match_python_kernel():
         assert np.array_equal(got, want), (vs, k, stops, bounds)
 
 
+def long_pile_inputs(seed):
+    """(vs, k, stops, bounds, length) whose first pile row holds exactly
+    length = 2^m - 1, 2^m or 2^m + 1 values (up to 4097) before a tail
+    bumps values into the rows below: nondecreasing values with long
+    plateaus of ties, -0.0 next to 0.0, read at every value of the row,
+    between values, at +-inf and at NaN; k in {1, 2, n + 3}."""
+    rng = np.random.default_rng(seed)
+    for m in range(13):
+        for length in {2 ** m - 1, 2 ** m, 2 ** m + 1} - {0}:
+            span = max(1, length // 8)
+            head = np.sort(rng.integers(-span, span + 1, length)).astype(np.float64)
+            head[head == 0] = rng.choice([0.0, -0.0], int((head == 0).sum()))
+            tail = rng.choice(head, min(length, 64))
+            vs = np.concatenate([head, tail])
+            probes = np.concatenate([np.unique(head), np.unique(head) + 0.5,
+                                     [0.0, -0.0, -span - 1.0, span + 1.0,
+                                      np.inf, -np.inf, np.nan]])
+            bounds = np.concatenate([probes, rng.choice(probes, 32)])
+            stops = np.repeat([length, vs.size], [probes.size, 32])
+            for k in (1, 2, vs.size + 3):
+                yield vs, k, stops, bounds, length
+
+
+def test_compiled_pile_counts_match_python_kernel_on_long_rows():
+    """The search past six halvings: every read of a row of 2^m +- 1
+    values, ties and signed zeros included, matches bisect_right."""
+    assert _native.library() is not None
+    lengths = set()
+    for vs, k, stops, bounds, length in long_pile_inputs(5):
+        got = cloud_mod._pile_counts(vs, k, stops, bounds)
+        want = cloud_mod._pile_counts_py(vs, k, stops, bounds)
+        # the head fills the first row alone: +inf and NaN read its length
+        assert (want[stops == length][~(bounds[stops == length] < np.inf), 0] == length).all()
+        assert np.array_equal(got, want), (length, k)
+        lengths.add(length)
+    assert max(lengths) == 4097 and {1, 2, 3, 255, 256, 257} <= lengths
+
+
 PHILOX_SEEDS = (0, 1, 2, 3, 7, 12345, 2**32, 2**63, 2**64 - 1)
 PHILOX_SIZES = (0, 1, 2, 3, 4, 5, 7, 8, 9, 100, 1001, 27_000)
 
