@@ -1,4 +1,4 @@
-/* The compiled kernels of lpplab, one library.
+/* The compiled kernels of lpplab: one CPython extension module, _kernels.
 
    Cloud (lpplab.cloud): the same k-row insertion as cloud._pile_counts_py,
    and the whole row pass of cloud._sorted_cone, cloud._before and that
@@ -23,6 +23,17 @@
    Philox bit generator, word for word, turned into doubles in [0, 1) as
    numpy's Generator.random does.
 
+   Python entry points (at the end): one METH_FASTCALL wrapper per
+   kernel, taking numpy arrays through the buffer protocol (PEP 3118).
+   Each wrapper checks every buffer's element type (float64 'd' or int64
+   'l'/'q', 8 bytes), its number of dimensions, that an output is
+   writable and that every output and scratch buffer is large enough for
+   the sizes passed, and raises TypeError or ValueError before the kernel
+   runs, so a failed call writes nothing.  Strides come from the buffers
+   (in bytes, divided here into elements), so a reflected view passes as
+   it is.  The kernel runs with the GIL released, so threads run their
+   row passes and sweeps in parallel.
+
    Built with -O3 -ffp-contract=off: -O3 vectorises the pair sweep's
    inner loop, and no multiply-add may be contracted into an FMA, which
    would round once where numpy rounds twice.  Neither -ffast-math nor
@@ -31,6 +42,8 @@
 
    Scratch and output buffers come from the caller, and the routines keep
    no state, so concurrent calls are safe. */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 
 #define NEG (-1.0e18)
@@ -83,9 +96,9 @@ static void count(const double *rows, const int64_t *lens, int64_t n, int64_t k,
         out[r] = upper(rows + r * n, lens[r], bound);
 }
 
-void pile_counts(const double *vs, int64_t n, int64_t k, const int64_t *stops,
-                 const double *bounds, int64_t m, double *rows, int64_t *lens,
-                 int64_t *out)
+static void pile_counts(const double *vs, int64_t n, int64_t k, const int64_t *stops,
+                        const double *bounds, int64_t m, double *rows, int64_t *lens,
+                        int64_t *out)
 {
     int64_t pos = 0;
     for (int64_t r = 0; r < k; r++)
@@ -105,9 +118,9 @@ void pile_counts(const double *vs, int64_t n, int64_t k, const int64_t *stops,
    targets (tu, tv), sorted by (u, v), that it does not precede are read
    into out (m x 2).  Returns 1, with out incomplete, when the kept
    points are not in (u, v) order with equal (u, v) in index order. */
-int64_t row_pass(const double *xs, const double *ts, const int64_t *slab, int64_t n,
-                 double x0, double t0, double U, double V, const double *tu,
-                 const double *tv, int64_t m, double *rows, int64_t *out)
+static int64_t row_pass(const double *xs, const double *ts, const int64_t *slab, int64_t n,
+                        double x0, double t0, double U, double V, const double *tu,
+                        const double *tv, int64_t m, double *rows, int64_t *out)
 {
     int64_t lens[2] = {0, 0}, j = 0, last = -1;
     double lu = 0.0, lv = 0.0;
@@ -140,8 +153,8 @@ static int64_t lmin(int64_t a, int64_t b) { return a < b ? a : b; }
    starts with its own weight; with seeds (contiguous rows x cols) every
    swept cell takes the max of its value and its seed.  Cell (i, j) is
    max(left, up) + w[i, j]. */
-void path_table(const double *w, int64_t rows, int64_t cols, int64_t rs, int64_t cs,
-                int64_t i0, int64_t j0, const double *seeds, double *table)
+static void path_table(const double *w, int64_t rows, int64_t cols, int64_t rs, int64_t cs,
+                       int64_t i0, int64_t j0, const double *seeds, double *table)
 {
     int64_t W = cols + 1;
     if (!seeds)
@@ -183,9 +196,10 @@ static void pair_row(const double *restrict stayed, const double *restrict moved
 #undef PRED
 }
 
-int64_t pair_sweep(const double *w, int64_t rows, int64_t cols, int64_t rs, int64_t cs,
-                   int64_t i1, int64_t j1, int64_t i2, int64_t j2, int64_t t_stop,
-                   int64_t order, double *states, int64_t nbuf, double *row)
+static int64_t pair_sweep(const double *w, int64_t rows, int64_t cols, int64_t rs,
+                          int64_t cs, int64_t i1, int64_t j1, int64_t i2, int64_t j2,
+                          int64_t t_stop, int64_t order, double *states, int64_t nbuf,
+                          double *row)
 {
     int64_t W = cols + 1, size = W * W, t = i1 + j1, imin = lmin(i1, i2), lo = 0, hi = 0, s;
     double *seed;
@@ -239,9 +253,9 @@ int64_t pair_sweep(const double *w, int64_t rows, int64_t cols, int64_t rs, int6
    visited cell to out[k] (row) and out[n + k] (column), n the walk's
    length.  Returns -1 on reaching (i1, j1), else the index of the first
    cell with no allowed move. */
-int64_t walk(const double *B, int64_t brs, int64_t bcs, const double *w, int64_t wrs,
-             int64_t wcs, int64_t i, int64_t j, int64_t i1, int64_t j1,
-             int64_t right_first, int64_t *out)
+static int64_t walk(const double *B, int64_t brs, int64_t bcs, const double *w, int64_t wrs,
+                    int64_t wcs, int64_t i, int64_t j, int64_t i1, int64_t j1,
+                    int64_t right_first, int64_t *out)
 {
     int64_t n = (i1 - i) + (j1 - j) + 1;
     for (int64_t k = 0; k < n; k++) {
@@ -266,7 +280,7 @@ int64_t walk(const double *B, int64_t brs, int64_t bcs, const double *w, int64_t
    words of numpy's Philox(key=[k0, k1]).random(n): the 256-bit counter
    starts at 0 and is incremented before each block, each block's four
    words are used in order, and a word x becomes (x >> 11) * 2^-53. */
-void philox_uniforms(uint64_t k0, uint64_t k1, int64_t n, double *out)
+static void philox_uniforms(uint64_t k0, uint64_t k1, int64_t n, double *out)
 {
     uint64_t ctr[4] = {0, 0, 0, 0};
     for (int64_t k = 0; k < n; k += 4) {
@@ -289,4 +303,339 @@ void philox_uniforms(uint64_t k0, uint64_t k1, int64_t n, double *out)
         for (int64_t i = 0; i < 4 && k + i < n; i++)
             out[k + i] = (double)(x[i] >> 11) * (1.0 / 9007199254740992.0);
     }
+}
+
+
+/* ---------------------------------------------------------------- entry points */
+
+enum { IN = 0, OUT = 1, STRIDED = 2 };
+
+/* The buffers one call holds; release() gives them all back. */
+typedef struct {
+    Py_buffer view[7];
+    int n;
+} Held;
+
+static void release(Held *held)
+{
+    while (held->n > 0)
+        PyBuffer_Release(&held->view[--held->n]);
+}
+
+/* obj's buffer, held until release: elements of kind 'd' (float64) or 'q'
+   (int64, which numpy reports as 'l'), ndim dimensions, writable for OUT,
+   C-contiguous unless STRIDED, strides a whole number of elements.  NULL,
+   with TypeError or ValueError set, when obj is not such a buffer. */
+static Py_buffer *take(Held *held, PyObject *obj, const char *name, char kind, int ndim,
+                       int mode)
+{
+    Py_buffer *v = &held->view[held->n];
+    int flags = PyBUF_FORMAT | (mode & STRIDED ? PyBUF_STRIDES : PyBUF_C_CONTIGUOUS)
+        | (mode & OUT ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, v, flags) < 0)
+        return NULL;
+    held->n++;
+    const char *f = v->format ? v->format : "B";
+    int fits = f[0] == kind || (kind == 'q' && f[0] == 'l');
+    if (!fits || f[1] != '\0' || v->itemsize != 8) {
+        PyErr_Format(PyExc_TypeError, "%s must hold %s, got format '%s'", name,
+                     kind == 'd' ? "float64" : "int64", f);
+        return NULL;
+    }
+    if (v->ndim != ndim) {
+        PyErr_Format(PyExc_ValueError, "%s must have %d dimension(s), got %d", name, ndim,
+                     v->ndim);
+        return NULL;
+    }
+    for (int d = 0; d < ndim; d++)
+        if (v->strides[d] % 8) {
+            PyErr_Format(PyExc_ValueError, "%s has a stride of %zd bytes", name,
+                         v->strides[d]);
+            return NULL;
+        }
+    return v;
+}
+
+/* 0 when the 1-d buffer v holds at least a * b elements, else -1 with
+   ValueError set */
+static int room(const Py_buffer *v, const char *name, int64_t a, int64_t b)
+{
+    int64_t need;
+    if (a < 0 || b < 0 || __builtin_mul_overflow(a, b, &need) || v->shape[0] < need) {
+        PyErr_Format(PyExc_ValueError, "%s holds %zd elements, too few for %lld x %lld",
+                     name, v->shape[0], (long long)a, (long long)b);
+        return -1;
+    }
+    return 0;
+}
+
+/* 0 when the buffer v has the shape d (v->ndim entries), else -1 with
+   ValueError set */
+static int shaped(const Py_buffer *v, const char *name, const int64_t *d)
+{
+    for (int k = 0; k < v->ndim; k++)
+        if (v->shape[k] != d[k]) {
+            PyErr_Format(PyExc_ValueError, "%s has %zd entries on axis %d, not %lld", name,
+                         v->shape[k], k, (long long)d[k]);
+            return -1;
+        }
+    return 0;
+}
+
+/* 0 when the call has n arguments, else -1 with TypeError set */
+static int arity(const char *fn, Py_ssize_t nargs, Py_ssize_t n)
+{
+    if (nargs == n)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments, got %zd", fn, n, nargs);
+    return -1;
+}
+
+/* 0 when the arguments at the count indices at convert to int64s, else -1
+   with TypeError (or OverflowError) set */
+static int ints(PyObject *const *args, const int *at, int count, int64_t *out)
+{
+    for (int k = 0; k < count; k++) {
+        out[k] = PyLong_AsLongLong(args[at[k]]);
+        if (out[k] == -1 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+/* 0 when (i, j) lies in a rows x cols grid, else -1 with ValueError set */
+static int in_grid(const char *name, int64_t i, int64_t j, int64_t rows, int64_t cols)
+{
+    if (0 <= i && i < rows && 0 <= j && j < cols)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "%s (%lld, %lld) outside a %lld x %lld grid", name,
+                 (long long)i, (long long)j, (long long)rows, (long long)cols);
+    return -1;
+}
+
+/* pile_counts(vs, k, stops, bounds, rows, lens, out): vs float64 (n),
+   stops int64 (m), bounds float64 (m); scratch rows float64 (>= k n) and
+   lens int64 (>= k); out int64 (m, k) */
+static PyObject *py_pile_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL;
+    int64_t k;
+    Py_buffer *vs, *stops, *bounds, *rows, *lens, *out;
+    if (arity("pile_counts", nargs, 7) < 0 || ints(args, (int[]){1}, 1, &k) < 0
+        || !(vs = take(&held, args[0], "vs", 'd', 1, IN))
+        || !(stops = take(&held, args[2], "stops", 'q', 1, IN))
+        || !(bounds = take(&held, args[3], "bounds", 'd', 1, IN))
+        || !(rows = take(&held, args[4], "rows", 'd', 1, OUT))
+        || !(lens = take(&held, args[5], "lens", 'q', 1, OUT))
+        || !(out = take(&held, args[6], "out", 'q', 2, OUT)))
+        goto done;
+    int64_t n = vs->shape[0], m = stops->shape[0];
+    if (shaped(bounds, "bounds", &m) < 0 || room(rows, "rows", k, n) < 0
+        || room(lens, "lens", k, 1) < 0 || shaped(out, "out", (int64_t[]){m, k}) < 0)
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    pile_counts(vs->buf, n, k, stops->buf, bounds->buf, m, rows->buf, lens->buf, out->buf);
+    Py_END_ALLOW_THREADS
+    result = Py_NewRef(Py_None);
+done:
+    release(&held);
+    return result;
+}
+
+/* row_pass(xs, ts, slab, x0, t0, U, V, tu, tv, rows, out) -> 0 or 1: xs
+   and ts float64 (N), slab int64 (n) of indices in [0, N), tu and tv
+   float64 (m); scratch rows float64 (>= 2 n); out int64 (m, 2) */
+static PyObject *py_row_pass(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL;
+    double key[4];
+    Py_buffer *xs, *ts, *slab, *tu, *tv, *rows, *out;
+    if (arity("row_pass", nargs, 11) < 0)
+        return NULL;
+    for (int k = 0; k < 4; k++) {
+        key[k] = PyFloat_AsDouble(args[3 + k]);
+        if (key[k] == -1.0 && PyErr_Occurred())
+            return NULL;
+    }
+    if (!(xs = take(&held, args[0], "xs", 'd', 1, IN))
+        || !(ts = take(&held, args[1], "ts", 'd', 1, IN))
+        || !(slab = take(&held, args[2], "slab", 'q', 1, IN))
+        || !(tu = take(&held, args[7], "tu", 'd', 1, IN))
+        || !(tv = take(&held, args[8], "tv", 'd', 1, IN))
+        || !(rows = take(&held, args[9], "rows", 'd', 1, OUT))
+        || !(out = take(&held, args[10], "out", 'q', 2, OUT)))
+        goto done;
+    int64_t N = xs->shape[0], n = slab->shape[0], m = tu->shape[0];
+    if (shaped(ts, "ts", &N) < 0 || shaped(tv, "tv", &m) < 0 || room(rows, "rows", 2, n) < 0
+        || shaped(out, "out", (int64_t[]){m, 2}) < 0)
+        goto done;
+    const int64_t *p = slab->buf;
+    for (int64_t i = 0; i < n; i++)
+        if (p[i] < 0 || p[i] >= N) {
+            PyErr_Format(PyExc_ValueError, "slab index %lld outside [0, %lld)",
+                         (long long)p[i], (long long)N);
+            goto done;
+        }
+    int64_t late;
+    Py_BEGIN_ALLOW_THREADS
+    late = row_pass(xs->buf, ts->buf, p, n, key[0], key[1], key[2], key[3], tu->buf,
+                    tv->buf, m, rows->buf, out->buf);
+    Py_END_ALLOW_THREADS
+    result = PyLong_FromLongLong(late);
+done:
+    release(&held);
+    return result;
+}
+
+/* path_table(w, i0, j0, seeds, table): w float64 (rows, cols), any
+   strides; seeds None or float64 (rows, cols); table float64
+   (rows + 1, cols + 1) */
+static PyObject *py_path_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL;
+    int64_t c[2];
+    Py_buffer *w, *seeds = NULL, *table;
+    if (arity("path_table", nargs, 5) < 0 || ints(args, (int[]){1, 2}, 2, c) < 0
+        || !(w = take(&held, args[0], "w", 'd', 2, STRIDED))
+        || (args[3] != Py_None && !(seeds = take(&held, args[3], "seeds", 'd', 2, IN)))
+        || !(table = take(&held, args[4], "table", 'd', 2, OUT)))
+        goto done;
+    int64_t rows = w->shape[0], cols = w->shape[1];
+    if (in_grid("corner", c[0], c[1], rows, cols) < 0
+        || (seeds && shaped(seeds, "seeds", (int64_t[]){rows, cols}) < 0)
+        || shaped(table, "table", (int64_t[]){rows + 1, cols + 1}) < 0)
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    path_table(w->buf, rows, cols, w->strides[0] / 8, w->strides[1] / 8, c[0], c[1],
+               seeds ? seeds->buf : NULL, table->buf);
+    Py_END_ALLOW_THREADS
+    result = Py_NewRef(Py_None);
+done:
+    release(&held);
+    return result;
+}
+
+/* pair_sweep(w, i1, j1, i2, j2, t_stop, order, states, row) -> 0 or 1: w
+   float64 (rows, cols), any strides, holding both start cells; states
+   float64 (nbuf >= 1, cols + 1, cols + 1); scratch row float64
+   (>= cols + 1) */
+static PyObject *py_pair_sweep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL;
+    int64_t a[6];
+    Py_buffer *w, *states, *row;
+    if (arity("pair_sweep", nargs, 9) < 0 || ints(args, (int[]){1, 2, 3, 4, 5, 6}, 6, a) < 0
+        || !(w = take(&held, args[0], "w", 'd', 2, STRIDED))
+        || !(states = take(&held, args[7], "states", 'd', 3, OUT))
+        || !(row = take(&held, args[8], "row", 'd', 1, OUT)))
+        goto done;
+    int64_t rows = w->shape[0], cols = w->shape[1], nbuf = states->shape[0];
+    if (nbuf < 1) {
+        PyErr_SetString(PyExc_ValueError, "states holds no state buffer");
+        goto done;
+    }
+    if (in_grid("first start cell", a[0], a[1], rows, cols) < 0
+        || in_grid("second start cell", a[2], a[3], rows, cols) < 0
+        || shaped(states, "states", (int64_t[]){nbuf, cols + 1, cols + 1}) < 0
+        || room(row, "row", cols + 1, 1) < 0)
+        goto done;
+    int64_t live;
+    Py_BEGIN_ALLOW_THREADS
+    live = pair_sweep(w->buf, rows, cols, w->strides[0] / 8, w->strides[1] / 8, a[0], a[1],
+                      a[2], a[3], a[4], a[5] != 0, states->buf, nbuf, row->buf);
+    Py_END_ALLOW_THREADS
+    result = PyLong_FromLongLong(live);
+done:
+    release(&held);
+    return result;
+}
+
+/* walk(B, w, i, j, i1, j1, right_first, out) -> -1 or the stuck index: B
+   and w float64 (rows, cols), any strides; 0 <= i <= i1 < rows and
+   0 <= j <= j1 < cols; out int64 (2, n), n = (i1 - i) + (j1 - j) + 1 */
+static PyObject *py_walk(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL;
+    int64_t a[5];
+    Py_buffer *B, *w, *out;
+    if (arity("walk", nargs, 8) < 0 || ints(args, (int[]){2, 3, 4, 5, 6}, 5, a) < 0
+        || !(B = take(&held, args[0], "B", 'd', 2, STRIDED))
+        || !(w = take(&held, args[1], "w", 'd', 2, STRIDED))
+        || !(out = take(&held, args[7], "out", 'q', 2, OUT)))
+        goto done;
+    int64_t rows = w->shape[0], cols = w->shape[1];
+    if (shaped(B, "B", (int64_t[]){rows, cols}) < 0
+        || in_grid("start", a[0], a[1], rows, cols) < 0
+        || in_grid("end", a[2], a[3], rows, cols) < 0)
+        goto done;
+    if (a[0] > a[2] || a[1] > a[3]) {
+        PyErr_SetString(PyExc_ValueError, "the walk's end lies before its start");
+        goto done;
+    }
+    if (shaped(out, "out", (int64_t[]){2, (a[2] - a[0]) + (a[3] - a[1]) + 1}) < 0)
+        goto done;
+    int64_t at;
+    Py_BEGIN_ALLOW_THREADS
+    at = walk(B->buf, B->strides[0] / 8, B->strides[1] / 8, w->buf, w->strides[0] / 8,
+              w->strides[1] / 8, a[0], a[1], a[2], a[3], a[4] != 0, out->buf);
+    Py_END_ALLOW_THREADS
+    result = PyLong_FromLongLong(at);
+done:
+    release(&held);
+    return result;
+}
+
+/* philox_uniforms(k0, k1, out): k0 and k1 ints in [0, 2^64); out float64
+   (n) */
+static PyObject *py_philox_uniforms(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Held held = {.n = 0};
+    PyObject *result = NULL;
+    uint64_t key[2];
+    Py_buffer *out;
+    if (arity("philox_uniforms", nargs, 3) < 0)
+        return NULL;
+    for (int k = 0; k < 2; k++) {
+        key[k] = PyLong_AsUnsignedLongLong(args[k]);
+        if (key[k] == (uint64_t)-1 && PyErr_Occurred())
+            return NULL;
+    }
+    if (!(out = take(&held, args[2], "out", 'd', 1, OUT)))
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    philox_uniforms(key[0], key[1], out->shape[0], out->buf);
+    Py_END_ALLOW_THREADS
+    result = Py_NewRef(Py_None);
+done:
+    release(&held);
+    return result;
+}
+
+#define ENTRY(name) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
+
+static PyMethodDef entries[] = {
+    ENTRY(pile_counts), ENTRY(row_pass), ENTRY(path_table), ENTRY(pair_sweep), ENTRY(walk),
+    ENTRY(philox_uniforms), {NULL, NULL, 0, NULL}
+};
+
+static PyModuleDef_Slot slots[] = {{0, NULL}};
+
+static struct PyModuleDef module = {
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "_kernels",
+    .m_doc = "The compiled kernels of lpplab.",
+    .m_size = 0,
+    .m_methods = entries,
+    .m_slots = slots,
+};
+
+/* multi-phase initialisation: loading the module adds no sys.modules entry */
+PyMODINIT_FUNC PyInit__kernels(void)
+{
+    return PyModuleDef_Init(&module);
 }

@@ -1,15 +1,22 @@
-"""The package's one C library, ``_kernels.c`` (the kernels of ``cloud``,
-``lattice`` and ``rng``): its build, its load and the record of which
-kernel ran.  The first ``library()`` call builds it with the local gcc
-into ``__pycache__/_kernels-<hash>.so`` next to this module (the hash
-covers the source and the build command; a build goes to a temporary
-file renamed into place, so concurrent builds are safe; only a build
-imports ``subprocess``) and loads it with ``ctypes``, which releases the
-GIL during each call, so threads run their row passes and sweeps in
-parallel.  The flags are ``-O3 -ffp-contract=off``: ``-O3`` vectorises
-the pair sweep's inner loop, and no multiply-add may be contracted into
-an FMA, so every sum is rounded as numpy rounds it.  Nothing is built or
-loaded at import.  When the library cannot be built or loaded,
+"""The package's compiled kernels, ``_kernels.c`` (the kernels of ``cloud``,
+``lattice`` and ``rng``), as one CPython extension module: its build, its
+load and the record of which kernel ran.  The first ``library()`` call
+builds it with the local gcc and the interpreter's headers into
+``__pycache__/_kernels-<hash><suffix>`` next to this module, where the
+hash covers the source, the build command, the include directory and
+the interpreter's extension suffix, so two interpreters sharing a
+checkout never load each other's build.  A build goes to a temporary
+file renamed into place, so concurrent builds are safe, and only a build
+imports ``subprocess``; only the hash imports ``hashlib`` and
+``sysconfig``.  The module is loaded by file, under the plain name
+``_kernels``, and its multi-phase initialisation adds nothing to
+``sys.modules``.  Its entry points take numpy arrays through the buffer
+protocol, check them, and release the GIL while the kernel runs, so
+threads run their row passes and sweeps in parallel.  The flags are
+``-O3 -ffp-contract=off``: ``-O3`` vectorises the pair sweep's inner
+loop, and no multiply-add may be contracted into an FMA, so every sum is
+rounded as numpy rounds it.  Nothing is built or loaded at import.  When
+the module cannot be built or loaded (no gcc, no Python headers),
 ``library()`` returns None, silently, and the callers run their Python
 twins, which are the reference.  ``kernel_ran`` names the kernel of the
 last patience read-out and of the last lattice sweep or walk; the
@@ -18,32 +25,41 @@ Philox stream records nothing.
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import os
 import threading
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = _SOURCE.parent / "__pycache__"
 _BUILD = ("gcc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
-_loaded = None  # the compiled library; False once it failed to build or load
+_SUFFIX = EXTENSION_SUFFIXES[0]  # this interpreter's ABI, e.g. ".cpython-311-x86_64-linux-gnu.so"
+_loaded = None  # the compiled module; False once it failed to build or load
 _load_lock = threading.Lock()
 kernel_ran = {"patience": None, "lattice": None}
 
 
+def _include() -> str:
+    """The directory of this interpreter's ``Python.h``."""
+    import sysconfig  # only the build key needs it
+    return sysconfig.get_path("include")
+
+
 def _build() -> Path:
-    """The compiled library in ``_CACHE``, built unless present."""
-    tag = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_BUILD).encode()).hexdigest()
-    lib = _CACHE / f"_kernels-{tag[:16]}.so"
+    """The compiled module in ``_CACHE``, built unless present."""
+    import hashlib  # only here and in manifest: importing the CLI loads no OpenSSL
+    include = _include()
+    key = b"\0".join([_SOURCE.read_bytes(), " ".join(_BUILD).encode(), include.encode(),
+                      _SUFFIX.encode()])
+    lib = _CACHE / f"_kernels-{hashlib.sha256(key).hexdigest()[:16]}{_SUFFIX}"
     if not lib.exists():
-        import subprocess  # only a build needs them: a cached library loads without
+        import subprocess  # only a build needs them: a cached module loads without
         import tempfile
         _CACHE.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix="_kernels-", suffix=".tmp", dir=_CACHE)
         os.close(fd)
         try:
-            subprocess.run([*_BUILD, "-o", tmp, str(_SOURCE)], check=True,
+            subprocess.run([*_BUILD, f"-I{include}", "-o", tmp, str(_SOURCE)], check=True,
                            capture_output=True, timeout=120)
             os.replace(tmp, lib)
         finally:
@@ -52,8 +68,16 @@ def _build() -> Path:
     return lib
 
 
+def _load(path: Path):
+    """The extension module at path, loaded without a ``sys.modules`` entry."""
+    spec = ModuleSpec("_kernels", ExtensionFileLoader("_kernels", str(path)), origin=str(path))
+    module = spec.loader.create_module(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def library(family=None):
-    """The compiled library, built and loaded on first use; None when that
+    """The compiled module, built and loaded on first use; None when that
     failed.  With a family ("patience" or "lattice"), records in
     ``kernel_ran`` which kernel that family's call runs."""
     global _loaded
@@ -61,24 +85,7 @@ def library(family=None):
         with _load_lock:
             if _loaded is None:
                 try:
-                    lib = ctypes.CDLL(str(_build()))
-                    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-                    lib.pile_counts.restype = None
-                    lib.pile_counts.argtypes = [ptr, i64, i64, ptr, ptr, i64, ptr, ptr, ptr]
-                    lib.row_pass.restype = i64
-                    lib.row_pass.argtypes = [ptr, ptr, ptr, i64, f64, f64, f64, f64,
-                                             ptr, ptr, i64, ptr, ptr]
-                    lib.path_table.restype = None
-                    lib.path_table.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr, ptr]
-                    lib.pair_sweep.restype = i64
-                    lib.pair_sweep.argtypes = [ptr, i64, i64, i64, i64, i64, i64, i64, i64,
-                                               i64, i64, ptr, i64, ptr]
-                    lib.walk.restype = i64
-                    lib.walk.argtypes = [ptr, i64, i64, ptr, i64, i64, i64, i64, i64, i64,
-                                         i64, ptr]
-                    lib.philox_uniforms.restype = None
-                    lib.philox_uniforms.argtypes = [ctypes.c_uint64, ctypes.c_uint64, i64, ptr]
-                    _loaded = lib
+                    _loaded = _load(_build())
                 except Exception:  # any failure: the Python routines serve
                     _loaded = False
     if family is not None:

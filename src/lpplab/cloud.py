@@ -36,10 +36,14 @@ counts, and a whole row pass (keys, mask and order check on the slab,
 stops, two-row insertion) in one call.  Its pile search is branch-free:
 it halves the range with a conditional select on the same predicate
 x < row[i], so it returns ``bisect_right``'s index and leaves the CPU no
-comparison outcome to mispredict.  When the compiled row finds the slab
-out of order, the Python parts (``_sorted_cone``, ``_before``,
-``_pile_counts``) serve that row.  Without the library (see ``_native``)
-the Python routines run; ``_pile_counts_py`` is the reference.
+comparison outcome to mispredict.  Each call passes the numpy arrays
+themselves to the extension module, which checks their types and sizes
+and releases the GIL, so a ``_pile_counts`` call costs a few
+microseconds, no more than the Python kernel on empty input.  When the
+compiled row finds the slab out of order, the Python parts
+(``_sorted_cone``, ``_before``, ``_pile_counts``) serve that row.
+Without the module (see ``_native``) the Python routines run;
+``_pile_counts_py`` is the reference.
 
 Optimal steps.  ``OptimalSteps`` builds one graph from one
 ``chain_tables`` call: its nodes are the points with F + B - 1 equal to
@@ -164,11 +168,9 @@ def _pile_counts(vs, k: int, stops, bounds) -> np.ndarray:
     vs = np.ascontiguousarray(vs, dtype=np.float64)
     stops = np.ascontiguousarray(stops, dtype=np.int64)
     bounds = np.ascontiguousarray(bounds, dtype=np.float64)
-    rows = np.empty(k * vs.size, dtype=np.float64)
-    lens = np.empty(k, dtype=np.int64)
     out = np.empty((stops.size, k), dtype=np.int64)
-    lib.pile_counts(vs.ctypes.data, vs.size, k, stops.ctypes.data, bounds.ctypes.data,
-                    stops.size, rows.ctypes.data, lens.ctypes.data, out.ctypes.data)
+    rows, lens = np.empty(k * vs.size), np.empty(k, dtype=np.int64)  # scratch
+    lib.pile_counts(vs, k, stops, bounds, rows, lens, out)
     return out
 
 
@@ -242,11 +244,9 @@ def _row_counts(cloud: PoissonCloud, sx, st, U, V, tu, tv) -> np.ndarray:
     lib = _native.library("patience")
     if lib is not None:
         slab = _slab(cloud, sx, st, U)
-        rows = np.empty(2 * slab.size, dtype=np.float64)
         out = np.empty((tu.size, 2), dtype=np.int64)
-        if not lib.row_pass(cloud.xs.ctypes.data, cloud.ts.ctypes.data, slab.ctypes.data,
-                            slab.size, sx, st, U, V, tu.ctypes.data, tv.ctypes.data, tu.size,
-                            rows.ctypes.data, out.ctypes.data):
+        if not lib.row_pass(cloud.xs, cloud.ts, slab, sx, st, U, V, tu, tv,
+                            np.empty(2 * slab.size), out):
             return out
     idx, pu, pv = _sorted_cone(cloud, (sx, st), U, V)
     return _pile_counts(pv, 2, _before(pu, pv, tu, tv), tv)

@@ -35,17 +35,19 @@ written.  Rows left behind go stale and are cleared once, at the end.
 
 Compiled kernel: ``_path_table`` and ``_pair_sweep`` each run a whole
 sweep, and ``geodesic_cells_from_B`` a whole walk, as one call into the
-package's C library (``_kernels.c``, built and loaded by ``_native`` on
-first use, never at import; the call releases the GIL).  The C sweeps
-take the operands in numpy's order, the max of the predecessors as
-``_relax`` takes them, then the weights path by path, so every
-reachable state is bit-identical to numpy's for every law (weights are
-finite, see ``LatticeField``).  The pair sweep computes only the live
+package's extension module (``_kernels.c``, built and loaded by
+``_native`` on first use, never at import).  A call passes the numpy
+arrays themselves; the module reads their strides, checks types, shapes
+and cells, and releases the GIL, so a walk's fixed cost is about 2 µs.
+The C sweeps take the operands in numpy's order, the max of the
+predecessors as ``_relax`` takes them, then the weights path by path, so
+every reachable state is bit-identical to numpy's for every law (weights
+are finite, see ``LatticeField``).  The pair sweep computes only the live
 upper triangle j1 < j2 and clears the diagonal; the lower triangle is
 never read, so it is never written and stays NEG.  Each step copies its
 weights at (t - j, j), read through the field's strides (a reflected
 view included), into one contiguous scratch row, so the inner loop
-vectorises; no table of antidiagonal rows is built.  When the library
+vectorises; no table of antidiagonal rows is built.  When the module
 is missing, the numpy routines ``_path_table_py``, ``_pair_sweep_py``
 and ``_walk_py`` run instead; they are the reference.  ``_native``
 records the kernel of the last sweep or walk.
@@ -138,11 +140,6 @@ def _relax(out: np.ndarray, prev: np.ndarray, weights) -> None:
         out += w.reshape((-1,) + (1,) * (out.ndim - 1 - axis))
 
 
-def _strides(w: np.ndarray):
-    """w's row and column strides in elements (negative for a reflection)."""
-    return w.strides[0] // w.itemsize, w.strides[1] // w.itemsize
-
-
 def _path_table(w: np.ndarray, corner, seeds=None) -> np.ndarray:
     """Padded best-path table, swept from corner to the grid's far end.
 
@@ -157,8 +154,7 @@ def _path_table(w: np.ndarray, corner, seeds=None) -> np.ndarray:
     table = np.full((rows + 1, cols + 1), NEG)
     if seeds is not None:
         seeds = np.ascontiguousarray(seeds, dtype=np.float64)
-    lib.path_table(w.ctypes.data, rows, cols, *_strides(w), int(corner[0]), int(corner[1]),
-                   None if seeds is None else seeds.ctypes.data, table.ctypes.data)
+    lib.path_table(w, corner[0], corner[1], seeds, table)
     return table
 
 
@@ -257,7 +253,7 @@ def _pair_sweep(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
     lib = _native.library("lattice")
     if lib is None:
         return _pair_sweep_py(w, start_pair, t_stop, record, order)
-    rows, cols = w.shape
+    cols = w.shape[1]
     (i1, j1), (i2, j2) = start_pair
     t = i1 + j1 + ((i1, j1) == (i2, j2))
     if t_stop < t:
@@ -265,10 +261,7 @@ def _pair_sweep(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
     steps = t_stop - t + 1
     states = np.full((steps if record else min(steps, 2), cols + 1, cols + 1), NEG)
     row = np.empty(cols + 1)
-    if not lib.pair_sweep(w.ctypes.data, rows, cols, *_strides(w),
-                          *(int(k) for k in (i1, j1, i2, j2, t_stop)),
-                          int(order == (1, 0)), states.ctypes.data, len(states),
-                          row.ctypes.data):
+    if not lib.pair_sweep(w, i1, j1, i2, j2, t_stop, order == (1, 0), states, row):
         return []
     if record:
         return list(zip(range(t, t_stop + 1), states))
@@ -424,7 +417,7 @@ def geodesic_cells_from_B(field: LatticeField, B: np.ndarray, start, end,
         B = np.asarray(B)
     rows, cols = w.shape
     (i, j), (i1, j1) = start, end
-    # bounds and strides inline: a classify run makes thousands of walks
+    # bounds inline: a classify run makes thousands of walks
     for role, c, r, k in (("start", start, i, j), ("end", end, i1, j1)):
         if not (0 <= r < rows and 0 <= k < cols):
             raise DomainError(f"{role} cell {c} outside {rows}x{cols} grid")
@@ -437,9 +430,7 @@ def geodesic_cells_from_B(field: LatticeField, B: np.ndarray, start, end,
     if lib is None:
         return _walk_py(field, B, start, end, side)
     out = np.empty((2, i1 - i + j1 - j + 1), dtype=np.int64)  # the rows, then the columns
-    (bi, bj), (wi, wj) = B.strides, w.strides
-    at = lib.walk(B.ctypes.data, bi // 8, bj // 8, w.ctypes.data, wi // 8, wj // 8,
-                  int(i), int(j), int(i1), int(j1), side == "right", out.ctypes.data)
+    at = lib.walk(B, w, i, j, i1, j1, side == "right", out)
     if at >= 0:
         raise InvariantError("geodesic walk lost the optimum", field, start=start,
                              end=end, side=side, at=(int(out[0, at]), int(out[1, at])))

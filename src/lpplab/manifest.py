@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -12,6 +11,7 @@ SCHEMA_VERSION = 1
 
 
 def sha256_file(path: Path) -> str:
+    import hashlib  # here, not at import: importing the CLI loads no OpenSSL
     h = hashlib.sha256()
     h.update(path.read_bytes())
     return h.hexdigest()

@@ -11,12 +11,13 @@ Streams are identified by small integer ids; the conventions used by the
 rest of the package are listed in ``Stream``.
 
 The stream is compiled: ``uniforms`` fills its array in one call to
-``philox_uniforms`` in the package's C library (``_kernels.c``, loaded by
-``_native``), which gives exactly the words of numpy's
+``philox_uniforms`` in the package's extension module (``_kernels.c``,
+loaded by ``_native``), which gives exactly the words of numpy's
 ``Philox(key=[seed, stream]).random(n)`` (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011).  ``generator`` is the reference
-and the fallback when the library is missing, so ``numpy.random`` is
-imported only on that path.  Both paths check the seed the same way.
+and the fallback when the module is missing, so ``numpy.random`` is
+imported only on that path.  Both paths check the seed and the stream
+the same way.
 """
 
 from __future__ import annotations
@@ -39,15 +40,20 @@ class Stream:
 
 
 def _key(seed, stream):
-    """The Philox key (seed, stream) as ints; the seed must be an integer
-    in [0, 2^64)."""
+    """The Philox key (seed, stream) as ints; each must be an integer in
+    [0, 2^64)."""
+    return _word("seed", seed), _word("stream", stream)
+
+
+def _word(name, value) -> int:
+    """value as an int, checked to be an integer in [0, 2^64)."""
     try:
-        key = operator.index(seed)
+        word = operator.index(value)
     except TypeError:
-        raise ParameterError(f"seed must be an integer, got {seed!r}") from None
-    if not 0 <= key < 2**64:
-        raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return key, int(stream)
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= word < 2**64:
+        raise ParameterError(f"{name} must be a 64-bit unsigned integer, got {value}")
+    return word
 
 
 def generator(seed: int, stream: int) -> np.random.Generator:
@@ -67,7 +73,7 @@ def uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     if lib is None:
         return generator(seed, stream).random(int(n))
     out = np.empty(int(n))
-    lib.philox_uniforms(seed, stream, out.size, out.ctypes.data)
+    lib.philox_uniforms(seed, stream, out)
     return out
 
 

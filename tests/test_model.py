@@ -87,6 +87,26 @@ def test_invalid_parameters():
 
 
 @pytest.mark.parametrize("kernel", ["compiled", "python"])
+def test_streams_are_checked_as_seeds_are(kernel, monkeypatch):
+    """A stream outside [0, 2^64) or not an integer raises the same
+    ParameterError on both paths; the compiled one used to wrap it."""
+    if kernel == "python":
+        monkeypatch.setattr(_native, "_loaded", False)
+    else:
+        assert _native.library() is not None
+    for stream in (-1, 2**64, -(2**63)):
+        with pytest.raises(ParameterError, match="^stream must be a 64-bit unsigned integer"):
+            rng.uniforms(0, stream, 3)
+    for stream in (1.5, 2.0, np.float64(3.0), "4", None):
+        with pytest.raises(ParameterError, match="^stream must be an integer"):
+            rng.uniforms(0, stream, 3)
+    for stream in (0, np.uint64(2**64 - 1), np.int64(5)):
+        key = np.array([7, stream], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(5)
+        assert rng.uniforms(7, stream, 5).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
 def test_non_finite_rates_and_means_and_non_integral_seeds_are_rejected(kernel, monkeypatch):
     if kernel == "python":
         monkeypatch.setattr(_native, "_loaded", False)

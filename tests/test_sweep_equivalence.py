@@ -934,7 +934,8 @@ def test_compiled_kernel_loads_here():
         assert _native.kernel_ran["lattice"] == "compiled"
 
 
-@pytest.mark.parametrize("breakage", ["missing compiler", "compile error", "unwritable cache"])
+@pytest.mark.parametrize("breakage", ["missing compiler", "compile error", "unwritable cache",
+                                      "missing Python headers"])
 def test_failed_build_falls_back_silently(breakage, monkeypatch, tmp_path, capfd):
     build = _native._BUILD
     monkeypatch.setattr(_native, "_loaded", None)
@@ -943,6 +944,8 @@ def test_failed_build_falls_back_silently(breakage, monkeypatch, tmp_path, capfd
         monkeypatch.setattr(_native, "_BUILD", (str(tmp_path / "no-cc"),) + build[1:])
     elif breakage == "compile error":
         monkeypatch.setattr(_native, "_BUILD", build + ("-Dpile_counts=",))
+    elif breakage == "missing Python headers":
+        monkeypatch.setattr(_native, "_include", lambda: str(tmp_path / "no-headers"))
     else:
         (tmp_path / "file").write_text("")
         monkeypatch.setattr(_native, "_CACHE", tmp_path / "file" / "cache")
