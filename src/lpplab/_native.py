@@ -6,19 +6,19 @@ builds it with the local gcc and the interpreter's headers into
 hash covers the source, the build command, the include directory and
 the interpreter's extension suffix, so two interpreters sharing a
 checkout never load each other's build.  A build goes to a temporary
-file renamed into place, so concurrent builds are safe, and only a build
-imports ``subprocess``; only the hash imports ``hashlib`` and
-``sysconfig``.  The module is loaded by file, under the plain name
-``_kernels``, and its multi-phase initialisation adds nothing to
-``sys.modules``.  Its entry points take numpy arrays through the buffer
-protocol, check them, and release the GIL while the kernel runs, so
-threads run their row passes and sweeps in parallel.  The flags are
-``-O3 -ffp-contract=off``: ``-O3`` vectorises the pair sweep's inner
-loop, and no multiply-add may be contracted into an FMA, so every sum is
-rounded as numpy rounds it.  Nothing is built or loaded at import.  When
-the module cannot be built or loaded (no gcc, no Python headers),
-``library()`` returns None, silently, and the callers run their Python
-twins, which are the reference.  ``kernel_ran`` names the kernel of the
+file renamed into place, so concurrent builds are safe; only a build
+imports ``subprocess``, and only the hash imports ``hashlib``.  The
+module is loaded by file, under the plain name ``_kernels``, and its
+multi-phase initialisation adds nothing to ``sys.modules``.  Its entry
+points take numpy arrays through the buffer protocol, check them, and
+release the GIL while the kernel runs, so threads run their row passes
+and sweeps in parallel.  The flags are ``-O3 -ffp-contract=off``:
+``-O3`` vectorises the pair sweep's inner loop, and no multiply-add may
+be contracted into an FMA, so every sum is rounded as numpy rounds it.
+Nothing is built or loaded at import.  When the module cannot be built
+or loaded (no gcc, no Python headers), ``library()`` returns None,
+silently, and the callers run their Python twins, which are the
+reference.  ``kernel_ran`` names the kernel of the
 last patience read-out and of the last lattice sweep or walk; the
 Philox stream records nothing.
 """
@@ -26,6 +26,7 @@ Philox stream records nothing.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec
 from pathlib import Path
@@ -40,8 +41,14 @@ kernel_ran = {"patience": None, "lattice": None}
 
 
 def _include() -> str:
-    """The directory of this interpreter's ``Python.h``."""
-    import sysconfig  # only the build key needs it
+    """The directory of this interpreter's ``Python.h``: the POSIX include
+    path under ``sys.base_prefix`` when it holds one, else sysconfig's.
+    Asking sysconfig first would cost every run about 1 ms and 0.3 MB."""
+    v = sys.version_info
+    here = os.path.join(sys.base_prefix, "include", f"python{v[0]}.{v[1]}{sys.abiflags}")
+    if os.path.exists(os.path.join(here, "Python.h")):
+        return here
+    import sysconfig
     return sysconfig.get_path("include")
 
 

@@ -1,6 +1,8 @@
 """The compiled module's entry points check their buffers before any
 kernel runs, and its build cache is keyed to the interpreter."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,13 @@ def test_build_cache_is_keyed_to_the_interpreter(monkeypatch, tmp_path):
     assert len({here.name, other_suffix.name, other_include.name}) == 3
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
         [here.name, other_suffix.name, other_include.name])
+
+
+def test_include_directory_is_sysconfigs(monkeypatch, tmp_path):
+    """The include directory is sysconfig's, found under ``sys.base_prefix``
+    here and asked of sysconfig when no ``Python.h`` is there."""
+    import sysconfig
+    want = sysconfig.get_path("include")
+    assert _native._include() == want
+    monkeypatch.setattr(sys, "base_prefix", str(tmp_path))
+    assert _native._include() == want
