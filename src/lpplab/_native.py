@@ -2,25 +2,27 @@
 ``lattice`` and ``rng``), as one CPython extension module: its build, its
 load and the record of which kernel ran.  The first ``library()`` call
 builds it with the local gcc and the interpreter's headers into
-``__pycache__/_kernels-<hash><suffix>`` next to this module, where the
-hash covers the source, the build command, the include directory and
-the interpreter's extension suffix, so two interpreters sharing a
-checkout never load each other's build.  A build goes to a temporary
-file renamed into place, so concurrent builds are safe; only a build
-imports ``subprocess``, and only the hash imports ``hashlib``.  The
-module is loaded by file, under the plain name ``_kernels``, and its
-multi-phase initialisation adds nothing to ``sys.modules``.  Its entry
-points take numpy arrays through the buffer protocol, check them, and
-release the GIL while the kernel runs, so threads run their row passes
-and sweeps in parallel.  The flags are ``-O3 -ffp-contract=off``:
-``-O3`` vectorises the pair sweep's inner loop, and no multiply-add may
-be contracted into an FMA, so every sum is rounded as numpy rounds it.
-Nothing is built or loaded at import.  When the module cannot be built
-or loaded (no gcc, no Python headers), ``library()`` returns None,
-silently, and the callers run their Python twins, which are the
-reference.  ``kernel_ran`` names the kernel of the
-last patience read-out and of the last lattice sweep or walk; the
-Philox stream records nothing.
+``__pycache__/_kernels-<source>-<env><suffix>`` next to this module:
+<source> hashes the source, <env> the build command and the include
+directory, and <suffix> is the interpreter's extension suffix, so two
+interpreters sharing a checkout never load each other's build.  A build
+goes to a temporary file renamed into place, so concurrent builds are
+safe.  A successful build deletes the other builds of its <env> and
+<suffix>, and the single-hash ``_kernels-<hash>.*`` and ``_patience-*``
+files of earlier layouts; other builds stay.  Only a build imports
+``subprocess``, and only the hash imports ``hashlib``.  The module is
+loaded by file, under the plain name ``_kernels``, and its multi-phase
+initialisation adds nothing to ``sys.modules``.  Its entry points take
+numpy arrays through the buffer protocol, check them, and release the
+GIL while the kernel runs, so threads run their row passes and sweeps in
+parallel.  The flags are ``-O3 -ffp-contract=off``: ``-O3`` vectorises
+the pair sweep's inner loop, and no multiply-add may be contracted into
+an FMA, so every sum is rounded as numpy rounds it.  Nothing is built or
+loaded at import.  When the module cannot be built or loaded (no gcc, no
+Python headers), ``library()`` returns None, silently, and the callers
+run their Python twins, which are the reference.  ``kernel_ran`` names
+the kernel of the last patience read-out and of the last lattice sweep
+or walk; the Philox stream records nothing.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ def _build() -> Path:
     """The compiled module in ``_CACHE``, built unless present."""
     import hashlib  # only here and in manifest: importing the CLI loads no OpenSSL
     include = _include()
-    key = b"\0".join([_SOURCE.read_bytes(), " ".join(_BUILD).encode(), include.encode(),
-                      _SUFFIX.encode()])
-    lib = _CACHE / f"_kernels-{hashlib.sha256(key).hexdigest()[:16]}{_SUFFIX}"
+    source, env = (hashlib.sha256(part).hexdigest()[:16] for part in
+                   (_SOURCE.read_bytes(), "\0".join([*_BUILD, include]).encode()))
+    lib = _CACHE / f"_kernels-{source}-{env}{_SUFFIX}"
     if not lib.exists():
         import subprocess  # only a build needs them: a cached module loads without
         import tempfile
@@ -72,6 +74,10 @@ def _build() -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for old in (*_CACHE.glob(f"_kernels-*-{env}{_SUFFIX}"),
+                    *_CACHE.glob("_kernels-" + "?" * 16 + ".*"), *_CACHE.glob("_patience-*")):
+            if old != lib:
+                old.unlink(missing_ok=True)
     return lib
 
 

@@ -23,6 +23,7 @@ column walk is ``walk[:, 1]`` of the kernel's (n, 2) cell array.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -137,7 +138,10 @@ def busemann_profile(model: LatticeField, theta: float, x_grid: Sequence[int],
                      t0: int = 0) -> BusemannProfile:
     """Busemann values B(x) = L(x -> target) - L(ORIGIN_X -> target) at two
     horizons, with per-x coalescence certificates."""
-    xs = np.asarray(sorted(int(v) for v in x_grid), dtype=np.int64)
+    horizons = check_horizons(horizons)
+    xs = sorted(x_grid)
+    starts = [model.cell_at(x, t0) for x in xs]  # integral anchors on the grid
+    xs = np.asarray(xs, dtype=np.int64)
     nv = np.full((2, xs.size), np.nan)
     co = np.zeros((2, xs.size), dtype=bool)
     ct = np.full((2, xs.size), np.nan)
@@ -148,8 +152,7 @@ def busemann_profile(model: LatticeField, theta: float, x_grid: Sequence[int],
         if not _lattice.is_reachable(B[ref_cell]):
             raise DomainError("reference source cannot reach the target")
         ref_cols = _lattice.geodesic_cells_from_B(model, B, ref_cell, tgt.cell, side)[:, 1]
-        for k, x in enumerate(xs):
-            a = model.cell_at(int(x), t0)
+        for k, a in enumerate(starts):
             if not _lattice.is_reachable(B[a]):
                 continue
             nv[hi, k] = B[a] - B[ref_cell]
@@ -209,6 +212,16 @@ def check_window(theta_window: Tuple[float, float]) -> Tuple[float, float]:
     if not (-1.0 < lo < hi < 1.0):
         raise ParameterError(f"window {theta_window} must sit inside the cone")
     return lo, hi
+
+
+def check_horizons(horizons) -> Tuple[int, int]:
+    """The two horizons, checked to be distinct integers >= 1: a
+    certificate compares the values at two horizons."""
+    hs = tuple(horizons) if isinstance(horizons, (tuple, list)) else ()
+    if len(hs) != 2 or hs[0] == hs[1] or not all(
+            isinstance(h, numbers.Integral) and not isinstance(h, bool) and h >= 1 for h in hs):
+        raise ParameterError(f"horizons must be two distinct integers >= 1, got {horizons!r}")
+    return hs
 
 
 def exceptional_scan(model: LatticeField, theta_window: Tuple[float, float],
@@ -377,9 +390,12 @@ def busemann_gap(model: LatticeField, direction: ExceptionalDirection,
     (plus exact agreement) is the certificate.  One backward pair sweep
     per horizon serves the whole grid.
     """
+    horizons = check_horizons(horizons)
     t0 = direction.t0
     frame = frame or ScalingFrame(float(horizons[0]))
-    xs = np.asarray(sorted(int(v) for v in x_grid), dtype=np.int64)
+    xs = sorted(x_grid)
+    starts = [model.cell_at(x, t0) for x in xs]  # integral anchors on the grid
+    xs = np.asarray(xs, dtype=np.int64)
     vals = np.full((2, xs.size), np.nan)
     coal = np.zeros((2, xs.size), dtype=bool)
     h_near, h_far = sorted(horizons)
@@ -397,7 +413,6 @@ def busemann_gap(model: LatticeField, direction: ExceptionalDirection,
                                   np.zeros(xs.size, dtype=bool), witness_cols, frame)
     t1f = t0 + h_far
     origin = model.cell_at(ORIGIN_X, t0)
-    starts = [model.cell_at(int(x), t0) for x in xs]
     B_far_l, W_L = _walk_to(model, origin, cu, t1f, "right")
     B_far_r, W_R = _walk_to(model, origin, cv, t1f, "left")
 
@@ -477,7 +492,7 @@ def _semi_inf_geometric(model, direction, x, profile):
     h = profile.horizons[0]
     t1 = t0 + h
     cu, cv = profile.witness_columns[h]
-    a = model.cell_at(int(x), t0)
+    a = model.cell_at(x, t0)
     pl = model.cell_at(cu, t1)
     pr = model.cell_at(cv, t1)
     BL = _lattice.backward_values(model, pl)
@@ -508,7 +523,7 @@ def two_path_busemann(model: LatticeField, theta1: float, theta2: float,
         raise ParameterError("need theta1 < theta2")
     p1 = direction_target(model, theta1, horizon, t0).cell
     p2 = direction_target(model, theta2, horizon, t0).cell
-    a = model.cell_at(int(x), t0)
+    a = model.cell_at(x, t0)
     ref = model.cell_at(ORIGIN_X, t0)
     pair = _lattice.disjoint2_value(model, (a, a), (p1, p2))
     if pair is None:

@@ -25,7 +25,8 @@ The zero split never uses the threshold, which must be finite and >= 0.
 
 The gap route implements the sheet dictionary: row/column plateau minima
 for the nonzero types, open-quadrant isolation of sheet zeros for the
-zero types.
+zero types.  Window minima have one implementation, ``_window_minima``,
+run on a whole sheet or on one point's row and column.
 
 ``agreement_matrix`` runs both routes over an anchor grid in one pass
 per sink: one backward table per sink, and per pair its left and right
@@ -104,10 +105,7 @@ def classify_geometric(model: Model, start, end,
     check_resolution(threshold)
     if not isinstance(model, LatticeField):
         return _classify_cloud(model, start, end, threshold)
-    F = _lattice.forward_values(model, start)
-    B = _lattice.backward_values(model, end)
-    if not _lattice.is_reachable(F[end]):
-        raise DomainError(f"endpoints {start}->{end} not connected")
+    F, B, _ = _lattice.endpoint_tables(model, start, end)
     return _classify_lattice(model, start, end, B, lambda: F, threshold, None)
 
 
@@ -178,19 +176,12 @@ class GapClassification:
     isolated: Optional[Tuple[bool, bool]] = None
 
 
-def _window_minimum(slice_values: np.ndarray, j: int, window: int) -> bool:
-    lo = max(0, j - window)
-    seg = slice_values[lo:j + window + 1]
-    seg = seg[np.isfinite(seg)]
-    return seg.size > 0 and slice_values[j] == seg.min()
-
-
 def _window_minima(values: np.ndarray, window: int) -> Tuple[np.ndarray, np.ndarray]:
     """Window minima of a whole sheet: (rows, cols), where rows[i, j]
     says whether values[i, j] is the minimum of row i's entries at most
     ``window`` columns away, and cols[i, j] the same down column j, with
-    non-finite entries read as +inf.  At every finite entry this is
-    _window_minimum of that row or column."""
+    non-finite entries read as +inf.  A finite entry is a minimum when
+    it equals the smallest finite entry within the window."""
     check_resolution(window=window)
 
     def along_rows(u):
@@ -232,14 +223,12 @@ def classify_gap(sheet: gaplab.GapSheet, i: int, j: int,
     if not np.isfinite(g):
         return GapClassification("other", None)
     if g > 0:
-        row = sheet.row(i)
-        col = sheet.col(j)
         if window is None:
-            row_min = gaplab.minimum_at(gaplab.slice_minima(row), j)
-            col_min = gaplab.minimum_at(gaplab.slice_minima(col), i)
-        else:
-            row_min = _window_minimum(row, j, window)
-            col_min = _window_minimum(col, i, window)
+            row_min = gaplab.minimum_at(gaplab.slice_minima(sheet.row(i)), j)
+            col_min = gaplab.minimum_at(gaplab.slice_minima(sheet.col(j)), i)
+        else:  # the point's row and column, as agreement_matrix reads whole sheets
+            row_min = bool(_window_minima(sheet.values[i:i + 1], window)[0][0, j])
+            col_min = bool(_window_minima(sheet.values[:, j:j + 1], window)[1][i, 0])
         tag = SHAPES[bool(row_min) + 2 * bool(col_min)]
         return GapClassification(tag, float(g), row_min, col_min)
     z = zeros if zeros is not None else gaplab.zero_set(sheet)
@@ -334,14 +323,14 @@ def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
     kinds = (row_min + 2 * col_min).tolist()  # indices into SHAPES
     values = sheet.values.tolist()
     nx, ny = sheet.values.shape
-    starts = [model.cell_at(int(x), t0) for x in x_grid]
+    starts = [model.cell_at(x, t0) for x in x_grid]
 
     @cache
     def forward(i):
         return _lattice.forward_values(model, starts[i])
 
     for j, y in enumerate(y_grid):
-        b = model.cell_at(int(y), t1)
+        b = model.cell_at(y, t1)
         B = _lattice.backward_values(model, b)
         for i, x in enumerate(x_grid):
             a = starts[i]
@@ -396,9 +385,9 @@ def right_min_identity(model: LatticeField, x: int, y: int, eps: int,
     if eps < 0 or eps % 2 != 0:
         raise ParameterError("eps must be a nonnegative even chart offset")
     t0, t1 = times
-    model.cell_at(int(x), int(t0))  # every anchor must lie on the grid, also at eps == 0
-    by = model.cell_at(int(y), int(t1))
-    bz = model.cell_at(int(y + eps), int(t1))
+    model.cell_at(x, t0)  # every anchor must lie on the grid, also at eps == 0
+    by = model.cell_at(y, t1)
+    bz = model.cell_at(y + eps, t1)
     if eps == 0:
         return RightMinIdentity(True, 0.0)
     # L and L2 run from y to y + eps; S2 holds the pair values at t1
@@ -424,8 +413,8 @@ def one_sided_diag(model: LatticeField, x: int, y: int,
     rightmost geodesic, and from when?"""
     from . import engine  # loaded on first use, see lpplab.__init__
     t0, t1 = times
-    a = model.cell_at(int(x), int(t0))
-    b = model.cell_at(int(y), int(t1))
+    a = model.cell_at(x, t0)
+    b = model.cell_at(y, t1)
     pair = engine.optimizer2(model, (a, a), (b, b), side="right")
     if pair is None:
         raise DomainError("no disjoint pair at these anchors")

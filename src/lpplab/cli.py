@@ -280,19 +280,6 @@ _RUNNERS = {
     "verify": run_verify,
 }
 
-_CSV_SCHEMA = {
-    "sheet": ["x", "y", "G"],
-    "zeros": ["x", "y"],
-    "busemann_profile": ["theta", "x", "value", "certified", "coalescence_time"],
-    "gap_profile": ["theta", "x", "value", "certified"],
-    "dim": ["replicate", "zeros", "estimate", "r2"],
-    "stats": ["replicate", "key", "value"],
-    # classify.TAGS, spelled out: reading them would load classify on every run
-    "matrix": ["geometric\\gap", "I", "IIa", "IIb", "III", "IV", "Va", "Vb", "other"],
-    "records": ["x", "y", "G", "geometric", "gap"],
-}
-
-
 def _check_out(out: Path) -> None:
     """Refuse, before any work, an output path that an existing file
     blocks: the path itself or its nearest existing ancestor."""
@@ -313,8 +300,6 @@ def run_experiment(cfg: cfgmod.ExperimentConfig, out_dir=None) -> tuple:
     out.mkdir(parents=True, exist_ok=True)  # a run may write no artifact
     manifest.write_manifest(out, json.loads(cfg.to_json()), summaries, envs,
                             wall_clock_s=time.time() - started,
-                            schema={"csv_columns": _CSV_SCHEMA,
-                                    "version": manifest.SCHEMA_VERSION},
                             kernels=dict(_native.kernel_ran))
     return out, ok
 

@@ -21,6 +21,13 @@ tracks: each point goes to the side of the other track it lies on, so
 the left chain runs on the lower envelope and the right chain on the
 upper one.  No other module compares chains in space; the oracle keeps
 its own comparison as the reference.
+
+Networks.  Both models' networks come from one assembly (``_assemble``)
+over a graph of optimal steps: ``cloud.OptimalSteps.succ`` on a cloud,
+and on a lattice c -> c' where F[c'] == F[c] + w[c'] and B[c] == B[c'] +
+w[c].  Vertices are the endpoints and the nodes of in- or out-degree
+>= 2; a degree violation is a node of in- or out-degree >= 3, which a
+lattice cell never is.
 """
 
 from __future__ import annotations
@@ -267,11 +274,7 @@ def _probe_grid(a: Chain, b: Chain) -> np.ndarray:
 def on_optimal(model: Model, start, end, p) -> bool:
     """True iff p lies on some geodesic between the endpoints."""
     if isinstance(model, LatticeField):
-        F = _lattice.forward_values(model, start)
-        B = _lattice.backward_values(model, end)
-        total = F[end]
-        if not _lattice.is_reachable(total):
-            raise DomainError("endpoints not connected")
+        F, B, total = _lattice.endpoint_tables(model, start, end)
         return bool(_lattice.is_reachable(F[p]) and _lattice.is_reachable(B[p])
                     and F[p] + B[p] - model.weights[p] == total)
     px, pt = _xy(p)
@@ -289,88 +292,59 @@ def _is_cloud_point(model: PoissonCloud, x, t) -> bool:
 
 
 def network(model: Model, start, end) -> GeodesicNetwork:
-    """Build the geodesic network between two endpoints."""
+    """Build the geodesic network between two endpoints (see Networks above)."""
     if isinstance(model, LatticeField):
-        return _lattice_network(model, start, end)
-    return _cloud_network(model, start, end)
-
-
-def _lattice_network(model: LatticeField, start, end) -> GeodesicNetwork:
-    F = _lattice.forward_values(model, start)
-    B = _lattice.backward_values(model, end)
-    total = F[end]
-    if not _lattice.is_reachable(total):
-        raise DomainError(f"endpoints {start}->{end} not connected")
-    w = model.weights
-
-    def successors(c):
-        # both tables were computed as max(neighbors) + w, so the edge
-        # tests reproduce exactly the additions the sweeps performed
-        i, j = c
-        out = []
-        for cc in ((i + 1, j), (i, j + 1)):
-            if (model.in_grid(cc) and cc[0] <= end[0] and cc[1] <= end[1]
-                    and F[cc] == F[c] + w[cc] and B[c] == B[cc] + w[c]):
-                out.append(cc)
-        return out
-
-    succ = {}
-    stack = [start]
-    while stack:
-        c = stack.pop()
-        if c in succ:
-            continue
-        succ[c] = successors(c) if c != end else []
-        stack.extend(succ[c])
-    pred = {c: 0 for c in succ}
-    for c, outs in succ.items():
-        for cc in outs:
-            pred[cc] += 1
-    branch = {c for c in succ
-              if c not in (start, end) and (len(succ[c]) >= 2 or pred[c] >= 2)}
-    vertices = [start] + sorted(branch, key=lambda c: (c[0] + c[1], c[1])) + [end]
-    edges = _compress(vertices, succ)
-    left, right = (_lattice_chain(model, start, end,
-                                  _lattice.geodesic_cells_from_B(model, B, start, end, side))
-                   for side in ("left", "right"))
-    # cell degree is structurally capped at 2 on the lattice
-    violations = sum(1 for c in succ if len(succ[c]) >= 3)
-    return GeodesicNetwork(start, end, vertices, edges, left, right, violations)
-
-
-def _cloud_network(model: PoissonCloud, start, end) -> GeodesicNetwork:
+        F, B, _ = _lattice.endpoint_tables(model, start, end)
+        w = model.weights
+        succ, stack = {}, [start]
+        while stack:
+            c = stack.pop()
+            if c in succ:
+                continue
+            i, j = c
+            # both tables were computed as max(neighbors) + w, so the edge
+            # tests reproduce exactly the additions the sweeps performed
+            succ[c] = [] if c == end else [
+                cc for cc in ((i + 1, j), (i, j + 1))
+                if cc[0] <= end[0] and cc[1] <= end[1]
+                and F[cc] == F[c] + w[cc] and B[c] == B[cc] + w[c]]
+            stack.extend(succ[c])
+        chains = [_lattice_chain(model, start, end,
+                                 _lattice.geodesic_cells_from_B(model, B, start, end, side))
+                  for side in ("left", "right")]
+        return _assemble(succ, start, end, lambda c: c, lambda c: (c[0] + c[1], c[1]), chains)
     steps = _cloud.OptimalSteps(model, start, end)
-    succ = steps.succ
-    pred = [0] * len(succ)
-    for outs in succ:
-        for b in outs:
-            pred[b] += 1
     coord = list(zip(steps.xs, steps.ts))
-    branch = [m for m in range(steps.source) if len(succ[m]) >= 2 or pred[m] >= 2]
-    vertex_nodes = ([steps.source]
-                    + sorted(branch, key=lambda m: (coord[m][1], coord[m][0]))
-                    + [steps.sink])
-    vertices = [coord[node] for node in vertex_nodes]
-    edges = [(a, b, [coord[q] for q in seg]) for a, b, seg in _compress(vertex_nodes, succ)]
-    violations = sum(len(outs) >= 3 for outs in succ) + sum(k >= 3 for k in pred)
-    left, right = (_cloud_chain(model, start, end, steps.idx[steps.walk(side)])
-                   for side in ("left", "right"))
-    return GeodesicNetwork(coord[steps.source], coord[steps.sink], vertices, edges,
-                           left, right, violations)
+    chains = [_cloud_chain(model, start, end, steps.idx[steps.walk(side)])
+              for side in ("left", "right")]
+    return _assemble(dict(enumerate(steps.succ)), steps.source, steps.sink,
+                     coord.__getitem__, lambda m: (coord[m][1], coord[m][0]), chains)
 
 
-def _compress(vertices: list, succ: dict) -> list:
-    """Edges (from index, to index, node segment) of the successor graph,
-    following each out-edge of a vertex through non-vertex nodes."""
-    vindex = {v: k for k, v in enumerate(vertices)}
+def _assemble(succ: dict, source, sink, place, order, chains) -> GeodesicNetwork:
+    """The network of a successor graph ``succ`` (node -> successor list)
+    from source to sink: vertices are the source, the branch nodes in
+    ``order`` and the sink; each edge follows a vertex's out-edge through
+    non-vertex nodes.  ``place`` maps a node to its coordinates."""
+    indeg = dict.fromkeys(succ, 0)
+    for outs in succ.values():
+        for b in outs:
+            indeg[b] += 1
+    branch = [v for v, outs in succ.items()
+              if v not in (source, sink) and (len(outs) >= 2 or indeg[v] >= 2)]
+    vertex_nodes = [source] + sorted(branch, key=order) + [sink]
+    vindex = {v: k for k, v in enumerate(vertex_nodes)}
     edges = []
-    for v in vertices:
+    for v in vertex_nodes:
         for s in succ[v]:
             seg = [v, s]
             while seg[-1] not in vindex:
                 seg.append(succ[seg[-1]][0])
-            edges.append((vindex[v], vindex[seg[-1]], seg))
-    return edges
+            edges.append((vindex[v], vindex[seg[-1]], [place(q) for q in seg]))
+    violations = (sum(len(outs) >= 3 for outs in succ.values())
+                  + sum(k >= 3 for k in indeg.values()))
+    return GeodesicNetwork(place(source), place(sink), [place(v) for v in vertex_nodes],
+                           edges, *chains, violations)
 
 
 def overlap(a: Chain, b: Chain) -> OverlapInterval:

@@ -12,6 +12,7 @@ sweep (cloud) per source anchor yields the whole row.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 from math import isnan
 from typing import List, Optional, Sequence, Tuple
@@ -96,9 +97,9 @@ def gap_sheet(model: Model, x_grid: Sequence, y_grid: Sequence,
     ys = np.asarray(y_grid, dtype=np.float64)
     values = np.full((xs.size, ys.size), np.nan)
     if isinstance(model, LatticeField):
-        cells = [model.cell_at(int(y), int(t1)) for y in ys]
+        cells = [model.cell_at(y, t1) for y in ys]
         for i, x in enumerate(xs if cells else ()):  # no sinks, no sweep
-            L, L2 = _lattice_row(model, model.cell_at(int(x), int(t0)), cells)
+            L, L2 = _lattice_row(model, model.cell_at(x, t0), cells)
             values[i] = 2.0 * L - L2
     elif isinstance(model, PoissonCloud):
         dt = t1 - t0
@@ -300,8 +301,8 @@ def box_dimension(points, scales: Sequence[float]) -> BoxDimension:
     """Least squares slope of log(occupied boxes) against log(1/scale)."""
     if np.size(points) == 0:
         raise ParameterError("box_dimension needs a nonempty point set")
-    if len(scales) < 2:
-        raise ParameterError("box_dimension needs at least 2 scales")
+    if len(scales) < 2 or len(set(scales)) < len(scales):
+        raise ParameterError(f"box_dimension needs at least 2 distinct scales, got {list(scales)}")
     counts = box_counts(points, _positive("scale", scales))
     if all(c == 1 for c in counts):
         return BoxDimension(0.0, 1.0, list(scales), counts,
@@ -423,6 +424,10 @@ def brownianity(slice_values: Sequence[float], spacing: float,
     if v.size < 64:
         raise ParameterError("brownianity needs at least 64 usable entries")
     lags = list(range(1, 11)) if lags is None else sorted(lags)
+    if len(set(lags)) < len(lags) or not all(
+            isinstance(k, numbers.Integral) and not isinstance(k, bool) and 1 <= k < v.size
+            for k in lags):
+        raise ParameterError(f"lags must be distinct integers in [1, {v.size}), got {lags}")
     scaled = v / frame.value_unit
     dx = spacing / frame.space_unit
     xs, ys = [], []
@@ -473,8 +478,8 @@ def decreasing_decomposition(model: Model, sheet: GapSheet,
     for (i, j) in items:
         x, y = sheet.x_grid[i], sheet.y_grid[j]
         if isinstance(model, LatticeField):
-            a = model.cell_at(int(x), int(t0))
-            b = model.cell_at(int(y), int(t1))
+            a = model.cell_at(x, t0)
+            b = model.cell_at(y, t1)
         else:
             a, b = (float(x), t0), (float(y), t1)
         gl = engine.geodesic(model, a, b, "left")

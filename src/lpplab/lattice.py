@@ -196,6 +196,18 @@ def backward_values(field: LatticeField, end) -> np.ndarray:
     return _path_table(field.weights[::-1, ::-1], corner)[:0:-1, :0:-1]
 
 
+def endpoint_tables(field: LatticeField, start, end):
+    """(F, B, total): forward_values from start, backward_values to end
+    (which checks that end is on the grid before F is read there) and
+    total = F[end]; DomainError when end is not reachable from start."""
+    F = forward_values(field, start)
+    B = backward_values(field, end)
+    total = F[end]
+    if not is_reachable(total):
+        raise DomainError(f"endpoints {start}->{end} not connected")
+    return F, B, total
+
+
 def seeded_forward(field: LatticeField, seeds: np.ndarray) -> np.ndarray:
     """Best over paths that start at any seeded cell.
 

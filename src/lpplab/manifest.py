@@ -7,7 +7,7 @@ from pathlib import Path
 
 from . import __version__
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def sha256_file(path: Path) -> str:
@@ -19,23 +19,28 @@ def sha256_file(path: Path) -> str:
 
 def write_manifest(out_dir, config_json: dict, summaries: dict,
                    environments: list, wall_clock_s: float,
-                   schema: dict | None = None, kernels: dict | None = None) -> Path:
+                   kernels: dict | None = None) -> Path:
     """Digest every artifact in out_dir and write manifest.json.
 
-    The manifest itself is excluded from its own artifact list.  The
-    wall clock and ``kernels`` (which implementation ran each kernel)
-    are informational; determinism claims cover artifacts, not the
-    manifest.
+    The manifest itself is excluded from its own artifact list.  A
+    ``.csv`` artifact's entry also lists its columns, read from the
+    file's header line.  The wall clock and ``kernels`` (which
+    implementation ran each kernel) are informational; determinism
+    claims cover artifacts, not the manifest.
     """
     out = Path(out_dir)
     artifacts = []
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
-            artifacts.append({
+            entry = {
                 "path": str(path.relative_to(out)),
                 "sha256": sha256_file(path),
                 "bytes": path.stat().st_size,
-            })
+            }
+            if path.suffix == ".csv":
+                with path.open() as fh:
+                    entry["columns"] = fh.readline().rstrip("\n").split(",")
+            artifacts.append(entry)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -45,7 +50,6 @@ def write_manifest(out_dir, config_json: dict, summaries: dict,
         "wall_clock_s": wall_clock_s,
         "kernels": kernels or {},
         "artifacts": artifacts,
-        "schema": schema or {},
     }
     path = out / "manifest.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True))

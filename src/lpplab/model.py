@@ -289,7 +289,11 @@ class LatticeField:
         return (j - i, i + j)
 
     def cell_at(self, x: int, t: int) -> tuple:
-        """Cell at chart position x, chart time t.  Requires x = t mod 2."""
+        """Cell at chart position x, chart time t, as Python ints.  Requires
+        integral x and t (an int or an integral float) with x = t mod 2."""
+        if not (float(x).is_integer() and float(t).is_integer()):
+            raise DomainError(f"chart point (x={x}, t={t}) is not integral")
+        x, t = int(x), int(t)
         if (t + x) % 2 != 0:
             raise DomainError(f"chart point (x={x}, t={t}) has mismatched parity")
         i = (t - x) // 2

@@ -36,6 +36,39 @@ def test_busemann_zero_at_reference():
     assert res["certified"]
 
 
+BAD_HORIZONS = [(H, H), (0, H), (-H, H), (H, 2.0 * H), (True, H), (H,), (H, 2 * H, 3 * H), H]
+
+
+@pytest.mark.parametrize("horizons", BAD_HORIZONS, ids=repr)
+def test_every_busemann_certificate_needs_two_distinct_horizons(horizons):
+    # (H, H) once certified every coalesced anchor: its "two" values were one
+    f, dirs = find_direction(4)
+    grid = range(-8, 9, 2)
+    calls = [lambda: bz.busemann_profile(f, 0.0, grid, horizons, t0=T0),
+             lambda: bz.busemann(f, 0.0, 0, horizons, t0=T0),
+             lambda: bz.stationary_horizon_tests(f, [0.0], grid, horizons, t0=T0)]
+    if dirs:
+        calls.append(lambda: bz.busemann_gap(f, dirs[0], grid, horizons))
+    for call in calls:
+        with pytest.raises(ParameterError, match="horizons must be two distinct integers >= 1"):
+            call()
+
+
+def test_busemann_profiles_reject_non_integral_anchors():
+    f, dirs = find_direction(4)
+    assert dirs
+    for grid in ([-2, 0.5, 2], [0.0, 1.0]):
+        for call in (lambda: bz.busemann_profile(f, 0.0, grid, HORIZONS, t0=T0),
+                     lambda: bz.busemann_gap(f, dirs[0], grid, HORIZONS)):
+            with pytest.raises(DomainError):
+                call()
+    ints = bz.busemann_profile(f, 0.0, [-2, 0, 2], HORIZONS, t0=T0)
+    floats = bz.busemann_profile(f, 0.0, [-2.0, 0.0, 2.0], HORIZONS, t0=T0)
+    assert floats.to_csv() == ints.to_csv() and floats.x_grid.dtype == np.int64
+    assert (bz.busemann_gap(f, dirs[0], [2.0, -2.0], HORIZONS).to_csv()
+            == bz.busemann_gap(f, dirs[0], [-2, 2], HORIZONS).to_csv())
+
+
 def test_busemann_certified_values_agree_across_horizons():
     for seed in range(6):
         f = tiny_env(seed)
@@ -188,6 +221,11 @@ def test_busemann_gap_degenerate_witness_collapses_to_gap_value():
     a = f.cell_at(0, T0)
     p = f.cell_at(c, t1)
     assert prof.values[1, 0] == gaplab.gap_value(f, a, p)
+
+
+def test_two_path_busemann_rejects_a_non_integral_anchor():
+    with pytest.raises(DomainError, match="is not integral"):
+        bz.two_path_busemann(tiny_env(), -0.25, 0.25, 0.5, H, t0=T0)
 
 
 def test_two_path_busemann_algebra():

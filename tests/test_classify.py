@@ -275,6 +275,28 @@ def test_agreement_matrix_csv_row_sums():
     assert csv.count("\n") == len(classify.TAGS) + 1
 
 
+def test_agreement_matrix_rejects_non_integral_anchors():
+    # a grid value of 2.5 was once recorded and walked as x = 2
+    f = make_lattice_field(2, 40, 40, "geometric", 0.5)
+    xs, ys, times = grid_for(f, 16, 8, t0=8)
+    for bad_xs, bad_ys in (([*xs[:-1], xs[-1] + 0.5], ys), (xs, [ys[0] + 0.5, *ys[1:]])):
+        with pytest.raises(DomainError, match="is not integral"):
+            classify.agreement_matrix(f, bad_xs, bad_ys, times, ScalingFrame(16.0))
+    floats = classify.agreement_matrix(f, [float(x) for x in xs], [float(y) for y in ys],
+                                       times, ScalingFrame(16.0))
+    ints = classify.agreement_matrix(f, xs, ys, times, ScalingFrame(16.0))
+    assert floats.records == ints.records and floats.records_csv() == ints.records_csv()
+
+
+def test_lattice_diagnostics_reject_non_integral_anchors():
+    f = make_lattice_field(1, 30, 30, "geometric", 0.5)
+    for x, y in ((0.5, 0), (0, 1.5)):
+        for call in (lambda: classify.right_min_identity(f, x, y, 2, times=(4, 20)),
+                     lambda: classify.one_sided_diag(f, x, y, times=(4, 20))):
+            with pytest.raises(DomainError, match="is not integral"):
+                call()
+
+
 def test_right_min_identity_zero_eps():
     f = make_lattice_field(1, 30, 30, "geometric", 0.5)
     res = classify.right_min_identity(f, 0, 0, 0, times=(4, 20))

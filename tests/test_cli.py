@@ -304,18 +304,27 @@ def test_every_accepted_key_is_read(tmp_path, monkeypatch, command):
     assert read == accepted
 
 
-def test_every_csv_header_is_in_the_manifest_schema(tmp_path):
-    """Every command's CSV artifacts have a header that the manifest's
-    schema lists (classify's matrix and records were once missing)."""
+def test_every_csv_artifact_lists_its_header_in_the_manifest(tmp_path):
+    """Each CSV artifact's manifest entry lists that file's header as its
+    columns (classify's matrix and records were once missing from a
+    hand-kept list), other artifacts list none, and the tiny runs write
+    all 8 kinds of CSV header."""
     headers = set()
     for k, doc in enumerate(_TINY_RUNS):
         out, _ = cli.run_experiment(parse_config(json.dumps({**doc, "out": str(tmp_path / str(k))})))
-        columns = json.loads((out / "manifest.json").read_text())["schema"]["csv_columns"]
-        for path in sorted(out.rglob("*.csv")):
+        manifest_doc = json.loads((out / "manifest.json").read_text())
+        assert manifest_doc["schema_version"] == 2 and "schema" not in manifest_doc
+        for entry in manifest_doc["artifacts"]:
+            path = out / entry["path"]
+            if path.suffix != ".csv":
+                assert "columns" not in entry, entry["path"]
+                continue
             header = path.read_text().split("\n", 1)[0].split(",")
-            assert header in columns.values(), f"{doc['command']} {path.name}: {header}"
+            assert entry["columns"] == header, f"{doc['command']} {path.name}"
             headers.add(tuple(header))
-    assert len(headers) == len(columns)  # the tiny runs write every kind
+    assert len(headers) == 8
+    from lpplab.classify import TAGS
+    assert ("geometric\\gap", *TAGS) in headers
 
 
 def test_parse_rejects_bool_for_numbers():

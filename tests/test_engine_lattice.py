@@ -218,6 +218,25 @@ def test_on_optimal():
     assert on_optimal(STEP, (0, 0), (1, 1), (0, 0))
 
 
+def test_disconnected_endpoints_raise_one_domain_error():
+    """on_optimal, network and classify_geometric read one endpoint check:
+    an end off the grid is refused before any table is read there, and an
+    end not below-right of the start names both endpoints."""
+    from lpplab import classify
+    f = random_field(3, 4, 5)
+    entries = [lambda s, e: on_optimal(f, s, e, s), lambda s, e: network(f, s, e),
+               lambda s, e: classify.classify_geometric(f, s, e)]
+    for start, end in (((2, 2), (1, 3)), ((0, 3), (3, 2)), ((3, 4), (0, 0))):
+        for entry in entries:
+            with pytest.raises(DomainError, match=f"^endpoints {re.escape(str(start))}->"
+                                                  f"{re.escape(str(end))} not connected$"):
+                entry(start, end)
+    for end in ((4, 0), (0, 5), (-1, 2)):
+        for entry in entries:
+            with pytest.raises(DomainError, match=r"^end cell .* outside grid$"):
+                entry((0, 0), end)
+
+
 def test_network_unique_geodesic():
     f = make_lattice_field(8, 4, 4, "exponential")
     net = network(f, (0, 0), (3, 3))

@@ -85,6 +85,17 @@ def test_single_cell_sheet_reduces_to_gap_value():
     assert sheet.values[0, 0] == gaplab.gap_value(f, a, b)
 
 
+def test_lattice_sheet_rejects_non_integral_anchors():
+    # the row of x = 0.5 was once the row of x = 0, labelled 0.5
+    f = make_lattice_field(9, 20, 20, "geometric", 0.5)
+    for xs, ys in (([0.5], [0]), ([0], [2.5]), ([0, 1.5], [0, 2])):
+        with pytest.raises(DomainError, match="is not integral"):
+            gaplab.gap_sheet(f, xs, ys, ScalingFrame(8.0), (2, 10))
+    whole = gaplab.gap_sheet(f, [0.0, 2.0], [0.0], ScalingFrame(8.0), (2.0, 10.0))
+    assert whole.values.tobytes() == gaplab.gap_sheet(
+        f, [0, 2], [0], ScalingFrame(8.0), (2, 10)).values.tobytes()
+
+
 def test_slice_minima_examples():
     mins = gaplab.slice_minima([2, 1, 1, 2])
     assert len(mins) == 1 and (mins[0].start, mins[0].stop, mins[0].kind) == (1, 2, "strict")
@@ -254,6 +265,14 @@ def test_box_dimension_degenerate_warning():
     assert est.warning is not None
 
 
+@pytest.mark.parametrize("scales", [[1.0, 1.0], [0.5, 0.25, 0.5], [0.5]])
+def test_box_dimension_needs_two_distinct_scales(scales):
+    # [1.0, 1.0] once died in LAPACK ("SVD did not converge")
+    pts = np.random.default_rng(0).random((20, 2))
+    with pytest.raises(ParameterError, match="at least 2 distinct scales"):
+        gaplab.box_dimension(pts, scales)
+
+
 def test_box_counts_read_1d_input_as_1d_points():
     assert gaplab.box_counts(np.array([0.5, 3.5]), [1.0, 0.5]) == [2, 2]
 
@@ -326,6 +345,23 @@ def test_brownianity_on_simulated_brownian_increments():
     rep = gaplab.brownianity(walk, spacing=1.0, frame=frame)
     assert rep.r2 >= 0.99
     assert rep.slope == pytest.approx(1.0, rel=0.15)
+
+
+@pytest.mark.parametrize("lags", [[0], [-1, 1], [100, 1], [200, 1], [1, 2, 2], [1, 2.5], [True, 2]])
+def test_brownianity_rejects_lags_outside_the_slice(lags):
+    # [0] once raised numpy's broadcast error, [-1, 1] gave a negative lag
+    # and [200, 1] on 100 entries a NaN slope
+    with pytest.raises(ParameterError, match=r"lags must be distinct integers in \[1, 100\)"):
+        gaplab.brownianity(np.arange(100, dtype=float), 1.0, ScalingFrame(1.0), lags=lags)
+
+
+def test_brownianity_accepts_every_lag_below_the_usable_entries():
+    v = np.arange(100, dtype=float)
+    v[:5] = np.nan  # 95 usable entries
+    rep = gaplab.brownianity(v, 1.0, ScalingFrame(1.0), lags=[np.int64(94), 1])
+    assert rep.lags == [1.0, 94.0]
+    with pytest.raises(ParameterError):
+        gaplab.brownianity(v, 1.0, ScalingFrame(1.0), lags=[95, 1])
 
 
 def test_brownianity_constant_slice_degenerate():

@@ -273,3 +273,14 @@ def test_chart_mapping():
     assert f.chart_of((1, 2)) == (1, 3)
     with pytest.raises(DomainError):
         f.cell_at(1, 2)  # parity violation is x=1,t=2
+
+
+def test_cell_at_rejects_non_integral_anchors_and_returns_ints():
+    # (0.5, 3.5) once passed the parity test and mapped to the cell (1.0, 2.0)
+    f = make_lattice_field(0, 4, 4, "geometric", 0.5)
+    for x, t in ((0.5, 3.5), (0.5, 0), (1, 2.5), (float("nan"), 0), (0, float("inf"))):
+        with pytest.raises(DomainError, match="is not integral"):
+            f.cell_at(x, t)
+    for x, t in ((1, 3), (1.0, 3.0), (np.int64(1), np.float64(3.0))):
+        cell = f.cell_at(x, t)
+        assert cell == (1, 2) and all(type(k) is int for k in cell)

@@ -141,3 +141,27 @@ def test_include_directory_is_sysconfigs(monkeypatch, tmp_path):
     assert _native._include() == want
     monkeypatch.setattr(sys, "base_prefix", str(tmp_path))
     assert _native._include() == want
+
+
+def test_a_build_removes_the_builds_it_supersedes(monkeypatch, tmp_path):
+    """A build deletes the builds of its own environment and suffix made
+    from another source, and the single-hash and ``_patience-*`` names of
+    earlier cache layouts; builds for another environment or suffix stay."""
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(_native, "_CACHE", cache)
+    built = _native._build()
+    source, env = built.name[len("_kernels-"):-len(_native._SUFFIX)].split("-")
+    built.unlink()
+    stale = [f"_kernels-{'0' * 16}-{env}{_native._SUFFIX}",
+             f"_kernels-{'1' * 16}-{env}{_native._SUFFIX}", "_patience-695bcf4752b31dbc.so",
+             "_kernels-17b4411ec11d8506.so", f"_kernels-2c1f9634e010d140{_native._SUFFIX}"]
+    kept = [f"_kernels-{'0' * 16}-{'f' * 16}{_native._SUFFIX}",  # another include directory
+            f"_kernels-{source}-{'f' * 16}{_native._SUFFIX}",
+            f"_kernels-{'0' * 16}-{env}.cpython-399-x86_64-linux-gnu.so",  # another interpreter
+            f"_kernels-{'0' * 16}-{env}.so"]
+    for name in stale + kept:
+        (cache / name).write_bytes(b"")
+    assert _native._build() == built
+    assert sorted(p.name for p in cache.iterdir()) == sorted(kept + [built.name])
+    assert _native._build() == built  # a cached build prunes nothing
+    assert len(list(cache.iterdir())) == len(kept) + 1

@@ -11,9 +11,11 @@ compiled row against the Python
 row, the one merge read-out against the four loops it replaced, the one
 chain track and probe grid against the chain comparisons they replaced,
 the one optimal-step graph of the cloud against the level scan and
-successor loop it replaced, the one pass per sink of the agreement
-matrix and its sheet-wide window minima against the per-pair loop and
-per-point minima they replaced, and the heatmap and CSV writers against
+successor loop it replaced, the one network assembly against the
+lattice and cloud assemblies it replaced, the one pass per sink of the
+agreement matrix and its window minima (whole sheets, and one point's
+row and column in ``classify_gap``) against the per-pair loop and
+per-point minimum they replaced, and the heatmap and CSV writers against
 the per-cell loops they replaced.
 
 The reference kernels below are the earlier implementations, kept
@@ -1866,6 +1868,13 @@ def window_sheets():
     yield np.full((4, 3), np.nan)
 
 
+def ref_window_minimum(slice_values, j, window):
+    lo = max(0, j - window)
+    seg = slice_values[lo:j + window + 1]
+    seg = seg[np.isfinite(seg)]
+    return seg.size > 0 and slice_values[j] == seg.min()
+
+
 def test_window_minima_match_per_point_minimum():
     checked = 0
     for v in window_sheets():
@@ -1873,10 +1882,32 @@ def test_window_minima_match_per_point_minimum():
             rows, cols = classify._window_minima(v, window)
             assert rows.shape == cols.shape == v.shape and rows.dtype == cols.dtype == bool
             for i, j in zip(*np.nonzero(np.isfinite(v))):
-                assert rows[i, j] == classify._window_minimum(v[i], j, window)
-                assert cols[i, j] == classify._window_minimum(v[:, j], i, window)
+                assert rows[i, j] == ref_window_minimum(v[i], j, window)
+                assert cols[i, j] == ref_window_minimum(v[:, j], i, window)
                 checked += 1
     assert checked > 0
+
+
+def test_windowed_gap_verdicts_match_per_point_minimum():
+    """classify_gap(window=w) on a sheet's positive interior entries gives the
+    tag the per-point window minimum of its row and column gives."""
+    checked = 0
+    for v in window_sheets():
+        v = np.where(v < 0, np.nan, v)  # a negative gap is refused, not classified
+        sheet = gaplab.GapSheet(np.arange(v.shape[0]), np.arange(v.shape[1]), v,
+                                ScalingFrame(8.0), (0.0, 8.0), True)
+        for window in range(1, 7):
+            for i in range(1, v.shape[0] - 1):
+                for j in range(1, v.shape[1] - 1):
+                    if not 0 < v[i, j] < np.inf:
+                        continue
+                    got = classify.classify_gap(sheet, i, j, window=window)
+                    row_min = ref_window_minimum(v[i], j, window)
+                    col_min = ref_window_minimum(v[:, j], i, window)
+                    assert (got.row_min, got.col_min) == (row_min, col_min)
+                    assert got.tag == classify.SHAPES[bool(row_min) + 2 * bool(col_min)]
+                    checked += 1
+    assert checked > 100
 
 
 # --------------------------------------------- optimal-step graph references
@@ -1921,6 +1952,63 @@ def ref_extremal_chain(cloud, start, end, side):
     return [int(idx[m]) for m in chosen]
 
 
+def ref_compress(vertices: list, succ: dict) -> list:
+    """Edges (from index, to index, node segment) of the successor graph,
+    following each out-edge of a vertex through non-vertex nodes."""
+    vindex = {v: k for k, v in enumerate(vertices)}
+    edges = []
+    for v in vertices:
+        for s in succ[v]:
+            seg = [v, s]
+            while seg[-1] not in vindex:
+                seg.append(succ[seg[-1]][0])
+            edges.append((vindex[v], vindex[seg[-1]], seg))
+    return edges
+
+
+def ref_lattice_network(model, start, end):
+    F = lattice.forward_values(model, start)
+    B = lattice.backward_values(model, end)
+    total = F[end]
+    if not lattice.is_reachable(total):
+        raise DomainError(f"endpoints {start}->{end} not connected")
+    w = model.weights
+
+    def successors(c):
+        # both tables were computed as max(neighbors) + w, so the edge
+        # tests reproduce exactly the additions the sweeps performed
+        i, j = c
+        out = []
+        for cc in ((i + 1, j), (i, j + 1)):
+            if (model.in_grid(cc) and cc[0] <= end[0] and cc[1] <= end[1]
+                    and F[cc] == F[c] + w[cc] and B[c] == B[cc] + w[c]):
+                out.append(cc)
+        return out
+
+    succ = {}
+    stack = [start]
+    while stack:
+        c = stack.pop()
+        if c in succ:
+            continue
+        succ[c] = successors(c) if c != end else []
+        stack.extend(succ[c])
+    pred = {c: 0 for c in succ}
+    for c, outs in succ.items():
+        for cc in outs:
+            pred[cc] += 1
+    branch = {c for c in succ
+              if c not in (start, end) and (len(succ[c]) >= 2 or pred[c] >= 2)}
+    vertices = [start] + sorted(branch, key=lambda c: (c[0] + c[1], c[1])) + [end]
+    edges = ref_compress(vertices, succ)
+    left, right = (engine._lattice_chain(model, start, end,
+                                         lattice.geodesic_cells_from_B(model, B, start, end, side))
+                   for side in ("left", "right"))
+    # cell degree is structurally capped at 2 on the lattice
+    violations = sum(1 for c in succ if len(succ[c]) >= 3)
+    return engine.GeodesicNetwork(start, end, vertices, edges, left, right, violations)
+
+
 def ref_cloud_network(model, start, end):
     idx, F, B, total = cloud_mod.chain_tables(model, start, end)
     source = tuple(_xy(start))
@@ -1956,7 +2044,7 @@ def ref_cloud_network(model, start, end):
                     + ["snk"])
     vertices = [coord[node] for node in vertex_nodes]
     edges = [(a, b, [coord[q] for q in seg])
-             for a, b, seg in engine._compress(vertex_nodes, succ)]
+             for a, b, seg in ref_compress(vertex_nodes, succ)]
     violations = sum(1 for node in succ if len(succ[node]) >= 3)
     violations += sum(1 for node in pred if len(pred[node]) >= 3)
     return engine.GeodesicNetwork(source, sink, vertices, edges, left, right, violations)
@@ -2048,6 +2136,31 @@ def test_extremal_chain_slope_ties_go_to_the_earlier_point():
             assert cloud_mod.extremal_chain(cl, start, end, side) == [earlier]
             assert ref_extremal_chain(cl, start, end, side) == [earlier]
     assert firsts == {True, False}
+
+
+def _outcome(fn, *args):
+    """fn's result as JSON, or the message of the DomainError it raised."""
+    try:
+        return fn(*args).to_jsonable()
+    except DomainError as err:
+        return str(err)
+
+
+def test_lattice_networks_match_the_lattice_assembly():
+    connected = shapes = 0
+    seen = set()
+    for f in FIELDS:
+        for start in cells(f):
+            for end in cells(f):
+                got = _outcome(engine.network, f, start, end)
+                assert got == _outcome(ref_lattice_network, f, start, end), (f.law, start, end)
+                if isinstance(got, dict):
+                    connected += 1
+                    seen.add((min(len(got["vertices"]), 4), min(len(got["edges"]), 4)))
+                else:
+                    assert got == f"endpoints {start}->{end} not connected"
+    # single cells, single edges and branch vertices all occur
+    assert connected > 9000 and {(2, 0), (2, 1), (4, 4)} <= seen
 
 
 def test_lattice_network_chains_match_geodesics():
