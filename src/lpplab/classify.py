@@ -391,7 +391,7 @@ def right_min_identity(model: LatticeField, x: int, y: int, eps: int,
     if eps == 0:
         return RightMinIdentity(True, 0.0)
     # L and L2 run from y to y + eps; S2 holds the pair values at t1
-    _, _, L, L2, S2 = gaplab._lattice_min_formula(model, x, (int(y), int(y + eps)), times)
+    _, _, L, L2, S2 = gaplab._lattice_min_formula(model, x, (y, y + eps), times)
     pair_yz = _lattice.NEG if S2 is None else S2[by[1], bz[1]]
     if np.isnan(L2[0]) or not _lattice.is_reachable(pair_yz):
         raise DomainError("disjoint pair infeasible for the identity")

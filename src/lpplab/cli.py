@@ -24,17 +24,24 @@ runs ``classify``) or ``run_busemann`` (which runs both), so a ``gap``,
 rather than function-level imports because the benchmark's tracer looks
 them up in ``sys.modules`` right after importing this module and wraps
 their functions, which runs them; once the tracer imports them itself,
-they can become plain function-level imports.  ``concurrent.futures``
-is imported only when a run makes a pool of two or more workers.
+they can become plain function-level imports.  The pool is plain
+``threading`` threads, which numpy has already imported, so a fan-out
+imports no executor and no ``logging``.  The program entry
+(``python -m lpplab.cli``) calls ``gc.freeze()`` before ``main()``: the
+objects made at start-up live until exit, and frozen, neither the run's
+collections nor the one at interpreter shutdown walk them.  ``main()``
+called in-process does not freeze.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -74,13 +81,34 @@ cls = _lazy("classify")
 
 def _fanout(threads: int, n: int, fn):
     """Run fn(k) for k in range(n), returning results in index order, on
-    at most one worker per task and per CPU."""
+    at most one worker per task and per CPU.  Workers take indices from
+    one shared iterator and take none once a task has failed; after all
+    of them join, the exception of the lowest failing index is raised,
+    as a serial loop would raise it."""
     workers = min(threads, n, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(k) for k in range(n)]
-    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
+    results = [None] * n
+    errors = {}
+    tasks = iter(range(n))  # next() on it is atomic under the GIL
+
+    def work():
+        for k in tasks:
+            if errors:
+                return
+            try:
+                results[k] = fn(k)
+            except BaseException as err:  # re-raised on the calling thread
+                errors[k] = err
+
+    pool = [threading.Thread(target=work) for _ in range(workers)]
+    for worker in pool:
+        worker.start()
+    for worker in pool:
+        worker.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _poisson_env(seed: int, n: float, halfwidth: float, rate: float):
@@ -345,4 +373,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.freeze()  # the start-up heap lives to exit: no collection need walk it
     sys.exit(main())

@@ -335,7 +335,7 @@ def min_formula_residual(model: Model, x, y, z,
     if y > z:
         raise ParameterError("need y <= z")
     if isinstance(model, LatticeField):
-        grid, cells, L, L2, S2 = _lattice_min_formula(model, x, (int(y), int(z)), times)
+        grid, cells, L, L2, S2 = _lattice_min_formula(model, x, (y, z), times)
         if not np.all(np.isfinite(L2)) or (y != z and S2 is None):
             return None
         pair = L2[0] if y == z else S2[cells[0][1], cells[-1][1]]
@@ -364,11 +364,15 @@ def _lattice_min_formula(model: LatticeField, x, ys: Sequence[int],
     """(ws, cells, L, L2, S2) on the parity grid ws from ys[0] to ys[-1] at
     t1: the gap row from source x, and the pair states at t1 (None if no
     pair is feasible).  S2 comes from a second pair sweep from x, to t1;
-    the row's own sweep stops at t1 - 1, where the doubled ends are read."""
-    t0, t1 = int(times[0]), int(times[1])
-    ws = list(range(ys[0], ys[-1] + 1, 2))
+    the row's own sweep stops at t1 - 1, where the doubled ends are read.
+    x, every y and both times go to ``cell_at`` as given, so a
+    non-integral one is refused, not truncated."""
+    a = model.cell_at(x, times[0])
+    ends = [model.cell_at(y, times[1]) for y in ys]
+    (i0, j0), (i1, j1) = ends[0], ends[-1]
+    t1 = i0 + j0
+    ws = list(range(j0 - i0, j1 - i1 + 1, 2))
     cells = [model.cell_at(w, t1) for w in ws]
-    a = model.cell_at(int(x), t0)
     L, L2 = _lattice_row(model, a, cells)
     return ws, cells, L, L2, _lattice.pair_forward(model, (a, a), t1)
 
@@ -381,7 +385,7 @@ def min_formula_residuals_batch(model: LatticeField, x: int, ys: Sequence[int],
     the full parity grid between each pair.  Returns {(y, z): residual},
     empty for fewer than two ys (no pair).
     """
-    ys = sorted(int(y) for y in ys)
+    ys = sorted(ys)
     if len(ys) < 2:
         return {}
     full, cells, L, L2, S2 = _lattice_min_formula(model, x, ys, times)

@@ -265,6 +265,16 @@ class LatticeField:
         self.law = law
         self.seed = seed
         self.law_param = law_param
+        if self.integer_valued:
+            # a pair of paths sums at most 2 * (rows + cols - 1) weights, and
+            # float64 holds every integer only below 2^53
+            top = float(w.max())
+            worst = 2.0 * (self.rows + self.cols - 1) * top
+            if worst >= 2.0 ** 53:
+                raise ParameterError(
+                    f"integer weights up to {top:.17g} on a {self.rows}x{self.cols} "
+                    f"grid: a doubled path sum 2 x (rows + cols - 1) x max weight = {worst:.17g} "
+                    f"reaches 2^53, past which float64 integers are not exact")
 
     @property
     def rows(self) -> int:

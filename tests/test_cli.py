@@ -1,8 +1,10 @@
 import ast
+import gc
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from lpplab import _native, cli, manifest, svg
 from lpplab.config import ConfigError, ExperimentConfig, parse_config, round_trip
+from lpplab.errors import DomainError
 
 
 def test_parse_minimal_gap_config():
@@ -97,26 +100,92 @@ def test_manifest_records_the_patience_kernel(tmp_path, monkeypatch):
     (2, 5, 8, 2), (64, 3, 8, 3), (10**9, 5, 2, 2), (4, 9, 3, 3)])
 def test_fanout_pool_is_capped(threads, n, cpus, want, monkeypatch):
     """The pool has min(threads, tasks, CPUs) workers, and none below 2;
-    recorded by a stand-in executor that starts no thread."""
-    pools = []
+    recorded by a stand-in thread that runs its target on start()
+    without starting an OS thread."""
+    started = []
 
     class Recorder:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+        def __init__(self, target):
+            self.target = target
 
-        def __enter__(self):
-            return self
+        def start(self):
+            started.append(self)
+            self.target()
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(cli.threading, "Thread", Recorder)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert cli._fanout(threads, n, lambda k: k * k) == [k * k for k in range(n)]
-    assert pools == ([] if want is None else [want])
+    assert len(started) == (0 if want is None else want)
+
+
+def test_fanout_raises_the_error_of_the_lowest_failing_task(monkeypatch):
+    """Tasks 1 and 3 of 5 fail on two worker threads.  Task 3 fails
+    first, while task 1 still runs; the error of task 1 comes out, as a
+    serial loop would raise it."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    three_failed = threading.Event()
+
+    def task(k):
+        if k == 1:
+            assert three_failed.wait(timeout=60)
+            raise ValueError("task 1 failed")
+        if k == 3:
+            three_failed.set()
+            raise ValueError("task 3 failed")
+        return k
+
+    with pytest.raises(ValueError, match="task 1 failed"):
+        cli._fanout(2, 5, task)
+
+
+def test_fanout_runs_every_task_once_under_fast_switching(monkeypatch):
+    """Eight workers on fewer cores, switching every microsecond, share
+    one task iterator: each of 2,000 tasks runs exactly once and its
+    result lands at its own index."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    ran = []
+
+    def task(k):
+        ran.append(k)
+        return sum(range(k % 50)) + k
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = cli._fanout(8, 2000, task)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [sum(range(k % 50)) + k for k in range(2000)]
+    assert sorted(ran) == list(range(2000))
+
+
+def test_a_failing_replicate_on_a_worker_exits_2_with_one_line(tmp_path, capsys,
+                                                              monkeypatch):
+    """A DomainError that one replicate raises on a worker thread of a
+    2-thread gap run reaches main, which exits 2 with one line."""
+    sheet = cli._sheet
+    failed_on = []
+
+    def failing(cfg, seed):
+        if seed == cfg["seed"] + 1:
+            failed_on.append(threading.current_thread())
+            raise DomainError("replicate 1 has no sheet")
+        return sheet(cfg, seed)
+
+    monkeypatch.setattr(cli, "_sheet", failing)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cfg = tmp_path / "gap.json"
+    cfg.write_text(json.dumps({"command": "gap", "n": 12, "grid_points": 6,
+                               "replicates": 2, "threads": 2, "seed": 3}))
+    rc = cli.main(["gap", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "config error: replicate 1 has no sheet\n"
+    assert failed_on and failed_on[0] is not threading.main_thread()
+    assert not (tmp_path / "x").exists()
 
 
 def test_manifest_detects_tampering(tmp_path):
@@ -225,6 +294,7 @@ def test_cli_config_command_mismatch(tmp_path):
     ({"command": "gap", "halfwidth": float("inf")}, "halfwidth"),
     ({"command": "gap", "rate": float("inf")}, "rate"),
     ({"command": "gap", "rate": 10 ** 400}, "rate"),
+    ({"command": "gap", "model": "geometric", "law_param": 1e-15}, "2^53"),
     # raw documents, run as gap: bytes that are not UTF-8, and nesting too deep to parse
     pytest.param(bytes(range(128, 256)), "UTF-8", id="not-utf8"),
     pytest.param(b"[" * 100000, "JSON", id="nested-too-deep"),
@@ -365,14 +435,16 @@ def test_cli_import_leaves_the_oracle_out():
 
 
 LAZY = """
-import json, sys, types
+import json, os, sys, types
 from lpplab import cli
+
+os.cpu_count = lambda: 2  # a run of 2 threads makes a pool of 2 on any host
 
 def state():
     # the modules imported, and the lazy modules run: type() does not run
     # a lazy module, an attribute access does
     return [[m for m in ("numpy.random", "lpplab.engine", "lpplab.flow", "subprocess",
-                         "concurrent.futures") if m in sys.modules],
+                         "concurrent.futures", "logging") if m in sys.modules],
             [m for m in ("lpplab.busemann", "lpplab.classify")
              if type(sys.modules[m]) is types.ModuleType]]
 
@@ -420,6 +492,72 @@ def test_lattice_classify_run_imports_no_engine(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == [0, [[], ["lpplab.classify"]]]
     records = (tmp_path / "out" / "records_n12.csv").read_text().splitlines()[1:]
     assert {"IIa", "IIb"} <= {line.split(",")[3] for line in records}
+
+
+def test_poisson_gap_fan_out_loads_no_executor_and_no_logging(tmp_path):
+    """The replicates of a 2-thread Poisson gap run fan out on plain
+    threads: the run loads neither ``concurrent.futures`` nor the
+    ``logging`` module it pulls in."""
+    cfg = tmp_path / "gap.json"
+    cfg.write_text(json.dumps({"command": "gap", "n": 12, "grid_points": 6,
+                               "replicates": 2, "threads": 2, "seed": 2}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", LAZY, str(cfg), str(tmp_path / "out"), "gap"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rc, (loaded, _) = json.loads(done.stdout.splitlines()[-1])
+    assert rc == 0
+    assert not {"concurrent.futures", "logging"} & set(loaded)
+    assert len(manifest.read_manifest(tmp_path / "out")["summaries"]["zero_counts"]) == 2
+
+
+ENTRY_FREEZES = """
+import gc, runpy, sys
+sys.argv = ["lpplab", *sys.argv[1:]]
+try:
+    runpy.run_module("lpplab.cli", run_name="__main__")
+except SystemExit as done:
+    print(done.code, gc.get_freeze_count() > 0)
+"""
+
+
+def test_the_program_entry_writes_what_main_writes(tmp_path, capsys):
+    """``python -m lpplab.cli`` writes the artifact bytes of an in-process
+    ``main`` on the same config, and a bad config through it exits 2
+    with one line on stderr.  The entry freezes the start-up heap;
+    ``main`` called in-process does not."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    cfg = tmp_path / "gap.json"
+    cfg.write_text(json.dumps({"command": "gap", "n": 12, "grid_points": 6,
+                               "replicates": 2, "threads": 2, "seed": 5}))
+    done = subprocess.run([sys.executable, "-m", "lpplab.cli", "gap", "--config", str(cfg),
+                           "--out", str(tmp_path / "entry")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    frozen = gc.get_freeze_count()
+    assert cli.main(["gap", "--config", str(cfg), "--out", str(tmp_path / "main")]) == 0
+    assert gc.get_freeze_count() == frozen
+    names = sorted(p.name for p in (tmp_path / "main").iterdir() if p.name != "manifest.json")
+    assert len(names) == 12
+    assert names == sorted(p.name for p in (tmp_path / "entry").iterdir()
+                           if p.name != "manifest.json")
+    for name in names:
+        assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"command": "gap", "n": -4}))
+    done = subprocess.run([sys.executable, "-m", "lpplab.cli", "gap", "--config", str(bad),
+                           "--out", str(tmp_path / "x")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("config error:")
+    assert not (tmp_path / "x").exists()
+
+    done = subprocess.run([sys.executable, "-c", ENTRY_FREEZES, "gap", "--config", str(cfg),
+                           "--out", str(tmp_path / "frozen")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 True"
 
 
 LAYERS = """

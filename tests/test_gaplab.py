@@ -306,6 +306,31 @@ def test_min_formula_batch_without_a_pair_is_empty():
     assert gaplab.min_formula_residuals_batch(f, 0, [-2, 2], (10, 30))
 
 
+def test_min_formula_rejects_non_integral_anchors_and_times():
+    # (0.5, -2.5, 2.9, (4, 20.7)) was once the result for (0, -2, 2, (4, 20))
+    f = make_lattice_field(1, 30, 30, "geometric", 0.5)
+    for x, y, z, times in ((0.5, -2.5, 2.9, (4, 20.7)), (0.5, -2, 2, (4, 20)),
+                           (0, -2.5, 2, (4, 20)), (0, -2, 2.5, (4, 20)),
+                           (0, -2, 2, (4.5, 20)), (0, -2, 2, (4, 20.7))):
+        with pytest.raises(DomainError, match="is not integral"):
+            gaplab.min_formula_residual(f, x, y, z, times)
+    assert (gaplab.min_formula_residual(f, 0.0, -2.0, 2.0, (4.0, 20.0))
+            == gaplab.min_formula_residual(f, 0, -2, 2, (4, 20)))
+
+
+def test_min_formula_batch_rejects_non_integral_anchors_and_times():
+    f = make_lattice_field(1, 30, 30, "geometric", 0.5)
+    for x, ys, times in ((0.5, [-2, 2], (4, 20)), (0, [-2, 0.5, 2], (4, 20)),
+                         (0, [-2, 2.5], (4, 20)), (0, [-2, 2], (4.5, 20)),
+                         (0, [-2, 2], (4, 20.7))):
+        with pytest.raises(DomainError, match="is not integral"):
+            gaplab.min_formula_residuals_batch(f, x, ys, times)
+    with pytest.raises(DomainError, match="mismatched parity"):  # once a KeyError
+        gaplab.min_formula_residuals_batch(f, 0, [-2, 1, 2], (4, 20))
+    assert (gaplab.min_formula_residuals_batch(f, 0.0, [-2.0, 0.0, 2.0], (4.0, 20.0))
+            == gaplab.min_formula_residuals_batch(f, 0, [-2, 0, 2], (4, 20)))
+
+
 def test_min_formula_collapses_when_y_equals_z():
     f = make_lattice_field(4, 30, 30, "geometric", 0.5)
     res = gaplab.min_formula_residual(f, 0, 0, 0, times=(4, 20))

@@ -275,6 +275,22 @@ def test_chart_mapping():
         f.cell_at(1, 2)  # parity violation is x=1,t=2
 
 
+def test_integer_fields_refuse_sums_past_exact_float64_integers():
+    """2 x (rows + cols - 1) x max weight, the largest doubled path sum,
+    must stay below 2^53 on an integer-valued field."""
+    # weights up to 8.8e15: sums once went past 2^53 and lost exactness
+    with pytest.raises(ParameterError, match=r"2\^53"):
+        make_lattice_field(1, 64, 64, "geometric", 1e-15)
+    # a 1x2 field sums at most 2 x 2 weights
+    with pytest.raises(ParameterError, match=r"2\^53"):
+        make_lattice_field(0, 1, 2, "explicit", weights=[[1.0, 2.0 ** 51]])
+    assert make_lattice_field(0, 1, 2, "explicit",
+                              weights=[[1.0, 2.0 ** 51 - 1]]).integer_valued
+    # a field that is not integer-valued has no such bound
+    big = make_lattice_field(0, 1, 2, "explicit", weights=[[0.5, 2.0 ** 60]])
+    assert not big.integer_valued
+
+
 def test_cell_at_rejects_non_integral_anchors_and_returns_ints():
     # (0.5, 3.5) once passed the parity test and mapped to the cell (1.0, 2.0)
     f = make_lattice_field(0, 4, 4, "geometric", 0.5)
