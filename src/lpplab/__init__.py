@@ -9,8 +9,13 @@ re-exported here through a module ``__getattr__``, and ``gaplab``,
 ``classify`` and ``busemann`` import it inside the functions that call
 it, so a run that never asks for an engine geodesic or a disjoint pair,
 such as a gap sheet or a lattice classify run, does not import it.
-``cli`` binds ``classify`` and ``busemann`` here as lazy modules, run on
-first attribute access, so a gap run never runs them.
+``cli`` binds ``cloud``, ``lattice``, ``svg``, ``classify`` and
+``busemann`` here as lazy modules, run on first attribute access, so a
+run executes only the kernel module its model needs and never the
+modules of other commands; each run loads its modules on the main
+thread before any work, since a lazy load is not thread-safe.  Record
+types are ``model.record`` classes: no module imports ``dataclasses``,
+which execs generated source for every class it builds.
 """
 
 from .model import (DomainError, LatticeField, OrderedQuad, ParameterError,

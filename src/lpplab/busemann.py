@@ -24,7 +24,6 @@ column walk is ``walk[:, 1]`` of the kernel's (n, 2) cell array.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field as dataclass_field
 from functools import cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +34,7 @@ from . import gaplab
 from . import lattice as _lattice
 from .classify import check_resolution, crossing_tag
 from .errors import DomainError, ParameterError
-from .model import LatticeField, ScalingFrame, _runs, reflect
+from .model import Factory, LatticeField, ScalingFrame, _runs, record, reflect
 
 if TYPE_CHECKING:
     from .engine import Chain
@@ -58,7 +57,7 @@ def _grid_columns(model: LatticeField, t: int, lo: int, hi: int) -> Tuple[int, i
     return max(lo, -t, t - 2 * (model.rows - 1)), min(hi, t, 2 * (model.cols - 1) - t)
 
 
-@dataclass
+@record
 class DirectionTarget:
     theta: float
     horizon: int
@@ -111,7 +110,7 @@ def _join_time(model: LatticeField, B: np.ndarray, start, end, side: str,
     return start[0] + start[1] + _lattice._merge_index(cols, ref_cols)
 
 
-@dataclass
+@record
 class BusemannProfile:
     theta: float
     side: str
@@ -193,7 +192,7 @@ def cloud_busemann_values(cloud, theta: float, x_grid, horizon: float) -> np.nda
     return (L[:-1] - L[-1]).astype(np.float64)
 
 
-@dataclass
+@record
 class ExceptionalDirection:
     theta: float
     column_below: int
@@ -311,7 +310,7 @@ def exceptional_scan(model: LatticeField, theta_window: Tuple[float, float],
     return out
 
 
-@dataclass
+@record
 class BusemannGapProfile:
     theta: float
     horizons: Tuple[int, int]
@@ -320,7 +319,7 @@ class BusemannGapProfile:
     values: np.ndarray          # shape (2, m)
     certified: np.ndarray       # per x
     witness_columns: Dict[int, Tuple[int, int]]
-    frame: ScalingFrame = dataclass_field(default_factory=lambda: ScalingFrame(1.0))
+    frame: ScalingFrame = Factory(lambda: ScalingFrame(1.0))
 
     def certified_series(self) -> Tuple[np.ndarray, np.ndarray]:
         mask = self.certified & np.isfinite(self.values[0])
@@ -449,7 +448,7 @@ def busemann_gap(model: LatticeField, direction: ExceptionalDirection,
                               certified, witness_cols, frame)
 
 
-@dataclass
+@record
 class SemiInfiniteTags:
     gap_tag: str
     geo_tag: str

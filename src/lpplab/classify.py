@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field as dataclass_field
 from functools import cache, partial
 from typing import List, Optional, Sequence, Tuple
 
@@ -55,7 +54,7 @@ from . import cloud as _cloud
 from . import gaplab
 from . import lattice as _lattice
 from .errors import DomainError, ParameterError
-from .model import LatticeField, Model, ScalingFrame, _runs
+from .model import Factory, LatticeField, Model, ScalingFrame, _runs, record
 
 TAGS = ("I", "IIa", "IIb", "III", "IV", "Va", "Vb", "other")
 # the nonzero-gap types, indexed by row minimum + 2 * column minimum
@@ -85,7 +84,7 @@ def check_resolution(threshold=0.0, coarse=1, window=1) -> None:
             raise ParameterError(f"{name} must be an integer >= 1, got {k!r}")
 
 
-@dataclass
+@record
 class GeometricClassification:
     tag: str
     gap_is_zero: bool
@@ -167,7 +166,7 @@ def _shape_from_separation(sep, threshold, frame):
     return "other", merged
 
 
-@dataclass
+@record
 class GapClassification:
     tag: str
     gap: Optional[float]
@@ -237,15 +236,14 @@ def classify_gap(sheet: gaplab.GapSheet, i: int, j: int,
     return GapClassification(crossing_tag(iso_mp, iso_pm), 0.0, isolated=(iso_mp, iso_pm))
 
 
-@dataclass
+@record
 class AgreementMatrix:
-    counts: np.ndarray = dataclass_field(
-        default_factory=lambda: np.zeros((len(TAGS), len(TAGS)), dtype=np.int64))
+    counts: np.ndarray = Factory(lambda: np.zeros((len(TAGS), len(TAGS)), dtype=np.int64))
     samples: int = 0
     zero_split_disagreements: int = 0
     double_bridges: int = 0
-    meta: dict = dataclass_field(default_factory=dict)
-    records: List[Tuple] = dataclass_field(default_factory=list)
+    meta: dict = Factory(dict)
+    records: List[Tuple] = Factory(list)
 
     def merge(self, other: "AgreementMatrix") -> None:
         """Add another matrix's tallies and records; ``meta`` stays as it is."""
@@ -368,7 +366,7 @@ def _classify_lattice(model, a, b, B, forward, threshold, frame):
     return _classify_separation(sep, zero, cl, cr, bridge, threshold, frame)
 
 
-@dataclass
+@record
 class RightMinIdentity:
     holds: bool
     residual: float
@@ -399,7 +397,7 @@ def right_min_identity(model: LatticeField, x: int, y: int, eps: int,
     return RightMinIdentity(residual == 0.0, residual)
 
 
-@dataclass
+@record
 class OneSidedReport:
     coincides: bool
     from_time: Optional[int]

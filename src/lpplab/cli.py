@@ -16,21 +16,27 @@ ran, for the cloud's patience kernel and for the lattice sweeps
 
 Start-up runs only what the command needs.  ``engine`` (and ``flow``)
 and ``oracle`` are imported inside the functions that use them.
-``classify`` and ``busemann`` are lazy modules: importing this module
-puts them in ``sys.modules`` and binds them on the package, but their
-code runs only on first attribute access, in ``run_classify`` (which
-runs ``classify``) or ``run_busemann`` (which runs both), so a ``gap``,
-``sample`` or ``dim`` run never runs either.  They are lazy modules
-rather than function-level imports because the benchmark's tracer looks
-them up in ``sys.modules`` right after importing this module and wraps
-their functions, which runs them; once the tracer imports them itself,
-they can become plain function-level imports.  The pool is plain
-``threading`` threads, which numpy has already imported, so a fan-out
-imports no executor and no ``logging``.  The program entry
-(``python -m lpplab.cli``) calls ``gc.freeze()`` before ``main()``: the
-objects made at start-up live until exit, and frozen, neither the run's
-collections nor the one at interpreter shutdown walk them.  ``main()``
-called in-process does not freeze.
+``cloud``, ``lattice``, ``svg``, ``classify`` and ``busemann`` are lazy
+modules: importing this module puts them in ``sys.modules`` and binds
+them on the package, before ``gaplab`` imports the kernel modules, but
+the code of each runs only on its first attribute access.  A Poisson
+run never runs ``lattice``, a lattice run never runs ``cloud``, only
+``gap`` runs ``svg``, only ``classify`` and ``busemann`` run
+``classify``, and only ``busemann`` runs ``busemann``.  Each run executes the modules it needs with
+``_load_now`` on the main thread, before it builds an environment or
+starts a worker: a LazyLoader load is not thread-safe, and a load in
+the middle of a run would stack its compile memory on top of the run's
+arrays.  They are lazy modules rather than function-level imports
+because the benchmark's tracer looks them up in ``sys.modules`` right
+after importing this module and wraps their functions, which runs them;
+once the tracer imports them itself, they can become plain
+function-level imports.  The pool is plain ``threading`` threads, which
+numpy has already imported, so a fan-out imports no executor and no
+``logging``.  The program entry (``python -m lpplab.cli``) calls
+``gc.freeze()`` before ``main()``: the objects made at start-up live
+until exit, and frozen, neither the run's collections nor the one at
+interpreter shutdown walk them.  ``main()`` called in-process does not
+freeze.  The config is read as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -49,7 +55,6 @@ import numpy as np
 
 from . import _native
 from . import config as cfgmod
-from . import gaplab, manifest, svg
 from .errors import DomainError, ParameterError
 from .model import (Region, ScalingFrame, anchor_layout, environment_for,
                     make_poisson_cloud)
@@ -73,10 +78,24 @@ def _lazy(name: str):
     return module
 
 
-# first touched on the main thread, in run_classify and run_busemann: a
-# LazyLoader load is not thread-safe
+def _load_now(*modules) -> None:
+    """Execute lazy modules on the calling thread.  Each run calls it on
+    the main thread before it builds an environment or starts a worker:
+    a LazyLoader load is not thread-safe, and a load in the middle of a
+    run would stack its compile memory on top of the run's arrays."""
+    for module in modules:
+        getattr(module, "__name__")  # any attribute access executes a lazy module
+
+
+# registered before gaplab imports the kernel modules, so that its
+# imports (and those of classify and busemann) bind these lazy modules
+cloud = _lazy("cloud")
+lattice = _lazy("lattice")
+svg = _lazy("svg")
 bz = _lazy("busemann")
 cls = _lazy("classify")
+
+from . import gaplab, manifest  # noqa: E402
 
 
 def _fanout(threads: int, n: int, fn):
@@ -132,6 +151,11 @@ def _lattice_grids(n: int, halfwidth: float, points: int, t0: int):
     return xs[::stride], ys[::stride]
 
 
+def _kernel_module(cfg):
+    """The kernel module that the configured model's sheets run on."""
+    return cloud if cfg["model"] == "poisson" else lattice
+
+
 def _sheet(cfg, seed: int):
     """The configured environment for one seed and its gap sheet."""
     n, halfwidth, points = cfg["n"], cfg["halfwidth"], cfg["grid_points"]
@@ -179,6 +203,7 @@ def run_sample(cfg, out: Path):
 
 
 def run_gap(cfg, out: Path):
+    _load_now(_kernel_module(cfg), svg)
     envs = []
     zero_counts = []
 
@@ -208,6 +233,7 @@ def run_gap(cfg, out: Path):
 
 
 def run_classify(cfg, out: Path):
+    _load_now(lattice, cls)
     envs = []
     rates = {}
     for n in cfg["n_list"]:
@@ -233,6 +259,7 @@ def run_classify(cfg, out: Path):
 
 
 def run_busemann(cfg, out: Path):
+    _load_now(lattice, bz)
     n = cfg["n"]
     window = bz.check_window((cfg["theta_lo"], cfg["theta_hi"]))  # before any field
     a, t0 = anchor_layout(n, 2.0)
@@ -259,6 +286,7 @@ def run_busemann(cfg, out: Path):
 
 
 def run_dim(cfg, out: Path):
+    _load_now(_kernel_module(cfg))
     rows = ["replicate,zeros,estimate,r2"]
     estimates = []
 
@@ -287,6 +315,7 @@ def run_dim(cfg, out: Path):
 
 
 def run_verify(cfg, out: Path):
+    _load_now(cloud, lattice)
     from . import oracle  # only verify needs it: other runs skip its import
     batch = oracle.tiny_batch(cfg["seed"], cfg["lattice_instances"], cfg["cloud_instances"])
     try:
@@ -309,8 +338,14 @@ _RUNNERS = {
 }
 
 def _check_out(out: Path) -> None:
-    """Refuse, before any work, an output path that an existing file
-    blocks: the path itself or its nearest existing ancestor."""
+    """Refuse, before any work, an output path that the file system
+    encoding cannot spell (an "é" where it is ASCII), or that an existing
+    file blocks: the path itself or its nearest existing ancestor."""
+    try:
+        os.fsencode(out)
+    except UnicodeEncodeError:
+        raise ParameterError(f"key out: {out} cannot be spelt in the file system encoding "
+                             f"{sys.getfilesystemencoding()}") from None
     for path in (out, *out.parents):
         if path.exists():
             if not path.is_dir():
@@ -344,7 +379,7 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        text = (args.config.read_text() if args.config is not None
+        text = (args.config.read_text(encoding="utf-8") if args.config is not None
                 else json.dumps({"command": args.command}))
     except OSError as err:
         print(f"config error: cannot read {args.config}: {err.strerror}", file=sys.stderr)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Any, Dict, NamedTuple, Optional
 
 from .errors import ParameterError
-from .model import _LAWS
+from .model import _LAWS, Factory, record
 
 
 class ConfigError(ParameterError):
@@ -88,10 +87,10 @@ _SCHEMAS: Dict[str, Dict[str, Key]] = {
 COMMANDS = tuple(_SCHEMAS)
 
 
-@dataclass
+@record
 class ExperimentConfig:
     command: str
-    values: Dict[str, Any] = field(default_factory=dict)
+    values: Dict[str, Any] = Factory(dict)
 
     def __getitem__(self, key: str):
         return self.values[key]

@@ -32,7 +32,6 @@ lattice cell never is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from typing import List, Tuple
 
 import numpy as np
@@ -40,11 +39,11 @@ import numpy as np
 from . import cloud as _cloud
 from . import flow as _flow
 from . import lattice as _lattice
-from .model import (DomainError, LatticeField, Model, PoissonCloud,
-                    causal_leq, check_side, _runs, _xy)
+from .model import (DomainError, Factory, LatticeField, Model, PoissonCloud,
+                    causal_leq, check_side, _runs, _xy, record)
 
 
-@dataclass
+@record
 class Chain:
     """A geodesic: endpoints, traversed nodes, and its value.
 
@@ -93,14 +92,14 @@ class Chain:
         }
 
 
-@dataclass
+@record
 class DisjointPair:
     left: Chain
     right: Chain
     value: float
 
 
-@dataclass
+@record
 class GeodesicNetwork:
     """The union of all geodesics between a point pair, as a graph.
 
@@ -128,9 +127,9 @@ class GeodesicNetwork:
         }
 
 
-@dataclass
+@record
 class OverlapInterval:
-    intervals: List[Tuple[float, float]] = dataclass_field(default_factory=list)
+    intervals: List[Tuple[float, float]] = Factory(list)
 
 
 def passage_value(model: Model, start, end) -> float:

@@ -13,7 +13,6 @@ sweep (cloud) per source anchor yields the whole row.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field as dataclass_field
 from math import isnan
 from typing import List, Optional, Sequence, Tuple
 
@@ -22,7 +21,7 @@ import numpy as np
 from . import lattice as _lattice
 from . import cloud as _cloud
 from .errors import DomainError, ParameterError
-from .model import LatticeField, Model, PoissonCloud, ScalingFrame
+from .model import Factory, LatticeField, Model, PoissonCloud, ScalingFrame, record
 
 
 def gap_value(model: Model, start, end):
@@ -46,7 +45,7 @@ def _lattice_row(model: LatticeField, a, cells):
     return np.array([F[c] for c in cells]), _lattice.doubled_values(model, S, t, cells)
 
 
-@dataclass
+@record
 class GapSheet:
     x_grid: np.ndarray        # source anchor positions (chart x / real x)
     y_grid: np.ndarray        # sink anchor positions
@@ -54,7 +53,7 @@ class GapSheet:
     frame: ScalingFrame
     times: Tuple[float, float]
     integer_valued: bool
-    model_descriptor: dict = dataclass_field(default_factory=dict)
+    model_descriptor: dict = Factory(dict)
 
     def row(self, i: int) -> np.ndarray:
         return self.values[i]
@@ -116,7 +115,7 @@ def gap_sheet(model: Model, x_grid: Sequence, y_grid: Sequence,
                     model.descriptor())
 
 
-@dataclass
+@record
 class PlateauMinimum:
     """A maximal constant run recorded as a minimum of a slice.
 
@@ -193,7 +192,7 @@ def minimum_at(minima: List[PlateauMinimum], index: int) -> bool:
     return any(m.contains(index) and m.kind == "strict" for m in minima)
 
 
-@dataclass
+@record
 class ZeroSet:
     indices: List[Tuple[int, int]]
     xs: np.ndarray
@@ -267,7 +266,7 @@ def _positive(name: str, values):
     return values
 
 
-@dataclass
+@record
 class BoxDimension:
     estimate: float
     r2: float
@@ -312,7 +311,7 @@ def box_dimension(points, scales: Sequence[float]) -> BoxDimension:
     return BoxDimension(slope, r2, list(scales), counts)
 
 
-@dataclass
+@record
 class MinFormulaResult:
     residual: float
     pair_value: float
@@ -405,7 +404,7 @@ def min_formula_residuals_batch(model: LatticeField, x: int, ys: Sequence[int],
     return out
 
 
-@dataclass
+@record
 class RegressionReport:
     slope: float
     intercept: float

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -28,7 +28,115 @@ from . import rng
 from .errors import DomainError, ParameterError
 
 
-@dataclass(frozen=True)
+class Factory:
+    """A record field's default, made fresh for each instance by ``make()``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+def record(cls=None, *, frozen: bool = False):
+    """Class decorator adding what ``dataclasses.dataclass`` adds, built as
+    closures over the field names instead of exec'd source, so defining a
+    record compiles nothing.
+
+    The fields are the class's annotations, in order; a class attribute
+    is a field's default, and a ``Factory`` default is made fresh for
+    each instance.  ``__init__`` takes the fields positionally or by
+    keyword and then calls ``__post_init__`` when the class has one.
+    ``__repr__`` is ``Name(field=value, ...)``; ``__eq__`` compares the
+    field tuples of two instances of the same class.  A plain record is
+    unhashable; a frozen one hashes its field tuple and refuses
+    assignment and deletion with AttributeError.  A method the class
+    defines itself is kept.
+    """
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {}
+    for name in names:
+        if name in cls.__dict__:
+            defaults[name] = cls.__dict__[name]
+            if isinstance(defaults[name], Factory):
+                delattr(cls, name)
+        elif defaults:
+            raise TypeError(f"non-default argument {name!r} follows default argument")
+    count = len(names)
+    indexed = tuple(enumerate(names))
+    post_init = hasattr(cls, "__post_init__")
+    if count == 1:
+        one = attrgetter(names[0])
+        fields = lambda obj: (one(obj),)
+    else:
+        fields = attrgetter(*names) if names else lambda obj: ()
+
+    def bind(args, kwargs):
+        """The field values in order, bound from a call's arguments as a
+        function with the fields as parameters would bind them."""
+        if len(args) > count:
+            raise TypeError(f"{cls.__qualname__}() takes {count} positional arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        missing = []
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in defaults:
+                default = defaults[name]
+                values.append(default.make() if isinstance(default, Factory) else default)
+            else:
+                missing.append(name)
+        for name in kwargs:
+            how = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls.__qualname__}() got {how} argument {name!r}")
+        if missing:
+            raise TypeError(f"{cls.__qualname__}() missing required arguments: "
+                            + ", ".join(map(repr, missing)))
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = bind(args, kwargs)
+        attrs = self.__dict__  # a frozen record's __setattr__ refuses
+        for k, name in indexed:  # faster than attrs.update(zip(names, args))
+            attrs[name] = args[k]
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}("
+                + ", ".join(f"{name}={value!r}" for name, value in zip(names, fields(self)))
+                + ")")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__,
+               "__hash__": __hash__ if frozen else None}
+    if frozen:
+        methods.update(__setattr__=__setattr__, __delattr__=__delattr__)
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            if method is not None:
+                method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+    return cls
+
+
+@record(frozen=True)
 class SpaceTimePoint:
     x: float
     t: float
@@ -38,7 +146,7 @@ class SpaceTimePoint:
             raise ParameterError(f"coordinates must be finite, got ({self.x}, {self.t})")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OrderedQuad:
     """A start/end pair with start strictly earlier in time."""
 
@@ -52,7 +160,7 @@ class OrderedQuad:
             )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Region:
     """Axis-aligned space-time rectangle [x_lo, x_hi] x [t_lo, t_hi]."""
 
@@ -70,7 +178,7 @@ class Region:
         return (self.x_hi - self.x_lo) * (self.t_hi - self.t_lo)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScalingFrame:
     """KPZ 1:2:3 scaling frame with parameter n > 0.
 

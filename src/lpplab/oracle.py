@@ -9,15 +9,14 @@ large-scale run.  Size caps keep enumeration in the millisecond range.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
 from . import engine
 from .errors import serialize_instance
-from .model import (LatticeField, PoissonCloud, _xy, cloud_from_points,
-                    make_lattice_field)
+from .model import (Factory, LatticeField, PoissonCloud, _xy, cloud_from_points,
+                    make_lattice_field, record)
 
 MAX_LATTICE = 5
 MAX_CLOUD = 12
@@ -27,15 +26,15 @@ class InstanceTooLarge(ValueError):
     pass
 
 
-@dataclass
+@record
 class EnumerationResult:
-    paths: List = field(default_factory=list)          # node lists
-    values: List = field(default_factory=list)
+    paths: List = Factory(list)          # node lists
+    values: List = Factory(list)
     optimum: float = 0.0
-    optimal_paths: List = field(default_factory=list)
-    disjoint_pairs: List = field(default_factory=list)  # (nodes1, nodes2, value)
+    optimal_paths: List = Factory(list)
+    disjoint_pairs: List = Factory(list)  # (nodes1, nodes2, value)
     pair_optimum: Optional[float] = None
-    optimal_pairs: List = field(default_factory=list)
+    optimal_pairs: List = Factory(list)
     weak_pair_value: Optional[float] = None
 
 

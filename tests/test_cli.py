@@ -435,7 +435,7 @@ def test_cli_import_leaves_the_oracle_out():
 
 
 LAZY = """
-import json, os, sys, types
+import json, os, sys, threading, types
 from lpplab import cli
 
 os.cpu_count = lambda: 2  # a run of 2 threads makes a pool of 2 on any host
@@ -444,23 +444,33 @@ def state():
     # the modules imported, and the lazy modules run: type() does not run
     # a lazy module, an attribute access does
     return [[m for m in ("numpy.random", "lpplab.engine", "lpplab.flow", "subprocess",
-                         "concurrent.futures", "logging") if m in sys.modules],
-            [m for m in ("lpplab.busemann", "lpplab.classify")
+                         "concurrent.futures", "logging", "dataclasses") if m in sys.modules],
+            [m for m in ("lpplab.busemann", "lpplab.classify", "lpplab.cloud",
+                         "lpplab.lattice", "lpplab.svg")
              if type(sys.modules[m]) is types.ModuleType]]
 
+at_start = []  # the state at each thread start
+start = threading.Thread.start
+
+def recording_start(thread):
+    at_start.append(state())
+    start(thread)
+
+threading.Thread.start = recording_start
 print(json.dumps(state()))
 rc = cli.main([sys.argv[3], "--config", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps([rc, state()]))
+print(json.dumps([rc, state(), at_start]))
 """
 
 
 def test_lattice_gap_run_imports_no_numpy_random_and_no_engine(tmp_path):
-    """Importing the CLI loads neither numpy.random, the engine nor the
-    thread pool, and runs neither classify nor busemann; a lattice gap
-    run samples its field with the compiled Philox stream, never asks
-    for a geodesic and makes no pool, so it loads and runs none of them
-    either, and it loads the cached library without importing
-    subprocess."""
+    """Importing the CLI loads neither numpy.random, the engine, the
+    thread pool nor dataclasses, and runs none of its lazy modules; a
+    lattice gap run samples its field with the compiled Philox stream,
+    never asks for a geodesic and makes no pool, so it loads none of
+    them either, runs ``lattice`` and ``svg`` but not ``cloud``,
+    ``classify`` or ``busemann``, and loads the cached library without
+    importing subprocess."""
     assert _native.library() is not None  # the library is built and cached
     cfg = tmp_path / "gap.json"
     cfg.write_text(json.dumps({"command": "gap", "model": "geometric", "n": 12,
@@ -471,16 +481,17 @@ def test_lattice_gap_run_imports_no_numpy_random_and_no_engine(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert json.loads(lines[0]) == [[], []]
-    assert json.loads(lines[-1]) == [0, [[], []]]
+    assert json.loads(lines[-1]) == [0, [[], ["lpplab.lattice", "lpplab.svg"]], []]
     assert manifest.read_manifest(tmp_path / "out")["kernels"]["lattice"] == "compiled"
 
 
 def test_lattice_classify_run_imports_no_engine(tmp_path):
     """A lattice classify run walks its geodesics in ``lattice`` and finds
     the separated stretches with ``model._runs``, so it loads neither the
-    engine nor the flow, makes no pool, and runs classify but not
-    busemann.  At threshold 0 some pairs have separated stretches, so
-    the run finder is reached."""
+    engine nor the flow, makes no pool, and runs ``classify`` and
+    ``lattice`` but not ``busemann``, ``cloud`` or ``svg``.  At threshold
+    0 some pairs have separated stretches, so the run finder is
+    reached."""
     assert _native.library() is not None
     cfg = tmp_path / "classify.json"
     cfg.write_text(json.dumps({"command": "classify", "n_list": [12], "threshold": 0.0,
@@ -489,7 +500,8 @@ def test_lattice_classify_run_imports_no_engine(tmp_path):
     done = subprocess.run([sys.executable, "-c", LAZY, str(cfg), str(tmp_path / "out"),
                            "classify"], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [0, [[], ["lpplab.classify"]]]
+    assert json.loads(done.stdout.splitlines()[-1]) == [
+        0, [[], ["lpplab.classify", "lpplab.lattice"]], []]
     records = (tmp_path / "out" / "records_n12.csv").read_text().splitlines()[1:]
     assert {"IIa", "IIb"} <= {line.split(",")[3] for line in records}
 
@@ -497,7 +509,9 @@ def test_lattice_classify_run_imports_no_engine(tmp_path):
 def test_poisson_gap_fan_out_loads_no_executor_and_no_logging(tmp_path):
     """The replicates of a 2-thread Poisson gap run fan out on plain
     threads: the run loads neither ``concurrent.futures`` nor the
-    ``logging`` module it pulls in."""
+    ``logging`` module it pulls in.  It runs ``cloud`` on the main
+    thread before it starts the first worker, since a LazyLoader load
+    is not thread-safe, and it never runs ``lattice``."""
     cfg = tmp_path / "gap.json"
     cfg.write_text(json.dumps({"command": "gap", "n": 12, "grid_points": 6,
                                "replicates": 2, "threads": 2, "seed": 2}))
@@ -505,9 +519,11 @@ def test_poisson_gap_fan_out_loads_no_executor_and_no_logging(tmp_path):
     done = subprocess.run([sys.executable, "-c", LAZY, str(cfg), str(tmp_path / "out"), "gap"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    rc, (loaded, _) = json.loads(done.stdout.splitlines()[-1])
+    rc, (loaded, ran), at_start = json.loads(done.stdout.splitlines()[-1])
     assert rc == 0
     assert not {"concurrent.futures", "logging"} & set(loaded)
+    assert ran == ["lpplab.cloud", "lpplab.svg"]
+    assert len(at_start) == 2 and "lpplab.cloud" in at_start[0][1]
     assert len(manifest.read_manifest(tmp_path / "out")["summaries"]["zero_counts"]) == 2
 
 
@@ -623,18 +639,26 @@ def test_only_native_owns_the_library():
 
 
 REUSE = """
-import sys, types
+import importlib, sys, types
 if sys.argv[1] == "early":
     import lpplab.classify
     early = sys.modules["lpplab.classify"]
 import lpplab
-from lpplab import cli
+from lpplab import cli, gaplab
+KERNELS = {"cloud": "row_pass", "lattice": "forward_values", "svg": "heatmap"}
 if sys.argv[1] == "early":  # imported before the CLI: reused, not replaced
     assert sys.modules["lpplab.classify"] is early is lpplab.classify is cli.cls
     assert type(early) is types.ModuleType
+    # classify imported the two kernel modules; nothing imported svg
+    assert type(sys.modules["lpplab.cloud"]) is types.ModuleType
+    assert type(sys.modules["lpplab.lattice"]) is types.ModuleType
+    assert type(sys.modules["lpplab.svg"]) is not types.ModuleType
 else:
     assert type(sys.modules["lpplab.classify"]) is not types.ModuleType
+    for name in KERNELS:
+        assert type(sys.modules[f"lpplab.{name}"]) is not types.ModuleType
 assert type(sys.modules["lpplab.busemann"]) is not types.ModuleType
+assert gaplab._cloud is cli.cloud and gaplab._lattice is cli.lattice  # gaplab bound them
 assert lpplab.classify is sys.modules["lpplab.classify"] is cli.cls
 assert lpplab.classify.crossing_tag(True, False) == "Va"
 assert type(lpplab.classify) is types.ModuleType
@@ -646,16 +670,26 @@ assert busemann.crossing_tag is lpplab.classify.crossing_tag
 assert callable(busemann.busemann_profile) and type(busemann) is types.ModuleType
 from lpplab.classify import agreement_matrix
 assert agreement_matrix is cli.cls.agreement_matrix
+for name, function in KERNELS.items():
+    module = sys.modules[f"lpplab.{name}"]
+    assert getattr(lpplab, name) is getattr(cli, name) is module
+    assert importlib.import_module(f"lpplab.{name}") is module
+    assert callable(getattr(module, function)) and type(module) is types.ModuleType
+from lpplab.cloud import row_pass
+from lpplab.svg import heatmap
+assert row_pass is gaplab._cloud.row_pass and heatmap is cli.svg.heatmap
+assert "<svg" in heatmap([[0.0, 1.0]])
 print("ok")
 """
 
 
 @pytest.mark.parametrize("order", ["early", "late"])
 def test_lazy_modules_work_and_reuse_an_earlier_import(order):
-    """After importing the CLI, lpplab.classify and lpplab.busemann, by
-    attribute, by ``from lpplab import`` and by ``import``, are the one
-    module object each, and they work; a module imported before the CLI
-    is kept as it is."""
+    """After importing the CLI, each of its lazy modules (classify,
+    busemann, cloud, lattice, svg), by attribute, by ``from lpplab
+    import``, by ``import`` and as ``gaplab`` bound it, is one module
+    object, and it works; a module imported before the CLI is kept as
+    it is."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", REUSE, order], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -671,6 +705,32 @@ def test_engine_names_resolve_from_the_package():
                                                 engine.passage_value)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         lpplab.no_such_name
+
+
+def test_a_utf8_config_is_read_under_an_ascii_locale(tmp_path):
+    """The config is read as UTF-8 whatever the locale.  Under LC_ALL=C
+    without UTF-8 mode, a config whose ``out`` holds an "é" runs when
+    ``--out`` overrides it; without the override, its ``out`` cannot be
+    spelt in the ASCII file system encoding, and the run exits 2 with
+    one line before any work."""
+    cfg = tmp_path / "gap.json"
+    doc = {"command": "gap", "n": 12, "grid_points": 6, "out": str(tmp_path / "caf\u00e9")}
+    cfg.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), LC_ALL="C",
+               PYTHONUTF8="0")
+
+    def run(*flags):
+        return subprocess.run([sys.executable, "-m", "lpplab.cli", "gap", "--config", str(cfg),
+                               *flags], env=env, capture_output=True, text=True, timeout=120)
+
+    done = run("--out", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    assert manifest.read_manifest(tmp_path / "out")["config"]["n"] == 12
+    done = run()
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("config error: key out:") and "encoding ascii" in done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gap.json", "out"]
 
 
 def test_cli_missing_config_file_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from lpplab import (DomainError, ParameterError, Region, ScalingFrame,
                     model_from_descriptor, passage_value, reflect, rescale,
                     rotate45)
 from lpplab import _native, cloud, rng
-from lpplab.model import OrderedQuad, reflect_cell
+from lpplab.model import Factory, OrderedQuad, record, reflect_cell
 
 UNIT = Region(0.0, 1.0, 0.0, 1.0)
 
@@ -300,3 +301,132 @@ def test_cell_at_rejects_non_integral_anchors_and_returns_ints():
     for x, t in ((1, 3), (1.0, 3.0), (np.int64(1), np.float64(3.0))):
         cell = f.cell_at(x, t)
         assert cell == (1, 2) and all(type(k) is int for k in cell)
+
+
+# ``record`` against ``dataclasses.dataclass``: each twin is one class body
+# decorated once by each; a factory default is a ``field`` for the
+# dataclass and a ``Factory`` for the record
+
+def _dataclass_factory(make):
+    return dataclasses.field(default_factory=make)
+
+
+def _plain(decorate, factory):
+    @decorate
+    class Plain:
+        a: int
+        b: str = "b"
+        items: list = factory(list)
+
+        def __post_init__(self):
+            if self.a < 0:
+                raise ValueError(f"a is negative in {self}")
+    return Plain
+
+
+def _frozen(decorate):
+    @decorate(frozen=True)
+    class Point:
+        x: float
+        y: float = 0.0
+
+        def __post_init__(self):
+            if self.x != self.x:
+                raise ValueError(f"x is NaN in {self}")
+    return Point
+
+
+PLAIN = {"dataclass": _plain(dataclasses.dataclass, _dataclass_factory),
+         "record": _plain(record, Factory)}
+FROZEN = {"dataclass": _frozen(dataclasses.dataclass), "record": _frozen(record)}
+CALLS = [((1,), {}), ((1, "c"), {}), ((), {"a": 2}), ((3,), {"items": [4]}),
+         ((), {"items": [1], "b": "x", "a": 5}), ((1, "b", [2]), {})]
+
+
+def _both(kinds, f):
+    """f applied to the dataclass twin and to the record twin."""
+    return [f(kinds[name]) for name in ("dataclass", "record")]
+
+
+def _outcome(f):
+    try:
+        return "ok", f()
+    except Exception as err:  # the type and message must match too
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("args, kwargs", CALLS)
+def test_record_init_and_repr_match_dataclass(args, kwargs):
+    made = _both(PLAIN, lambda c: c(*args, **kwargs))
+    assert repr(made[0]) == repr(made[1])
+    assert vars(made[0]) == vars(made[1])
+    assert list(vars(made[1])) == ["a", "b", "items"]
+
+
+def test_record_factory_default_is_fresh_per_instance():
+    for make in PLAIN.values():
+        first, second = make(1), make(2)
+        first.items.append(9)
+        assert second.items == [] and first.items is not second.items
+
+
+def test_record_post_init_raises_as_dataclass_does():
+    for kinds, bad in ((PLAIN, -1), (FROZEN, float("nan"))):
+        got = _both(kinds, lambda c: _outcome(lambda: c(bad)))
+        assert got[0] == got[1] and got[0][0] == "ValueError"
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}), ((1, "b", [], 4), {}), ((1,), {"a": 2}), ((1,), {"c": 3})])
+def test_record_refuses_the_calls_dataclass_refuses(args, kwargs):
+    for outcome in _both(PLAIN, lambda c: _outcome(lambda: c(*args, **kwargs))):
+        assert outcome[0] == "TypeError"
+
+
+def test_record_eq_and_ne_match_dataclass():
+    for left_args, right_args in ((((1,), (1,))), ((1,), (2,)), ((1, "x"), (1, "y")),
+                                  ((1, "b", [2]), (1, "b", [2]))):
+        got = _both(PLAIN, lambda c: (c(*left_args) == c(*right_args),
+                                      c(*left_args) != c(*right_args)))
+        assert got[0] == got[1]
+    # an instance of another class, and a tuple of the same values
+    for kinds, other in ((PLAIN, FROZEN["record"](1)), (FROZEN, PLAIN["record"](1))):
+        got = _both(kinds, lambda c: (c(1) == other, c(1) != other,
+                                      c(1) == (1, "b", []), c(1) != (1, 0.0)))
+        assert got[0] == got[1] == (False, True, False, True)
+
+
+def test_record_hash_matches_dataclass():
+    assert _both(PLAIN, lambda c: c.__hash__) == [None, None]
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(PLAIN["record"](1))
+    for x, y in ((1.0, 2.0), (0.0, -0.0), (3.5, 0.0)):
+        hashes = _both(FROZEN, lambda c: hash(c(x, y)))
+        assert hashes[0] == hashes[1] == hash((x, y))
+    assert len({FROZEN["record"](1.0), FROZEN["record"](1.0, 0.0)}) == 1
+
+
+def test_frozen_record_refuses_assignment_and_deletion():
+    point = FROZEN["record"](1.0, 2.0)
+    for change in (lambda: setattr(point, "x", 5.0), lambda: setattr(point, "z", 5.0),
+                   lambda: delattr(point, "y")):
+        with pytest.raises(AttributeError):
+            change()
+    assert (point.x, point.y) == (1.0, 2.0) and not hasattr(point, "z")
+    twin = FROZEN["dataclass"](1.0, 2.0)
+    with pytest.raises(AttributeError):
+        twin.x = 5.0
+
+
+def test_record_keeps_methods_the_class_defines_and_orders_defaults():
+    @record
+    class Named:
+        a: int
+
+        def __repr__(self):
+            return "named"
+
+    assert repr(Named(1)) == "named" and Named(1) == Named(1)
+    for decorate in (dataclasses.dataclass, record):
+        with pytest.raises(TypeError, match="non-default argument 'b' follows default"):
+            decorate(type("Late", (), {"__annotations__": {"a": int, "b": int}, "a": 0}))

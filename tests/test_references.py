@@ -40,3 +40,20 @@ def test_every_function_is_referenced():
     unread = sorted(f"{where} {name}" for name, where in defined.items()
                     if name not in referenced)
     assert not unread, "defined but never referenced:\n" + "\n".join(unread)
+
+
+def test_no_module_imports_dataclasses():
+    """Records are ``model.record`` classes: a dataclass execs generated
+    source for each class it builds, at import."""
+    importers = []
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                importers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not importers, "dataclasses imported at " + ", ".join(importers)
