@@ -22,8 +22,9 @@ them on the package, before ``gaplab`` imports the kernel modules, but
 the code of each runs only on its first attribute access.  A Poisson
 run never runs ``lattice``, a lattice run never runs ``cloud``, only
 ``gap`` runs ``svg``, only ``classify`` and ``busemann`` run
-``classify``, and only ``busemann`` runs ``busemann``.  Each run executes the modules it needs with
-``_load_now`` on the main thread, before it builds an environment or
+``classify``, and only ``busemann`` runs ``busemann``.
+``run_experiment`` executes the modules a run needs on the main thread
+(``_load_lazy_modules``), before the run builds an environment or
 starts a worker: a LazyLoader load is not thread-safe, and a load in
 the middle of a run would stack its compile memory on top of the run's
 arrays.  They are lazy modules rather than function-level imports
@@ -78,13 +79,6 @@ def _lazy(name: str):
     return module
 
 
-def _load_now(*modules) -> None:
-    """Execute lazy modules on the calling thread.  Each run calls it on
-    the main thread before it builds an environment or starts a worker:
-    a LazyLoader load is not thread-safe, and a load in the middle of a
-    run would stack its compile memory on top of the run's arrays."""
-    for module in modules:
-        getattr(module, "__name__")  # any attribute access executes a lazy module
 
 
 # registered before gaplab imports the kernel modules, so that its
@@ -151,11 +145,6 @@ def _lattice_grids(n: int, halfwidth: float, points: int, t0: int):
     return xs[::stride], ys[::stride]
 
 
-def _kernel_module(cfg):
-    """The kernel module that the configured model's sheets run on."""
-    return cloud if cfg["model"] == "poisson" else lattice
-
-
 def _sheet(cfg, seed: int):
     """The configured environment for one seed and its gap sheet."""
     n, halfwidth, points = cfg["n"], cfg["halfwidth"], cfg["grid_points"]
@@ -203,7 +192,6 @@ def run_sample(cfg, out: Path):
 
 
 def run_gap(cfg, out: Path):
-    _load_now(_kernel_module(cfg), svg)
     envs = []
     zero_counts = []
 
@@ -233,7 +221,6 @@ def run_gap(cfg, out: Path):
 
 
 def run_classify(cfg, out: Path):
-    _load_now(lattice, cls)
     envs = []
     rates = {}
     for n in cfg["n_list"]:
@@ -259,7 +246,6 @@ def run_classify(cfg, out: Path):
 
 
 def run_busemann(cfg, out: Path):
-    _load_now(lattice, bz)
     n = cfg["n"]
     window = bz.check_window((cfg["theta_lo"], cfg["theta_hi"]))  # before any field
     a, t0 = anchor_layout(n, 2.0)
@@ -286,7 +272,6 @@ def run_busemann(cfg, out: Path):
 
 
 def run_dim(cfg, out: Path):
-    _load_now(_kernel_module(cfg))
     rows = ["replicate,zeros,estimate,r2"]
     estimates = []
 
@@ -315,7 +300,6 @@ def run_dim(cfg, out: Path):
 
 
 def run_verify(cfg, out: Path):
-    _load_now(cloud, lattice)
     from . import oracle  # only verify needs it: other runs skip its import
     batch = oracle.tiny_batch(cfg["seed"], cfg["lattice_instances"], cfg["cloud_instances"])
     try:
@@ -326,6 +310,20 @@ def run_verify(cfg, out: Path):
         ok = False
     _write(out / "verify.json", json.dumps(report, indent=1, sort_keys=True))
     return report, [], ok
+
+
+def _load_lazy_modules(cfg) -> None:
+    """Execute, on the calling thread, the lazy modules that a run of cfg
+    uses: the kernel module of its model, and the modules of its
+    command.  run_experiment calls it on the main thread before the run
+    builds an environment or starts a worker: a LazyLoader load is not
+    thread-safe, and a load in the middle of a run would stack its
+    compile memory on top of the run's arrays."""
+    kernel = cloud if cfg.values.get("model") == "poisson" else lattice
+    needs = {"sample": (), "gap": (kernel, svg), "dim": (kernel,), "classify": (lattice, cls),
+             "busemann": (lattice, bz), "verify": (cloud, lattice)}
+    for module in needs[cfg.command]:
+        getattr(module, "__name__")  # any attribute access executes a lazy module
 
 
 _RUNNERS = {
@@ -357,6 +355,7 @@ def run_experiment(cfg: cfgmod.ExperimentConfig, out_dir=None) -> tuple:
     """Dispatch a validated config; returns (out_path, ok)."""
     out = Path(out_dir if out_dir is not None else cfg["out"])
     _check_out(out)
+    _load_lazy_modules(cfg)
     started = time.time()
     _native.kernel_ran.update(patience=None, lattice=None)
     summaries, envs, ok = _RUNNERS[cfg.command](cfg, out)
