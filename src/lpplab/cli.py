@@ -79,8 +79,6 @@ def _lazy(name: str):
     return module
 
 
-
-
 # registered before gaplab imports the kernel modules, so that its
 # imports (and those of classify and busemann) bind these lazy modules
 cloud = _lazy("cloud")
