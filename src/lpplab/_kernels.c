@@ -1,27 +1,30 @@
-/* The compiled kernels of lpplab: one CPython extension module, _kernels.
+/* The compiled kernels of lpplab: one CPython extension module, _kernels,
+   the only implementation of each kernel in the package.  Their numpy
+   twins, named below, live in the tests (tests/twins.py) as references.
 
-   Cloud (lpplab.cloud): the same k-row insertion as cloud._pile_counts_py,
-   and the whole row pass of cloud._sorted_cone, cloud._before and that
-   insertion, comparing doubles exactly as Python does.  Every pile
-   search is branch-free (see upper): its index is bisect_right's.
+   Cloud (lpplab.cloud): the same k-row insertion as the twin
+   _pile_counts_py, and the whole row pass of cloud._sorted_cone,
+   cloud._before and that insertion, comparing doubles exactly as Python
+   does.  Every pile search is branch-free (see upper): its index is
+   bisect_right's.
 
-   Lattice (lpplab.lattice): the single-path table of lattice._path_table_py
-   and the pair sweep of lattice._pair_sweep_py, in numpy's operand order:
-   the max of the predecessors, in the order _relax takes them, then the
-   weights path by path.  MAX returns its second operand unless the first
-   is larger, as np.maximum does on non-NaN doubles, signed zeros
-   included; fields are finite, so every reachable state is bit-identical
-   to numpy's.  Weights are read through element strides (rs, cs), so a
-   reflected view needs no copy; the pair sweep copies each step's
-   antidiagonal weights into a contiguous scratch row first, so its
-   inner loop vectorises.  The extremal walk of
+   Lattice (lpplab.lattice): the single-path table of the twin
+   _path_table_py and the pair sweep of the twin _pair_sweep_py, in
+   numpy's operand order: the max of the predecessors, in the order the
+   twin _relax takes them, then the weights path by path.  MAX returns
+   its second operand unless the first is larger, as np.maximum does on
+   non-NaN doubles, signed zeros included; fields are finite, so every
+   reachable state is bit-identical to numpy's.  Weights are read through
+   element strides (rs, cs), so a reflected view needs no copy; the pair
+   sweep copies each step's antidiagonal weights into a contiguous
+   scratch row first, so its inner loop vectorises.  The extremal walk of
    lattice.geodesic_cells_from_B tests each visited cell's two moves in
-   B's own operand order, as lattice._walk_py does over the whole
+   B's own operand order, as the twin _walk_py does over the whole
    rectangle, reading B and the weights through their strides.
 
    Random numbers (lpplab.rng): the Philox4x64-10 stream of numpy's
-   Philox bit generator, word for word, turned into doubles in [0, 1) as
-   numpy's Generator.random does.
+   Philox bit generator (the twin generator), word for word, turned into
+   doubles in [0, 1) as numpy's Generator.random does.
 
    Python entry points (at the end): one METH_FASTCALL wrapper per
    kernel, taking numpy arrays through the buffer protocol (PEP 3118).

@@ -1,7 +1,7 @@
 """The package's compiled kernels, ``_kernels.c`` (the kernels of ``cloud``,
-``lattice`` and ``rng``), as one CPython extension module: its build, its
-load and the record of which kernel ran.  The first ``library()`` call
-builds it with the local gcc and the interpreter's headers into
+``lattice`` and ``rng``), as one CPython extension module: its build and
+its load.  The first ``library()`` call builds it with the local gcc and
+the interpreter's headers into
 ``__pycache__/_kernels-<source>-<env><suffix>`` next to this module:
 <source> hashes the source, <env> the build command and the include
 directory, and <suffix> is the interpreter's extension suffix, so two
@@ -18,11 +18,13 @@ GIL while the kernel runs, so threads run their row passes and sweeps in
 parallel.  The flags are ``-O3 -ffp-contract=off``: ``-O3`` vectorises
 the pair sweep's inner loop, and no multiply-add may be contracted into
 an FMA, so every sum is rounded as numpy rounds it.  Nothing is built or
-loaded at import.  When the module cannot be built or loaded (no gcc, no
-Python headers), ``library()`` returns None, silently, and the callers
-run their Python twins, which are the reference.  ``kernel_ran`` names
-the kernel of the last patience read-out and of the last lattice sweep
-or walk; the Philox stream records nothing.
+loaded at import.
+
+The module is the only implementation of its kernels, so gcc and the
+Python headers are required.  When the module cannot be built or loaded,
+``library()`` raises ``BuildError``: one line naming the build command
+and the include directory.  The error is kept, so later calls raise it
+again without running gcc.
 """
 
 from __future__ import annotations
@@ -37,9 +39,12 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = _SOURCE.parent / "__pycache__"
 _BUILD = ("gcc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _SUFFIX = EXTENSION_SUFFIXES[0]  # this interpreter's ABI, e.g. ".cpython-311-x86_64-linux-gnu.so"
-_loaded = None  # the compiled module; False once it failed to build or load
+_loaded = None  # the compiled module, or the BuildError its build or load raised
 _load_lock = threading.Lock()
-kernel_ran = {"patience": None, "lattice": None}
+
+
+class BuildError(RuntimeError):
+    """The compiled module could not be built or loaded."""
 
 
 def _include() -> str:
@@ -89,18 +94,34 @@ def _load(path: Path):
     return module
 
 
-def library(family=None):
-    """The compiled module, built and loaded on first use; None when that
-    failed.  With a family ("patience" or "lattice"), records in
-    ``kernel_ran`` which kernel that family's call runs."""
+def _failure(err: Exception) -> BuildError:
+    """The one-line BuildError for a failed build or load: its cause, the
+    build command and the include directory."""
+    include = _include()
+    if isinstance(err, OSError) and err.filename is not None:
+        reason = f"{err.strerror}: {err.filename}"
+    else:
+        lines = (getattr(err, "stderr", None) or b"").decode(errors="replace").splitlines()
+        reason = next((line.strip() for line in lines if "error" in line), None) or str(err)
+    command = " ".join([*_BUILD, f"-I{include}", str(_SOURCE)])
+    error = BuildError(f"lpplab cannot build its compiled kernels: {' '.join(reason.split())}; "
+                       f"the build runs `{command}` into {_CACHE} and needs gcc and Python.h "
+                       f"in {include}")
+    error.__cause__ = err
+    return error
+
+
+def library():
+    """The compiled module, built and loaded on first use.  Raises
+    BuildError when that failed, on this call or an earlier one."""
     global _loaded
     if _loaded is None:
         with _load_lock:
             if _loaded is None:
                 try:
                     _loaded = _load(_build())
-                except Exception:  # any failure: the Python routines serve
-                    _loaded = False
-    if family is not None:
-        kernel_ran[family] = "compiled" if _loaded else "python"
-    return _loaded or None
+                except Exception as err:  # no gcc, no headers, a compile error, no cache
+                    _loaded = _failure(err)
+    if isinstance(_loaded, BuildError):
+        raise _loaded.with_traceback(None)
+    return _loaded

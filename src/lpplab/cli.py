@@ -10,9 +10,8 @@ CPU.  The compiled kernels release the GIL, so the Poisson row passes
 and the lattice sweeps of different replicates run in parallel.  The
 other commands run one experiment and reject both keys.  A config
 error, or a parameter or domain error raised by the run, exits with
-status 2 and one line on stderr.  The manifest records which kernel
-ran, for the cloud's patience kernel and for the lattice sweeps
-(``kernels``), as ``_native.kernel_ran`` holds it after the run.
+status 2 and one line on stderr, and so does a run on a machine where
+the compiled kernels cannot be built (``_native.BuildError``).
 
 Start-up runs only what the command needs.  ``engine`` (and ``flow``)
 and ``oracle`` are imported inside the functions that use them.
@@ -355,12 +354,10 @@ def run_experiment(cfg: cfgmod.ExperimentConfig, out_dir=None) -> tuple:
     _check_out(out)
     _load_lazy_modules(cfg)
     started = time.time()
-    _native.kernel_ran.update(patience=None, lattice=None)
     summaries, envs, ok = _RUNNERS[cfg.command](cfg, out)
     out.mkdir(parents=True, exist_ok=True)  # a run may write no artifact
     manifest.write_manifest(out, json.loads(cfg.to_json()), summaries, envs,
-                            wall_clock_s=time.time() - started,
-                            kernels=dict(_native.kernel_ran))
+                            wall_clock_s=time.time() - started)
     return out, ok
 
 
@@ -399,6 +396,9 @@ def main(argv=None) -> int:
         out, ok = run_experiment(cfg)
     except (ParameterError, DomainError) as err:  # ConfigError is a ParameterError
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except _native.BuildError as err:
+        print(err, file=sys.stderr)
         return 2
     print(f"artifacts written to {out}")
     return 0 if ok else 1

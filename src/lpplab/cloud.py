@@ -30,20 +30,19 @@ per-source keys differently, so an O(n) check confirms that the kept
 points are in (u, v) order, equal (u, v) in index order; where it
 fails, the kept points are sorted.
 
-The kernel is compiled: ``_kernels.c`` holds the same insertion in C,
-comparing doubles as Python compares floats, so both give identical
-counts, and a whole row pass (keys, mask and order check on the slab,
+The kernel is compiled, and required (see ``_native``): ``_kernels.c``
+holds the insertion in C, comparing doubles as Python compares floats,
+so it gives the counts of its Python reference, which lives with the
+tests, and a whole row pass (keys, mask and order check on the slab,
 stops, two-row insertion) in one call.  Its pile search is branch-free:
 it halves the range with a conditional select on the same predicate
 x < row[i], so it returns ``bisect_right``'s index and leaves the CPU no
 comparison outcome to mispredict.  Each call passes the numpy arrays
 themselves to the extension module, which checks their types and sizes
 and releases the GIL, so a ``_pile_counts`` call costs a few
-microseconds, no more than the Python kernel on empty input.  When the
-compiled row finds the slab out of order, the Python parts
-(``_sorted_cone``, ``_before``, ``_pile_counts``) serve that row.
-Without the module (see ``_native``) the Python routines run;
-``_pile_counts_py`` is the reference.
+microseconds.  When the compiled row finds the slab out of order, the
+Python parts (``_sorted_cone``, ``_before``, ``_pile_counts``) serve
+that row.
 
 Optimal steps.  ``OptimalSteps`` builds one graph from one
 ``chain_tables`` call: its nodes are the points with F + B - 1 equal to
@@ -59,7 +58,6 @@ dropped from the chain problem.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import accumulate
 from math import inf
 
@@ -132,26 +130,6 @@ def _before(pu, pv, U, V):
     return np.searchsorted(pu + 1j * pv, U + 1j * V)
 
 
-def _pile_counts_py(vs, k: int, stops, bounds) -> np.ndarray:
-    """The patience kernel in Python, the reference of the compiled one."""
-    vs = np.asarray(vs, dtype=np.float64).tolist()
-    rows = [[] for _ in range(k)]
-    out = []
-    pos = 0
-    for stop, bound in zip(np.asarray(stops, dtype=np.int64).tolist(),
-                           np.asarray(bounds, dtype=np.float64).tolist()):
-        for item in vs[pos:stop]:
-            for row in rows:
-                spot = bisect_right(row, item)
-                if spot == len(row):
-                    row.append(item)
-                    break
-                item, row[spot] = row[spot], item
-        pos = stop
-        out.append([bisect_right(row, bound) for row in rows])
-    return np.array(out, dtype=np.int64).reshape(len(out), k)
-
-
 def _pile_counts(vs, k: int, stops, bounds) -> np.ndarray:
     """The patience kernel: one k-row insertion over the floats ``vs``.
 
@@ -162,15 +140,12 @@ def _pile_counts(vs, k: int, stops, bounds) -> np.ndarray:
     many of its tops are <= bounds[m] once the first stops[m] values are
     inserted.  A value bumped out of row k is dropped.
     """
-    lib = _native.library("patience")
-    if lib is None:
-        return _pile_counts_py(vs, k, stops, bounds)
     vs = np.ascontiguousarray(vs, dtype=np.float64)
     stops = np.ascontiguousarray(stops, dtype=np.int64)
     bounds = np.ascontiguousarray(bounds, dtype=np.float64)
     out = np.empty((stops.size, k), dtype=np.int64)
     rows, lens = np.empty(k * vs.size), np.empty(k, dtype=np.int64)  # scratch
-    lib.pile_counts(vs, k, stops, bounds, rows, lens, out)
+    _native.library().pile_counts(vs, k, stops, bounds, rows, lens, out)
     return out
 
 
@@ -240,14 +215,12 @@ def row_pass(cloud: PoissonCloud, start, target_xs, target_t: float):
 def _row_counts(cloud: PoissonCloud, sx, st, U, V, tu, tv) -> np.ndarray:
     """Two pile rows' counts at the targets (tu, tv), sorted by (u, v),
     from the source (sx, st): the compiled row in one call, or its
-    Python parts when it is missing or finds the slab out of order."""
-    lib = _native.library("patience")
-    if lib is not None:
-        slab = _slab(cloud, sx, st, U)
-        out = np.empty((tu.size, 2), dtype=np.int64)
-        if not lib.row_pass(cloud.xs, cloud.ts, slab, sx, st, U, V, tu, tv,
-                            np.empty(2 * slab.size), out):
-            return out
+    Python parts when it finds the slab out of order."""
+    slab = _slab(cloud, sx, st, U)
+    out = np.empty((tu.size, 2), dtype=np.int64)
+    if not _native.library().row_pass(cloud.xs, cloud.ts, slab, sx, st, U, V, tu, tv,
+                                      np.empty(2 * slab.size), out):
+        return out
     idx, pu, pv = _sorted_cone(cloud, (sx, st), U, V)
     return _pile_counts(pv, 2, _before(pu, pv, tu, tv), tv)
 

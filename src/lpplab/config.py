@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, NamedTuple, Optional
+from typing import Any, Dict, Optional
 
 from .errors import ParameterError
 from .model import _LAWS, Factory, record
@@ -25,7 +25,8 @@ class ConfigError(ParameterError):
 MODELS = ("poisson",) + tuple(law for law in _LAWS if law != "explicit")
 
 
-class Key(NamedTuple):
+@record(frozen=True)
+class Key:
     """One config key: its type, default (None means required), allowed
     values, smallest allowed number (for a list, its fewest entries), the
     number it must exceed, and the Key of each list entry."""

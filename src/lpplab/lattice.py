@@ -16,11 +16,11 @@ counted once per path.
 
 The sweep
 ---------
-Every table comes from one antidiagonal step, ``_relax``: a state at
-chart time t is the best of its predecessors at t - 1 (each path stayed
-on its index or came from the one below) plus each path's cell weight,
-added path by path.  Single-path tables index antidiagonals by row i,
-pair states by columns (j1, j2).
+Every table comes from one antidiagonal step: a state at chart time t
+is the best of its predecessors at t - 1 (each path stayed on its index
+or came from the one below) plus each path's cell weight, added path by
+path.  Single-path tables index antidiagonals by row i, pair states by
+columns (j1, j2).
 
 Live window: a sweep from corner (i0, j0) reaches only cells with
 i >= i0 and j >= j0, so the live indices at time t form a window
@@ -36,21 +36,20 @@ written.  Rows left behind go stale and are cleared once, at the end.
 Compiled kernel: ``_path_table`` and ``_pair_sweep`` each run a whole
 sweep, and ``geodesic_cells_from_B`` a whole walk, as one call into the
 package's extension module (``_kernels.c``, built and loaded by
-``_native`` on first use, never at import).  A call passes the numpy
-arrays themselves; the module reads their strides, checks types, shapes
-and cells, and releases the GIL, so a walk's fixed cost is about 2 µs.
-The C sweeps take the operands in numpy's order, the max of the
-predecessors as ``_relax`` takes them, then the weights path by path, so
-every reachable state is bit-identical to numpy's for every law (weights
-are finite, see ``LatticeField``).  The pair sweep computes only the live
-upper triangle j1 < j2 and clears the diagonal; the lower triangle is
-never read, so it is never written and stays NEG.  Each step copies its
+``_native`` on first use, never at import), the only implementation of
+each.  A call passes the numpy arrays themselves; the module reads their
+strides, checks types, shapes and cells, and releases the GIL, so a
+walk's fixed cost is about 2 µs.  The C sweeps take the operands in
+numpy's order, the max of the predecessors as their numpy references
+take them, then the weights path by path, so every reachable state is
+bit-identical to numpy's for every law (weights are finite, see
+``LatticeField``).  The references live with the tests, which compare
+them with these kernels.  The pair sweep computes only the live upper
+triangle j1 < j2 and clears the diagonal; the lower triangle is never
+read, so it is never written and stays NEG.  Each step copies its
 weights at (t - j, j), read through the field's strides (a reflected
 view included), into one contiguous scratch row, so the inner loop
-vectorises; no table of antidiagonal rows is built.  When the module
-is missing, the numpy routines ``_path_table_py``, ``_pair_sweep_py``
-and ``_walk_py`` run instead; they are the reference.  ``_native``
-records the kernel of the last sweep or walk.
+vectorises; no table of antidiagonal rows is built.
 
 Mirrors come from reflection: backward tables and backward pair sweeps
 are forward sweeps of the field reflected by (i, j) -> (rows-1-i,
@@ -84,19 +83,17 @@ operand order, so the test is the recurrence that built B, bit for
 bit.  The walk stays in the rectangle from a to b: at each cell it
 tests only that cell's two moves, the right one while j < j(b), the
 down one while i < i(b), and takes the allowed move its side prefers,
-O(T) work for T cells.  The compiled walk reads B and the weights
-through their strides, so the reflected view ``backward_values``
-returns is walked without a copy; ``_walk_py`` builds both moves' masks
-over the rectangle in one numpy pass instead.  The rectangle suffices:
-every entry of B right of or below b is dead, so no move out of the
-rectangle is ever allowed, and the walk takes the moves a walk over the
-whole grid would take, failing (InvariantError) at the same cell when B
-is inconsistent inside it.  Before either kernel runs, start and end
-must be on the grid and B a float64 table of the grid's shape: the
-compiled walk reads B and w by index, with no bounds of its own.  A
-walk is an (n, 2) int64 array of (row, column), one cell per chart
-time: the transpose of the compiled walk's own (2, n) buffer, and
-``_walk_py``'s result.  Callers read it as it is; only
+O(T) work for T cells.  The walk reads B and the weights through their
+strides, so the reflected view ``backward_values`` returns is walked
+without a copy.  The rectangle suffices: every entry of B right of or
+below b is dead, so no move out of the rectangle is ever allowed, and
+the walk takes the moves a walk over the whole grid would take, failing
+(InvariantError) at the same cell when B is inconsistent inside it.
+Before the walk runs, start and end must be on the grid and B a float64
+table of the grid's shape: the compiled walk reads B and w by index,
+with no bounds of its own.  A walk is an (n, 2) int64 array of (row,
+column), one cell per chart time: the transpose of the compiled walk's
+own (2, n) buffer.  Callers read it as it is; only
 ``engine._lattice_chain`` turns a walk into (row, column) tuples.
 
 Only values above _VALID (see is_reachable) are meaningful.  Dead
@@ -108,8 +105,6 @@ integer-law values stay exact (they are far below 2^53).
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import _native
@@ -118,26 +113,10 @@ from .model import DomainError, LatticeField, check_side, reflect_cell
 
 NEG = -1.0e18
 _VALID = NEG / 2.0
-_SHIFTS = (slice(1, None), slice(None, -1))  # index stayed, index moved up
-_BORDER = ((1, 0), (1, 0))  # np.pad widths: one border row and column in front
 
 
 def is_reachable(value: float) -> bool:
     return value > _VALID
-
-
-def _relax(out: np.ndarray, prev: np.ndarray, weights) -> None:
-    """out = max(predecessors in prev) + weights: one step, one axis per path.
-
-    ``prev`` is out's window at t - 1 widened by one index at the low end
-    of every axis; ``weights`` lists (axis, w) in the order of addition.
-    """
-    views = [prev[s] for s in itertools.product(_SHIFTS, repeat=out.ndim)]
-    np.maximum(views[0], views[1], out=out)
-    for v in views[2:]:
-        np.maximum(out, v, out=out)
-    for axis, w in weights:
-        out += w.reshape((-1,) + (1,) * (out.ndim - 1 - axis))
 
 
 def _path_table(w: np.ndarray, corner, seeds=None) -> np.ndarray:
@@ -147,37 +126,11 @@ def _path_table(w: np.ndarray, corner, seeds=None) -> np.ndarray:
     (NEG where unseeded) every cell takes max(seed, swept value); the
     corner must then lie weakly above-left of every seeded cell.
     """
-    lib = _native.library("lattice")
-    if lib is None:
-        return _path_table_py(w, corner, seeds)
     rows, cols = w.shape
     table = np.full((rows + 1, cols + 1), NEG)
     if seeds is not None:
         seeds = np.ascontiguousarray(seeds, dtype=np.float64)
-    lib.path_table(w, corner[0], corner[1], seeds, table)
-    return table
-
-
-def _path_table_py(w: np.ndarray, corner, seeds=None) -> np.ndarray:
-    """_path_table in numpy, the reference of the compiled one."""
-    rows, cols = w.shape
-    table = np.full((rows + 1, cols + 1), NEG)
-    flat, wflat = table.reshape(-1), np.pad(w, _BORDER).reshape(-1)
-    i0, j0 = corner
-    if seeds is None:
-        table[i0 + 1, j0 + 1] = w[i0, j0]
-    else:
-        sflat = np.pad(seeds, _BORDER, constant_values=NEG).reshape(-1)
-    for t in range(i0 + j0 + (seeds is None), rows + cols - 1):
-        lo, hi = max(i0, t - cols + 1), min(rows - 1, t - j0)
-        # padded cell (i, t - i) sits at flat index base + i * cols
-        base = cols + t + 2
-        live = slice(base + lo * cols, base + hi * cols + 1, cols)
-        out = flat[live]
-        _relax(out, flat[base - 1 + (lo - 1) * cols:base + hi * cols:cols],
-               ((0, wflat[live]),))
-        if seeds is not None:
-            np.maximum(out, sflat[live], out=out)
+    _native.library().path_table(w, corner[0], corner[1], seeds, table)
     return table
 
 
@@ -246,15 +199,6 @@ def profile(field: LatticeField, start, chart_time: int) -> dict:
     return out
 
 
-def _antidiagonal(w: np.ndarray, t: int) -> np.ndarray:
-    """out[j + 1] = w[t - j, j]: antidiagonal t as a padded row, 0 off-grid."""
-    rows, cols = w.shape
-    j = np.arange(max(0, t - rows + 1), min(cols - 1, t) + 1)
-    out = np.zeros(cols + 1)
-    out[j + 1] = w[t - j, j]
-    return out
-
-
 def _pair_sweep(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
     """Two-path sweep on weights w from an ordered start pair to t_stop.
 
@@ -262,9 +206,6 @@ def _pair_sweep(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
     record and only the last one without; [] if no pair is feasible.
     ``order`` is the axis order in which the paths' weights are added.
     """
-    lib = _native.library("lattice")
-    if lib is None:
-        return _pair_sweep_py(w, start_pair, t_stop, record, order)
     cols = w.shape[1]
     (i1, j1), (i2, j2) = start_pair
     t = i1 + j1 + ((i1, j1) == (i2, j2))
@@ -273,48 +214,12 @@ def _pair_sweep(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
     steps = t_stop - t + 1
     states = np.full((steps if record else min(steps, 2), cols + 1, cols + 1), NEG)
     row = np.empty(cols + 1)
-    if not lib.pair_sweep(w, i1, j1, i2, j2, t_stop, order == (1, 0), states, row):
+    swap = order == (1, 0)
+    if not _native.library().pair_sweep(w, i1, j1, i2, j2, t_stop, swap, states, row):
         return []
     if record:
         return list(zip(range(t, t_stop + 1), states))
     return [(t_stop, states[(steps - 1) % 2])]
-
-
-def _pair_sweep_py(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
-    """_pair_sweep in numpy, the reference of the compiled one."""
-    rows, cols = w.shape
-    (i1, j1), (i2, j2) = start_pair
-    t = i1 + j1
-    cur = np.full((cols + 1, cols + 1), NEG)
-    if (i1, j1) == (i2, j2):
-        if i1 + 1 >= rows or j1 + 1 >= cols:
-            return []
-        t += 1
-        cur[j1 + 1, j1 + 2] = 2.0 * w[i1, j1] + w[i1 + 1, j1] + w[i1, j1 + 1]
-    else:
-        cur[j1 + 1, j2 + 1] = w[i1, j1] + w[i2, j2]
-    if t_stop < t:
-        return []
-    trail = [(t, cur)]
-    spare = np.full_like(cur, NEG)
-    lo = 0
-    for t in range(t + 1, t_stop + 1):
-        # live columns (padded): j >= j1 and inside the grid, i >= min(i1, i2)
-        lo, hi = max(j1, t - rows + 1) + 1, min(cols - 1, t - min(i1, i2)) + 1
-        if lo > hi:
-            return []
-        nxt = np.full_like(cur, NEG) if record else spare
-        out, w_t = nxt[lo:hi + 1, lo:hi + 1], _antidiagonal(w, t)[lo:hi + 1]
-        _relax(out, cur[lo - 1:hi + 1, lo - 1:hi + 1], [(axis, w_t) for axis in order])
-        np.fill_diagonal(out, NEG)
-        if not record:
-            trail.clear()
-        trail.append((t, nxt))
-        cur, spare = nxt, cur
-    cur[:lo] = NEG  # rows that left the window may hold stale states
-    if not is_reachable(float(cur.max())):
-        return []
-    return trail
 
 
 def _check_pair(field: LatticeField, pair, role: str) -> None:
@@ -438,43 +343,12 @@ def geodesic_cells_from_B(field: LatticeField, B: np.ndarray, start, end,
                           f"{rows}x{cols} float64 grid")
     if not is_reachable(B[start]) or i > i1 or j > j1:
         raise DomainError(f"end {end} not reachable from start {start}")
-    lib = _native.library("lattice")
-    if lib is None:
-        return _walk_py(field, B, start, end, side)
     out = np.empty((2, i1 - i + j1 - j + 1), dtype=np.int64)  # the rows, then the columns
-    at = lib.walk(B, w, i, j, i1, j1, side == "right", out)
+    at = _native.library().walk(B, w, i, j, i1, j1, side == "right", out)
     if at >= 0:
         raise InvariantError("geodesic walk lost the optimum", field, start=start,
                              end=end, side=side, at=(int(out[0, at]), int(out[1, at])))
     return out.T
-
-
-def _walk_py(field: LatticeField, B: np.ndarray, start, end, side: str) -> np.ndarray:
-    """The walk of geodesic_cells_from_B in numpy, the reference of the
-    compiled one; the caller has checked start, end and B."""
-    (i, j), (i1, j1) = start, end
-    Bs = B[i:i1 + 1, j:j1 + 1]
-    ws = field.weights[i:i1 + 1, j:j1 + 1]
-    # B was computed as max(children) + w, so test in the same order
-    right, down = np.zeros((2, *Bs.shape), dtype=bool)
-    right[:, :-1] = Bs[:, 1:] + ws[:, :-1] == Bs[:, :-1]
-    down[:-1] = Bs[1:] + ws[:-1] == Bs[:-1]
-    # flat index step of the preferred allowed move: 1 right, width down, 0 none
-    width = Bs.shape[1]
-    if side == "right":
-        step = np.where(right, 1, np.where(down, width, 0))
-    else:
-        step = np.where(down, width, np.where(right, 1, 0))
-    step = step.ravel().tolist()
-    ks = [0]  # flat indices of the cells walked, one per chart time
-    for _ in range(i1 - i + j1 - j):
-        if not step[ks[-1]]:
-            r, c = divmod(ks[-1], width)
-            raise InvariantError("geodesic walk lost the optimum", field,
-                                 start=start, end=end, side=side, at=(i + r, j + c))
-        ks.append(ks[-1] + step[ks[-1]])
-    k = np.array(ks, dtype=np.int64)
-    return np.column_stack((k // width + i, k % width + j))
 
 
 def _merge_index(a, b) -> int:

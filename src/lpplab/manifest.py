@@ -7,7 +7,7 @@ from pathlib import Path
 
 from . import __version__
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def sha256_file(path: Path) -> str:
@@ -18,14 +18,12 @@ def sha256_file(path: Path) -> str:
 
 
 def write_manifest(out_dir, config_json: dict, summaries: dict,
-                   environments: list, wall_clock_s: float,
-                   kernels: dict | None = None) -> Path:
+                   environments: list, wall_clock_s: float) -> Path:
     """Digest every artifact in out_dir and write manifest.json.
 
     The manifest itself is excluded from its own artifact list.  A
     ``.csv`` artifact's entry also lists its columns, read from the
-    file's header line.  The wall clock and ``kernels`` (which
-    implementation ran each kernel) are informational; determinism
+    file's header line.  The wall clock is informational; determinism
     claims cover artifacts, not the manifest.
     """
     out = Path(out_dir)
@@ -48,7 +46,6 @@ def write_manifest(out_dir, config_json: dict, summaries: dict,
         "environments": environments,
         "summaries": summaries,
         "wall_clock_s": wall_clock_s,
-        "kernels": kernels or {},
         "artifacts": artifacts,
     }
     path = out / "manifest.json"

@@ -14,10 +14,8 @@ The stream is compiled: ``uniforms`` fills its array in one call to
 ``philox_uniforms`` in the package's extension module (``_kernels.c``,
 loaded by ``_native``), which gives exactly the words of numpy's
 ``Philox(key=[seed, stream]).random(n)`` (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011).  ``generator`` is the reference
-and the fallback when the module is missing, so ``numpy.random`` is
-imported only on that path.  Both paths check the seed and the stream
-the same way.
+numbers: as easy as 1, 2, 3", SC 2011).  numpy's generator is the
+reference of the tests, and the stream imports no ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -56,24 +54,11 @@ def _word(name, value) -> int:
     return word
 
 
-def generator(seed: int, stream: int) -> np.random.Generator:
-    """Return the Philox generator for ``(seed, stream)``.
-
-    The key is the pair itself, so distinct (seed, stream) pairs index
-    provably disjoint Philox streams.
-    """
-    bitgen = np.random.Philox(key=np.array(_key(seed, stream), dtype=np.uint64))
-    return np.random.Generator(bitgen)
-
-
 def uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     """``n`` uniforms in [0, 1) from the (seed, stream) Philox stream."""
     seed, stream = _key(seed, stream)
-    lib = _native.library()
-    if lib is None:
-        return generator(seed, stream).random(int(n))
     out = np.empty(int(n))
-    lib.philox_uniforms(seed, stream, out)
+    _native.library().philox_uniforms(seed, stream, out)
     return out
 
 

@@ -14,6 +14,8 @@ from lpplab import _native, cli, manifest, svg
 from lpplab.config import ConfigError, ExperimentConfig, parse_config, round_trip
 from lpplab.errors import DomainError
 
+import twins
+
 
 def test_parse_minimal_gap_config():
     cfg = parse_config('{"command": "gap", "n": 16, "grid_points": 8}')
@@ -77,18 +79,21 @@ def test_manifest_references_every_artifact(tmp_path):
     assert all(manifest.verify_digests(out).values())
 
 
-def test_manifest_records_the_patience_kernel(tmp_path, monkeypatch):
+def test_gap_sheets_are_the_same_on_the_twin_kernels(tmp_path, monkeypatch):
+    """A Poisson and a lattice gap run write the same sheets on the
+    compiled kernels and on their numpy twins; the manifest names no
+    kernel."""
     poisson = {"command": "gap", "n": 12, "grid_points": 6, "seed": 1}
     lattice = {**poisson, "model": "geometric"}
-
-    def kernel(doc, name):
-        return manifest.read_manifest(run(tmp_path, doc, name)[0])["kernels"]
-
-    assert kernel(poisson, "compiled") == {"patience": "compiled", "lattice": None}
-    assert kernel(lattice, "lattice") == {"patience": None, "lattice": "compiled"}
-    monkeypatch.setattr(_native, "_loaded", False)
-    assert kernel(poisson, "python") == {"patience": "python", "lattice": None}
-    assert kernel(lattice, "lattice_python") == {"patience": None, "lattice": "python"}
+    for doc, name in ((poisson, "compiled"), (lattice, "lattice")):
+        assert "kernels" not in manifest.read_manifest(run(tmp_path, doc, name)[0])
+    fake = twins.twin_kernels()
+    monkeypatch.setattr(_native, "_loaded", fake)
+    run(tmp_path, poisson, "python")
+    assert fake.calls["pile_counts"] > 0 and fake.calls["philox_uniforms"] > 0
+    fake.calls.clear()
+    run(tmp_path, lattice, "lattice_python")
+    assert fake.calls["path_table"] > 0 and fake.calls["pair_sweep"] > 0
     for a, b in (("compiled", "python"), ("lattice", "lattice_python")):
         # the manifest is outside the artifacts
         assert ((tmp_path / a / "sheet_0.bin").read_bytes()
@@ -383,7 +388,8 @@ def test_every_csv_artifact_lists_its_header_in_the_manifest(tmp_path):
     for k, doc in enumerate(_TINY_RUNS):
         out, _ = cli.run_experiment(parse_config(json.dumps({**doc, "out": str(tmp_path / str(k))})))
         manifest_doc = json.loads((out / "manifest.json").read_text())
-        assert manifest_doc["schema_version"] == 2 and "schema" not in manifest_doc
+        assert manifest_doc["schema_version"] == 3 and "schema" not in manifest_doc
+        assert "kernels" not in manifest_doc
         for entry in manifest_doc["artifacts"]:
             path = out / entry["path"]
             if path.suffix != ".csv":
@@ -482,7 +488,6 @@ def test_lattice_gap_run_imports_no_numpy_random_and_no_engine(tmp_path):
     lines = done.stdout.splitlines()
     assert json.loads(lines[0]) == [[], []]
     assert json.loads(lines[-1]) == [0, [[], ["lpplab.lattice", "lpplab.svg"]], []]
-    assert manifest.read_manifest(tmp_path / "out")["kernels"]["lattice"] == "compiled"
 
 
 def test_lattice_classify_run_imports_no_engine(tmp_path):
@@ -578,32 +583,28 @@ def test_the_program_entry_writes_what_main_writes(tmp_path, capsys):
 
 LAYERS = """
 import json, sys
-from lpplab import _native, lattice, make_lattice_field, rng
+from lpplab import lattice, make_lattice_field, rng
 u = rng.uniforms(5, 0, 9)
 f = make_lattice_field(3, 6, 7, "geometric")
 B = lattice.backward_values(f, (5, 6))
-ran = []
-for sweep in (lambda: lattice.forward_values(f, (0, 0)),
-              lambda: lattice.pair_forward(f, ((0, 0), (0, 0)), 6),
-              lambda: lattice.geodesic_cells_from_B(f, B, (0, 0), (5, 6), "left")):
-    _native.kernel_ran["lattice"] = None
-    sweep()
-    ran.append(_native.kernel_ran["lattice"])
-print(json.dumps([ran, _native.kernel_ran["patience"], "numpy.random" in sys.modules,
+lattice.forward_values(f, (0, 0))
+lattice.pair_forward(f, ((0, 0), (0, 0)), 6)
+lattice.geodesic_cells_from_B(f, B, (0, 0), (5, 6), "left")
+print(json.dumps(["numpy.random" in sys.modules,
                   sorted(m for m in sys.modules if m.startswith("lpplab"))]))
 """
 
 
 def test_rng_and_lattice_run_compiled_without_the_cloud():
     """In a fresh interpreter the Philox stream (no numpy.random), a
-    table, a pair sweep and a walk all run on the compiled library and
-    never import ``cloud``."""
+    table, a pair sweep and a walk run on the compiled library, the only
+    kernels there are, and never import ``cloud``."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", LAYERS], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [
-        ["compiled"] * 3, None, False,
+        False,
         ["lpplab", "lpplab._native", "lpplab.errors", "lpplab.lattice", "lpplab.model",
          "lpplab.rng"]]
 

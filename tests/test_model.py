@@ -14,6 +14,8 @@ from lpplab import (DomainError, ParameterError, Region, ScalingFrame,
 from lpplab import _native, cloud, rng
 from lpplab.model import Factory, OrderedQuad, record, reflect_cell
 
+import twins
+
 UNIT = Region(0.0, 1.0, 0.0, 1.0)
 
 
@@ -90,9 +92,10 @@ def test_invalid_parameters():
 @pytest.mark.parametrize("kernel", ["compiled", "python"])
 def test_streams_are_checked_as_seeds_are(kernel, monkeypatch):
     """A stream outside [0, 2^64) or not an integer raises the same
-    ParameterError on both paths; the compiled one used to wrap it."""
+    ParameterError on the compiled stream and on its numpy twin; the
+    compiled one used to wrap it."""
     if kernel == "python":
-        monkeypatch.setattr(_native, "_loaded", False)
+        monkeypatch.setattr(_native, "_loaded", twins.twin_kernels())
     else:
         assert _native.library() is not None
     for stream in (-1, 2**64, -(2**63)):
@@ -110,7 +113,7 @@ def test_streams_are_checked_as_seeds_are(kernel, monkeypatch):
 @pytest.mark.parametrize("kernel", ["compiled", "python"])
 def test_non_finite_rates_and_means_and_non_integral_seeds_are_rejected(kernel, monkeypatch):
     if kernel == "python":
-        monkeypatch.setattr(_native, "_loaded", False)
+        monkeypatch.setattr(_native, "_loaded", twins.twin_kernels())
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ParameterError, match="^rate must be finite and positive"):
             make_poisson_cloud(0, bad, UNIT)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lpplab"
+NAMED_TUPLES = {"typing.NamedTuple", "collections.namedtuple"}
 
 
 def _trees(folder: Path):
@@ -43,8 +44,9 @@ def test_every_function_is_referenced():
 
 
 def test_no_module_imports_dataclasses():
-    """Records are ``model.record`` classes: a dataclass execs generated
-    source for each class it builds, at import."""
+    """Records are ``model.record`` classes: a dataclass, a
+    ``typing.NamedTuple`` and a ``collections.namedtuple`` each exec
+    generated source for each class they build, at import."""
     importers = []
     for path, tree in _trees(PACKAGE):
         for node in ast.walk(tree):
@@ -52,8 +54,11 @@ def test_no_module_imports_dataclasses():
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
+                modules += [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                modules = [f"{node.value.id}.{node.attr}"]
             else:
                 continue
-            if any(m.split(".")[0] == "dataclasses" for m in modules):
+            if any(m.split(".")[0] == "dataclasses" or m in NAMED_TUPLES for m in modules):
                 importers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
-    assert not importers, "dataclasses imported at " + ", ".join(importers)
+    assert not importers, "dataclasses or named tuples used at " + ", ".join(importers)

@@ -1,11 +1,12 @@
 """Equivalence gate: the banded sweep against the dense sweeps it replaced
-(once per kernel: compiled and numpy), the compiled lattice sweeps
-against the numpy ones on gap sheets and at every window width, the
-compiled Philox stream against numpy's, the walk against the per-cell
-walk it replaced (once per kernel: compiled and numpy), the one
-patience kernel of the cloud against the three chain kernels it replaced
-(once per kernel: compiled and Python), the compiled kernel against the
-Python one, its build and its fallback, the cloud's one point order
+(once per kernel: compiled and its numpy twin), the compiled lattice
+sweeps against the numpy twins on gap sheets and at every window width,
+the compiled Philox stream against numpy's, the walk against the
+per-cell walk it replaced (once per kernel: compiled and numpy twin),
+the one patience kernel of the cloud against the three chain kernels it
+replaced (once per kernel: compiled and Python twin), the compiled
+kernel against its Python twin, its build and the one error of a failed
+build, the cloud's one point order
 against the full sort of every cone and its sort against lexsort, the
 compiled row against the Python
 row, the one merge read-out against the four loops it replaced, the one
@@ -19,7 +20,8 @@ per-point minimum they replaced, and the heatmap and CSV writers against
 the per-cell loops they replaced.
 
 The reference kernels below are the earlier implementations, kept
-here verbatim as the specification.  Dead states are only meaningful as
+here verbatim as the specification; the twins and the fake kernel module
+that runs them live in ``twins``.  Dead states are only meaningful as
 "at most _VALID", so both sides map those entries to NEG before
 comparing; every reachable entry must be bit-identical.
 """
@@ -46,6 +48,9 @@ from lpplab.lattice import NEG, _VALID
 from lpplab.model import (LatticeField, Region, ScalingFrame, _xy, anchor_layout, causal_leq,
                           cloud_from_points, environment_for, make_lattice_field,
                           make_poisson_cloud)
+
+import twins
+from twins import Counted
 
 
 # ---------------------------------------------------------------- reference
@@ -272,13 +277,12 @@ KERNELS = ("compiled", "python")
 
 @contextmanager
 def one_kernel(name):
-    """Serve the chain read-outs and lattice sweeps from one kernel: the
-    compiled library or the Python (numpy) routines."""
-    saved = _native._loaded
-    if name == "python":
-        _native._loaded = False
+    """Serve every kernel call from one kernel: the compiled library or
+    its Python (numpy) twins; yields the calls counted on it."""
+    saved = _native.library()
+    _native._loaded = Counted(saved) if name == "compiled" else twins.twin_kernels()
     try:
-        yield
+        yield _native._loaded.calls
     finally:
         _native._loaded = saved
 
@@ -288,7 +292,7 @@ def each_kernel(monkeypatch):
     """``for _ in each_kernel():`` runs a test body once per kernel."""
     def each():
         yield "compiled"
-        monkeypatch.setattr(_native, "_loaded", False)
+        monkeypatch.setattr(_native, "_loaded", twins.twin_kernels())
         yield "python"
     return each
 
@@ -434,25 +438,22 @@ def test_compiled_sweeps_give_the_numpy_gap_sheets(model, seed):
     assert _native.library() is not None
     sheets = []
     for kernel in KERNELS:
-        with one_kernel(kernel):
+        with one_kernel(kernel) as calls:
             sheets.append(_lattice_gap_sheet(model, seed))
-            assert _native.kernel_ran["lattice"] == kernel
+        assert calls["path_table"] > 0 and calls["pair_sweep"] > 0
     got, want = sheets
     assert np.isfinite(want.values).any()
     assert got.values.tobytes() == want.values.tobytes()
     assert got.to_binary() == want.to_binary()
 
 
-def test_compiled_pair_sweep_reads_the_weights_directly(monkeypatch):
-    def forbidden(w, t):
-        raise AssertionError("the compiled sweep built an antidiagonal")
-
-    monkeypatch.setattr(lattice, "_antidiagonal", forbidden)
+def test_compiled_pair_sweep_reads_the_weights_directly():
     f = FIELDS[1]
-    S = lattice.pair_forward(f, ((0, 0), (0, 0)), f.rows + f.cols - 3)
+    with one_kernel("compiled") as calls:
+        S = lattice.pair_forward(f, ((0, 0), (0, 0)), f.rows + f.cols - 3)
     R = ref_pair_forward(f, ((0, 0), (0, 0)), f.rows + f.cols - 3)
     assert_same(S, R)
-    assert _native.kernel_ran["lattice"] == "compiled"
+    assert calls == {"pair_sweep": 1}
 
 
 WINDOW_FIELDS = [make_lattice_field(40 + cols, cols + 2, cols, law)
@@ -469,7 +470,7 @@ def test_pair_sweeps_agree_on_both_kernels_at_every_window_width(f):
     t_max = f.rows + f.cols - 2
     runs = []
     for kernel in KERNELS:
-        with one_kernel(kernel):
+        with one_kernel(kernel) as calls:
             got = []
             for pair in start_pairs(f):
                 t = pair[0][0] + pair[0][1]
@@ -479,8 +480,8 @@ def test_pair_sweeps_agree_on_both_kernels_at_every_window_width(f):
                     got.append((lattice.pair_forward(f, pair, t_stop), False))
                 for t_stop in sorted({t - 2, t - 1, 1, 0}):
                     got.append((lattice.pair_backward(f, pair, t_stop), False))
-            assert _native.kernel_ran["lattice"] == kernel
-            runs.append(got)
+        assert calls["pair_sweep"] > 0
+        runs.append(got)
     assert f.rows >= f.cols + 1  # the doubled start at (0, 0) reaches a window of f.cols
     for (g, record), (w, _) in zip(*runs):
         _check_pair_results(g, w, record)
@@ -850,7 +851,7 @@ def test_compiled_pile_counts_match_python_kernel():
     assert _native.library() is not None
     for vs, k, stops, bounds in pile_inputs(1000, 2):
         got = cloud_mod._pile_counts(vs, k, stops, bounds)
-        want = cloud_mod._pile_counts_py(vs, k, stops, bounds)
+        want = twins._pile_counts_py(vs, k, stops, bounds)
         assert got.shape == want.shape == (stops.size, k)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want), (vs, k, stops, bounds)
@@ -886,7 +887,7 @@ def test_compiled_pile_counts_match_python_kernel_on_long_rows():
     lengths = set()
     for vs, k, stops, bounds, length in long_pile_inputs(5):
         got = cloud_mod._pile_counts(vs, k, stops, bounds)
-        want = cloud_mod._pile_counts_py(vs, k, stops, bounds)
+        want = twins._pile_counts_py(vs, k, stops, bounds)
         # the head fills the first row alone: +inf and NaN read its length
         assert (want[stops == length][~(bounds[stops == length] < np.inf), 0] == length).all()
         assert np.array_equal(got, want), (length, k)
@@ -904,75 +905,114 @@ def numpy_philox(seed, stream, n):
     return np.random.Generator(np.random.Philox(key=key)).random(n)
 
 
-def test_compiled_philox_matches_numpy(monkeypatch):
-    def forbidden(seed, stream):
-        raise AssertionError("uniforms used the numpy generator")
-
-    monkeypatch.setattr(rng, "generator", forbidden)
-    assert _native.library() is not None
-    monkeypatch.setattr(_native, "kernel_ran", {"patience": "untouched", "lattice": "untouched"})
-    for seed in PHILOX_SEEDS:
-        for stream in (0, 1, 2, 5):
-            for n in PHILOX_SIZES:
-                got = rng.uniforms(seed, stream, n)
-                assert got.dtype == np.float64 and got.shape == (n,)
-                assert got.tobytes() == numpy_philox(seed, stream, n).tobytes(), (seed, stream, n)
-    assert _native.kernel_ran == {"patience": "untouched", "lattice": "untouched"}
+def test_compiled_philox_matches_numpy():
+    """Each ``uniforms`` call is one call of the compiled stream, and no
+    other kernel runs."""
+    with one_kernel("compiled") as calls:
+        for seed in PHILOX_SEEDS:
+            for stream in (0, 1, 2, 5):
+                for n in PHILOX_SIZES:
+                    got = rng.uniforms(seed, stream, n)
+                    assert got.dtype == np.float64 and got.shape == (n,)
+                    assert got.tobytes() == numpy_philox(seed, stream, n).tobytes(), (
+                        seed, stream, n)
+    assert calls == {"philox_uniforms": len(PHILOX_SEEDS) * 4 * len(PHILOX_SIZES)}
 
 
 def test_compiled_kernel_loads_here():
-    """gcc is part of this project's toolchain: a silent fallback to the
-    Python kernels must fail here, not only slow the benchmark."""
+    """gcc is part of this project's toolchain: the library builds and
+    loads here, and the patience kernel, a table, a pair sweep and a walk
+    each reach it."""
     assert _native.library() is not None
-    cloud_mod._pile_counts(np.zeros(3), 2, [3], [0.0])
-    assert _native.kernel_ran["patience"] == "compiled"
     f = FIELDS[0]
     B = lattice.backward_values(f, (4, 4))
-    for sweep in (lambda: lattice.forward_values(f, (0, 0)),
-                  lambda: lattice.pair_forward(f, ((0, 0), (0, 0)), 5),
-                  lambda: lattice.geodesic_cells_from_B(f, B, (0, 0), (4, 4), "left")):
-        _native.kernel_ran["lattice"] = None
-        sweep()
-        assert _native.kernel_ran["lattice"] == "compiled"
+    with one_kernel("compiled") as calls:
+        cloud_mod._pile_counts(np.zeros(3), 2, [3], [0.0])
+        lattice.forward_values(f, (0, 0))
+        lattice.pair_forward(f, ((0, 0), (0, 0)), 5)
+        lattice.geodesic_cells_from_B(f, B, (0, 0), (4, 4), "left")
+    assert calls == {"pile_counts": 1, "path_table": 1, "pair_sweep": 1, "walk": 1}
 
 
-@pytest.mark.parametrize("breakage", ["missing compiler", "compile error", "unwritable cache",
-                                      "missing Python headers"])
-def test_failed_build_falls_back_silently(breakage, monkeypatch, tmp_path, capfd):
-    build = _native._BUILD
-    monkeypatch.setattr(_native, "_loaded", None)
-    monkeypatch.setattr(_native, "_CACHE", tmp_path / "cache")
-    if breakage == "missing compiler":
-        monkeypatch.setattr(_native, "_BUILD", (str(tmp_path / "no-cc"),) + build[1:])
-    elif breakage == "compile error":
-        monkeypatch.setattr(_native, "_BUILD", build + ("-Dpile_counts=",))
-    elif breakage == "missing Python headers":
-        monkeypatch.setattr(_native, "_include", lambda: str(tmp_path / "no-headers"))
-    else:
-        (tmp_path / "file").write_text("")
-        monkeypatch.setattr(_native, "_CACHE", tmp_path / "file" / "cache")
-    for vs, k, stops, bounds in pile_inputs(50, 3):
-        want = cloud_mod._pile_counts_py(vs, k, stops, bounds)
-        got = cloud_mod._pile_counts(vs, k, stops, bounds)
-        assert _native.kernel_ran["patience"] == "python"
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    for seed, stream, n in ((0, 2, 9), (2**64 - 1, 5, 1001)):
-        assert rng.uniforms(seed, stream, n).tobytes() == numpy_philox(seed, stream, n).tobytes()
-        assert _native.kernel_ran["patience"] == "python"
-    f = FIELDS[1]
-    t_max = f.rows + f.cols - 2
-    for c in cells(f)[::5]:
-        assert_same(lattice.forward_values(f, c), ref_forward_values(f, c))
-        assert _native.kernel_ran["lattice"] == "python"
-        _check_pair_results(lattice.pair_forward(f, (c, c), t_max),
-                            ref_pair_forward(f, (c, c), t_max), False)
-        assert _native.kernel_ran["lattice"] == "python"
-        B = lattice.backward_values(f, c)
-        for side in ("left", "right"):
-            assert (walk_list(lattice.geodesic_cells_from_B(f, B, (0, 0), c, side), (0, 0), c)
-                    == ref_geodesic_cells_from_B(f, B, (0, 0), c, side))
-            assert _native.kernel_ran["lattice"] == "python"
-    assert _native._loaded is False
+BREAKAGES = ["missing compiler", "compile error", "unwritable cache", "missing Python headers"]
+
+# Breaks the build of lpplab._native as named, with its cache under tmp;
+# run in-process, or in a child interpreter as its sitecustomize.
+BREAK = """
+from pathlib import Path
+from lpplab import _native
+breakage, tmp = {breakage!r}, Path({tmp!r})
+_native._CACHE = tmp / "cache"
+if breakage == "missing compiler":
+    _native._BUILD = (str(tmp / "no-cc"),) + _native._BUILD[1:]
+elif breakage == "compile error":
+    _native._BUILD += ("-Dpile_counts=",)
+elif breakage == "missing Python headers":
+    _native._include = lambda: str(tmp / "no-headers")
+else:
+    (tmp / "file").write_text("")
+    _native._CACHE = tmp / "file" / "cache"
+"""
+
+CAUSES = {"missing compiler": "No such file or directory: ", "compile error": "error: ",
+          "unwritable cache": "Not a directory: ", "missing Python headers": "Python.h"}
+
+
+@pytest.mark.parametrize("breakage", BREAKAGES)
+def test_failed_build_raises_one_error(breakage, monkeypatch, tmp_path, capfd):
+    """Without gcc, with a compile error, an unwritable cache or without
+    the Python headers, every kernel call raises the same one-line
+    BuildError, naming its cause, the build command and the include
+    directory.  The build is tried once: gcc runs at most once (not at
+    all when the cache cannot be made), and no file is left in the
+    cache.  The program entry exits 2 with that one line on stderr."""
+    cli_tmp = tmp_path / "cli"
+    (tmp_path / "site").mkdir()
+    cli_tmp.mkdir()
+    (tmp_path / "site" / "sitecustomize.py").write_text(
+        BREAK.format(breakage=breakage, tmp=str(cli_tmp)))
+    src = str(Path(cloud_mod.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path / "site"), src]))
+    done = subprocess.run([sys.executable, "-m", "lpplab.cli", "gap", "--out",
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("lpplab cannot build")
+    assert CAUSES[breakage] in done.stderr
+    assert not (tmp_path / "out").exists()
+    assert not (cli_tmp / "cache").exists() or list((cli_tmp / "cache").iterdir()) == []
+
+    cl = make_poisson_cloud(0, 2.0, Region(-4, 4, 0, 4))
+    f = FIELDS[0]
+    B = lattice.backward_values(f, (4, 4))
+    for name in ("_loaded", "_CACHE", "_BUILD", "_include"):
+        monkeypatch.setattr(_native, name, getattr(_native, name))
+    _native._loaded = None
+    exec(BREAK.format(breakage=breakage, tmp=str(tmp_path)), {})
+    runs, builds = [], []
+    run, build = subprocess.run, _native._build
+    monkeypatch.setattr(subprocess, "run", lambda *a, **k: runs.append(a) or run(*a, **k))
+    monkeypatch.setattr(_native, "_build", lambda: builds.append(1) or build())
+    kernel_calls = [lambda: cloud_mod._pile_counts(np.zeros(3), 2, [3], [0.0]),
+                    lambda: cloud_mod.row_pass(cl, (0.0, 0.0), [0.0, 1.0], 3.0),
+                    lambda: rng.uniforms(0, 2, 9),
+                    lambda: lattice.forward_values(f, (0, 0)),
+                    lambda: lattice.pair_forward(f, ((0, 0), (0, 0)), 5),
+                    lambda: lattice.geodesic_cells_from_B(f, B, (0, 0), (4, 4), "left")]
+    messages = set()
+    for _ in range(3):
+        for call in kernel_calls:
+            with pytest.raises(_native.BuildError) as err:
+                call()
+            messages.add(str(err.value))
+    assert len(messages) == 1
+    message = messages.pop()
+    command = " ".join([*_native._BUILD, f"-I{_native._include()}", str(_native._SOURCE)])
+    assert "\n" not in message and command in message
+    assert message.endswith(f"needs gcc and Python.h in {_native._include()}")
+    assert CAUSES[breakage] in message
+    assert len(builds) == 1
+    assert len(runs) == (0 if breakage == "unwritable cache" else 1)
     assert capfd.readouterr() == ("", "")
     cache = tmp_path / "cache"
     assert not cache.exists() or list(cache.iterdir()) == []
