@@ -2,16 +2,17 @@
 
 Subcommands: sample | gap | classify | busemann | dim | verify.
 Each run writes CSV artifacts, optional SVG renders, and a manifest that
-digests every file.  ``sample``, ``gap`` and ``dim`` take ``replicates``
-and ``threads``: replicates fan out over a thread pool and are written
-in replicate order, so the artifact tree is byte-identical for any
-thread count.  The pool has at most one worker per replicate and per
-CPU.  The compiled kernels release the GIL, so the Poisson row passes
-and the lattice sweeps of different replicates run in parallel.  The
-other commands run one experiment and reject both keys.  A config
-error, or a parameter or domain error raised by the run, exits with
-status 2 and one line on stderr, and so does a run on a machine where
-the compiled kernels cannot be built (``_native.BuildError``).
+digests every file the run wrote.  ``sample``, ``gap`` and ``dim`` take
+``replicates`` and ``threads``: replicates fan out over a thread pool
+and are written in replicate order, so the artifact tree is
+byte-identical for any thread count.  The pool has at most one worker
+per replicate and per CPU.  The compiled kernels release the GIL, so
+the Poisson row passes and the lattice sweeps of different replicates
+run in parallel.  The other commands run one experiment and reject both
+keys.  A config error, or a parameter or domain error raised by the
+run, exits with status 2 and one line on stderr, and so does a run on a
+machine where the compiled kernels cannot be built
+(``_native.BuildError``).
 
 Start-up runs only what the command needs.  ``engine`` (and ``flow``)
 and ``oracle`` are imported inside the functions that use them.
@@ -158,12 +159,26 @@ def _sheet(cfg, seed: int):
     return env, gaplab.gap_sheet(env, xs, ys, ScalingFrame(float(n)), times)
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+class _Artifacts:
+    """A run's output directory and the files the run wrote into it: the
+    manifest digests these, not what an earlier run left there."""
+
+    def __init__(self, out: Path):
+        self.out = out
+        self.names = set()
+
+    def write(self, name: str, data) -> None:
+        """Write data, text or bytes, to out/name and record the file."""
+        path = self.out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(data)
+        self.names.add(name)
 
 
-def run_sample(cfg, out: Path):
+def run_sample(cfg, out: _Artifacts):
     envs = []
 
     def one(k):
@@ -183,12 +198,12 @@ def run_sample(cfg, out: Path):
         envs.append(desc)
         for key, value in stats.items():
             rows.append(f"{k},{key},{value}")
-    _write(out / "environments.json", json.dumps(envs, indent=1, sort_keys=True))
-    _write(out / "stats.csv", "\n".join(rows) + "\n")
+    out.write("environments.json", json.dumps(envs, indent=1, sort_keys=True))
+    out.write("stats.csv", "\n".join(rows) + "\n")
     return {"replicates": cfg["replicates"]}, envs, True
 
 
-def run_gap(cfg, out: Path):
+def run_gap(cfg, out: _Artifacts):
     envs = []
     zero_counts = []
 
@@ -200,24 +215,24 @@ def run_gap(cfg, out: Path):
             _fanout(cfg["threads"], cfg["replicates"], one)):
         envs.append(desc)
         zero_counts.append(len(zeros))
-        _write(out / f"sheet_{k}.csv", sheet.to_csv())
+        out.write(f"sheet_{k}.csv", sheet.to_csv())
         header, blob = sheet.to_binary()
-        _write(out / f"sheet_{k}.json", json.dumps(header, sort_keys=True))
-        (out / f"sheet_{k}.bin").write_bytes(blob)
-        _write(out / f"heatmap_{k}.svg", svg.heatmap(sheet.values))
+        out.write(f"sheet_{k}.json", json.dumps(header, sort_keys=True))
+        out.write(f"sheet_{k}.bin", blob)
+        out.write(f"heatmap_{k}.svg", svg.heatmap(sheet.values))
         zrows = ["x,y"] + [f"{x},{y}" for x, y in zip(zeros.xs, zeros.ys)]
-        _write(out / f"zeros_{k}.csv", "\n".join(zrows) + "\n")
+        out.write(f"zeros_{k}.csv", "\n".join(zrows) + "\n")
         if len(zeros):
             extent = (sheet.x_grid.min(), sheet.x_grid.max(),
                       sheet.y_grid.min(), sheet.y_grid.max())
             pts = np.column_stack([zeros.xs, zeros.ys])
-            _write(out / f"zeros_{k}.svg", svg.overlay(pts, extent))
+            out.write(f"zeros_{k}.svg", svg.overlay(pts, extent))
     summary = {"zero_counts": zero_counts,
                "mean_zeros": float(np.mean(zero_counts)) if zero_counts else 0.0}
     return summary, envs, True
 
 
-def run_classify(cfg, out: Path):
+def run_classify(cfg, out: _Artifacts):
     envs = []
     rates = {}
     for n in cfg["n_list"]:
@@ -231,9 +246,9 @@ def run_classify(cfg, out: Path):
             envs.append(env.descriptor())
             total.merge(cls.agreement_matrix(env, xs, ys, (t0, t0 + n), frame,
                                              threshold=cfg["threshold"]))
-        _write(out / f"matrix_n{n}.csv", total.to_csv())
-        _write(out / f"records_n{n}.csv", total.records_csv())
-        _write(out / f"matrix_n{n}.json", json.dumps(total.to_jsonable(), sort_keys=True))
+        out.write(f"matrix_n{n}.csv", total.to_csv())
+        out.write(f"records_n{n}.csv", total.records_csv())
+        out.write(f"matrix_n{n}.json", json.dumps(total.to_jsonable(), sort_keys=True))
         rate, pop = total.subpopulation_agreement()
         rates[str(n)] = {"zero_split": total.zero_split_agreement(),
                          "subpopulation_rate": rate, "subpopulation": pop,
@@ -242,7 +257,7 @@ def run_classify(cfg, out: Path):
     return {"rates": rates}, envs, ok
 
 
-def run_busemann(cfg, out: Path):
+def run_busemann(cfg, out: _Artifacts):
     n = cfg["n"]
     window = bz.check_window((cfg["theta_lo"], cfg["theta_hi"]))  # before any field
     a, t0 = anchor_layout(n, 2.0)
@@ -257,18 +272,18 @@ def run_busemann(cfg, out: Path):
     xs = xs_all[::stride]
     scan_doc = [{"theta": d.theta, "column_below": d.column_below,
                  "column_above": d.column_above, "jump": d.jump} for d in dirs]
-    _write(out / "scan.json", json.dumps(scan_doc, sort_keys=True))
+    out.write("scan.json", json.dumps(scan_doc, sort_keys=True))
     prof = bz.busemann_profile(env, 0.0, xs, horizons, t0=t0)
-    _write(out / "busemann_theta0.csv", prof.to_csv())
+    out.write("busemann_theta0.csv", prof.to_csv())
     summaries = {"directions": len(dirs),
                  "certified_fraction": float(np.mean(prof.certified))}
     for k, d in enumerate(dirs):
         gp = bz.busemann_gap(env, d, xs, horizons)
-        _write(out / f"gap_profile_{k}.csv", gp.to_csv())
+        out.write(f"gap_profile_{k}.csv", gp.to_csv())
     return summaries, [env.descriptor()], True
 
 
-def run_dim(cfg, out: Path):
+def run_dim(cfg, out: _Artifacts):
     rows = ["replicate,zeros,estimate,r2"]
     estimates = []
 
@@ -290,13 +305,13 @@ def run_dim(cfg, out: Path):
         else:
             rows.append(f"{k},{nz},{est.estimate:.6f},{est.r2:.6f}")
             estimates.append(est.estimate)
-    _write(out / "dim.csv", "\n".join(rows) + "\n")
+    out.write("dim.csv", "\n".join(rows) + "\n")
     summary = {"mean_dimension": float(np.mean(estimates)) if estimates else None,
                "replicates_with_estimates": len(estimates)}
     return summary, envs, True
 
 
-def run_verify(cfg, out: Path):
+def run_verify(cfg, out: _Artifacts):
     from . import oracle  # only verify needs it: other runs skip its import
     batch = oracle.tiny_batch(cfg["seed"], cfg["lattice_instances"], cfg["cloud_instances"])
     try:
@@ -305,7 +320,7 @@ def run_verify(cfg, out: Path):
     except AssertionError as err:
         report = {"failure": str(err)}
         ok = False
-    _write(out / "verify.json", json.dumps(report, indent=1, sort_keys=True))
+    out.write("verify.json", json.dumps(report, indent=1, sort_keys=True))
     return report, [], ok
 
 
@@ -354,9 +369,10 @@ def run_experiment(cfg: cfgmod.ExperimentConfig, out_dir=None) -> tuple:
     _check_out(out)
     _load_lazy_modules(cfg)
     started = time.time()
-    summaries, envs, ok = _RUNNERS[cfg.command](cfg, out)
+    written = _Artifacts(out)
+    summaries, envs, ok = _RUNNERS[cfg.command](cfg, written)
     out.mkdir(parents=True, exist_ok=True)  # a run may write no artifact
-    manifest.write_manifest(out, json.loads(cfg.to_json()), summaries, envs,
+    manifest.write_manifest(out, written.names, json.loads(cfg.to_json()), summaries, envs,
                             wall_clock_s=time.time() - started)
     return out, ok
 
@@ -369,7 +385,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON config; defaults apply when omitted")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--out", default=None)  # a str: Path("") is ".", a str "" is refused
     parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     try:
@@ -382,8 +398,7 @@ def main(argv=None) -> int:
         print(f"config error: {args.config} is not UTF-8 text: {err.reason} at byte {err.start}",
               file=sys.stderr)
         return 2
-    flags = {"seed": args.seed, "threads": args.threads,
-             "out": None if args.out is None else str(args.out)}
+    flags = {"seed": args.seed, "threads": args.threads, "out": args.out}
     try:
         cfg = cfgmod.parse_config(text)
         if cfg.command != args.command:

@@ -28,8 +28,9 @@ MODELS = ("poisson",) + tuple(law for law in _LAWS if law != "explicit")
 @record(frozen=True)
 class Key:
     """One config key: its type, default (None means required), allowed
-    values, smallest allowed number (for a list, its fewest entries), the
-    number it must exceed, and the Key of each list entry."""
+    values, smallest allowed number (for a list, its fewest entries; for
+    a string, its fewest characters), the number it must exceed, and the
+    Key of each list entry."""
 
     type: type
     default: Any
@@ -45,7 +46,8 @@ _HALFWIDTH = Key(float, 2.0, above=0.0)
 _THRESHOLD = Key(float, 1.0, minimum=0.0)
 
 
-_COMMON = {"command": Key(str, None), "seed": Key(int, 0), "out": Key(str, "out")}
+# an empty out would be the working directory
+_COMMON = {"command": Key(str, None), "seed": Key(int, 0), "out": Key(str, "out", minimum=1)}
 # the commands that sample replicate environments of one of MODELS; only
 # they fan out, so only they take replicates and threads
 _REPLICATED = {
@@ -149,9 +151,10 @@ def _checked(key: str, value, spec: Key):
         raise ConfigError(f"key {key}: {value} is not a finite number")
     if spec.choices and value not in spec.choices:
         raise ConfigError(f"key {key}: {value!r} is not one of {spec.choices}")
-    if spec.type is list:
+    if spec.type in (list, str):
         if spec.minimum is not None and len(value) < spec.minimum:
-            raise ConfigError(f"key {key}: {len(value)} entries, below the minimum "
+            unit = "entries" if spec.type is list else "characters"
+            raise ConfigError(f"key {key}: {len(value)} {unit}, below the minimum "
                               f"{spec.minimum}")
     elif spec.minimum is not None and value < spec.minimum:
         raise ConfigError(f"key {key}: {value} is below the minimum {spec.minimum}")

@@ -6,39 +6,40 @@ import json
 from pathlib import Path
 
 from . import __version__
+from ._native import sha256
 
 SCHEMA_VERSION = 3
+_BLOCK = 1 << 20  # bytes hashed at a time: no artifact is held whole
 
 
 def sha256_file(path: Path) -> str:
-    import hashlib  # here, not at import: importing the CLI loads no OpenSSL
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
+    # the package's one SHA-256 (see _native.sha256): a digest loads no OpenSSL
+    h = sha256()
+    with path.open("rb", buffering=0) as fh:
+        while block := fh.read(_BLOCK):
+            h.update(block)
     return h.hexdigest()
 
 
-def write_manifest(out_dir, config_json: dict, summaries: dict,
+def write_manifest(out_dir, artifacts, config_json: dict, summaries: dict,
                    environments: list, wall_clock_s: float) -> Path:
-    """Digest every artifact in out_dir and write manifest.json.
+    """Digest the artifacts, the distinct paths relative to out_dir of
+    the files the run wrote, and write manifest.json.
 
-    The manifest itself is excluded from its own artifact list.  A
-    ``.csv`` artifact's entry also lists its columns, read from the
-    file's header line.  The wall clock is informational; determinism
-    claims cover artifacts, not the manifest.
+    Other files in out_dir, an earlier run's among them, are not listed.
+    Entries are sorted by path.  A ``.csv`` artifact's entry also lists
+    its columns, read from the file's header line.  The wall clock is
+    informational; determinism claims cover artifacts, not the manifest.
     """
     out = Path(out_dir)
-    artifacts = []
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            entry = {
-                "path": str(path.relative_to(out)),
-                "sha256": sha256_file(path),
-                "bytes": path.stat().st_size,
-            }
-            if path.suffix == ".csv":
-                with path.open() as fh:
-                    entry["columns"] = fh.readline().rstrip("\n").split(",")
-            artifacts.append(entry)
+    entries = []
+    for name in sorted(artifacts):
+        path = out / name
+        entry = {"path": name, "sha256": sha256_file(path), "bytes": path.stat().st_size}
+        if path.suffix == ".csv":
+            with path.open() as fh:
+                entry["columns"] = fh.readline().rstrip("\n").split(",")
+        entries.append(entry)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -46,7 +47,7 @@ def write_manifest(out_dir, config_json: dict, summaries: dict,
         "environments": environments,
         "summaries": summaries,
         "wall_clock_s": wall_clock_s,
-        "artifacts": artifacts,
+        "artifacts": entries,
     }
     path = out / "manifest.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True))

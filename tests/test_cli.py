@@ -303,17 +303,24 @@ def test_cli_config_command_mismatch(tmp_path):
     # raw documents, run as gap: bytes that are not UTF-8, and nesting too deep to parse
     pytest.param(bytes(range(128, 256)), "UTF-8", id="not-utf8"),
     pytest.param(b"[" * 100000, "JSON", id="nested-too-deep"),
+    # an empty out would be the working directory, whose every file the manifest would list
+    pytest.param({"command": "gap", "out": ""}, "out", id="empty-out-key"),
+    # flags, given after --out x, on the default gap config
+    pytest.param(["--out", ""], "out", id="empty-out-flag"),
 ])
-def test_cli_config_error_exits_2_with_one_line(tmp_path, capsys, doc, key):
+def test_cli_config_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch, doc, key):
+    monkeypatch.chdir(tmp_path)
+    flags = doc if isinstance(doc, list) else []
+    doc = {"command": "gap"} if flags else doc
     cfg = tmp_path / "c.json"
     cfg.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     command = "gap" if isinstance(doc, bytes) else doc["command"]
-    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
+    rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "x"), *flags])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and err.startswith("config error:")
     assert key in err
-    assert not (tmp_path / "x").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 @pytest.mark.parametrize("command", ["classify", "busemann", "verify"])
@@ -429,8 +436,9 @@ def test_cli_out_blocked_by_a_file_exits_2_before_any_work(tmp_path, capsys, mon
 
 
 def test_cli_import_leaves_the_oracle_out():
-    """Importing the CLI loads neither the oracle nor OpenSSL: only a
-    digest or a build key imports hashlib."""
+    """Importing the CLI loads neither the oracle nor OpenSSL.  Digests
+    and build keys come from ``_native.sha256``, so runs load no OpenSSL
+    either; the ``LAZY`` run tests below check that."""
     code = ("import sys, lpplab.cli; "
             "print(sorted({'lpplab.oracle', 'hashlib', '_hashlib'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -450,7 +458,8 @@ def state():
     # the modules imported, and the lazy modules run: type() does not run
     # a lazy module, an attribute access does
     return [[m for m in ("numpy.random", "lpplab.engine", "lpplab.flow", "subprocess",
-                         "concurrent.futures", "logging", "dataclasses") if m in sys.modules],
+                         "concurrent.futures", "logging", "dataclasses", "hashlib",
+                         "_hashlib") if m in sys.modules],
             [m for m in ("lpplab.busemann", "lpplab.classify", "lpplab.cloud",
                          "lpplab.lattice", "lpplab.svg")
              if type(sys.modules[m]) is types.ModuleType]]
@@ -471,12 +480,13 @@ print(json.dumps([rc, state(), at_start]))
 
 def test_lattice_gap_run_imports_no_numpy_random_and_no_engine(tmp_path):
     """Importing the CLI loads neither numpy.random, the engine, the
-    thread pool nor dataclasses, and runs none of its lazy modules; a
-    lattice gap run samples its field with the compiled Philox stream,
-    never asks for a geodesic and makes no pool, so it loads none of
-    them either, runs ``lattice`` and ``svg`` but not ``cloud``,
-    ``classify`` or ``busemann``, and loads the cached library without
-    importing subprocess."""
+    thread pool, dataclasses nor OpenSSL, and runs none of its lazy
+    modules; a lattice gap run samples its field with the compiled
+    Philox stream, never asks for a geodesic, makes no pool and digests
+    with ``_native.sha256``, so it loads none of them either, runs
+    ``lattice`` and ``svg`` but not ``cloud``, ``classify`` or
+    ``busemann``, and loads the cached library without importing
+    subprocess."""
     assert _native.library() is not None  # the library is built and cached
     cfg = tmp_path / "gap.json"
     cfg.write_text(json.dumps({"command": "gap", "model": "geometric", "n": 12,
@@ -493,7 +503,7 @@ def test_lattice_gap_run_imports_no_numpy_random_and_no_engine(tmp_path):
 def test_lattice_classify_run_imports_no_engine(tmp_path):
     """A lattice classify run walks its geodesics in ``lattice`` and finds
     the separated stretches with ``model._runs``, so it loads neither the
-    engine nor the flow, makes no pool, and runs ``classify`` and
+    engine, the flow nor OpenSSL, makes no pool, and runs ``classify`` and
     ``lattice`` but not ``busemann``, ``cloud`` or ``svg``.  At threshold
     0 some pairs have separated stretches, so the run finder is
     reached."""
@@ -514,7 +524,8 @@ def test_lattice_classify_run_imports_no_engine(tmp_path):
 def test_poisson_gap_fan_out_loads_no_executor_and_no_logging(tmp_path):
     """The replicates of a 2-thread Poisson gap run fan out on plain
     threads: the run loads neither ``concurrent.futures`` nor the
-    ``logging`` module it pulls in.  It runs ``cloud`` on the main
+    ``logging`` module it pulls in, and its digests load no OpenSSL
+    (``hashlib``, ``_hashlib``).  It runs ``cloud`` on the main
     thread before it starts the first worker, since a LazyLoader load
     is not thread-safe, and it never runs ``lattice``."""
     cfg = tmp_path / "gap.json"
@@ -526,7 +537,7 @@ def test_poisson_gap_fan_out_loads_no_executor_and_no_logging(tmp_path):
     assert done.returncode == 0, done.stderr
     rc, (loaded, ran), at_start = json.loads(done.stdout.splitlines()[-1])
     assert rc == 0
-    assert not {"concurrent.futures", "logging"} & set(loaded)
+    assert not {"concurrent.futures", "logging", "hashlib", "_hashlib"} & set(loaded)
     assert ran == ["lpplab.cloud", "lpplab.svg"]
     assert len(at_start) == 2 and "lpplab.cloud" in at_start[0][1]
     assert len(manifest.read_manifest(tmp_path / "out")["summaries"]["zero_counts"]) == 2
@@ -790,10 +801,45 @@ def test_zero_overlay_circle_count_matches_zero_set(tmp_path):
         assert svg_doc.count("<circle") == len(zero_rows)
 
 
+def test_manifest_lists_only_the_files_of_its_run(tmp_path):
+    """A run into a directory an earlier run used lists the files it
+    wrote, not the earlier run's; in a fresh directory the list is every
+    file but the manifest, sorted by path."""
+    doc = {"command": "gap", "model": "geometric", "n": 12, "grid_points": 6, "seed": 2}
+    run(tmp_path, {**doc, "replicates": 2}, "reused")
+    out, _ = run(tmp_path, doc, "reused")
+    fresh, _ = run(tmp_path, doc, "fresh")
+    listed = manifest.read_manifest(out)["artifacts"]
+    assert listed == manifest.read_manifest(fresh)["artifacts"]
+    assert [a["path"] for a in listed] == [
+        str(p.relative_to(fresh)) for p in sorted(fresh.rglob("*"))
+        if p.is_file() and p.name != "manifest.json"]
+    assert "sheet_0.bin" in {a["path"] for a in listed}
+    assert (out / "sheet_1.bin").exists() and all(manifest.verify_digests(out).values())
+
+
+def test_sha256_file_digests_in_blocks(tmp_path):
+    """A file several blocks long digests as hashlib does, and is never
+    held whole: the peak allocation is about two blocks."""
+    import hashlib
+    import tracemalloc
+    data = np.random.default_rng(3).bytes(6 * manifest._BLOCK + 12345)
+    path = tmp_path / "big.bin"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        digest = manifest.sha256_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert peak < 2.25 * manifest._BLOCK
+
+
 def test_manifest_of_empty_run(tmp_path):
     out = tmp_path / "empty"
     out.mkdir()
-    path = manifest.write_manifest(out, {"command": "none"}, {}, [], 0.0)
+    path = manifest.write_manifest(out, [], {"command": "none"}, {}, [], 0.0)
     doc = manifest.read_manifest(out)
     assert doc["artifacts"] == []
     assert path.name == "manifest.json"

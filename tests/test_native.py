@@ -1,7 +1,12 @@
 """The compiled module's entry points check their buffers before any
-kernel runs, and its build cache is keyed to the interpreter."""
+kernel runs, its build cache is keyed to the interpreter, and the
+package's SHA-256 is hashlib's."""
 
+import hashlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,3 +170,48 @@ def test_a_build_removes_the_builds_it_supersedes(monkeypatch, tmp_path):
     assert sorted(p.name for p in cache.iterdir()) == sorted(kept + [built.name])
     assert _native._build() == built  # a cached build prunes nothing
     assert len(list(cache.iterdir())) == len(kept) + 1
+
+
+def test_sha256_is_hashlibs_on_every_length_to_300():
+    """Every length from 0 to 300 bytes, whole and in two updates: the
+    55/56 and 119/120-byte edges change the padding's block count, and
+    63/64 and 127/128 the message's."""
+    for length in range(301):
+        data = bytes((7 * i + length) % 256 for i in range(length))
+        want = hashlib.sha256(data).hexdigest()
+        assert _native.sha256(data).hexdigest() == want, length
+        h = _native.sha256()
+        h.update(data[:length // 3])
+        h.update(data[length // 3:])
+        assert h.hexdigest() == want, length
+
+
+def test_sha256_of_a_multi_mib_buffer_is_hashlibs():
+    data = np.random.default_rng(5).bytes(5 * 2 ** 20 + 77)
+    assert _native.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_falls_back_to_hashlib_without_the_builtin_module():
+    """On an interpreter built without ``_sha2`` and ``_sha256`` the
+    digests come from hashlib, and are the same."""
+    code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from lpplab import _native\n"
+            "h = _native.sha256(b'abc'); h.update(bytes(range(256)) * 300)\n"
+            "print(type(h).__module__, 'hashlib' in sys.modules, h.hexdigest())")
+    env = dict(os.environ, PYTHONPATH=str(Path(_native.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    module, loaded, digest = done.stdout.split()
+    assert module not in ("_sha2", "_sha256") and loaded == "True"
+    assert digest == hashlib.sha256(b"abc" + bytes(range(256)) * 300).hexdigest()
+
+
+def test_build_cache_name_is_the_hashlib_key():
+    """The cache file is named by the first 16 hex digits of hashlib's
+    SHA-256 of the source and of the build environment, so a build made
+    with the hashlib key is reused."""
+    include = _native._include()
+    key = [hashlib.sha256(part).hexdigest()[:16] for part in
+           (_native._SOURCE.read_bytes(), "\0".join([*_native._BUILD, include]).encode())]
+    assert _native._build().name == f"_kernels-{key[0]}-{key[1]}{_native._SUFFIX}"
