@@ -14,10 +14,18 @@
    twin _relax takes them, then the weights path by path.  MAX returns
    its second operand unless the first is larger, as np.maximum does on
    non-NaN doubles, signed zeros included; fields are finite, so every
-   reachable state is bit-identical to numpy's.  Weights are read through
-   element strides (rs, cs), so a reflected view needs no copy; the pair
-   sweep copies each step's antidiagonal weights into a contiguous
-   scratch row first, so its inner loop vectorises.  The extremal walk of
+   reachable state is bit-identical to numpy's.  Both sweeps take what
+   their caller reads (a table's read cells, a pair sweep's read states
+   at t_stop), turn it into a window (cell_window, state_band) and
+   update only the states inside, a set closed under predecessors that
+   holds every state able to reach a read one, so those states keep
+   their full-sweep values; no reads is the full sweep.  Both write
+   every entry the caller gets back, NEG where they compute nothing, so
+   no buffer needs a fill.  Weights are read
+   through element strides (rs, cs), so a reflected view needs no copy;
+   the pair sweep copies each step's antidiagonal weights into a
+   contiguous scratch row first, so its inner loop vectorises.  The
+   extremal walk of
    lattice.geodesic_cells_from_B tests each visited cell's two moves in
    B's own operand order, as the twin _walk_py does over the whole
    rectangle, reading B and the weights through their strides.
@@ -150,20 +158,43 @@ static int64_t row_pass(const double *xs, const double *ts, const int64_t *slab,
 static int64_t lmax(int64_t a, int64_t b) { return a > b ? a : b; }
 static int64_t lmin(int64_t a, int64_t b) { return a < b ? a : b; }
 
+/* n NEG entries from p on */
+static void fill(double *p, int64_t n)
+{
+    for (int64_t k = 0; k < n; k++)
+        p[k] = NEG;
+}
+
 /* The best-path table of a rows x cols field w, swept from the corner
-   (i0, j0) to the grid's far end, into the padded (rows + 1) x (cols + 1)
-   table, NEG-filled by the caller.  Without seeds (NULL) the corner
-   starts with its own weight; with seeds (contiguous rows x cols) every
-   swept cell takes the max of its value and its seed.  Cell (i, j) is
-   max(left, up) + w[i, j]. */
+   (i0, j0) over the window of cells (i, j) with i <= i1, j <= j1 and
+   i + j <= t_stop, into the padded (rows + 1) x (cols + 1) table.  The
+   window is closed under predecessors, so each of its cells gets its
+   whole-grid value; every other entry, the border included, is set to
+   NEG here, so the table needs no fill before the call.  Without seeds
+   (NULL) the corner starts with its own weight; with seeds (contiguous
+   rows x cols) every swept cell takes the max of its value and its
+   seed.  Cell (i, j) is max(left, up) + w[i, j]. */
 static void path_table(const double *w, int64_t rows, int64_t cols, int64_t rs, int64_t cs,
-                       int64_t i0, int64_t j0, const double *seeds, double *table)
+                       int64_t i0, int64_t j0, int64_t i1, int64_t j1, int64_t t_stop,
+                       const double *seeds, double *table)
 {
     int64_t W = cols + 1;
+    fill(table, (i0 + 1) * W);
+    for (int64_t i = i0; i <= i1; i++) {
+        double *r = table + (i + 1) * W;
+        int64_t end = lmin(j1, t_stop - i) + 1;  /* the row's last swept entry */
+        if (end <= j0) {  /* the row ends before the window */
+            fill(r, W);
+            continue;
+        }
+        fill(r, j0 + 1);
+        fill(r + end + 1, W - end - 1);
+    }
+    fill(table + (i1 + 2) * W, (rows - 1 - i1) * W);
     if (!seeds)
         table[(i0 + 1) * W + j0 + 1] = w[i0 * rs + j0 * cs];
-    for (int64_t t = i0 + j0 + !seeds; t < rows + cols - 1; t++) {
-        int64_t lo = lmax(i0, t - cols + 1), hi = lmin(rows - 1, t - j0);
+    for (int64_t t = i0 + j0 + !seeds; t <= t_stop; t++) {
+        int64_t lo = lmax(i0, t - j1), hi = lmin(i1, t - j0);
         for (int64_t i = lo; i <= hi; i++) {
             int64_t j = t - i;
             double *cell = table + (i + 1) * W + j + 1;
@@ -175,16 +206,31 @@ static void path_table(const double *w, int64_t rows, int64_t cols, int64_t rs, 
 
 /* One pair sweep of a rows x cols field w from the ordered start pair
    (i1, j1), (i2, j2) (doubled when equal) to chart time t_stop, over
-   padded (cols + 1)^2 state buffers, NEG-filled by the caller: step s
-   reads buffer (s - 1) % nbuf and writes buffer s % nbuf, so nbuf = 2
-   keeps the last step and nbuf = steps + 1 records every one.  A step
-   first copies its antidiagonal's weights into the caller's scratch row
-   (cols + 1 doubles, row[b] the weight on column b - 1), so the inner
-   loop reads contiguous memory and vectorises.  It writes the live
-   window's upper triangle j1 < j2 and sets its diagonal to NEG; the
-   lower triangle is never read, never written.  order 0 adds the left
-   path's weight first, order 1 the right path's.  Returns 1 when a pair
-   state at t_stop is reachable, else 0. */
+   padded (cols + 1)^2 state buffers: step s reads buffer (s - 1) % nbuf
+   and writes buffer s % nbuf, so nbuf = 2 keeps the last step and
+   nbuf = steps + 1 records every one.
+
+   The caller reads the states at t_stop in the band of columns
+   j_lo <= j1 < j2 <= j_hi with j2 - j1 <= sep (j_lo > j_hi: none).  At
+   r steps before t_stop a step updates only the states that can reach
+   the band: left column >= j_lo - r, right column <= j_hi, separation
+   <= sep + r.
+   Those windows are closed under predecessors (each path stays or moves
+   by one column per step), so every updated state gets its full-sweep
+   value, bit for bit; the full window is (0, cols - 1, cols - 1).
+
+   A step first copies its antidiagonal's weights into the caller's
+   scratch row (cols + 1 doubles, row[b] the weight on column b - 1), so
+   the inner loop reads contiguous memory and vectorises.  It writes the
+   window's upper triangle j1 < j2, sets its diagonal to NEG, and writes
+   NEG just right of each row and along the row below the window: the
+   next step reads only entries this step wrote, so the buffers need no
+   fill before the call.  The lower triangle is never read.  A buffer
+   the caller keeps (the last step's, or every one when recording) is
+   NEG-filled before its step writes it, so its entries outside the
+   window are NEG, not states of two steps back.  order 0 adds the left
+   path's weight first, order 1 the right path's.  Returns 1 when a
+   state of the band at t_stop is reachable, else 0. */
 static void pair_row(const double *restrict stayed, const double *restrict moved,
                      const double *restrict row, double wa, int64_t a, int64_t hi,
                      int64_t order, double *restrict out)
@@ -201,48 +247,60 @@ static void pair_row(const double *restrict stayed, const double *restrict moved
 
 static int64_t pair_sweep(const double *w, int64_t rows, int64_t cols, int64_t rs,
                           int64_t cs, int64_t i1, int64_t j1, int64_t i2, int64_t j2,
-                          int64_t t_stop, int64_t order, double *states, int64_t nbuf,
-                          double *row)
+                          int64_t t_stop, int64_t order, int64_t j_lo, int64_t j_hi,
+                          int64_t sep, double *states, int64_t nbuf, double *row)
 {
-    int64_t W = cols + 1, size = W * W, t = i1 + j1, imin = lmin(i1, i2), lo = 0, hi = 0, s;
-    double *seed;
-    if (i1 == i2 && j1 == j2) {
-        if (i1 + 1 >= rows || j1 + 1 >= cols)
-            return 0;
-        t++;
-        seed = states + (j1 + 1) * W + j1 + 2;
-        *seed = 2.0 * w[i1 * rs + j1 * cs] + w[(i1 + 1) * rs + j1 * cs]
-            + w[i1 * rs + (j1 + 1) * cs];
-    } else {
-        seed = states + (j1 + 1) * W + j2 + 1;
-        *seed = w[i1 * rs + j1 * cs] + w[i2 * rs + j2 * cs];
+    int64_t W = cols + 1, size = W * W, t = i1 + j1, imin = lmin(i1, i2);
+    int64_t a_lo = j_lo + 1, b_hi = j_hi + 1;  /* the band in padded columns */
+    int doubled = i1 == i2 && j1 == j2;
+    if (j_lo > j_hi || (doubled && (i1 + 1 >= rows || j1 + 1 >= cols)))
+        return 0;  /* no state read, or no pair from a doubled start */
+    t += doubled;
+    int64_t steps = t_stop - t, keep = nbuf > steps;
+    if (steps < 0)
+        return 0;
+    if (keep) {
+        fill(states, size);
+    } else {  /* only the entries step 1 reads */
+        int64_t hi = lmin(cols - 1, t + 1 - imin) + 1;
+        for (int64_t a = j1; a <= hi; a++)
+            fill(states + a * W + j1, hi - j1 + 1);
     }
-    for (s = 1; t + s <= t_stop; s++) {
-        int64_t u = t + s;
+    if (doubled)
+        states[(j1 + 1) * W + j1 + 2] = 2.0 * w[i1 * rs + j1 * cs] + w[(i1 + 1) * rs + j1 * cs]
+            + w[i1 * rs + (j1 + 1) * cs];
+    else
+        states[(j1 + 1) * W + j2 + 1] = w[i1 * rs + j1 * cs] + w[i2 * rs + j2 * cs];
+    for (int64_t s = 1; s <= steps; s++) {
+        int64_t u = t + s, r = steps - s;
         const double *prev = states + ((s - 1) % nbuf) * size;
         double *next = states + (s % nbuf) * size;
-        lo = lmax(j1, u - rows + 1) + 1;
-        hi = lmin(cols - 1, u - imin) + 1;
-        if (lo > hi)
+        /* live columns (padded): j >= j1 and inside the grid, i >= imin */
+        int64_t lo = lmax(j1, u - rows + 1) + 1, hi = lmin(cols - 1, u - imin) + 1;
+        int64_t a0 = lmax(lo, a_lo - r), a1 = lmin(hi, b_hi - 1), top = lmin(hi, b_hi);
+        if (a0 > a1)
             return 0;
-        for (int64_t b = lo; b <= hi; b++)
+        if (keep || r == 0)
+            fill(next, size);
+        for (int64_t b = a0; b <= top; b++)
             row[b] = w[(u - b + 1) * rs + (b - 1) * cs];
+        /* the row below the window, read next step as the moved row */
+        fill(next + (a0 - 1) * W + a0 - 1, lmin(lmin(top, a0 + sep + r) + 1, cols) - a0 + 2);
         /* the left path stayed on column a or moved from a - 1 */
-        for (int64_t a = lo; a <= hi; a++) {
+        for (int64_t a = a0; a <= a1; a++) {
+            int64_t b1 = lmin(top, a + sep + r);
             next[a * W + a] = NEG;
-            pair_row(prev + a * W, prev + (a - 1) * W, row, row[a], a, hi, order,
+            pair_row(prev + a * W, prev + (a - 1) * W, row, row[a], a, b1, order,
                      next + a * W);
+            if (b1 < cols)
+                next[a * W + b1 + 1] = NEG;
         }
     }
-    if (s == 1)
-        return *seed > NEG / 2.0;
-    /* the last state: rows below the window may hold stale states, and
-       only the window's upper triangle can be live */
-    double *last = states + ((s - 1) % nbuf) * size, best = NEG;
-    for (int64_t k = 0; k < lo * W; k++)
-        last[k] = NEG;
-    for (int64_t a = lo; a <= hi; a++)
-        for (int64_t b = a + 1; b <= hi; b++)
+    const double *last = states + (steps % nbuf) * size;
+    int64_t lo = lmax(j1, t_stop - rows + 1) + 1, hi = lmin(cols - 1, t_stop - imin) + 1;
+    double best = NEG;
+    for (int64_t a = lmax(lo, a_lo); a <= lmin(hi, b_hi - 1); a++)
+        for (int64_t b = a + 1; b <= lmin(lmin(hi, b_hi), a + sep); b++)
             best = MAX(best, last[a * W + b]);
     return best > NEG / 2.0;
 }
@@ -416,6 +474,50 @@ static int in_grid(const char *name, int64_t i, int64_t j, int64_t rows, int64_t
     return -1;
 }
 
+/* The window of a table swept from (i0, j0) for the read cells, a
+   k x 2 buffer of (row, column), into stop: the last row, column and
+   chart time of the cells reachable from (i0, j0), the corner alone when
+   none is.  0, or -1 with ValueError set when a cell is off the grid. */
+static int cell_window(const Py_buffer *reads, int64_t i0, int64_t j0, int64_t rows,
+                       int64_t cols, int64_t *stop)
+{
+    const int64_t *r = reads->buf;
+    stop[0] = i0, stop[1] = j0, stop[2] = i0 + j0;
+    for (int64_t k = 0; k < reads->shape[0]; k++) {
+        int64_t i = r[2 * k], j = r[2 * k + 1];
+        if (in_grid("read cell", i, j, rows, cols) < 0)
+            return -1;
+        if (i >= i0 && j >= j0) {
+            stop[0] = lmax(stop[0], i);
+            stop[1] = lmax(stop[1], j);
+            stop[2] = lmax(stop[2], i + j);
+        }
+    }
+    return 0;
+}
+
+/* The band of the read states, a k x 2 buffer of column pairs (j1, j2),
+   into band: the least j1, the greatest j2 and the greatest j2 - j1;
+   j_lo > j_hi when k = 0.  0, or -1 with ValueError set unless every
+   pair has 0 <= j1 < j2 < cols. */
+static int state_band(const Py_buffer *reads, int64_t cols, int64_t *band)
+{
+    const int64_t *r = reads->buf;
+    band[0] = cols, band[1] = -1, band[2] = 0;
+    for (int64_t k = 0; k < reads->shape[0]; k++) {
+        int64_t a = r[2 * k], b = r[2 * k + 1];
+        if (!(0 <= a && a < b && b < cols)) {
+            PyErr_Format(PyExc_ValueError, "read state (%lld, %lld) is not a column pair "
+                         "0 <= j1 < j2 < %lld", (long long)a, (long long)b, (long long)cols);
+            return -1;
+        }
+        band[0] = lmin(band[0], a);
+        band[1] = lmax(band[1], b);
+        band[2] = lmax(band[2], b - a);
+    }
+    return 0;
+}
+
 /* pile_counts(vs, k, stops, bounds, rows, lens, out): vs float64 (n),
    stops int64 (m), bounds float64 (m); scratch rows float64 (>= k n) and
    lens int64 (>= k); out int64 (m, k) */
@@ -492,28 +594,34 @@ done:
     return result;
 }
 
-/* path_table(w, i0, j0, seeds, table): w float64 (rows, cols), any
-   strides; seeds None or float64 (rows, cols); table float64
-   (rows + 1, cols + 1) */
+/* path_table(w, i0, j0, reads, seeds, table): w float64 (rows, cols),
+   any strides; reads None (the whole grid) or int64 (k, 2) cells on the
+   grid; seeds None or float64 (rows, cols); table float64 (rows + 1,
+   cols + 1), of any content */
 static PyObject *py_path_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Held held = {.n = 0};
     PyObject *result = NULL;
-    int64_t c[2];
-    Py_buffer *w, *seeds = NULL, *table;
-    if (arity("path_table", nargs, 5) < 0 || ints(args, (int[]){1, 2}, 2, c) < 0
+    int64_t c[2], stop[3];
+    Py_buffer *w, *reads = NULL, *seeds = NULL, *table;
+    if (arity("path_table", nargs, 6) < 0 || ints(args, (int[]){1, 2}, 2, c) < 0
         || !(w = take(&held, args[0], "w", 'd', 2, STRIDED))
-        || (args[3] != Py_None && !(seeds = take(&held, args[3], "seeds", 'd', 2, IN)))
-        || !(table = take(&held, args[4], "table", 'd', 2, OUT)))
+        || (args[3] != Py_None && !(reads = take(&held, args[3], "reads", 'q', 2, IN)))
+        || (args[4] != Py_None && !(seeds = take(&held, args[4], "seeds", 'd', 2, IN)))
+        || !(table = take(&held, args[5], "table", 'd', 2, OUT)))
         goto done;
     int64_t rows = w->shape[0], cols = w->shape[1];
     if (in_grid("corner", c[0], c[1], rows, cols) < 0
+        || (reads && shaped(reads, "reads", (int64_t[]){reads->shape[0], 2}) < 0)
         || (seeds && shaped(seeds, "seeds", (int64_t[]){rows, cols}) < 0)
         || shaped(table, "table", (int64_t[]){rows + 1, cols + 1}) < 0)
         goto done;
+    stop[0] = rows - 1, stop[1] = cols - 1, stop[2] = rows + cols - 2;
+    if (reads && cell_window(reads, c[0], c[1], rows, cols, stop) < 0)
+        goto done;
     Py_BEGIN_ALLOW_THREADS
-    path_table(w->buf, rows, cols, w->strides[0] / 8, w->strides[1] / 8, c[0], c[1],
-               seeds ? seeds->buf : NULL, table->buf);
+    path_table(w->buf, rows, cols, w->strides[0] / 8, w->strides[1] / 8, c[0], c[1], stop[0],
+               stop[1], stop[2], seeds ? seeds->buf : NULL, table->buf);
     Py_END_ALLOW_THREADS
     result = Py_NewRef(Py_None);
 done:
@@ -521,20 +629,22 @@ done:
     return result;
 }
 
-/* pair_sweep(w, i1, j1, i2, j2, t_stop, order, states, row) -> 0 or 1: w
-   float64 (rows, cols), any strides, holding both start cells; states
-   float64 (nbuf >= 1, cols + 1, cols + 1); scratch row float64
-   (>= cols + 1) */
+/* pair_sweep(w, i1, j1, i2, j2, t_stop, order, reads, states, row) -> 0
+   or 1: w float64 (rows, cols), any strides, holding both start cells;
+   reads None (every state) or int64 (k, 2) column pairs
+   0 <= j1 < j2 < cols; states float64 (nbuf >= 1, cols + 1, cols + 1),
+   of any content; scratch row float64 (>= cols + 1) */
 static PyObject *py_pair_sweep(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Held held = {.n = 0};
     PyObject *result = NULL;
-    int64_t a[6];
-    Py_buffer *w, *states, *row;
-    if (arity("pair_sweep", nargs, 9) < 0 || ints(args, (int[]){1, 2, 3, 4, 5, 6}, 6, a) < 0
+    int64_t a[6], band[3];
+    Py_buffer *w, *reads = NULL, *states, *row;
+    if (arity("pair_sweep", nargs, 10) < 0 || ints(args, (int[]){1, 2, 3, 4, 5, 6}, 6, a) < 0
         || !(w = take(&held, args[0], "w", 'd', 2, STRIDED))
-        || !(states = take(&held, args[7], "states", 'd', 3, OUT))
-        || !(row = take(&held, args[8], "row", 'd', 1, OUT)))
+        || (args[7] != Py_None && !(reads = take(&held, args[7], "reads", 'q', 2, IN)))
+        || !(states = take(&held, args[8], "states", 'd', 3, OUT))
+        || !(row = take(&held, args[9], "row", 'd', 1, OUT)))
         goto done;
     int64_t rows = w->shape[0], cols = w->shape[1], nbuf = states->shape[0];
     if (nbuf < 1) {
@@ -543,13 +653,18 @@ static PyObject *py_pair_sweep(PyObject *self, PyObject *const *args, Py_ssize_t
     }
     if (in_grid("first start cell", a[0], a[1], rows, cols) < 0
         || in_grid("second start cell", a[2], a[3], rows, cols) < 0
+        || (reads && shaped(reads, "reads", (int64_t[]){reads->shape[0], 2}) < 0)
         || shaped(states, "states", (int64_t[]){nbuf, cols + 1, cols + 1}) < 0
         || room(row, "row", cols + 1, 1) < 0)
+        goto done;
+    band[0] = 0, band[1] = cols - 1, band[2] = cols - 1;
+    if (reads && state_band(reads, cols, band) < 0)
         goto done;
     int64_t live;
     Py_BEGIN_ALLOW_THREADS
     live = pair_sweep(w->buf, rows, cols, w->strides[0] / 8, w->strides[1] / 8, a[0], a[1],
-                      a[2], a[3], a[4], a[5] != 0, states->buf, nbuf, row->buf);
+                      a[2], a[3], a[4], a[5] != 0, band[0], band[1], band[2], states->buf,
+                      nbuf, row->buf);
     Py_END_ALLOW_THREADS
     result = PyLong_FromLongLong(live);
 done:

@@ -431,7 +431,8 @@ def busemann_gap(model: LatticeField, direction: ExceptionalDirection,
         # runs with a doubled end and the profile reduces to gap values
         BL = B_far_l if h == h_far else _lattice.backward_values(model, pl)
         BR = B_far_r if h == h_far else _lattice.backward_values(model, pr)
-        S = _lattice.pair_backward(model, (pl, pr), t0 + 1)
+        S = _lattice.pair_backward(model, (pl, pr), t0 + 1,
+                                   reads=_lattice.doubled_reads(model, starts, 1))
         pairs = _lattice.doubled_values(model, S, t0 + 1, starts)
         for k, a in enumerate(starts):
             if not (_lattice.is_reachable(BL[a]) and _lattice.is_reachable(BR[a])) \

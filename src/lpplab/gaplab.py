@@ -35,14 +35,16 @@ def gap_value(model: Model, start, end):
     return two_l - l2
 
 
-def _lattice_row(model: LatticeField, a, cells):
-    """(L, L2) from source a to the cells of one chart time: passage values
-    and doubled-anchor pair values (NaN where infeasible).  One forward
-    table and one pair sweep, to the time before the cells, serve the row."""
-    t = cells[0][0] + cells[0][1] - 1
-    F = _lattice.forward_values(model, a)
-    S = _lattice.pair_forward(model, (a, a), t)
-    return np.array([F[c] for c in cells]), _lattice.doubled_values(model, S, t, cells)
+def _lattice_row(model: LatticeField, a, cells, reads):
+    """(L, L2) from source a to the cells of one chart time, an (n, 2)
+    int64 array: passage values and doubled-anchor pair values (NaN where
+    infeasible).  One forward table, to the cells, and one pair sweep, to
+    the states next to them at the time before (reads, from
+    ``doubled_reads``: the same for every row of a sheet), serve the row."""
+    t = int(cells[0].sum()) - 1
+    F = _lattice.forward_values(model, a, cells)
+    S = _lattice.pair_forward(model, (a, a), t, reads=reads)
+    return F[cells[:, 0], cells[:, 1]], _lattice.doubled_values(model, S, t, cells)
 
 
 @record
@@ -96,9 +98,10 @@ def gap_sheet(model: Model, x_grid: Sequence, y_grid: Sequence,
     ys = np.asarray(y_grid, dtype=np.float64)
     values = np.full((xs.size, ys.size), np.nan)
     if isinstance(model, LatticeField):
-        cells = [model.cell_at(y, t1) for y in ys]
-        for i, x in enumerate(xs if cells else ()):  # no sinks, no sweep
-            L, L2 = _lattice_row(model, model.cell_at(x, t0), cells)
+        cells = np.array([model.cell_at(y, t1) for y in ys], dtype=np.int64).reshape(-1, 2)
+        reads = _lattice.doubled_reads(model, cells, -1)
+        for i, x in enumerate(xs if len(cells) else ()):  # no sinks, no sweep
+            L, L2 = _lattice_row(model, model.cell_at(x, t0), cells, reads)
             values[i] = 2.0 * L - L2
     elif isinstance(model, PoissonCloud):
         dt = t1 - t0
@@ -361,9 +364,10 @@ def min_formula_residual(model: Model, x, y, z,
 def _lattice_min_formula(model: LatticeField, x, ys: Sequence[int],
                          times: Tuple[float, float]):
     """(ws, cells, L, L2, S2) on the parity grid ws from ys[0] to ys[-1] at
-    t1: the gap row from source x, and the pair states at t1 (None if no
-    pair is feasible).  S2 comes from a second pair sweep from x, to t1;
-    the row's own sweep stops at t1 - 1, where the doubled ends are read.
+    t1: the gap row from source x, and the pair states at t1 between the
+    first and the last cell (None if no such pair is feasible).  S2 comes
+    from a second pair sweep from x, to t1, windowed to those states; the
+    row's own sweep stops at t1 - 1, where the doubled ends are read.
     x, every y and both times go to ``cell_at`` as given, so a
     non-integral one is refused, not truncated."""
     a = model.cell_at(x, times[0])
@@ -371,9 +375,10 @@ def _lattice_min_formula(model: LatticeField, x, ys: Sequence[int],
     (i0, j0), (i1, j1) = ends[0], ends[-1]
     t1 = i0 + j0
     ws = list(range(j0 - i0, j1 - i1 + 1, 2))
-    cells = [model.cell_at(w, t1) for w in ws]
-    L, L2 = _lattice_row(model, a, cells)
-    return ws, cells, L, L2, _lattice.pair_forward(model, (a, a), t1)
+    cells = np.array([model.cell_at(w, t1) for w in ws], dtype=np.int64)
+    L, L2 = _lattice_row(model, a, cells, _lattice.doubled_reads(model, cells, -1))
+    span = [(cells[0, 1], cells[-1, 1])] if len(cells) > 1 else []
+    return ws, cells, L, L2, _lattice.pair_forward(model, (a, a), t1, reads=span)
 
 
 def min_formula_residuals_batch(model: LatticeField, x: int, ys: Sequence[int],

@@ -25,30 +25,50 @@ columns (j1, j2).
 Live window: a sweep from corner (i0, j0) reaches only cells with
 i >= i0 and j >= j0, so the live indices at time t form a window
 [lo(t), hi(t)] whose ends never decrease.  A step updates that window
-only, in place, in buffers padded with a NEG border at index 0.  The
-pair step clears the diagonal j1 == j2: while every state on or below
-it is dead, only the diagonal can be fed from a live state, so the
-lower triangle stays dead.  The pair sweep swaps two buffers; lo is
-constant until the grid's bottom edge cuts in and then rises by one per
-step, so a step reads only rows the step before wrote or rows never
-written.  Rows left behind go stale and are cleared once, at the end.
+only, in buffers padded with a NEG border at index 0.  The pair step
+clears the diagonal j1 == j2: while every state on or below it is dead,
+only the diagonal can be fed from a live state, so the lower triangle
+stays dead.
+
+Read window: a sweep also stops at what its caller reads.  A table
+swept for read cells stops at the latest chart time, last row and last
+column of those it can reach.  A pair sweep whose read states at t_stop
+span the band j_lo <= j1 < j2 <= j_hi, j2 - j1 <= sep (the least j1,
+the greatest j2 and the greatest j2 - j1 of the reads) updates, r steps
+before t_stop, only the states with j1 >= j_lo - r, j2 <= j_hi and
+j2 - j1 <= sep + r.  Each path stays on its column or moves by one per
+step, so both windows are closed under predecessors: every state inside
+keeps its full-sweep value bit for bit, in particular every state that
+can reach a read one, and a pair sweep reports a feasible pair when a
+state of the band is live.  The kernel derives the window from the read
+array and refuses a read off the grid or out of order (ValueError).
+Without reads the window is the whole grid.
+
+The kernels write every entry they return, so no buffer is filled
+before a sweep.  A table gets NEG at its border and at every cell
+outside the window.  The pair sweep swaps two buffers; a step writes
+NEG just right of each of its rows and along the row below its window,
+which is all the next step reads beyond the states this step wrote.  A
+pair buffer the caller keeps (the last step's, or every step's when
+recording) is NEG-filled before its step writes it, so its entries
+outside the window are NEG, never states of two steps back.
 
 Compiled kernel: ``_path_table`` and ``_pair_sweep`` each run a whole
 sweep, and ``geodesic_cells_from_B`` a whole walk, as one call into the
 package's extension module (``_kernels.c``, built and loaded by
 ``_native`` on first use, never at import), the only implementation of
 each.  A call passes the numpy arrays themselves; the module reads their
-strides, checks types, shapes and cells, and releases the GIL, so a
-walk's fixed cost is about 2 µs.  The C sweeps take the operands in
+strides, checks types, shapes, cells and windows, and releases the GIL,
+so a walk's fixed cost is about 2 µs.  The C sweeps take the operands in
 numpy's order, the max of the predecessors as their numpy references
 take them, then the weights path by path, so every reachable state is
 bit-identical to numpy's for every law (weights are finite, see
 ``LatticeField``).  The references live with the tests, which compare
-them with these kernels.  The pair sweep computes only the live upper
-triangle j1 < j2 and clears the diagonal; the lower triangle is never
-read, so it is never written and stays NEG.  Each step copies its
-weights at (t - j, j), read through the field's strides (a reflected
-view included), into one contiguous scratch row, so the inner loop
+them with these kernels.  The pair sweep computes only the window's
+upper triangle j1 < j2 and clears the diagonal; the lower triangle is
+never read and never written.  Each step copies its weights at
+(t - j, j), read through the field's strides (a reflected view
+included), into one contiguous scratch row, so the inner loop
 vectorises; no table of antidiagonal rows is built.
 
 Mirrors come from reflection: backward tables and backward pair sweeps
@@ -65,16 +85,27 @@ step before c (forward states, a doubled end) above and left of c, one
 step after c (backward states, a doubled start) below and right of c.
 
 Pair API: every pair value is read from the states of one sweep.
-``pair_forward`` and ``pair_backward`` return the full pair states at
+``pair_forward`` and ``pair_backward`` return the pair states at
 t_stop, or None when no pair is feasible there; with record=True they
 return the trail [(t, states), ...] of every step instead, [] when
-infeasible.  ``disjoint2_value`` reads a forward sweep and
-``optimizer_pair`` walks a recorded backward one.  Each pair is checked
-once, by ``_check_pair``: both cells on the grid, at one chart time,
-and doubled or ordered left to right, else DomainError.  A sweep checks
-the pair it starts from; ``disjoint2_value`` checks its end pair and
-``optimizer_pair`` its start pair, so a direct call is checked as fully
-as one through ``engine``, which leaves lattice pairs to this check.
+infeasible.  Given ``reads``, the (j1, j2) states the caller will read
+at t_stop, a sweep runs in their read window: the states that can reach
+a read one hold their full-sweep values, every other entry its
+full-sweep value or NEG, and None ([]) means no state of the reads'
+band is feasible; an empty ``reads`` reads nothing and gives None.
+``forward_values`` takes its read cells the same way.
+``doubled_reads`` names the states ``doubled_values`` reads.
+``gaplab`` windows each gap-sheet row's table to its sinks and its pair
+sweep to the states next to them, ``disjoint2_value`` reads a forward
+sweep windowed to its end pair, and ``optimizer_pair`` walks a recorded
+backward sweep windowed to its start pair (each state it visits is a
+predecessor of the one before, so the walk stays in the window).  Each
+pair is checked once, by ``_check_pair``: both cells on the grid, at
+one chart time, and doubled or ordered left to right, else DomainError.
+A sweep checks the pair it starts from; ``disjoint2_value`` checks its
+end pair and ``optimizer_pair`` its start pair, so a direct call is
+checked as fully as one through ``engine``, which leaves lattice pairs
+to this check.
 
 Walks: an extremal geodesic from a to b is walked on B = backward
 values to b (``geodesic_cells_from_B``).  A move from c to its right or
@@ -119,26 +150,37 @@ def is_reachable(value: float) -> bool:
     return value > _VALID
 
 
-def _path_table(w: np.ndarray, corner, seeds=None) -> np.ndarray:
-    """Padded best-path table, swept from corner to the grid's far end.
+def _path_table(w: np.ndarray, corner, seeds=None, reads=None) -> np.ndarray:
+    """Padded best-path table, swept from corner over the read window of
+    the cells in reads (None: to the grid's far end); see Read window
+    above.
 
     Without seeds the corner cell starts with its own weight.  With seeds
     (NEG where unseeded) every cell takes max(seed, swept value); the
     corner must then lie weakly above-left of every seeded cell.
     """
     rows, cols = w.shape
-    table = np.full((rows + 1, cols + 1), NEG)
+    table = np.empty((rows + 1, cols + 1))
     if seeds is not None:
         seeds = np.ascontiguousarray(seeds, dtype=np.float64)
-    _native.library().path_table(w, corner[0], corner[1], seeds, table)
+    _native.library().path_table(w, corner[0], corner[1], _pairs(reads), seeds, table)
     return table
 
 
-def forward_values(field: LatticeField, start) -> np.ndarray:
-    """F[c] = best path value start -> c, both endpoint weights included."""
+def _pairs(reads):
+    """reads as a contiguous (k, 2) int64 array, None for None."""
+    return None if reads is None else np.ascontiguousarray(reads, dtype=np.int64).reshape(-1, 2)
+
+
+def forward_values(field: LatticeField, start, reads=None) -> np.ndarray:
+    """F[c] = best path value start -> c, both endpoint weights included.
+
+    With reads (cells), the sweep stops at their read window: every cell
+    that can reach a read cell holds its whole-grid value, every other
+    cell its whole-grid value or NEG (see Read window above)."""
     if not field.in_grid(start):
         raise DomainError(f"start cell {start} outside {field.rows}x{field.cols} grid")
-    return _path_table(field.weights, start)[1:, 1:]
+    return _path_table(field.weights, start, reads=reads)[1:, 1:]
 
 
 def backward_values(field: LatticeField, end) -> np.ndarray:
@@ -199,12 +241,15 @@ def profile(field: LatticeField, start, chart_time: int) -> dict:
     return out
 
 
-def _pair_sweep(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
+def _pair_sweep(w: np.ndarray, start_pair, t_stop: int, record: bool, order,
+                reads=None):
     """Two-path sweep on weights w from an ordered start pair to t_stop.
 
     Returns the trail [(t, padded states)], holding every step with
     record and only the last one without; [] if no pair is feasible.
     ``order`` is the axis order in which the paths' weights are added.
+    ``reads`` are the (j1, j2) states the caller reads at t_stop (see
+    Pair API above), None for all of them.
     """
     cols = w.shape[1]
     (i1, j1), (i2, j2) = start_pair
@@ -212,10 +257,11 @@ def _pair_sweep(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
     if t_stop < t:
         return []
     steps = t_stop - t + 1
-    states = np.full((steps if record else min(steps, 2), cols + 1, cols + 1), NEG)
+    states = np.empty((steps if record else min(steps, 2), cols + 1, cols + 1))
     row = np.empty(cols + 1)
     swap = order == (1, 0)
-    if not _native.library().pair_sweep(w, i1, j1, i2, j2, t_stop, swap, states, row):
+    if not _native.library().pair_sweep(w, i1, j1, i2, j2, t_stop, swap, _pairs(reads), states,
+                                        row):
         return []
     if record:
         return list(zip(range(t, t_stop + 1), states))
@@ -234,7 +280,7 @@ def _check_pair(field: LatticeField, pair, role: str) -> None:
 
 
 def pair_forward(field: LatticeField, start_pair, t_stop: int,
-                 record: bool = False):
+                 record: bool = False, reads=None):
     """Sweep the two-path DP from a start pair up to chart time t_stop.
 
     start_pair is (a, a) for a doubled start or (a1, a2) with a1 left of
@@ -242,27 +288,33 @@ def pair_forward(field: LatticeField, start_pair, t_stop: int,
     the best pair value with the paths at columns j1 < j2 of antidiagonal
     t_stop, or None if no pair is feasible.  With record=True returns the
     trail [(t, states), ...] of every step up to t_stop, [] if infeasible.
+    With reads, (j1, j2) pairs at t_stop, the sweep runs in their read
+    window (see Pair API above).
     """
     _check_pair(field, start_pair, "start")
     trail = [(t, S[1:, 1:]) for t, S in
-             _pair_sweep(field.weights, start_pair, t_stop, record, (0, 1))]
+             _pair_sweep(field.weights, start_pair, t_stop, record, (0, 1), reads)]
     return trail if record else (trail[-1][1] if trail else None)
 
 
 def pair_backward(field: LatticeField, end_pair, t_stop: int,
-                  record: bool = False):
+                  record: bool = False, reads=None):
     """Mirror of pair_forward: sweep from an end pair down to chart time t_stop.
 
     The forward sweep of the reflected field, from the reflected end pair
-    (whose paths trade sides); states and times are reflected back.
-    Returns the states at t_stop or None, and with record=True the trail
-    [(t, states), ...] from the end pair's time down to t_stop.
+    (whose paths trade sides); states and times are reflected back, and
+    so are the reads, (j1, j2) pairs at t_stop.  Returns the states at
+    t_stop or None, and with record=True the trail [(t, states), ...]
+    from the end pair's time down to t_stop.
     """
     _check_pair(field, end_pair, "end")
     t_max = field.rows + field.cols - 2
     flipped = [reflect_cell(field, c) for c in end_pair[::-1]]
+    if reads is not None:  # reflected, the paths trade sides
+        reads = field.cols - 1 - _pairs(reads)[:, ::-1]
     trail = [(t_max - t, S[:0:-1, :0:-1].T) for t, S in
-             _pair_sweep(field.weights[::-1, ::-1], flipped, t_max - t_stop, record, (1, 0))]
+             _pair_sweep(field.weights[::-1, ::-1], flipped, t_max - t_stop, record, (1, 0),
+                         reads)]
     return trail if record else (trail[-1][1] if trail else None)
 
 
@@ -271,15 +323,17 @@ def disjoint2_value(field: LatticeField, start_pair, end_pair):
 
     Paths may share only doubled endpoints; each path includes both of
     its endpoint weights, so a doubled endpoint weight is counted twice.
-    One forward pair sweep from start_pair serves: a distinct end pair is
-    read from the states at its chart time, a doubled end from the
-    states one step before it (doubled_values).  Raises DomainError for
-    a pair off the grid, at two chart times or out of order.
+    One forward pair sweep from start_pair serves, windowed to the one
+    state it reads: a distinct end pair is read from the states at its
+    chart time, a doubled end from the states one step before it
+    (doubled_values).  Raises DomainError for a pair off the grid, at two
+    chart times or out of order.
     """
     _check_pair(field, end_pair, "end")  # pair_forward checks start_pair
     b1, b2 = end_pair
     t = b1[0] + b1[1] - (b1 == b2)
-    S = pair_forward(field, start_pair, t)
+    reads = doubled_reads(field, [b1], -1) if b1 == b2 else [(b1[1], b2[1])]
+    S = pair_forward(field, start_pair, t, reads=reads)
     if b1 == b2:
         v = doubled_values(field, S, t, [b1])[0]
         return None if np.isnan(v) else float(v)
@@ -287,10 +341,26 @@ def disjoint2_value(field: LatticeField, start_pair, end_pair):
     return float(v) if is_reachable(v) else None
 
 
+def _doubled_states(field: LatticeField, i, j, d: int):
+    """(on, j1, j2): the indices of the cells (i, j) whose two neighbours
+    at their time + d are on the grid, and the states (j1, j2) next to
+    them, (j - 1, j) for d = -1 and (j, j + 1) for d = +1."""
+    on = np.flatnonzero((0 <= i + d) & (i + d < field.rows) & (0 <= j + d) & (j + d < field.cols))
+    return on, j[on] + min(d, 0), j[on] + max(d, 0)
+
+
+def doubled_reads(field: LatticeField, cells, d: int) -> np.ndarray:
+    """The pair states doubled_values reads for cells from states at
+    their time + d (d = -1 forward, +1 backward), as a (k, 2) int64
+    array of (j1, j2)."""
+    i, j = np.asarray(cells, dtype=np.int64).reshape(-1, 2).T
+    return np.column_stack(_doubled_states(field, i, j, d)[1:])
+
+
 def doubled_values(field: LatticeField, states, t: int, cells) -> np.ndarray:
     """Pair values with both paths sharing each cell, read from pair states.
 
-    ``states`` are full pair states at chart time t, next to the cells'
+    ``states`` are pair states at chart time t, next to the cells'
     common time t_c: t = t_c - 1 (forward states, a doubled end) reads
     S[j - 1, j], t = t_c + 1 (backward states, a doubled start) reads
     S[j, j + 1]; each value is that state + 2 * w[c].  NaN where a
@@ -304,12 +374,12 @@ def doubled_values(field: LatticeField, states, t: int, cells) -> np.ndarray:
         raise DomainError("doubled cells must share a chart time")
     d = t - int(i[0] + j[0])
     if d not in (-1, 1):
-        raise DomainError(f"pair states at time {t} are not next to cell {tuple(cells[0])}")
+        raise DomainError(f"pair states at time {t} are not next to cell "
+                          f"{(int(i[0]), int(j[0]))}")
     if states is None:
         return out
-    rows, cols = field.weights.shape
-    on = np.flatnonzero((0 <= i + d) & (i + d < rows) & (0 <= j + d) & (j + d < cols))
-    v = states[j[on] + min(d, 0), j[on] + max(d, 0)]
+    on, j1, j2 = _doubled_states(field, i, j, d)
+    v = states[j1, j2]
     on, v = on[v > _VALID], v[v > _VALID]
     out[on] = v + 2.0 * field.weights[i[on], j[on]]
     return out
@@ -396,7 +466,10 @@ def optimizer_pair(field: LatticeField, start_pair, end_pair, side: str):
     b1, b2 = end_pair
     t0 = a1[0] + a1[1]
     w = field.weights
-    trail = pair_backward(field, end_pair, t0 + (a1 == a2), record=True)
+    # the walk tests only moves into the recorded states' predecessors,
+    # so a window to the start pair's state serves it
+    reads = doubled_reads(field, [a1], 1) if a1 == a2 else [(a1[1], a2[1])]
+    trail = pair_backward(field, end_pair, t0 + (a1 == a2), record=True, reads=reads)
     if not trail:
         return None
     states = dict(trail)  # swept down to exactly t0 (+1 if doubled)

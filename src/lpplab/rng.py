@@ -35,6 +35,7 @@ class Stream:
     POISSON_COUNT = 0
     POISSON_POINTS = 1
     LATTICE_WEIGHTS = 2
+    ORACLE_CLOUD = 3
 
 
 def _key(seed, stream):

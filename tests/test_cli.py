@@ -543,6 +543,26 @@ def test_poisson_gap_fan_out_loads_no_executor_and_no_logging(tmp_path):
     assert len(manifest.read_manifest(tmp_path / "out")["summaries"]["zero_counts"]) == 2
 
 
+def test_verify_run_loads_no_numpy_random_and_no_openssl(tmp_path):
+    """A verify run draws its cloud instances from the compiled Philox
+    stream and digests with ``_native.sha256``, so it loads neither
+    ``numpy.random`` nor OpenSSL (``hashlib``, ``_hashlib``); it runs
+    ``cloud`` and ``lattice``, the modules of its instances, and no
+    other lazy module."""
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"command": "verify", "lattice_instances": 6,
+                               "cloud_instances": 6, "seed": 2}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", LAZY, str(cfg), str(tmp_path / "out"),
+                           "verify"], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rc, (loaded, ran), at_start = json.loads(done.stdout.splitlines()[-1])
+    assert rc == 0 and at_start == []
+    assert not {"numpy.random", "hashlib", "_hashlib"} & set(loaded), loaded
+    assert ran == ["lpplab.cloud", "lpplab.lattice"]
+    assert json.loads((tmp_path / "out" / "verify.json").read_text())["checked"] == 12
+
+
 ENTRY_FREEZES = """
 import gc, runpy, sys
 sys.argv = ["lpplab", *sys.argv[1:]]

@@ -31,8 +31,10 @@ def entry_calls():
                         {4, 5, 6}, {3, 4, 5, 6}),
         "row_pass": ((cloud.xs, cloud.ts, slab, 0.0, 0.0, 4.0, 4.0, tu, tv, np.empty(2 * n),
                       np.empty((3, 2), np.int64)), {9, 10}, {1, 8, 9, 10}),
-        "path_table": ((w, 1, 2, np.full((5, 6), lattice.NEG), np.empty((6, 7))), {4}, {3, 4}),
-        "pair_sweep": ((w, 0, 1, 0, 1, 7, 0, np.empty((2, 7, 7)), np.empty(7)), {7, 8}, {7, 8}),
+        "path_table": ((w, 1, 2, np.array([[4, 2], [3, 4], [0, 5]]), np.full((5, 6), lattice.NEG),
+                        np.empty((6, 7))), {5}, {4, 5}),
+        "pair_sweep": ((w, 0, 1, 0, 1, 7, 0, np.array([[1, 3], [2, 5]]), np.empty((2, 7, 7)),
+                        np.empty(7)), {8, 9}, {8, 9}),
         "walk": ((B, f.weights, 0, 0, 4, 5, 1, np.empty((2, 10), np.int64)), {7}, {0, 7}),
         "philox_uniforms": ((3, 4, np.empty(9)), {2}, set()),
     }
@@ -110,9 +112,19 @@ def test_entry_points_refuse_bad_counts_cells_and_indices():
     for corner in ((5, 0), (0, 6), (-1, 0)):
         assert_refused("path_table", table[:1] + corner + table[3:])
     assert_refused("path_table", table[:1] + (1.0, 2) + table[3:], TypeError)
+    # read cells on the grid, in a (k, 2) buffer
+    for cell in ((5, 0), (0, 6), (-1, 2), (2, -1)):
+        reads = np.array([[4, 2], cell])
+        assert_refused("path_table", table[:3] + (reads,) + table[4:], what=str(cell))
+    assert_refused("path_table", table[:3] + (np.zeros((2, 3), np.int64),) + table[4:])
     pair = calls["pair_sweep"][0]
     assert_refused("pair_sweep", pair[:3] + (5, 1) + pair[5:])
-    assert_refused("pair_sweep", pair[:7] + (np.empty((0, 7, 7)),) + pair[8:])
+    # read states are column pairs 0 <= j1 < j2 < cols, in a (k, 2) buffer
+    for state in ((-1, 2), (2, 6), (3, 3), (4, 2)):
+        reads = np.array([[1, 3], state])
+        assert_refused("pair_sweep", pair[:7] + (reads,) + pair[8:], what=str(state))
+    assert_refused("pair_sweep", pair[:7] + (np.zeros((2, 1), np.int64),) + pair[8:])
+    assert_refused("pair_sweep", pair[:8] + (np.empty((0, 7, 7)),) + pair[9:])
     walk = calls["walk"][0]
     for cells in ((0, 0, 5, 5), (1, 0, 0, 5), (0, 3, 4, 2)):
         assert_refused("walk", walk[:2] + cells + walk[6:])

@@ -106,3 +106,18 @@ def test_weak_vs_disjoint_probe_frequencies():
     report = oracle.verify_engine(default_batch(30, 30))
     assert report["pair_feasible"] > 0
     assert 0 <= report["weak_greater"] <= report["pair_feasible"]
+
+
+def test_tiny_batch_draws_its_clouds_from_the_philox_stream():
+    """The verify batch: 4-10 points per cloud inside x in [-1, 1),
+    t in [0.05, 0.95), from the (seed + k, ORACLE_CLOUD) stream, and the
+    engine matches enumeration on all of it."""
+    from lpplab import rng
+    batch = oracle.tiny_batch(0, 200, 200)
+    clouds = [m for m, _, _ in batch[200:]]
+    assert [len(c) for c in clouds] == [4 + k % 7 for k in range(200)]
+    u = rng.uniforms(5, rng.Stream.ORACLE_CLOUD, 2 * (4 + 5 % 7))
+    assert sorted(zip(clouds[5].ts, clouds[5].xs)) == sorted(
+        zip(0.05 + 0.9 * u[9:], -1.0 + 2.0 * u[:9]))
+    assert oracle.verify_engine(batch)["checked"] == 400
+

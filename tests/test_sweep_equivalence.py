@@ -1,6 +1,8 @@
 """Equivalence gate: the banded sweep against the dense sweeps it replaced
 (once per kernel: compiled and its numpy twin), the compiled lattice
 sweeps against the numpy twins on gap sheets and at every window width,
+the sweeps windowed to their reads against the full sweeps (and against
+the twins given the same reads), with no fill before a sweep,
 the compiled Philox stream against numpy's, the walk against the
 per-cell walk it replaced (once per kernel: compiled and numpy twin),
 the one patience kernel of the cloud against the three chain kernels it
@@ -506,6 +508,196 @@ def test_min_formula_batch_unchanged_by_pair_step():
         jy, jz = cells_[ky][1], cells_[kz][1]
         want = float(S2[jy, jz] - (L[ky] + L[kz] - np.min(G[ky:kz + 1])))
         assert v == want
+
+
+# ---------------------------------------------------------------- read windows
+
+def _exact_or_neg(got, full, cone, what):
+    """Inside the cone of the reads the windowed sweep's entries are the
+    full sweep's, bit for bit; outside it each is the full sweep's or
+    exactly NEG, never a stale or unwritten value."""
+    assert got.shape == full.shape, what
+    same = got.view(np.int64) == full.view(np.int64)
+    assert same[cone].all(), what
+    assert (same | (got == NEG)).all(), what
+
+
+def _table_read_sets(f, start):
+    """Each antidiagonal's cells (a gap-sheet row's sinks), every single
+    cell, the last row and the last column, and cells above-left of start
+    that no path from start reaches, alone and with reachable ones."""
+    out = [_diag_cells(f, t) for t in range(f.rows + f.cols - 1)]
+    out += [[c] for c in cells(f)]
+    out += [[(f.rows - 1, j) for j in range(f.cols)], [(i, f.cols - 1) for i in range(f.rows)]]
+    behind = [c for c in cells(f) if c[0] < start[0] or c[1] < start[1]]
+    if behind:
+        out += [behind[:3], behind[:2] + [(f.rows - 1, f.cols - 1)]]
+    return out
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_windowed_tables_match_full_tables_at_every_read(f):
+    """forward_values with reads: from every start cell, every cell that
+    can reach a read cell (the cone of the reads) holds its full-table
+    value bit for bit, and every other entry its full-table value or NEG."""
+    for start in cells(f):
+        full = lattice.forward_values(f, start)
+        for reads in _table_read_sets(f, start):
+            got = lattice.forward_values(f, start, reads)
+            cone = np.zeros(full.shape, dtype=bool)
+            for i, j in reads:
+                cone[start[0]:i + 1, start[1]:j + 1] = True
+            _exact_or_neg(got, full, cone, (start, reads))
+
+
+def _pair_read_sets(f, t, d):
+    """Read sets of pair states at time t: the doubled read-out of the
+    cells at t - d (d = -1 forward, +1 backward), one state next to each
+    edge of antidiagonal t, its widest state, the two edge states
+    together (a wide band of separation 1) and all three, and the state
+    on the grid's first and last columns, on antidiagonal t or not."""
+    out = [[(0, f.cols - 1)]] if f.cols > 1 else []
+    doubled = lattice.doubled_reads(f, _diag_cells(f, t - d), d)
+    if len(doubled):
+        out.append([tuple(r) for r in doubled])
+    lo, hi = max(0, t - f.rows + 1), min(f.cols - 1, t)
+    if lo < hi:
+        left, right, wide = (lo, lo + 1), (hi - 1, hi), (lo, hi)
+        out += [[left], [right], [wide], [left, right], [left, wide, right]]
+    return out
+
+
+def _pair_cone(cols, reads, r, forward):
+    """States r steps before the reads' time (in the sweep's direction)
+    from which both paths can reach some read state: each path moves by
+    at most one column per step, right going forward, left backward."""
+    j1, j2 = np.indices((cols, cols))
+    cone = np.zeros((cols, cols), dtype=bool)
+    for k1, k2 in reads:
+        if forward:
+            cone |= (j1 <= k1) & (k1 <= j1 + r) & (j2 <= k2) & (k2 <= j2 + r)
+        else:
+            cone |= (j1 - r <= k1) & (k1 <= j1) & (j2 - r <= k2) & (k2 <= j2)
+    return cone
+
+
+def _check_windowed_pair(f, sweep, pair, t_stop, reads, forward):
+    """One windowed sweep against the full one, last step and recorded."""
+    what = (pair, t_stop, reads, forward)
+    full, got = sweep(f, pair, t_stop), sweep(f, pair, t_stop, reads=reads)
+    live = full is not None and any(full[r] > _VALID for r in reads)
+    assert (got is not None) >= live, what
+    if got is not None:
+        assert full is not None, what
+        _exact_or_neg(got, full, _pair_cone(f.cols, reads, 0, forward), what)
+    full = sweep(f, pair, t_stop, record=True)
+    got = sweep(f, pair, t_stop, record=True, reads=reads)
+    assert bool(got) >= live, what
+    if got:
+        assert [t for t, _ in got] == [t for t, _ in full], what
+        for (t, g), (_, S) in zip(got, full):
+            _exact_or_neg(g, S, _pair_cone(f.cols, reads, abs(t_stop - t), forward), what)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_windowed_pair_sweeps_match_full_sweeps_at_every_read(f):
+    """pair_forward and pair_backward with reads, from every start pair
+    (doubled at every cell, and distinct) to several times, for doubled
+    read-outs and distinct target states: every state that can reach a
+    read state holds its full-sweep value bit for bit, at the last step
+    and at every recorded step, every other state its full-sweep value
+    or NEG, and the sweep reports a pair wherever a read state is live."""
+    t_max = f.rows + f.cols - 2
+    checked = 0
+    for pair in start_pairs(f):
+        t0 = pair[0][0] + pair[0][1]
+        for t_stop in sorted({t0, t0 + 1, t0 + 3, t_max - 1, t_max} & set(range(t_max + 1))):
+            for reads in _pair_read_sets(f, t_stop, -1):
+                _check_windowed_pair(f, lattice.pair_forward, pair, t_stop, reads, True)
+                checked += 1
+        for t_stop in sorted({t0, t0 - 1, t0 - 3, 1, 0} & set(range(t_max + 1))):
+            for reads in _pair_read_sets(f, t_stop, 1):
+                _check_windowed_pair(f, lattice.pair_backward, pair, t_stop, reads, False)
+                checked += 1
+    assert checked > 0 or f.cols == 1
+
+
+@pytest.mark.parametrize("f", WINDOW_FIELDS[:8] + FIELDS[6:8],
+                         ids=[f"{f.law}-{f.rows}x{f.cols}" for f in WINDOW_FIELDS[:8] + FIELDS[6:8]])
+def test_windowed_sweeps_agree_on_both_kernels(f):
+    """Windowed tables and pair sweeps, compiled against the numpy twins
+    given the same window: every entry, recorded and last-step."""
+    t_max = f.rows + f.cols - 2
+    runs = []
+    for kernel in KERNELS:
+        with one_kernel(kernel) as calls:
+            got = []
+            for start in cells(f):
+                got += [lattice.forward_values(f, start, reads)
+                        for reads in _table_read_sets(f, start)[:t_max + 1]]
+            for pair in start_pairs(f):
+                t = pair[0][0] + pair[0][1]
+                for reads in _pair_read_sets(f, t_max - 1, -1):
+                    got.append(lattice.pair_forward(f, pair, t_max - 1, True, reads))
+                for reads in _pair_read_sets(f, 1, 1):
+                    got.append(lattice.pair_backward(f, pair, 1, True, reads))
+        assert calls["path_table"] > 0 and (calls["pair_sweep"] > 0 or f.cols == 1)
+        runs.append(got)
+    for g, w in zip(*runs):
+        if isinstance(w, list):
+            _check_pair_results(g, w, True)
+        else:
+            assert_same(g, w)
+
+
+def test_sweeps_write_every_entry_they_return():
+    """The compiled sweeps need no NEG fill before the call: buffers
+    filled with a live-looking value give the bytes of NEG-filled ones,
+    in every table and in every pair-state buffer the caller keeps (the
+    last step's, or all of them when recording)."""
+    lib = _native.library()
+    for f in FIELDS[:6]:
+        rows, cols = f.weights.shape
+        for w in (f.weights, f.weights[::-1, ::-1]):
+            for corner, reads in (((0, 0), None), ((1, 2), np.array([[rows - 2, cols - 2]]))):
+                tables = [np.full((rows + 1, cols + 1), v) for v in (NEG, 7.0)]
+                for table in tables:
+                    lib.path_table(w, *corner, reads, None, table)
+                assert tables[0].tobytes() == tables[1].tobytes()
+            for (i, j), t_stop, reads in (((0, 0), rows + cols - 3, None),
+                                          ((1, 0), rows + cols - 4, [[1, 2], [cols - 3, cols - 2]]),
+                                          ((0, 1), rows, [[0, 2]])):
+                reads = None if reads is None else np.array(reads)
+                steps = t_stop - (i + j + 1) + 1
+                for nbuf in (2, steps):
+                    out = []
+                    for v in (NEG, 7.0):
+                        states = np.full((nbuf, cols + 1, cols + 1), v)
+                        live = lib.pair_sweep(w, i, j, i, j, t_stop, 0, reads, states,
+                                              np.empty(cols + 1))
+                        kept = states if nbuf == steps else states[(steps - 1) % 2]
+                        out.append((live, kept.tobytes()))
+                    assert out[0] == out[1], (f.law, corner, reads, nbuf)
+                    assert out[0][0] == 1
+
+
+def test_read_windows_are_checked():
+    f = FIELDS[0]
+    for cell in ((0, 9), (-1, 3)):
+        with pytest.raises(ValueError, match=r"^read cell \(-?\d, \d\) outside a 9 x 9 grid$"):
+            lattice.forward_values(f, (0, 0), [(2, 2), cell])
+    for sweep, t_stop in ((lattice.pair_forward, 12), (lattice.pair_backward, 4)):
+        for reads in ([(3, 3)], [(4, 2)], [(-1, 2)], [(2, 9)]):
+            with pytest.raises(ValueError, match=r"^read state .* is not a column pair "
+                                                 r"0 <= j1 < j2 < 9$"):
+                sweep(f, ((4, 4), (4, 4)), t_stop, reads=[(3, 5)] + reads)
+        # nothing read, nothing feasible to read
+        assert sweep(f, ((4, 4), (4, 4)), t_stop, reads=[(3, 5)]) is not None
+        assert sweep(f, ((4, 4), (4, 4)), t_stop, reads=[]) is None
+        assert sweep(f, ((4, 4), (4, 4)), t_stop, record=True, reads=[]) == []
+    # no read cell reachable: only the start cell is swept
+    F = lattice.forward_values(f, (4, 4), [(3, 8), (8, 3)])
+    assert F[4, 4] == f.weights[4, 4] and (np.delete(F.ravel(), 4 * 9 + 4) == NEG).all()
 
 
 def walk_list(walk, start, end):
@@ -1827,7 +2019,7 @@ def test_agreement_matrix_matches_per_pair_loop(monkeypatch):
     built, walks = [], []
     forward, walk = lattice.forward_values, lattice.geodesic_cells_from_B
     monkeypatch.setattr(lattice, "forward_values",
-                        lambda model, a: built.append(a) or forward(model, a))
+                        lambda model, a, reads=None: built.append(a) or forward(model, a, reads))
     monkeypatch.setattr(lattice, "geodesic_cells_from_B",
                         lambda *args: walks.append(1) or walk(*args))
     skipped = 0

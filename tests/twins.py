@@ -51,18 +51,21 @@ def _relax(out: np.ndarray, prev: np.ndarray, weights) -> None:
         out += w.reshape((-1,) + (1,) * (out.ndim - 1 - axis))
 
 
-def _path_table_py(w: np.ndarray, corner, seeds=None) -> np.ndarray:
-    """_path_table in numpy, the reference of the compiled one."""
+def _path_table_py(w: np.ndarray, corner, seeds=None, stop=None) -> np.ndarray:
+    """_path_table in numpy, the reference of the compiled one: swept
+    over the cells (i, j) >= corner with i <= i1, j <= j1 and
+    i + j <= t_stop, for stop = (i1, j1, t_stop) (None: the whole grid)."""
     rows, cols = w.shape
     table = np.full((rows + 1, cols + 1), NEG)
     flat, wflat = table.reshape(-1), np.pad(w, _BORDER).reshape(-1)
     i0, j0 = corner
+    i1, j1, t_stop = stop or (rows - 1, cols - 1, rows + cols - 2)
     if seeds is None:
         table[i0 + 1, j0 + 1] = w[i0, j0]
     else:
         sflat = np.pad(seeds, _BORDER, constant_values=NEG).reshape(-1)
-    for t in range(i0 + j0 + (seeds is None), rows + cols - 1):
-        lo, hi = max(i0, t - cols + 1), min(rows - 1, t - j0)
+    for t in range(i0 + j0 + (seeds is None), t_stop + 1):
+        lo, hi = max(i0, t - j1), min(i1, t - j0)
         # padded cell (i, t - i) sits at flat index base + i * cols
         base = cols + t + 2
         live = slice(base + lo * cols, base + hi * cols + 1, cols)
@@ -83,9 +86,16 @@ def _antidiagonal(w: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def _pair_sweep_py(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
-    """_pair_sweep in numpy, the reference of the compiled one."""
+def _pair_sweep_py(w: np.ndarray, start_pair, t_stop: int, record: bool, order,
+                   band=None):
+    """_pair_sweep in numpy, the reference of the compiled one.  With a
+    band (j_lo, j_hi, sep) every step's states outside the window of
+    states that can reach the band (left column >= j_lo - r, right column
+    <= j_hi, separation <= sep + r, r steps before t_stop) are set to
+    NEG, so the kept states are the full sweep's inside the window."""
     rows, cols = w.shape
+    j_lo, j_hi, sep = band or (0, cols - 1, cols - 1)
+    a, b = np.indices((cols + 1, cols + 1))  # padded columns of the two paths
     (i1, j1), (i2, j2) = start_pair
     t = i1 + j1
     cur = np.full((cols + 1, cols + 1), NEG)
@@ -110,12 +120,14 @@ def _pair_sweep_py(w: np.ndarray, start_pair, t_stop: int, record: bool, order):
         out, w_t = nxt[lo:hi + 1, lo:hi + 1], _antidiagonal(w, t)[lo:hi + 1]
         _relax(out, cur[lo - 1:hi + 1, lo - 1:hi + 1], [(axis, w_t) for axis in order])
         np.fill_diagonal(out, NEG)
+        r = t_stop - t
+        nxt[(a < j_lo + 1 - r) | (b > j_hi + 1) | (b - a > sep + r)] = NEG
         if not record:
             trail.clear()
         trail.append((t, nxt))
         cur, spare = nxt, cur
     cur[:lo] = NEG  # rows that left the window may hold stale states
-    if not is_reachable(float(cur.max())):
+    if not is_reachable(float(cur[(a >= j_lo + 1) & (b <= j_hi + 1) & (b - a <= sep)].max())):
         return []
     return trail
 
@@ -188,16 +200,30 @@ def row_pass(xs, ts, slab, sx, st, U, V, tu, tv, scratch, out):
     return True  # "out of order": the caller's Python parts serve the row
 
 
-def path_table(w, i0, j0, seeds, table):
-    table[...] = _path_table_py(w, (i0, j0), seeds)
+def path_table(w, i0, j0, reads, seeds, table):
+    """The window of the read cells reachable from (i0, j0) is their last
+    row, column and chart time; the corner alone when none is."""
+    stop = None
+    if reads is not None:
+        i, j = reads[(reads[:, 0] >= i0) & (reads[:, 1] >= j0)].T
+        stop = (i.max(), j.max(), (i + j).max()) if i.size else (i0, j0, i0 + j0)
+    table[...] = _path_table_py(w, (i0, j0), seeds, stop)
 
 
-def pair_sweep(w, i1, j1, i2, j2, t_stop, swap, states, row):
+def pair_sweep(w, i1, j1, i2, j2, t_stop, swap, reads, states, row):
     """Fills states as the compiled sweep does: every step when it holds
-    one buffer per step, else the last step in buffer (steps - 1) % 2."""
+    one buffer per step, else the last step in buffer (steps - 1) % 2.
+    The band of the read states (j1, j2) is their least j1, greatest j2
+    and greatest j2 - j1; no state read, no pair."""
+    band = None
+    if reads is not None:
+        if not len(reads):
+            return False
+        band = (reads[:, 0].min(), reads[:, 1].max(), (reads[:, 1] - reads[:, 0]).max())
     steps = t_stop - (i1 + j1 + ((i1, j1) == (i2, j2))) + 1
     record = len(states) == steps
-    trail = _pair_sweep_py(w, ((i1, j1), (i2, j2)), t_stop, record, (1, 0) if swap else (0, 1))
+    trail = _pair_sweep_py(w, ((i1, j1), (i2, j2)), t_stop, record, (1, 0) if swap else (0, 1),
+                           band)
     if not trail:
         return False
     if record:
