@@ -25,7 +25,8 @@
    through element strides (rs, cs), so a reflected view needs no copy;
    the pair sweep copies each step's antidiagonal weights into a
    contiguous scratch row first, so its inner loop vectorises.  The
-   extremal walk of
+   table starts from its corner's weight only: lattice bridges are two
+   walks, so no table is seeded.  The extremal walk of
    lattice.geodesic_cells_from_B tests each visited cell's two moves in
    B's own operand order, as the twin _walk_py does over the whole
    rectangle, reading B and the weights through their strides.
@@ -170,13 +171,11 @@ static void fill(double *p, int64_t n)
    i + j <= t_stop, into the padded (rows + 1) x (cols + 1) table.  The
    window is closed under predecessors, so each of its cells gets its
    whole-grid value; every other entry, the border included, is set to
-   NEG here, so the table needs no fill before the call.  Without seeds
-   (NULL) the corner starts with its own weight; with seeds (contiguous
-   rows x cols) every swept cell takes the max of its value and its
-   seed.  Cell (i, j) is max(left, up) + w[i, j]. */
+   NEG here, so the table needs no fill before the call.  The corner
+   starts with its own weight; cell (i, j) is max(left, up) + w[i, j]. */
 static void path_table(const double *w, int64_t rows, int64_t cols, int64_t rs, int64_t cs,
                        int64_t i0, int64_t j0, int64_t i1, int64_t j1, int64_t t_stop,
-                       const double *seeds, double *table)
+                       double *table)
 {
     int64_t W = cols + 1;
     fill(table, (i0 + 1) * W);
@@ -191,15 +190,13 @@ static void path_table(const double *w, int64_t rows, int64_t cols, int64_t rs, 
         fill(r + end + 1, W - end - 1);
     }
     fill(table + (i1 + 2) * W, (rows - 1 - i1) * W);
-    if (!seeds)
-        table[(i0 + 1) * W + j0 + 1] = w[i0 * rs + j0 * cs];
-    for (int64_t t = i0 + j0 + !seeds; t <= t_stop; t++) {
+    table[(i0 + 1) * W + j0 + 1] = w[i0 * rs + j0 * cs];
+    for (int64_t t = i0 + j0 + 1; t <= t_stop; t++) {
         int64_t lo = lmax(i0, t - j1), hi = lmin(i1, t - j0);
         for (int64_t i = lo; i <= hi; i++) {
             int64_t j = t - i;
             double *cell = table + (i + 1) * W + j + 1;
-            double v = MAX(cell[-1], cell[-W]) + w[i * rs + j * cs];
-            *cell = seeds ? MAX(v, seeds[i * cols + j]) : v;
+            *cell = MAX(cell[-1], cell[-W]) + w[i * rs + j * cs];
         }
     }
 }
@@ -594,26 +591,23 @@ done:
     return result;
 }
 
-/* path_table(w, i0, j0, reads, seeds, table): w float64 (rows, cols),
-   any strides; reads None (the whole grid) or int64 (k, 2) cells on the
-   grid; seeds None or float64 (rows, cols); table float64 (rows + 1,
-   cols + 1), of any content */
+/* path_table(w, i0, j0, reads, table): w float64 (rows, cols), any
+   strides; reads None (the whole grid) or int64 (k, 2) cells on the
+   grid; table float64 (rows + 1, cols + 1), of any content */
 static PyObject *py_path_table(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Held held = {.n = 0};
     PyObject *result = NULL;
     int64_t c[2], stop[3];
-    Py_buffer *w, *reads = NULL, *seeds = NULL, *table;
-    if (arity("path_table", nargs, 6) < 0 || ints(args, (int[]){1, 2}, 2, c) < 0
+    Py_buffer *w, *reads = NULL, *table;
+    if (arity("path_table", nargs, 5) < 0 || ints(args, (int[]){1, 2}, 2, c) < 0
         || !(w = take(&held, args[0], "w", 'd', 2, STRIDED))
         || (args[3] != Py_None && !(reads = take(&held, args[3], "reads", 'q', 2, IN)))
-        || (args[4] != Py_None && !(seeds = take(&held, args[4], "seeds", 'd', 2, IN)))
-        || !(table = take(&held, args[5], "table", 'd', 2, OUT)))
+        || !(table = take(&held, args[4], "table", 'd', 2, OUT)))
         goto done;
     int64_t rows = w->shape[0], cols = w->shape[1];
     if (in_grid("corner", c[0], c[1], rows, cols) < 0
         || (reads && shaped(reads, "reads", (int64_t[]){reads->shape[0], 2}) < 0)
-        || (seeds && shaped(seeds, "seeds", (int64_t[]){rows, cols}) < 0)
         || shaped(table, "table", (int64_t[]){rows + 1, cols + 1}) < 0)
         goto done;
     stop[0] = rows - 1, stop[1] = cols - 1, stop[2] = rows + cols - 2;
@@ -621,7 +615,7 @@ static PyObject *py_path_table(PyObject *self, PyObject *const *args, Py_ssize_t
         goto done;
     Py_BEGIN_ALLOW_THREADS
     path_table(w->buf, rows, cols, w->strides[0] / 8, w->strides[1] / 8, c[0], c[1], stop[0],
-               stop[1], stop[2], seeds ? seeds->buf : NULL, table->buf);
+               stop[1], stop[2], table->buf);
     Py_END_ALLOW_THREADS
     result = Py_NewRef(Py_None);
 done:

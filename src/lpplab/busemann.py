@@ -467,9 +467,7 @@ def classify_semi_infinite(model: LatticeField, direction: ExceptionalDirection,
     crossing bridges).
     """
     xs = profile.x_grid
-    k = int(np.searchsorted(xs, x))
-    if k >= xs.size or xs[k] != x:
-        raise DomainError(f"x={x} is not on the profile grid")
+    k = _grid_index(profile, x)
     g = profile.values[0, k]
     if not np.isfinite(g):
         return SemiInfiniteTags("other", "other")
@@ -485,6 +483,15 @@ def classify_semi_infinite(model: LatticeField, direction: ExceptionalDirection,
         gap_tag = crossing_tag(left.size == 0, right.size == 0, "-inf")
     geo_tag = _semi_inf_geometric(model, direction, x, profile)
     return SemiInfiniteTags(gap_tag, geo_tag)
+
+
+def _grid_index(profile: BusemannGapProfile, x: int) -> int:
+    """The index of x in profile.x_grid; DomainError when x is not on it."""
+    xs = profile.x_grid
+    k = int(np.searchsorted(xs, x))
+    if k >= xs.size or xs[k] != x:
+        raise DomainError(f"x={x} is not on the profile grid")
+    return k
 
 
 def _semi_inf_geometric(model, direction, x, profile):
@@ -507,11 +514,10 @@ def _semi_inf_geometric(model, direction, x, profile):
         split_cell = tuple(cl_cells[split])
         bubble = gaplab.gap_value(model, a, split_cell)
         return "III-inf" if bubble == 0 else "IIa-inf"
-    F = _lattice.forward_values(model, a)
     # bridges between the two witness chains decide the crossing types;
-    # totals differ per witness, so test each direction on its own table
-    lr = _lattice.bridge_exists(model, cl_cells, cr_cells, F, BR, F[pr])
-    rl = _lattice.bridge_exists(model, cr_cells, cl_cells, F, BL, F[pl])
+    # each direction is walked on the table of its target chain's end
+    lr = _lattice.bridge_exists(model, cl_cells, cr_cells, BR)
+    rl = _lattice.bridge_exists(model, cr_cells, cl_cells, BL)
     return crossing_tag(lr, rl, "-inf")
 
 
@@ -540,16 +546,16 @@ def horizon_identity_residual(model: LatticeField, direction: ExceptionalDirecti
     """Residual of G(x) = B_L(x; theta1) + B_R(x; theta2) - twopath(x).
 
     Inputs are finite-horizon quantities; the residual is flagged
-    provisional when the gap value at x is not certified.
+    provisional when the gap value at x is not certified.  x must be on
+    profile.x_grid (DomainError).
     """
     if not theta1 < direction.theta < theta2:
         raise ParameterError("need theta1 < theta < theta2")
+    k = _grid_index(profile, x)
     horizons = profile.horizons
     bl = busemann_profile(model, theta1, [x], horizons, side="left", t0=t0)
     br = busemann_profile(model, theta2, [x], horizons, side="right", t0=t0)
     tp = two_path_busemann(model, theta1, theta2, x, horizon, t0)
-    xs = profile.x_grid
-    k = int(np.searchsorted(xs, x))
     g = profile.values[0, k]
     if tp is None or not np.isfinite(g):
         return {"residual": np.nan, "provisional": True}

@@ -34,18 +34,17 @@ walks, one ``lattice.geodesic_cells_from_B`` call each, because the
 benchmark's tracer counts walks by that call.  The separation is the
 difference of the two walks' column arrays.  The nonzero verdicts of
 the whole sheet come from two window-minimum arrays; a pair is walked
-only when the sheet gives it a verdict, and a source's forward table is
-built only for the bridges of a recorded pair with disjoint extremal
-walks.  The run finder it shares with ``engine`` and
-``busemann`` lives in ``model``, so a lattice classify run imports
-neither ``engine`` nor ``flow``.
+only when the sheet gives it a verdict.  Bridges are two more walks on
+the sink's table (``lattice.bridge_exists``), so no forward table is
+built and the sinks share nothing but the sheet.  The run finder it
+shares with ``engine`` and ``busemann`` lives in ``model``, so a
+lattice classify run imports neither ``engine`` nor ``flow``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from functools import cache, partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,8 +103,8 @@ def classify_geometric(model: Model, start, end,
     check_resolution(threshold)
     if not isinstance(model, LatticeField):
         return _classify_cloud(model, start, end, threshold)
-    F, B, _ = _lattice.endpoint_tables(model, start, end)
-    return _classify_lattice(model, start, end, B, lambda: F, threshold, None)
+    B = _lattice.connected_backward(model, start, end)
+    return _classify_lattice(model, start, end, B, threshold, None)
 
 
 def _classify_cloud(model, start, end, threshold):
@@ -209,11 +208,13 @@ def classify_gap(sheet: gaplab.GapSheet, i: int, j: int,
     isolation of the zero decides IV / Va / Vb.  Grid-boundary points
     are 'other' (one-sided data cannot witness two-sided minima).  A
     finite negative gap, anywhere on the sheet, raises DomainError
-    naming the point and the value.
+    naming the point and the value, and so does a point off the sheet.
     """
     if window is not None:
         check_resolution(window=window)
     nx, ny = sheet.values.shape
+    if not (0 <= i < nx and 0 <= j < ny):
+        raise DomainError(f"point ({i}, {j}) is off the {nx}x{ny} sheet")
     g = sheet.values[i, j]
     if -math.inf < g < 0:
         raise DomainError(f"gap at ({i}, {j}) is negative: {float(g)!r}")
@@ -303,10 +304,10 @@ def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
     column window minima from two arrays computed once per sheet, and
     every other entry goes through ``classify_gap``.  A pair is walked
     only once it has a dictionary verdict: a boundary pair or a
-    non-finite gap has none and is neither walked nor recorded.  A
-    source's forward table is built only when one of its recorded pairs
-    has disjoint extremal walks, the case where the bridges decide.  A
-    negative gap raises ``DomainError``.
+    non-finite gap has none and is neither walked nor recorded.  The
+    bridges of a pair with disjoint extremal walks are walked on the
+    sink's table too, so sinks share no state.  A negative gap raises
+    ``DomainError``.
     """
     check_resolution(threshold)
     t0, t1 = times
@@ -323,10 +324,6 @@ def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
     nx, ny = sheet.values.shape
     starts = [model.cell_at(x, t0) for x in x_grid]
 
-    @cache
-    def forward(i):
-        return _lattice.forward_values(model, starts[i])
-
     for j, y in enumerate(y_grid):
         b = model.cell_at(y, t1)
         B = _lattice.backward_values(model, b)
@@ -342,7 +339,7 @@ def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
                 if gap.tag == "other" and gap.gap is None:
                     continue  # boundary or undefined: no verdict, no walks
                 gap_tag, gap_value = gap.tag, gap.gap
-            geo = _classify_lattice(model, a, b, B, partial(forward, i), threshold, frame)
+            geo = _classify_lattice(model, a, b, B, threshold, frame)
             out.record(geo.tag, gap_tag, geo.gap_is_zero, gap_value == 0.0)
             out.records.append((int(x), int(y), gap_value, geo.tag, gap_tag))
             if geo.bridges[0] and geo.bridges[1]:
@@ -350,20 +347,15 @@ def agreement_matrix(model: LatticeField, x_grid: Sequence[int],
     return out
 
 
-def _classify_lattice(model, a, b, B, forward, threshold, frame):
-    """classify_geometric of a -> b on B = backward_values(model, b);
-    forward() gives forward_values(model, a), asked for only when the
-    extremal walks are disjoint and the bridges decide."""
+def _classify_lattice(model, a, b, B, threshold, frame):
+    """classify_geometric of a -> b on B = backward_values(model, b)."""
     cl = _lattice.geodesic_cells_from_B(model, B, a, b, "left")
     cr = _lattice.geodesic_cells_from_B(model, B, a, b, "right")
     sep = 2.0 * (cr[:, 1] - cl[:, 1])
     zero = bool(np.all(sep[1:-1] > 0)) if sep.size > 2 else False
-
-    def bridge(p, q):
-        F = forward()
-        return _lattice.bridge_exists(model, p, q, F, B, F[b])
-
-    return _classify_separation(sep, zero, cl, cr, bridge, threshold, frame)
+    return _classify_separation(sep, zero, cl, cr,
+                                lambda p, q: _lattice.bridge_exists(model, p, q, B),
+                                threshold, frame)
 
 
 @record

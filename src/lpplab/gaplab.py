@@ -425,8 +425,9 @@ def brownianity(slice_values: Sequence[float], spacing: float,
 
     A locally Brownian slice gives variance linear in the lag; the
     report carries the fitted slope (diffusivity per rescaled spatial
-    unit) and R^2 over one decade of lags.
+    unit) and R^2 over one decade of lags.  spacing must be finite and > 0.
     """
+    _positive("spacing", [spacing])
     v = np.asarray(slice_values, dtype=np.float64)
     v = v[np.isfinite(v)]
     if v.size < 64:

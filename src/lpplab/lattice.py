@@ -127,6 +127,20 @@ column), one cell per chart time: the transpose of the compiled walk's
 own (2, n) buffer.  Callers read it as it is; only
 ``engine._lattice_chain`` turns a walk into (row, column) tuples.
 
+Bridges: ``bridge_exists`` asks whether a geodesic a -> b (B the
+backward values to b, the ``to`` walk's end) visits an interior cell
+of the ``from`` walk and later one of the ``to`` walk off the ``from``
+walk.  Both walks are extremal from a: the left and right walks to b,
+or (``busemann``) walks to two ends.  Walk lambda, the extremal
+geodesic a -> b on the ``from`` side; every geodesic lies between it
+and the ``to`` walk, so the ``from`` walk is on a geodesic only where
+it meets lambda.  From p*, the first such interior cell (none: no
+bridge), walk the extremal continuation on the ``to`` side.  Two
+extremal continuations that meet stay together, and moving at most
+one column per step they cannot cross without meeting, so this one
+bounds every geodesic through the ``from`` walk after p*: a bridge
+exists iff it visits an interior ``to`` cell off the ``from`` walk.
+
 Only values above _VALID (see is_reachable) are meaningful.  Dead
 states hold NEG plus rounding noise from the weights added to them.
 Reachable values are bit-exact functions of the weights, whatever the
@@ -150,20 +164,13 @@ def is_reachable(value: float) -> bool:
     return value > _VALID
 
 
-def _path_table(w: np.ndarray, corner, seeds=None, reads=None) -> np.ndarray:
+def _path_table(w: np.ndarray, corner, reads=None) -> np.ndarray:
     """Padded best-path table, swept from corner over the read window of
     the cells in reads (None: to the grid's far end); see Read window
-    above.
-
-    Without seeds the corner cell starts with its own weight.  With seeds
-    (NEG where unseeded) every cell takes max(seed, swept value); the
-    corner must then lie weakly above-left of every seeded cell.
-    """
+    above."""
     rows, cols = w.shape
     table = np.empty((rows + 1, cols + 1))
-    if seeds is not None:
-        seeds = np.ascontiguousarray(seeds, dtype=np.float64)
-    _native.library().path_table(w, corner[0], corner[1], _pairs(reads), seeds, table)
+    _native.library().path_table(w, corner[0], corner[1], _pairs(reads), table)
     return table
 
 
@@ -191,33 +198,23 @@ def backward_values(field: LatticeField, end) -> np.ndarray:
     return _path_table(field.weights[::-1, ::-1], corner)[:0:-1, :0:-1]
 
 
-def endpoint_tables(field: LatticeField, start, end):
-    """(F, B, total): forward_values from start, backward_values to end
-    (which checks that end is on the grid before F is read there) and
-    total = F[end]; DomainError when end is not reachable from start."""
-    F = forward_values(field, start)
+def connected_backward(field: LatticeField, start, end) -> np.ndarray:
+    """backward_values to end, once start and end are on the grid and end
+    is reachable from start (DomainError, naming the endpoints then)."""
+    if not field.in_grid(start):
+        raise DomainError(f"start cell {start} outside {field.rows}x{field.cols} grid")
     B = backward_values(field, end)
-    total = F[end]
-    if not is_reachable(total):
+    if not is_reachable(B[start]):
         raise DomainError(f"endpoints {start}->{end} not connected")
-    return F, B, total
+    return B
 
 
-def seeded_forward(field: LatticeField, seeds: np.ndarray) -> np.ndarray:
-    """Best over paths that start at any seeded cell.
-
-    seeds[c] is the value credited for starting at c (already including
-    the weight of c), or NEG.  Returns A with
-    A[c] = max(seeds[c], max(A[up], A[left]) + w[c]), evaluated literally.
-    """
-    seeds = np.asarray(seeds, dtype=np.float64)
-    if seeds.shape != field.weights.shape:
-        raise DomainError(f"seeds of shape {seeds.shape} on a {field.rows}x{field.cols} grid")
-    seeded = np.argwhere(seeds > _VALID)
-    if not len(seeded):
-        return np.full(field.weights.shape, NEG)
-    corner = tuple(int(k) for k in seeded.min(axis=0))
-    return _path_table(field.weights, corner, seeds)[1:, 1:]
+def endpoint_tables(field: LatticeField, start, end):
+    """(F, B, total): forward_values from start, connected_backward's B to
+    end, and total = F[end]."""
+    B = connected_backward(field, start, end)
+    F = forward_values(field, start)
+    return F, B, F[end]
 
 
 def passage_value(field: LatticeField, start, end) -> float:
@@ -432,24 +429,23 @@ def _merge_index(a, b) -> int:
     return int(last[-1]) + 1 if last.size else 0
 
 
-def bridge_exists(field: LatticeField, from_cells, to_cells,
-                  F: np.ndarray, B: np.ndarray, total: float) -> bool:
-    """Is there an optimal connector from one walk (cells as an array or list) to another?
-
-    True iff some p in from_cells and q in to_cells (both interior,
-    p strictly before q) satisfy
-    F(p) + value(p -> q) + B(q) - w(p) - w(q) = total.
-    """
-    w = field.weights
-    seeds = np.full(w.shape, NEG)
-    p = tuple(np.asarray(from_cells)[1:-1].T)  # the interior cells as (rows, cols)
-    seeds[p] = F[p]
-    if not np.any(seeds > _VALID):
+def bridge_exists(field: LatticeField, from_cells, to_cells, B: np.ndarray) -> bool:
+    """Does a geodesic from to_cells' start to its end (B = backward_values
+    there) visit an interior cell of from_cells and later one of to_cells
+    off from_cells?  Walks are cell arrays or lists; see Bridges above."""
+    frm, to = np.asarray(from_cells), np.asarray(to_cells)
+    apart = np.flatnonzero(frm[:, 1] != to[:, 1])  # one chart time per index
+    if not apart.size:
         return False
-    A = seeded_forward(field, seeds)
-    q = tuple(np.asarray(to_cells)[1:-1].T)
-    aq = A[q]
-    return bool(np.any((aq > _VALID) & (aq > seeds[q]) & (aq + B[q] - w[q] == total)))
+    side, other = ("left", "right") if frm[apart[0], 1] < to[apart[0], 1] else ("right", "left")
+    end = tuple(to[-1])
+    lam = geodesic_cells_from_B(field, B, tuple(to[0]), end, side)
+    on = np.flatnonzero(lam[1:-1, 1] == frm[1:-1, 1])
+    if not on.size:
+        return False
+    k = int(on[0]) + 1  # p*: the first interior cell of from_cells on a geodesic
+    rest = geodesic_cells_from_B(field, B, tuple(lam[k]), end, other)[:-1, 1]
+    return bool(np.any((rest == to[k:-1, 1]) & (to[k:-1, 1] != frm[k:-1, 1])))
 
 
 def optimizer_pair(field: LatticeField, start_pair, end_pair, side: str):

@@ -251,6 +251,23 @@ def test_horizon_identity_residual_reports():
     assert "residual" in rep and "provisional" in rep
 
 
+def test_horizon_identity_residual_refuses_an_x_off_the_profile_grid():
+    """As classify_semi_infinite does: an x between grid points would read
+    the gap of the next one, and an x past the last has no entry."""
+    f, dirs = find_direction(0)
+    d = dirs[0]
+    prof = bz.busemann_gap(f, d, [-8, -4, 0, 4], HORIZONS)
+    th = d.theta
+    for x in (-6, 2, 8):
+        for call in (lambda: bz.horizon_identity_residual(f, d, th - 0.2, th + 0.2, x, H, prof,
+                                                          t0=T0),
+                     lambda: bz.classify_semi_infinite(f, d, x, prof)):
+            with pytest.raises(DomainError, match=f"^x={x} is not on the profile grid$"):
+                call()
+    rep = bz.horizon_identity_residual(f, d, th - 0.2, th + 0.2, -4, H, prof, t0=T0)
+    assert rep["residual"] == 0.0
+
+
 def test_stationary_horizon_quadrangle_is_exact():
     # supermodularity of passage values makes the quadrangle inequality
     # exact on the lattice wherever both profiles are certified

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from lpplab import (Region, ScalingFrame, cloud_from_points, geodesic,
                     make_lattice_field, make_poisson_cloud)
-from lpplab import classify, cli, cloud, gaplab, oracle
+from lpplab import classify, cli, cloud, gaplab, lattice, oracle
 from lpplab.errors import DomainError, ParameterError
 from lpplab.model import anchor_layout, environment_for, reflect
 
@@ -144,6 +145,18 @@ def test_gap_dictionary_nonzero_types():
     assert classify.classify_gap(sheet, 3, 3).tag == "I"
     # boundary -> other
     assert classify.classify_gap(sheet, 0, 2).tag == "other"
+
+
+def test_a_point_off_the_sheet_names_itself():
+    """Negative indices once wrapped around (a verdict for another point,
+    or a zero-set error) and indices past the end raised IndexError."""
+    v = np.array([[9, 9, 9, 9], [9, 5, 4, 9], [9, 0, 3, 9], [9, 9, 9, 9]], dtype=float)
+    sheet = synthetic_sheet(v, frame_n=1.0)
+    for i, j in ((1, -2), (-2, 1), (4, 1), (1, 4), (-1, -1)):
+        for window in (None, 1):
+            with pytest.raises(DomainError, match=rf"^point \({i}, {j}\) is off the 4x4 sheet$"):
+                classify.classify_gap(sheet, i, j, window=window)
+    assert classify.classify_gap(sheet, 1, 2).tag == "IIa"
 
 
 @pytest.mark.parametrize("window", [0, -1, -3, 1.5, 2.0, True, "2", np.int64(0)],
@@ -414,6 +427,62 @@ def test_optimal_steps_are_the_oracle_optimal_chains():
         assert set(steps.idx.tolist()) == {m for c in chains for m in c}
         assert edges == {step for c in chains
                          for step in zip(["start"] + c, c + ["end"])}
+
+
+def tiny_lattices():
+    """Integer lattices within the oracle's reach, full of ties."""
+    rng = np.random.default_rng(4)
+    for seed in range(8):
+        yield make_lattice_field(seed, 5, 5, "geometric", 0.5)
+        yield make_lattice_field(seed, 4, 5, "bernoulli", 0.5)
+        yield field(rng.integers(0, 3, (5, 4)).tolist())
+
+
+def oracle_lattice_bridge(f, optimal, frm, to):
+    """Does an optimal path of the walks' start and to's end (``optimal``,
+    enumerated) visit an interior cell of frm and later an interior cell
+    of to that frm does not visit?  Walks and paths hold one cell per
+    chart time from the start."""
+    inner = range(1, len(to) - 1)
+    for path in optimal:
+        on_frm = [k for k in inner if path[k] == frm[k]]
+        if on_frm and any(path[m] == to[m] != frm[m] for m in inner if m > on_frm[0]):
+            return True
+    return False
+
+
+def test_lattice_bridges_match_oracle_on_tiny_lattices():
+    """Every start and end, both directions between the left and right
+    walks; and every start with two ends pl left of pr at one chart
+    time, the leftmost walk to pl against the rightmost walk to pr and
+    back, as ``busemann`` asks."""
+    seen = set()
+    for f in tiny_lattices():
+        cells = [(i, j) for i in range(f.rows) for j in range(f.cols)]
+        tables = {end: lattice.backward_values(f, end) for end in cells}
+        for start in cells:
+            ends = [e for e in cells if e[0] >= start[0] and e[1] >= start[1]]
+            optimal, walks = {}, {}
+            for end in ends:
+                paths = oracle.lattice_paths(f, start, end)
+                values = [sum(int(f.weights[c]) for c in path) for path in paths]
+                optimal[end] = [p for p, v in zip(paths, values) if v == max(values)]
+                for side in ("left", "right"):
+                    walks[end, side] = [tuple(c) for c in lattice.geodesic_cells_from_B(
+                        f, tables[end], start, end, side).tolist()]
+            for pl, pr in itertools.product(ends, repeat=2):
+                if pl[0] + pl[1] != pr[0] + pr[1] or pl[1] > pr[1]:
+                    continue
+                cl, cr = walks[pl, "left"], walks[pr, "right"]
+                for frm, to, end in ((cl, cr, pr), (cr, cl, pl)):
+                    want = oracle_lattice_bridge(f, optimal[end], frm, to)
+                    assert lattice.bridge_exists(f, frm, to, tables[end]) is want
+                    seen.add((pl == pr, not set(frm[1:-1]) & set(to[1:-1]), want))
+                if pl == pr:  # each walk with itself: nothing off the walk
+                    for w in (cl, cr):
+                        assert lattice.bridge_exists(f, w, w, tables[pl]) is False
+    # bridges and none, at one end and at two, between disjoint walks and not
+    assert len(seen) == 8
 
 
 VA_CLOUD = cloud_from_points([(-1.0, 1.0), (-2.0, 2.0), (1.0, 1.0), (1.0, 3.0)])

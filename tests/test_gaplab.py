@@ -389,6 +389,14 @@ def test_brownianity_accepts_every_lag_below_the_usable_entries():
         gaplab.brownianity(v, 1.0, ScalingFrame(1.0), lags=[95, 1])
 
 
+@pytest.mark.parametrize("spacing", [0.0, -1.0, np.nan, np.inf, -np.inf], ids=repr)
+def test_brownianity_rejects_a_spacing_that_is_not_finite_and_positive(spacing):
+    # 0, NaN and inf once failed in LAPACK with a LinAlgError, and -1 fitted
+    # a slope over negative lags
+    with pytest.raises(ParameterError, match=f"^spacing must be finite and > 0, got {spacing}$"):
+        gaplab.brownianity(np.cumsum(np.ones(100)), spacing, ScalingFrame(1.0))
+
+
 def test_brownianity_constant_slice_degenerate():
     rep = gaplab.brownianity(np.full(100, 3.0), 1.0, ScalingFrame(1.0))
     assert rep.degenerate

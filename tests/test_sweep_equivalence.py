@@ -309,23 +309,6 @@ def test_single_tables_match_dense_reference(f, each_kernel):
             assert_same(lattice.backward_values(f, c), ref_backward_values(f, c))
 
 
-@pytest.mark.parametrize("f", FIELDS, ids=IDS)
-def test_seeded_forward_matches_dense_reference(f, each_kernel):
-    for _ in each_kernel():
-        rng = np.random.default_rng(f.rows * 31 + f.cols)
-        F = lattice.forward_values(f, (0, 0))
-        for trial in range(6):
-            seeds = np.full(f.weights.shape, NEG)
-            mask = rng.random(f.weights.shape) < (0.1 + 0.15 * trial)
-            seeds[mask] = F[mask] + rng.integers(-3, 4, size=mask.sum())
-            assert_same(lattice.seeded_forward(f, seeds), ref_seeded_forward(f, seeds))
-        empty = np.full(f.weights.shape, NEG)
-        assert_same(lattice.seeded_forward(f, empty), ref_seeded_forward(f, empty))
-        for shape in ((f.rows, f.cols + 1), (f.rows - 1, f.cols), (f.rows * f.cols,)):
-            with pytest.raises(DomainError):
-                lattice.seeded_forward(f, np.zeros(shape))
-
-
 def _check_pair_results(got, want, record):
     if record:
         assert [t for t, _ in got] == [t for t, _ in want]
@@ -662,7 +645,7 @@ def test_sweeps_write_every_entry_they_return():
             for corner, reads in (((0, 0), None), ((1, 2), np.array([[rows - 2, cols - 2]]))):
                 tables = [np.full((rows + 1, cols + 1), v) for v in (NEG, 7.0)]
                 for table in tables:
-                    lib.path_table(w, *corner, reads, None, table)
+                    lib.path_table(w, *corner, reads, table)
                 assert tables[0].tobytes() == tables[1].tobytes()
             for (i, j), t_stop, reads in (((0, 0), rows + cols - 3, None),
                                           ((1, 0), rows + cols - 4, [[1, 2], [cols - 3, cols - 2]]),
@@ -1530,16 +1513,27 @@ def ref_stem_split(cl_cells, cr_cells):
     return split
 
 
-def ref_bridge_exists(field, from_cells, to_cells, F, B, total):
-    """lattice.bridge_exists with its per-cell seeding and testing loops."""
-    w = field.weights
-    seeds = np.full(w.shape, NEG)
-    for c in from_cells[1:-1]:
+def ref_seeded(field, from_cells, F):
+    """(seeds, A): F on the interior cells of from_cells and NEG elsewhere,
+    and the dense seeded table over them; None when nothing is seeded."""
+    seeds = np.full(field.weights.shape, NEG)
+    for c in map(tuple, from_cells[1:-1]):
         seeds[c] = F[c]
     if not np.any(seeds > _VALID):
+        return None
+    return seeds, ref_seeded_forward(field, seeds)
+
+
+def ref_bridge_exists(field, seeded, to_cells, B, total):
+    """lattice.bridge_exists by the seeded definition it replaced, with
+    per-cell testing loops: some interior q of to_cells, not seeded, where
+    the best path through a seeded cell before q continues optimally to
+    B's end.  ``seeded`` is ref_seeded of the from walk."""
+    if seeded is None:
         return False
-    A = lattice.seeded_forward(field, seeds)
-    for q in to_cells[1:-1]:
+    seeds, A = seeded
+    w = field.weights
+    for q in map(tuple, to_cells[1:-1]):
         aq = A[q]
         if lattice.is_reachable(aq) and aq > seeds[q] and aq + B[q] - w[q] == total:
             return True
@@ -1635,24 +1629,52 @@ def test_coalescence_time_matches_suffix_scan(field_walks):
 def test_bridge_exists_matches_per_cell_loops(field_walks):
     """The left and right walks of every start and end, each pair in both
     directions (a walk with itself included), as lists and as the walks'
-    own arrays."""
+    own arrays; on integer fields also every start with two ends pl left
+    of pr at one chart time, the leftmost walk to pl against the
+    rightmost walk to pr and back, as ``busemann`` asks."""
     f, walks = field_walks
     seen = set()
+    tables, seeded = {}, {}
+    for key, wa in walks.items():
+        start, end, _ = key
+        if start not in tables:
+            tables[start] = lattice.forward_values(f, start)
+        seeded[key] = ref_seeded(f, walk_list(wa, start, end), tables[start])
     for (start, end, side), wa in walks.items():
         if side != "left":
             continue
-        F = lattice.forward_values(f, start)
+        F = tables[start]
         B = lattice.backward_values(f, end)
         wb = walks[start, end, "right"]
-        both = ((walk_list(wa, start, end), wa), (walk_list(wb, start, end), wb))
-        for (p, wp), (q, wq) in itertools.product(both, repeat=2):
-            want = ref_bridge_exists(f, p, q, F, B, F[end])
-            assert lattice.bridge_exists(f, p, q, F, B, F[end]) is want
-            assert lattice.bridge_exists(f, wp, wq, F, B, F[end]) is want
+        both = [(walk_list(wa, start, end), wa, (start, end, "left")),
+                (walk_list(wb, start, end), wb, (start, end, "right"))]
+        for (p, wp, kp), (q, wq, _) in itertools.product(both, repeat=2):
+            want = ref_bridge_exists(f, seeded[kp], q, B, F[end])
+            assert lattice.bridge_exists(f, p, q, B) is want
+            assert lattice.bridge_exists(f, wp, wq, B) is want
             seen.add((len(p) > 2, want))
     assert (False, False) in seen  # walks of one or two cells: no interior, no bridge
     if f.integer_valued and min(f.rows, f.cols) > 2:  # ties make bridges
         assert {(True, False), (True, True)} <= seen
+    if not f.integer_valued:
+        return
+    ends = {}
+    for start, end, side in walks:
+        ends.setdefault((start, end[0] + end[1]), set()).add(end)
+    backward = {end: lattice.backward_values(f, end) for end in cells(f)}
+    two_end = set()
+    for (start, _), group in ends.items():
+        F = tables[start]
+        for pl, pr in itertools.combinations(sorted(group, key=lambda c: c[1]), 2):
+            cl, cr = walks[start, pl, "left"], walks[start, pr, "right"]
+            for (p, kp), q, end in (((cl, (start, pl, "left")), cr, pr),
+                                     ((cr, (start, pr, "right")), cl, pl)):
+                want = ref_bridge_exists(f, seeded[kp], walk_list(q, start, end),
+                                         backward[end], F[end])
+                assert lattice.bridge_exists(f, p, q, backward[end]) is want
+                two_end.add(want)
+    if min(f.rows, f.cols) > 2:
+        assert two_end == {False, True}
 
 
 def test_coalescence_time_matches_suffix_scan_on_clouds():
@@ -1950,8 +1972,8 @@ def ref_classify_lattice_cached(model, a, b, F, B, threshold, frame):
     sep = 2.0 * (np.array([j for _, j in cr]) - np.array([j for _, j in cl]))
     zero = bool(np.all(sep[1:-1] > 0)) if sep.size > 2 else False
     if zero:
-        lr = lattice.bridge_exists(model, cl, cr, F, B, total)
-        rl = lattice.bridge_exists(model, cr, cl, F, B, total)
+        lr = ref_bridge_exists(model, ref_seeded(model, cl, F), cr, B, total)
+        rl = ref_bridge_exists(model, ref_seeded(model, cr, F), cl, B, total)
         tag = classify.crossing_tag(lr, rl)
     else:
         lr = rl = False
@@ -1960,8 +1982,7 @@ def ref_classify_lattice_cached(model, a, b, F, B, threshold, frame):
 
 
 def ref_agreement_matrix(model, x_grid, y_grid, times, frame, threshold=1.0):
-    """The old loop, and the sources with a recorded pair whose extremal
-    walks are disjoint: the sources whose forward table the bridges need."""
+    """The old loop, its bridges decided by the seeded definition."""
     t0, t1 = times
     sheet = gaplab.gap_sheet(model, x_grid, y_grid, frame, times)
     zeros = gaplab.zero_set(sheet)
@@ -1970,7 +1991,7 @@ def ref_agreement_matrix(model, x_grid, y_grid, times, frame, threshold=1.0):
     spacing = float(x_grid[1] - x_grid[0]) if len(x_grid) > 1 else 1.0
     window = max(1, int(round(threshold * frame.space_unit / spacing)))
     starts = [model.cell_at(int(x), t0) for x in x_grid]
-    fwd, bridged = {}, set()
+    fwd = {}
     for j, y in enumerate(y_grid):
         b = model.cell_at(int(y), t1)
         B = lattice.backward_values(model, b)
@@ -1985,14 +2006,12 @@ def ref_agreement_matrix(model, x_grid, y_grid, times, frame, threshold=1.0):
             gap = classify.classify_gap(sheet, i, j, zeros=zeros, window=window)
             if gap.tag == "other" and gap.gap is None:
                 continue
-            if geo_zero:  # a pair without a verdict is not walked, so not bridged
-                bridged.add(a)
             gap_zero = gap.gap == 0.0
             out.record(geo_tag, gap.tag, geo_zero, gap_zero)
             out.records.append((int(x), int(y), gap.gap, geo_tag, gap.tag))
             if bridges[0] and bridges[1]:
                 out.double_bridges += 1
-    return out, bridged
+    return out
 
 
 def _anchor_grid(n, half, t0):
@@ -2016,29 +2035,34 @@ def agreement_cases():
 
 
 def test_agreement_matrix_matches_per_pair_loop(monkeypatch):
-    built, walks = [], []
+    built, walks, bridges = [], [], []
     forward, walk = lattice.forward_values, lattice.geodesic_cells_from_B
+    bridge = lattice.bridge_exists
     monkeypatch.setattr(lattice, "forward_values",
                         lambda model, a, reads=None: built.append(a) or forward(model, a, reads))
     monkeypatch.setattr(lattice, "geodesic_cells_from_B",
                         lambda *args: walks.append(1) or walk(*args))
+    monkeypatch.setattr(lattice, "bridge_exists",
+                        lambda *args: bridges.append(1) or bridge(*args))
     skipped = 0
     seen = {"zeros": 0, "double": 0, "tags": set()}
     for f, n, (xs, ys, times) in agreement_cases():
         frame = ScalingFrame(float(n))
         for threshold in (0.0, 0.5, 1.0):
             walks.clear()
-            want, bridged = ref_agreement_matrix(f, xs, ys, times, frame, threshold)
+            want = ref_agreement_matrix(f, xs, ys, times, frame, threshold)
             walked = len(walks)  # two per reachable pair
             built.clear()
             gaplab.gap_sheet(f, xs, ys, frame, times)
             sheet_tables = len(built)
             built.clear()
             walks.clear()
+            bridges.clear()
             got = classify.agreement_matrix(f, xs, ys, times, frame, threshold)
-            # two walks per recorded pair: a pair without a verdict is not walked
-            assert len(walks) == 2 * len(got.records)
-            skipped += walked - len(walks)
+            # two walks per recorded pair (a pair without a verdict is not
+            # walked) and two per bridge, one for each pair with disjoint walks
+            assert len(walks) == 2 * len(got.records) + 2 * len(bridges)
+            skipped += walked - 2 * len(got.records)
             assert got.counts.dtype == want.counts.dtype
             assert np.array_equal(got.counts, want.counts)
             assert got.records == want.records
@@ -2047,10 +2071,8 @@ def test_agreement_matrix_matches_per_pair_loop(monkeypatch):
             assert (got.samples, got.zero_split_disagreements, got.double_bridges) == (
                 want.samples, want.zero_split_disagreements, want.double_bridges)
             assert got.meta == want.meta
-            # after the sheet's own tables, one table per source whose
-            # bridges were asked for, and no other
-            assert len(built) == sheet_tables + len(bridged)
-            assert sorted(built[sheet_tables:]) == sorted(bridged)
+            # no table after the sheet's own: bridges walk the sink's table
+            assert len(built) == sheet_tables
             seen["zeros"] += sum(r[2] == 0.0 for r in got.records)
             seen["double"] += got.double_bridges
             seen["tags"] |= {r[3] for r in got.records}
@@ -2078,7 +2100,7 @@ def test_agreement_matrix_matches_per_pair_loop_on_odd_sheet_values(monkeypatch)
     xs, ys, times = _anchor_grid(8, 6, 6)
     frame = ScalingFrame(8.0)
     for threshold in (0.0, 0.5, 1.0):
-        want, _ = ref_agreement_matrix(f, xs, ys, times, frame, threshold)
+        want = ref_agreement_matrix(f, xs, ys, times, frame, threshold)
         got = classify.agreement_matrix(f, xs, ys, times, frame, threshold)
         assert np.array_equal(got.counts, want.counts)
         assert got.records == want.records

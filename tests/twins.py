@@ -51,7 +51,7 @@ def _relax(out: np.ndarray, prev: np.ndarray, weights) -> None:
         out += w.reshape((-1,) + (1,) * (out.ndim - 1 - axis))
 
 
-def _path_table_py(w: np.ndarray, corner, seeds=None, stop=None) -> np.ndarray:
+def _path_table_py(w: np.ndarray, corner, stop=None) -> np.ndarray:
     """_path_table in numpy, the reference of the compiled one: swept
     over the cells (i, j) >= corner with i <= i1, j <= j1 and
     i + j <= t_stop, for stop = (i1, j1, t_stop) (None: the whole grid)."""
@@ -60,20 +60,14 @@ def _path_table_py(w: np.ndarray, corner, seeds=None, stop=None) -> np.ndarray:
     flat, wflat = table.reshape(-1), np.pad(w, _BORDER).reshape(-1)
     i0, j0 = corner
     i1, j1, t_stop = stop or (rows - 1, cols - 1, rows + cols - 2)
-    if seeds is None:
-        table[i0 + 1, j0 + 1] = w[i0, j0]
-    else:
-        sflat = np.pad(seeds, _BORDER, constant_values=NEG).reshape(-1)
-    for t in range(i0 + j0 + (seeds is None), t_stop + 1):
+    table[i0 + 1, j0 + 1] = w[i0, j0]
+    for t in range(i0 + j0 + 1, t_stop + 1):
         lo, hi = max(i0, t - j1), min(i1, t - j0)
         # padded cell (i, t - i) sits at flat index base + i * cols
         base = cols + t + 2
         live = slice(base + lo * cols, base + hi * cols + 1, cols)
-        out = flat[live]
-        _relax(out, flat[base - 1 + (lo - 1) * cols:base + hi * cols:cols],
+        _relax(flat[live], flat[base - 1 + (lo - 1) * cols:base + hi * cols:cols],
                ((0, wflat[live]),))
-        if seeds is not None:
-            np.maximum(out, sflat[live], out=out)
     return table
 
 
@@ -200,14 +194,14 @@ def row_pass(xs, ts, slab, sx, st, U, V, tu, tv, scratch, out):
     return True  # "out of order": the caller's Python parts serve the row
 
 
-def path_table(w, i0, j0, reads, seeds, table):
+def path_table(w, i0, j0, reads, table):
     """The window of the read cells reachable from (i0, j0) is their last
     row, column and chart time; the corner alone when none is."""
     stop = None
     if reads is not None:
         i, j = reads[(reads[:, 0] >= i0) & (reads[:, 1] >= j0)].T
         stop = (i.max(), j.max(), (i + j).max()) if i.size else (i0, j0, i0 + j0)
-    table[...] = _path_table_py(w, (i0, j0), seeds, stop)
+    table[...] = _path_table_py(w, (i0, j0), stop)
 
 
 def pair_sweep(w, i1, j1, i2, j2, t_stop, swap, reads, states, row):
