@@ -309,6 +309,28 @@ def test_single_tables_match_dense_reference(f, each_kernel):
             assert_same(lattice.backward_values(f, c), ref_backward_values(f, c))
 
 
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_seeded_reference_is_the_max_of_single_seed_tables(f):
+    """ref_seeded_forward, the seeded definition ref_bridge_exists checks
+    bridges against, is bit for bit the max over its seeds p of the forward
+    table from p with p's weight replaced by the seed: adding one weight
+    to two floats keeps their order, so taking the max first rounds alike."""
+    rng = np.random.default_rng(f.rows * 31 + f.cols)
+    F = lattice.forward_values(f, (0, 0))
+    for trial in range(6):
+        seeds = np.full(f.weights.shape, NEG)
+        mask = rng.random(f.weights.shape) < (0.1 + 0.15 * trial)
+        seeds[mask] = F[mask] + rng.integers(0, 4, size=mask.sum())
+        want = np.full(f.weights.shape, NEG)
+        for p in zip(*np.nonzero(mask)):
+            w = f.weights.copy()
+            w[p] = seeds[p]
+            np.maximum(want, lattice.forward_values(LatticeField(w, "explicit"), p), out=want)
+        assert_same(ref_seeded_forward(f, seeds), want)
+    empty = np.full(f.weights.shape, NEG)
+    assert_same(ref_seeded_forward(f, empty), empty)
+
+
 def _check_pair_results(got, want, record):
     if record:
         assert [t for t, _ in got] == [t for t, _ in want]
