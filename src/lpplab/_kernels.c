@@ -4,9 +4,9 @@
 
    Cloud (lpplab.cloud): the same k-row insertion as the twin
    _pile_counts_py, and the whole row pass of cloud._sorted_cone,
-   cloud._before and that insertion, comparing doubles exactly as Python
-   does.  Every pile search is branch-free (see upper): its index is
-   bisect_right's.
+   cloud._before and that insertion on an index range of the cloud,
+   comparing doubles exactly as Python does.  Every pile search is
+   branch-free (see upper): its index is bisect_right's.
 
    Lattice (lpplab.lattice): the single-path table of the twin
    _path_table_py and the pair sweep of the twin _pair_sweep_py, in
@@ -123,33 +123,32 @@ static void pile_counts(const double *vs, int64_t n, int64_t k, const int64_t *s
     }
 }
 
-/* One row pass from the source (x0, t0).  The n cloud indices of slab,
-   taken in their order, are kept when their keys u = (t - t0) + (x - x0),
-   v = (t - t0) - (x - x0) lie in [0, U] x [0, V] and are not (0, 0).
-   The kept points are inserted into two pile rows; before each, the
-   targets (tu, tv), sorted by (u, v), that it does not precede are read
-   into out (m x 2).  Returns 1, with out incomplete, when the kept
-   points are not in (u, v) order with equal (u, v) in index order. */
-static int64_t row_pass(const double *xs, const double *ts, const int64_t *slab, int64_t n,
+/* One row pass from the source (x0, t0) over the cloud points lo..hi-1,
+   stored in (t + x, t - x) order.  A point is kept when its keys
+   u = (t - t0) + (x - x0), v = (t - t0) - (x - x0) lie in [0, U] x [0, V]
+   and are not (0, 0).  The kept points are inserted into two pile rows of
+   n = hi - lo slots; before each, the targets (tu, tv), sorted by (u, v),
+   that it does not precede are read into out (m x 2).  Returns 1, with
+   out incomplete, when the kept points are not in (u, v) order. */
+static int64_t row_pass(const double *xs, const double *ts, int64_t lo, int64_t hi,
                         double x0, double t0, double U, double V, const double *tu,
                         const double *tv, int64_t m, double *rows, int64_t *out)
 {
-    int64_t lens[2] = {0, 0}, j = 0, last = -1;
+    int64_t lens[2] = {0, 0}, j = 0, n = hi - lo, seen = 0;
     double lu = 0.0, lv = 0.0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t p = slab[i];
+    for (int64_t p = lo; p < hi; p++) {
         double u = (ts[p] - t0) + (xs[p] - x0);
         double v = (ts[p] - t0) - (xs[p] - x0);
         if (!(u >= 0.0 && v >= 0.0 && u <= U && v <= V) || (u == 0.0 && v == 0.0))
             continue;
-        if (last >= 0 && !(lu < u || (lu == u && (lv < v || (lv == v && last < p)))))
+        if (seen && !(lu < u || (lu == u && lv <= v)))
             return 1;
         for (; j < m && !(u < tu[j] || (u == tu[j] && v < tv[j])); j++)
             count(rows, lens, n, 2, tv[j], out + 2 * j);
         insert(rows, lens, n, 2, v);
         lu = u;
         lv = v;
-        last = p;
+        seen = 1;
     }
     for (; j < m; j++)
         count(rows, lens, n, 2, tv[j], out + 2 * j);
@@ -545,44 +544,42 @@ done:
     return result;
 }
 
-/* row_pass(xs, ts, slab, x0, t0, U, V, tu, tv, rows, out) -> 0 or 1: xs
-   and ts float64 (N), slab int64 (n) of indices in [0, N), tu and tv
-   float64 (m); scratch rows float64 (>= 2 n); out int64 (m, 2) */
+/* row_pass(xs, ts, lo, hi, x0, t0, U, V, tu, tv, rows, out) -> 0 or 1: xs
+   and ts float64 (N), lo and hi ints with 0 <= lo <= hi <= N, tu and tv
+   float64 (m); scratch rows float64 (>= 2 (hi - lo)); out int64 (m, 2) */
 static PyObject *py_row_pass(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Held held = {.n = 0};
     PyObject *result = NULL;
+    int64_t range[2];
     double key[4];
-    Py_buffer *xs, *ts, *slab, *tu, *tv, *rows, *out;
-    if (arity("row_pass", nargs, 11) < 0)
+    Py_buffer *xs, *ts, *tu, *tv, *rows, *out;
+    if (arity("row_pass", nargs, 12) < 0 || ints(args, (int[]){2, 3}, 2, range) < 0)
         return NULL;
     for (int k = 0; k < 4; k++) {
-        key[k] = PyFloat_AsDouble(args[3 + k]);
+        key[k] = PyFloat_AsDouble(args[4 + k]);
         if (key[k] == -1.0 && PyErr_Occurred())
             return NULL;
     }
     if (!(xs = take(&held, args[0], "xs", 'd', 1, IN))
         || !(ts = take(&held, args[1], "ts", 'd', 1, IN))
-        || !(slab = take(&held, args[2], "slab", 'q', 1, IN))
-        || !(tu = take(&held, args[7], "tu", 'd', 1, IN))
-        || !(tv = take(&held, args[8], "tv", 'd', 1, IN))
-        || !(rows = take(&held, args[9], "rows", 'd', 1, OUT))
-        || !(out = take(&held, args[10], "out", 'q', 2, OUT)))
+        || !(tu = take(&held, args[8], "tu", 'd', 1, IN))
+        || !(tv = take(&held, args[9], "tv", 'd', 1, IN))
+        || !(rows = take(&held, args[10], "rows", 'd', 1, OUT))
+        || !(out = take(&held, args[11], "out", 'q', 2, OUT)))
         goto done;
-    int64_t N = xs->shape[0], n = slab->shape[0], m = tu->shape[0];
-    if (shaped(ts, "ts", &N) < 0 || shaped(tv, "tv", &m) < 0 || room(rows, "rows", 2, n) < 0
-        || shaped(out, "out", (int64_t[]){m, 2}) < 0)
+    int64_t N = xs->shape[0], lo = range[0], hi = range[1], m = tu->shape[0];
+    if (!(0 <= lo && lo <= hi && hi <= N)) {
+        PyErr_Format(PyExc_ValueError, "slab [%lld, %lld) is not a range in [0, %lld]",
+                     (long long)lo, (long long)hi, (long long)N);
         goto done;
-    const int64_t *p = slab->buf;
-    for (int64_t i = 0; i < n; i++)
-        if (p[i] < 0 || p[i] >= N) {
-            PyErr_Format(PyExc_ValueError, "slab index %lld outside [0, %lld)",
-                         (long long)p[i], (long long)N);
-            goto done;
-        }
+    }
+    if (shaped(ts, "ts", &N) < 0 || shaped(tv, "tv", &m) < 0
+        || room(rows, "rows", 2, hi - lo) < 0 || shaped(out, "out", (int64_t[]){m, 2}) < 0)
+        goto done;
     int64_t late;
     Py_BEGIN_ALLOW_THREADS
-    late = row_pass(xs->buf, ts->buf, p, n, key[0], key[1], key[2], key[3], tu->buf,
+    late = row_pass(xs->buf, ts->buf, lo, hi, key[0], key[1], key[2], key[3], tu->buf,
                     tv->buf, m, rows->buf, out->buf);
     Py_END_ALLOW_THREADS
     result = PyLong_FromLongLong(late);

@@ -33,10 +33,10 @@ after importing this module and wraps their functions, which runs them;
 once the tracer imports them itself, they can become plain
 function-level imports.  The pool is plain ``threading`` threads, which
 numpy has already imported, so a fan-out imports no executor and no
-``logging``.  The program entry (``python -m lpplab.cli``) calls
-``gc.freeze()`` before ``main()``: the objects made at start-up live
-until exit, and frozen, neither the run's collections nor the one at
-interpreter shutdown walk them.  ``main()`` called in-process does not
+``logging``.  ``entry()``, run by ``python -m lpplab.cli`` and by the
+``lpplab`` script, calls ``gc.freeze()`` before ``main()``: the objects
+made at start-up live until exit, and frozen, neither the run's
+collections nor the one at interpreter shutdown walk them.  ``main()`` called in-process does not
 freeze.  The config is read as UTF-8 whatever the locale.
 """
 
@@ -419,6 +419,11 @@ def main(argv=None) -> int:
     return 0 if ok else 1
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """The program entry: freeze the start-up heap, then exit with main()'s status."""
     gc.freeze()  # the start-up heap lives to exit: no collection need walk it
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -20,21 +20,22 @@ before each point, so F is the count plus one.  B comes from the same
 call on the reflected diamond (reversed order, negated v), as the
 lattice gets its backward tables.
 
-One point order per cloud.  Each cloud sorts its points once, by the
-absolute keys (t + x, t - x) (``u_order``).  Every read-out takes its
-points from ``_sorted_cone``: a slab of that order found by binary
-search on t + x, with a margin that covers float64 rounding (see
-``_slab``), then the exact per-source keys (t - t0) +- (x - x0) and the
-cone mask on the slab alone.  Rounding can order the absolute and the
-per-source keys differently, so an O(n) check confirms that the kept
-points are in (u, v) order, equal (u, v) in index order; where it
-fails, the kept points are sorted.
+One point order per cloud.  Each cloud stores its points sorted by the
+absolute keys (t + x, t - x).  Every read-out takes its points from
+``_sorted_cone``: a slab, an index range found by binary search on
+t + x with a margin that covers float64 rounding (see ``_slab``), then
+the exact per-source keys (t - t0) +- (x - x0) and the cone mask on the
+slab alone.  Rounding can order the absolute and the per-source keys
+differently, so an O(n) check confirms that the kept points are in
+(u, v) order; where it fails, a stable sort restores it.  Either way
+equal (u, v) stay in cloud order.
 
 The kernel is compiled, and required (see ``_native``): ``_kernels.c``
 holds the insertion in C, comparing doubles as Python compares floats,
 so it gives the counts of its Python reference, which lives with the
 tests, and a whole row pass (keys, mask and order check on the slab,
-stops, two-row insertion) in one call.  Its pile search is branch-free:
+stops, two-row insertion) in one call over the slab's contiguous
+range.  Its pile search is branch-free:
 it halves the range with a conditional select on the same predicate
 x < row[i], so it returns ``bisect_right``'s index and leaves the CPU no
 comparison outcome to mispredict.  Each call passes the numpy arrays
@@ -68,8 +69,8 @@ from .errors import InvariantError
 from .model import DomainError, PoissonCloud, causal_leq, check_side, _xy
 
 
-def _slab(cloud: PoissonCloud, x0: float, t0: float, U: float) -> np.ndarray:
-    """Cloud indices, in ``u_order``, of every point whose key
+def _slab(cloud: PoissonCloud, x0: float, t0: float, U: float):
+    """The index range [lo, hi) of the cloud points whose key
     u = (t - t0) + (x - x0) relative to the source may lie in [0, U].
 
     The slab is read from the sorted absolute keys a = t + x with
@@ -84,17 +85,15 @@ def _slab(cloud: PoissonCloud, x0: float, t0: float, U: float) -> np.ndarray:
     r = cloud.region
     s = max(abs(r.x_lo), abs(r.x_hi), abs(r.t_lo), abs(r.t_hi), abs(x0), abs(t0), abs(U))
     c, m = t0 + x0, 2.0 ** -48 * s
-    lo = np.searchsorted(cloud.u_keys, c - m, side="left")
-    hi = np.searchsorted(cloud.u_keys, (c + U) + m, side="right")
-    return cloud.u_order[lo:hi]
+    lo = int(np.searchsorted(cloud.u_keys, c - m, side="left"))
+    hi = int(np.searchsorted(cloud.u_keys, (c + U) + m, side="right"))
+    return lo, hi
 
 
-def _in_order(idx, u, v) -> bool:
-    """Are the points in (u, v) order, equal (u, v) in index order?"""
+def _in_order(u, v) -> bool:
+    """Are the points in (u, v) order?"""
     a, b = slice(None, -1), slice(1, None)
-    tie = u[a] == u[b]
-    later = (u[a] < u[b]) | (tie & (v[a] < v[b])) | (tie & (v[a] == v[b]) & (idx[a] < idx[b]))
-    return bool(later.all())
+    return bool(((u[a] < u[b]) | ((u[a] == u[b]) & (v[a] <= v[b]))).all())
 
 
 def _sorted_cone(cloud: PoissonCloud, start, U, V):
@@ -102,21 +101,20 @@ def _sorted_cone(cloud: PoissonCloud, start, U, V):
     start anchor excluded, as (idx, u, v) in (u, v) order, equal (u, v)
     in index order.
 
-    Only the slab of ``u_order`` within t0 + x0 - m <= t + x <=
-    t0 + x0 + U + m is read, with the float64 rounding margin
-    m = 2^-48 s of ``_slab``.  The keys are exact per source, the slab's
-    order is the cloud's: a check confirms that it is the (u, v) order of
-    the kept points, and a sort restores that order where rounding made
-    the two disagree.
+    Only the slab within t0 + x0 - m <= t + x <= t0 + x0 + U + m is
+    read, with the float64 rounding margin m = 2^-48 s of ``_slab``.
+    The keys are exact per source, the slab's order is the cloud's: a
+    check confirms that it is the (u, v) order of the kept points, and a
+    stable sort restores that order where rounding made the two disagree.
     """
     x0, t0 = _xy(start)
-    idx = _slab(cloud, x0, t0, U)
-    dt, dx = cloud.ts[idx] - t0, cloud.xs[idx] - x0
+    lo, hi = _slab(cloud, x0, t0, U)
+    dt, dx = cloud.ts[lo:hi] - t0, cloud.xs[lo:hi] - x0
     u, v = dt + dx, dt - dx
     keep = (u >= 0) & (v >= 0) & (u <= U) & (v <= V) & ~((u == 0) & (v == 0))
-    idx, u, v = idx[keep], u[keep], v[keep]
-    if not _in_order(idx, u, v):
-        order = np.lexsort((idx, v, u))
+    idx, u, v = np.flatnonzero(keep) + lo, u[keep], v[keep]
+    if not _in_order(u, v):
+        order = np.lexsort((v, u))
         idx, u, v = idx[order], u[order], v[order]
     return idx, u, v
 
@@ -192,6 +190,8 @@ def row_pass(cloud: PoissonCloud, start, target_xs, target_t: float):
     """
     sx, st = _xy(start)
     ys = np.asarray(target_xs, dtype=np.float64)
+    if ys.ndim != 1:
+        raise DomainError(f"target positions must be a 1-d array, got shape {ys.shape}")
     if not (np.isfinite([sx, st, target_t]).all() and np.isfinite(ys).all()):
         raise DomainError("source, target positions and target time must be finite")
     dt = target_t - st
@@ -201,28 +201,21 @@ def row_pass(cloud: PoissonCloud, start, target_xs, target_t: float):
         raise DomainError("some target lies outside the causal cone of the source")
     Us = dt + (ys - sx)
     Vs = dt - (ys - sx)
-    L = np.zeros(ys.size, dtype=np.int64)
-    L2 = np.zeros(ys.size, dtype=np.int64)
+    L, L2 = np.zeros((2, ys.size), dtype=np.int64)
     if ys.size == 0:
         return L, L2
     read = np.lexsort((Vs, Us))
-    counts = _row_counts(cloud, sx, st, Us.max(), Vs.max(), Us[read], Vs[read])
+    U, V, tu, tv = Us.max(), Vs.max(), Us[read], Vs[read]
+    lo, hi = _slab(cloud, sx, st, U)
+    counts = np.empty((ys.size, 2), dtype=np.int64)
+    # the compiled row in one call, or its Python parts where it finds the slab out of order
+    if _native.library().row_pass(cloud.xs, cloud.ts, lo, hi, sx, st, U, V, tu, tv,
+                                  np.empty(2 * (hi - lo)), counts):
+        idx, pu, pv = _sorted_cone(cloud, (sx, st), U, V)
+        counts = _pile_counts(pv, 2, _before(pu, pv, tu, tv), tv)
     L[read] = counts[:, 0]
     L2[read] = counts[:, 0] + counts[:, 1]
     return L, L2
-
-
-def _row_counts(cloud: PoissonCloud, sx, st, U, V, tu, tv) -> np.ndarray:
-    """Two pile rows' counts at the targets (tu, tv), sorted by (u, v),
-    from the source (sx, st): the compiled row in one call, or its
-    Python parts when it finds the slab out of order."""
-    slab = _slab(cloud, sx, st, U)
-    out = np.empty((tu.size, 2), dtype=np.int64)
-    if not _native.library().row_pass(cloud.xs, cloud.ts, slab, sx, st, U, V, tu, tv,
-                                      np.empty(2 * slab.size), out):
-        return out
-    idx, pu, pv = _sorted_cone(cloud, (sx, st), U, V)
-    return _pile_counts(pv, 2, _before(pu, pv, tu, tv), tv)
 
 
 def chain_tables(cloud: PoissonCloud, start, end):

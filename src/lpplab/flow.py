@@ -93,7 +93,8 @@ def disjoint_pair(cloud: PoissonCloud, starts, ends):
     pts = list(zip(cloud.xs.tolist(), cloud.ts.tolist()))
     # strictly inside a cone: causally between the anchors, on neither
     inside = lambda p, s, e: causal_leq(s, p) and p != s and causal_leq(p, e) and p != e
-    usable = [m for m, p in enumerate(pts) if inside(p, s1, e1) or inside(p, s2, e2)]
+    by_t = sorted(range(len(pts)), key=lambda m: pts[m][::-1])  # (t, x) order fixes the flow's pick
+    usable = [m for m in by_t if inside(pts[m], s1, e1) or inside(pts[m], s2, e2)]
     n = len(usable)
     g = _MinCostFlow(POINTS + 2 * n)
     node_in = lambda k: POINTS + 2 * k

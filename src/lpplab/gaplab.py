@@ -303,6 +303,8 @@ def box_dimension(points, scales: Sequence[float]) -> BoxDimension:
     """Least squares slope of log(occupied boxes) against log(1/scale)."""
     if np.size(points) == 0:
         raise ParameterError("box_dimension needs a nonempty point set")
+    if not np.isfinite(np.asarray(points, dtype=np.float64)).all():
+        raise ParameterError("box_dimension needs finite points")
     if len(scales) < 2 or len(set(scales)) < len(scales):
         raise ParameterError(f"box_dimension needs at least 2 distinct scales, got {list(scales)}")
     counts = box_counts(points, _positive("scale", scales))

@@ -162,7 +162,7 @@ class OrderedQuad:
 
 @record(frozen=True)
 class Region:
-    """Axis-aligned space-time rectangle [x_lo, x_hi] x [t_lo, t_hi]."""
+    """Axis-aligned space-time rectangle [x_lo, x_hi] x [t_lo, t_hi], bounds finite."""
 
     x_lo: float
     x_hi: float
@@ -170,6 +170,9 @@ class Region:
     t_hi: float
 
     def __post_init__(self):
+        for name, bound in vars(self).items():
+            if not math.isfinite(bound):
+                raise ParameterError(f"region bound {name} must be finite, got {bound}")
         if self.x_hi < self.x_lo or self.t_hi < self.t_lo:
             raise ParameterError(f"degenerate region bounds: {self}")
 
@@ -237,18 +240,8 @@ def _runs(mask) -> List[Tuple[int, int]]:
     return [(int(i), int(k) - 1) for i, k in zip(edges[0::2], edges[1::2])]
 
 
-def _sort_order(key: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
-    """The order of np.lexsort((tiebreak, key)): by key, then tiebreak,
-    then index.  One argsort of key serves unless two keys are equal."""
-    order = np.argsort(key)
-    sorted_key = key[order]
-    if bool(np.any(sorted_key[1:] == sorted_key[:-1])):
-        return np.lexsort((tiebreak, key))
-    return order
-
-
 class PoissonCloud:
-    """A realized Poisson point set, sorted by (t, x).
+    """A realized Poisson point set, sorted by (t + x, t - x).
 
     Points are distinct, as a Poisson cloud's are almost surely, and are
     exposed as parallel arrays ``xs``/``ts``; equality of environments is
@@ -257,12 +250,12 @@ class PoissonCloud:
     seeded cloud under ``reflect``; a cloud without a seed carries its
     points instead.
 
-    The cloud also keeps one point order for the chain kernels:
-    ``u_order`` sorts the points by (t + x, t - x), ties in index order,
-    and ``u_keys`` holds their t + x in that order.  Both sorts are one
-    argsort of their first key unless that key repeats (``_sort_order``).
-    Each read-out takes the slab of it near a source's cone (see
-    ``cloud``), so no read-out sorts the whole cloud.
+    The points are stored in the one order every chain kernel reads:
+    by (t + x, t - x), ties by (t, x), so a causal chain runs forward
+    through the arrays.  ``u_keys`` holds their t + x.  The sort is one
+    argsort of t + x unless two of its values are equal, then one
+    lexsort.  Each read-out takes the slab of the arrays near a source's
+    cone (see ``cloud``), so no read-out sorts the whole cloud.
     """
 
     reflected = False  # set by reflect()
@@ -271,14 +264,19 @@ class PoissonCloud:
                  seed: Optional[int] = None, rate: Optional[float] = None):
         xs = np.asarray(xs, dtype=np.float64)
         ts = np.asarray(ts, dtype=np.float64)
+        for name, a in (("xs", xs), ("ts", ts)):
+            if a.ndim != 1:
+                raise ParameterError(f"cloud {name} must be a 1-d array, got shape {a.shape}")
         if xs.shape != ts.shape:
             raise ParameterError("xs and ts must have equal length")
-        order = _sort_order(ts, xs)
+        u = ts + xs
+        order = np.argsort(u)
+        key = u[order]
+        if bool(np.any(key[1:] == key[:-1])):  # argsort leaves equal keys unordered
+            order = np.lexsort((xs, ts, ts - xs, u))
         self.xs = xs[order]
         self.ts = ts[order]
-        u = self.ts + self.xs
-        self.u_order = _sort_order(u, self.ts - self.xs)
-        self.u_keys = u[self.u_order]
+        self.u_keys = u[order]
         self.region = region
         self.seed = seed
         self.rate = rate
@@ -320,7 +318,7 @@ def make_poisson_cloud(seed: int, rate: float, region: Region) -> PoissonCloud:
     """Sample a rate-``rate`` Poisson cloud on ``region``.
 
     The count is Poisson(rate * area) by inversion, followed by that many
-    uniform points, sorted by (t, x).  A zero-area region yields the
+    uniform points, sorted as every cloud is.  A zero-area region yields the
     empty cloud.
     """
     if not (rate > 0 and math.isfinite(rate)):

@@ -21,6 +21,8 @@ def _doc(width: float, height: float, body: list) -> str:
 def heatmap(matrix) -> str:
     """Grayscale heatmap of a matrix; NaN renders as light red."""
     m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim != 2:
+        raise ParameterError(f"heatmap needs a matrix, got shape {m.shape}")
     if m.size == 0:
         raise ParameterError("empty matrix")
     finite = m[np.isfinite(m)]

@@ -12,7 +12,7 @@ import pytest
 
 from lpplab import _native, cli, manifest, svg
 from lpplab.config import ConfigError, ExperimentConfig, parse_config, round_trip
-from lpplab.errors import DomainError
+from lpplab.errors import DomainError, ParameterError
 
 import twins
 
@@ -573,6 +573,22 @@ except SystemExit as done:
 """
 
 
+def test_the_installed_script_is_the_program_entry(monkeypatch):
+    """``pyproject.toml`` points the ``lpplab`` script at ``cli.entry``,
+    the function ``python -m lpplab.cli`` runs, and it freezes the heap
+    before ``main()`` and exits with ``main()``'s status."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"lpplab": "lpplab.cli:entry"}
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    with pytest.raises(SystemExit) as done:
+        cli.entry()
+    assert done.value.code == 3 and calls == ["freeze", "main"]
+
+
 def test_the_program_entry_writes_what_main_writes(tmp_path, capsys):
     """``python -m lpplab.cli`` writes the artifact bytes of an in-process
     ``main`` on the same config, and a bad config through it exits 2
@@ -805,6 +821,14 @@ def test_svg_determinism_and_shapes():
     pts = np.array([[0.1, 0.2], [0.5, 0.6], [0.9, 0.1]])
     doc = svg.overlay(pts, (0, 1, 0, 1))
     assert doc.count("<circle") == 3
+
+
+@pytest.mark.parametrize("shape", [(2,), (), (2, 2, 2)])
+def test_heatmap_refuses_what_is_not_a_matrix(shape):
+    # a 1-d array once raised IndexError: tuple index out of range
+    with pytest.raises(ParameterError) as err:
+        svg.heatmap(np.ones(shape))
+    assert str(err.value) == f"heatmap needs a matrix, got shape {shape}"
 
 
 def test_svg_single_cell():

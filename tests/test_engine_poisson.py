@@ -155,6 +155,13 @@ def test_row_pass_rejects_non_finite_input(start, ys, t):
         passage_profile(HAND, start, t, ys)
 
 
+@pytest.mark.parametrize("ys", [[[0.0, 1.0]], 0.0], ids=["2-d", "scalar"])
+def test_row_pass_refuses_targets_that_are_not_a_list(ys):
+    # a 2-d target list once raised a bare IndexError
+    with pytest.raises(DomainError, match=r"^target positions must be a 1-d array, got shape"):
+        row_pass(HAND, (0.0, 0.0), ys, 8.0)
+
+
 def test_explicit_cloud_descriptor_round_trips():
     from lpplab.model import model_from_descriptor, reflect
     for cl in (HAND, reflect(HAND), cloud_from_points([])):

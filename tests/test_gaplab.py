@@ -226,6 +226,13 @@ def test_box_dimension_rejects_a_scale_that_is_not_finite_and_positive(scale):
         gaplab.box_dimension(np.array([0.1, 0.6]), [0.5, scale])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_box_dimension_refuses_points_that_are_not_finite(bad):
+    # a NaN point once counted as an occupied box: estimate 0, r2 1, no warning
+    with pytest.raises(ParameterError, match=r"^box_dimension needs finite points$"):
+        gaplab.box_dimension(np.array([[bad, 0.0], [1.0, 1.0]]), [1.0, 0.5])
+
+
 def test_box_dimension_full_grid():
     pts = np.arange(0.0, 1.0, 2.0 ** -12)
     scales = [2.0 ** -k for k in range(2, 9)]

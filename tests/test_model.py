@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from lpplab import (DomainError, ParameterError, Region, ScalingFrame,
                     model_from_descriptor, passage_value, reflect, rescale,
                     rotate45)
 from lpplab import _native, cloud, rng
-from lpplab.model import Factory, OrderedQuad, record, reflect_cell
+from lpplab.model import Factory, OrderedQuad, PoissonCloud, record, reflect_cell
 
 import twins
 
@@ -29,9 +30,10 @@ def test_poisson_cloud_deterministic():
 
 def test_poisson_cloud_sorted_and_inside():
     cl = make_poisson_cloud(seed=7, rate=50.0, region=UNIT)
-    assert np.all(np.diff(cl.ts) >= 0)
-    ties = np.diff(cl.ts) == 0
-    assert np.all(np.diff(cl.xs)[ties] >= 0)
+    u, v = cl.ts + cl.xs, cl.ts - cl.xs
+    keys = list(zip(u.tolist(), v.tolist(), cl.ts.tolist(), cl.xs.tolist()))
+    assert keys == sorted(keys)
+    assert cl.u_keys.tobytes() == u.tobytes()
     assert cl.xs.min() >= 0 and cl.xs.max() <= 1
 
 
@@ -42,6 +44,25 @@ def test_cloud_rejects_repeated_points():
         cloud_from_points([(0.3, 0.5), (0.0, 0.2), (0.3, 0.5)])
     # a shared x or a shared t alone is no repeat
     assert len(cloud_from_points([(0.0, 0.5), (0.0, 0.7), (0.2, 0.5)])) == 3
+
+
+@pytest.mark.parametrize("bounds, name", [((math.nan, 1, 0, 1), "x_lo"),
+                                          ((0, math.inf, 0, 1), "x_hi"),
+                                          ((0, 1, -math.inf, 1), "t_lo"),
+                                          ((0, 1, 0, math.nan), "t_hi")])
+def test_region_refuses_a_bound_that_is_not_finite(bounds, name):
+    # a NaN bound once passed, and a cloud on it failed later on its mean
+    with pytest.raises(ParameterError, match=rf"^region bound {name} must be finite, got "):
+        Region(*bounds)
+
+
+@pytest.mark.parametrize("name, shape", [("xs", (2, 2)), ("ts", (2, 2)), ("xs", ())])
+def test_cloud_refuses_coordinates_that_are_not_1d(name, shape):
+    # 2-d coordinates once raised "repeated cloud point ([0. 0.] ...)"
+    arrays = {"xs": np.full(2, 0.5), "ts": np.full(2, 0.5), name: np.full(shape, 0.5)}
+    with pytest.raises(ParameterError) as err:
+        PoissonCloud(arrays["xs"], arrays["ts"], UNIT)
+    assert str(err.value) == f"cloud {name} must be a 1-d array, got shape {shape}"
 
 
 def test_zero_area_region_gives_empty_cloud():

@@ -26,14 +26,13 @@ def entry_calls():
     B = lattice.backward_values(f, (4, 5))
     cloud = make_poisson_cloud(0, 2.0, Region(-2, 2, 0, 4))
     tu, tv = np.array([1.0, 2.0, 4.0]), np.array([3.0, 2.0, 4.0])
-    slab = cloud.u_order.astype(np.int64)
-    n = slab.size
+    n = len(cloud)
     return {
         "pile_counts": ((np.array([0.5, 0.25, 0.75]), 2, np.array([1, 3]), np.array([0.5, 1.0]),
                          np.empty(6), np.empty(2, np.int64), np.empty((2, 2), np.int64)),
                         {4, 5, 6}, {3, 4, 5, 6}),
-        "row_pass": ((cloud.xs, cloud.ts, slab, 0.0, 0.0, 4.0, 4.0, tu, tv, np.empty(2 * n),
-                      np.empty((3, 2), np.int64)), {9, 10}, {1, 8, 9, 10}),
+        "row_pass": ((cloud.xs, cloud.ts, 0, n, 0.0, 0.0, 4.0, 4.0, tu, tv, np.empty(2 * n),
+                      np.empty((3, 2), np.int64)), {10, 11}, {1, 9, 10, 11}),
         "path_table": ((w, 1, 2, np.array([[4, 2], [3, 4], [0, 5]]), np.empty((6, 7))), {4}, {4}),
         "pair_sweep": ((w, 0, 1, 0, 1, 7, 0, np.array([[1, 3], [2, 5]]), np.empty((2, 7, 7)),
                         np.empty(7)), {8, 9}, {8, 9}),
@@ -108,11 +107,14 @@ def test_entry_points_refuse_bad_counts_cells_and_indices():
     assert_refused("pile_counts", pile[:1] + (-1,) + pile[2:])
     assert_refused("pile_counts", pile[:1] + (3,) + pile[2:])  # rows fit k = 2 only
     row = calls["row_pass"][0]
-    for index in (-1, row[0].size):
-        slab = row[2].copy()
-        slab[-1] = index
-        assert_refused("row_pass", row[:2] + (slab,) + row[3:])
-    assert_refused("row_pass", row[:3] + ("x",) + row[4:], TypeError)
+    n = row[0].size
+    # the slab is a range 0 <= lo <= hi <= N of integer bounds; the scratch
+    # rows hold 2 (N + 2) slots, more than any range tried needs
+    roomy = row[:10] + (np.empty(2 * (n + 2)),) + row[11:]
+    for lo, hi in ((-1, n), (0, n + 1), (2, 1)):
+        assert_refused("row_pass", roomy[:2] + (lo, hi) + roomy[4:], what=str((lo, hi)))
+    assert_refused("row_pass", row[:2] + (0.0, n) + row[4:], TypeError)
+    assert_refused("row_pass", row[:4] + ("x",) + row[5:], TypeError)
     table = calls["path_table"][0]
     for corner in ((5, 0), (0, 6), (-1, 0)):
         assert_refused("path_table", table[:1] + corner + table[3:])

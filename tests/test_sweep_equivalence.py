@@ -1377,7 +1377,8 @@ def test_sorted_cone_matches_the_full_sort():
 def test_cloud_order_is_checked_and_restored(monkeypatch):
     cl, start, U, V = fallback_cloud()
     want = ref_sorted_cone(cl, start, U, V)
-    kept = cl.u_order[np.isin(cl.u_order, want[0])]
+    lo, hi = cloud_mod._slab(cl, *start, U)
+    kept = np.arange(lo, hi)[np.isin(np.arange(lo, hi), want[0])]
     assert not np.array_equal(kept, want[0])  # the cloud's order is not the source's
     checks = []
     check = cloud_mod._in_order
@@ -1387,12 +1388,11 @@ def test_cloud_order_is_checked_and_restored(monkeypatch):
 
 
 def ref_cloud_order(xs, ts):
-    """xs, ts, u_order and u_keys as the cloud built them with two lexsorts."""
-    order = np.lexsort((xs, ts))
-    xs, ts = xs[order], ts[order]
+    """xs, ts and u_keys as the cloud stores them: one lexsort by
+    (t + x, t - x, t, x)."""
     u = ts + xs
-    u_order = np.lexsort((ts - xs, u))
-    return xs, ts, u_order, u[u_order]
+    order = np.lexsort((xs, ts, ts - xs, u))
+    return xs[order], ts[order], u[order]
 
 
 def _shuffled(cl, seed):
@@ -1407,7 +1407,7 @@ def _has_ties(key):
 
 
 def test_cloud_sorts_match_lexsort():
-    """The cloud sorts by argsort unless a key repeats, then by lexsort:
+    """The cloud sorts by argsort unless t + x repeats, then by lexsort:
     both give the lexsort order, on tied grid clouds (the fallback), on
     the cone cases and on criterion 6 clouds (seeds 0-3, no ties)."""
     n = 256
@@ -1420,11 +1420,11 @@ def test_cloud_sorts_match_lexsort():
     for cl in clouds + crit6:
         xs, ts = _shuffled(cl, len(cl))
         got = type(cl)(xs, ts, cl.region)
-        for g, w in zip((got.xs, got.ts, got.u_order, got.u_keys), ref_cloud_order(xs, ts)):
+        for g, w in zip((got.xs, got.ts, got.u_keys), ref_cloud_order(xs, ts)):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-    assert _has_ties(grid.ts) and _has_ties(grid.ts + grid.xs)
+    assert _has_ties(grid.u_keys) and _has_ties(grid.ts - grid.xs)
     for cl in crit6:
-        assert not _has_ties(cl.ts) and not _has_ties(cl.u_keys)
+        assert not _has_ties(cl.u_keys)
 
 
 def test_compiled_row_falls_back_where_the_cloud_order_disagrees(monkeypatch):

@@ -11,8 +11,8 @@ This module is also a stand-in for the compiled module: ``pile_counts``,
 ``row_pass``, ``path_table``, ``pair_sweep``, ``walk`` and
 ``philox_uniforms`` take the extension's arguments, write its output
 buffers and return what it returns, from the twins.  Its ``row_pass``
-always reports the slab out of order, so ``cloud._row_counts`` serves
-the row from its Python parts on the twin ``pile_counts``.  Set
+always reports the slab out of order, so ``cloud.row_pass`` serves the
+row from its Python parts on the twin ``pile_counts``.  Set
 ``_native._loaded`` to ``twin_kernels()`` and every kernel call of the
 package runs a twin; ``Counted`` counts the calls of either module.
 """
@@ -190,7 +190,7 @@ def pile_counts(vs, k, stops, bounds, rows, lens, out):
     out[...] = _pile_counts_py(vs, k, stops, bounds)
 
 
-def row_pass(xs, ts, slab, sx, st, U, V, tu, tv, scratch, out):
+def row_pass(xs, ts, lo, hi, sx, st, U, V, tu, tv, scratch, out):
     return True  # "out of order": the caller's Python parts serve the row
 
 
